@@ -97,8 +97,7 @@ pub fn hot_fns(model: &WorkspaceModel) -> HotPaths {
         let Some(f) = model.get_fn(id) else { continue };
         for call in &f.calls {
             for target in resolve(model, &call.name, |t| eligible(model, t)) {
-                if let std::collections::btree_map::Entry::Vacant(slot) =
-                    hot.reached.entry(target)
+                if let std::collections::btree_map::Entry::Vacant(slot) = hot.reached.entry(target)
                 {
                     slot.insert(label.clone());
                     queue.push(target);

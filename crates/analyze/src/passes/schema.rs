@@ -17,8 +17,8 @@
 //!    interning table in `telemetry/src/event.rs`, or a decoded run folds
 //!    the kind to `"other"` and replay diverges from the live run.
 //! 4. **Spec keyword documentation** — every keyword accepted by the
-//!    `Aggregator` / `SamplerKind` / `AttackPlan` / `RoundPath` spec
-//!    parsers (`parse` / `parse_spec`) must appear in `DESIGN.md` (skipped
+//!    `Aggregator` / `SamplerKind` / `AttackPlan` spec parsers
+//!    (`parse` / `parse_spec`) must appear in `DESIGN.md` (skipped
 //!    when the workspace has no `DESIGN.md`, as the fixture trees do not).
 
 use super::Finding;
@@ -43,7 +43,7 @@ const COVERAGE_FNS: &[&str] = &[
 ];
 
 /// Spec parsers whose accepted keywords must be documented in DESIGN.md.
-const SPEC_PARSERS: &[&str] = &["Aggregator", "SamplerKind", "AttackPlan", "RoundPath"];
+const SPEC_PARSERS: &[&str] = &["Aggregator", "SamplerKind", "AttackPlan"];
 
 /// Tag-producing fns and the interning table that must know their tags:
 /// (producer file suffix, producer owners, target file suffix, target fn).

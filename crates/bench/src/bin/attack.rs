@@ -7,9 +7,9 @@
 //! round each honest client pulls the global model toward its target
 //! (`lr · (t_i − w)`); the seeded [`calibre_fl::AttackPlan`] compromises a
 //! fraction of the cohort per round through the *production* scheduler
-//! path ([`calibre_fl::RoundScheduler::run_round_streaming`]), so the
-//! ablation exercises exactly the injection + defense code a real serve
-//! run uses. Client `i`'s accuracy after the last round is
+//! path ([`calibre_fl::RoundScheduler::run_round_transport`] over an
+//! [`calibre_fl::InProcessTransport`]), so the ablation exercises exactly
+//! the injection + defense code a real serve run uses. Client `i`'s accuracy after the last round is
 //! `1 / (1 + ‖w − t_i‖)` — a decreasing function of how far the global
 //! model landed from that client's personal optimum.
 //!
@@ -43,7 +43,9 @@ use calibre_bench::obs::ObsArgs;
 use calibre_bench::parse_args;
 use calibre_fl::aggregate::Aggregator;
 use calibre_fl::sampler::{Sampler, SamplerKind};
-use calibre_fl::{jain_index, worst_fraction_mean, AttackPlan, RoundScheduler};
+use calibre_fl::{
+    jain_index, worst_fraction_mean, AttackPlan, InProcessTransport, RoundScheduler, StreamUpdate,
+};
 use std::io::Write;
 
 /// The splitmix64 step — the repo-wide seeded stream primitive.
@@ -166,22 +168,27 @@ fn run_cell(
             selected.len().max(1),
             seed ^ (round as u64).wrapping_mul(0xA24B_AED4_963E_E407),
         );
-        let model = &w;
-        let out = scheduler.run_round_streaming(
-            round,
-            &selected,
-            16,
-            sink.as_mut(),
-            |client| {
-                let pull: Vec<f32> = targets[client]
-                    .iter()
-                    .zip(model)
-                    .map(|(t, m)| LR * (t - m))
-                    .collect();
-                (pull, 1.0)
-            },
-            recorder,
-        );
+        let mut transport = InProcessTransport::new(|_round, client, model: &[f32]| StreamUpdate {
+            update: targets[client]
+                .iter()
+                .zip(model)
+                .map(|(t, m)| LR * (t - m))
+                .collect(),
+            weight: 1.0,
+            loss: 0.0,
+            divergence: 0.0,
+        });
+        let out = scheduler
+            .run_round_transport(
+                round,
+                &selected,
+                16,
+                &w,
+                sink.as_mut(),
+                &mut transport,
+                recorder,
+            )
+            .expect("the in-process transport cannot fail");
         if let Some(agg) = out.aggregated {
             for (wi, gi) in w.iter_mut().zip(agg) {
                 *wi += gi;

@@ -2,10 +2,11 @@
 //! clients on a small real worker pool.
 //!
 //! Each sweep point samples a cohort from a twice-as-large population with a
-//! seeded [`Sampler`], runs `--rounds` streaming rounds through
-//! [`RoundScheduler::run_round_streaming`] (updates are synthesized per
-//! client — no real SSL training, this measures the *aggregation path*),
-//! and reports rounds/sec plus the peak bytes the aggregation path held.
+//! seeded [`Sampler`], runs `--rounds` sink-fed rounds through
+//! [`RoundScheduler::run_round_transport`] over an [`InProcessTransport`]
+//! (updates are synthesized per client — no real SSL training, this
+//! measures the *aggregation path*), and reports rounds/sec plus the peak
+//! bytes the aggregation path held.
 //! The point of the sweep: peak aggregation memory stays O(model) — flat
 //! across cohort sizes — instead of the O(cohort × model) a
 //! collect-then-aggregate round pays. See `DESIGN.md` §11 and the
@@ -20,7 +21,7 @@
 //! ```
 //!
 //! `--smoke` runs a reduced sweep and asserts the committed peak-memory
-//! bound — the CI step that keeps the streaming path honest — plus a
+//! bound — the CI step that keeps the sink-fed path honest — plus a
 //! reservoir-sink gate that holds the *corrected* accounting (sample
 //! buffer included) to a shape-derived bound. `--mega` runs a single
 //! non-gating 1M-client round (one point, no committed bound — it exists
@@ -34,13 +35,14 @@ use calibre_bench::parse_args;
 use calibre_fl::aggregate::{HierarchicalSink, ReservoirSink, UpdateSink};
 use calibre_fl::sampler::{Sampler, SamplerKind};
 use calibre_fl::scheduler::RoundScheduler;
+use calibre_fl::transport::{InProcessTransport, StreamUpdate};
 use calibre_telemetry::metrics;
 use std::time::Instant;
 
 /// Committed peak-memory bound for the smoke sweep (`--smoke`), in bytes:
 /// sink state + quorum buffer + one in-flight wave for the smoke shape
 /// (dim 256, wave 64), with headroom for struct overhead. CI fails if the
-/// streaming path regresses past this.
+/// sink-fed path regresses past this.
 const SMOKE_PEAK_BOUND_BYTES: usize = 256 * 1024;
 
 /// Peak resident set size of this process in bytes (Linux `VmHWM`), 0 when
@@ -58,23 +60,28 @@ fn peak_rss_bytes() -> u64 {
         .unwrap_or(0)
 }
 
-/// Deterministic simulated update: a cheap splitmix64-seeded fill, so the
-/// sweep measures the aggregation path, not an RNG.
-fn simulated_update(round: usize, client: usize, dim: usize) -> (Vec<f32>, f32) {
+/// Deterministic simulated client reply: a cheap splitmix64-seeded fill,
+/// so the sweep measures the aggregation path, not an RNG. The model's
+/// values are ignored; its length sets the update's.
+fn simulated_update(round: usize, client: usize, global: &[f32]) -> StreamUpdate {
     let mut x = (round as u64)
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(client as u64)
         .wrapping_mul(0xBF58_476D_1CE4_E5B9)
         | 1;
-    let mut update = Vec::with_capacity(dim);
-    for _ in 0..dim {
+    let mut update = Vec::with_capacity(global.len());
+    for _ in 0..global.len() {
         x ^= x >> 27;
         x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
         // Map the top 24 bits into [-1, 1).
         update.push((x >> 40) as f32 / (1u64 << 23) as f32 - 1.0);
     }
-    let weight = 1.0 + (client % 16) as f32;
-    (update, weight)
+    StreamUpdate {
+        update,
+        weight: 1.0 + (client % 16) as f32,
+        loss: 0.0,
+        divergence: 0.0,
+    }
 }
 
 /// Smoke-only gate for the *corrected* reservoir accounting: the sink's
@@ -102,14 +109,17 @@ fn reservoir_gate(sweep: &SweepConfig) {
         );
         let selected = scheduler.select(0, None);
         let mut sink = ReservoirSink::trimmed(0.1, capacity, sweep.seed);
-        let out = scheduler.run_round_streaming(
-            0,
-            &selected,
-            sweep.wave,
-            &mut sink,
-            |client| simulated_update(0, client, sweep.dim),
-            &calibre_telemetry::NullRecorder,
-        );
+        let out = scheduler
+            .run_round_transport(
+                0,
+                &selected,
+                sweep.wave,
+                &vec![0.0; sweep.dim],
+                &mut sink,
+                &mut InProcessTransport::new(simulated_update),
+                &calibre_telemetry::NullRecorder,
+            )
+            .expect("the in-process transport cannot fail");
         peaks.push(out.peak_state_bytes);
     }
     let (min_peak, max_peak) = match (peaks.iter().min(), peaks.iter().max()) {
@@ -240,7 +250,9 @@ fn main() {
         let mut peak_state = 0usize;
         let mut accepted = 0usize;
         let mut dropped = 0usize;
-        let dim = sweep.dim;
+        // A zero model of `--dim`: the simulated clients read only its length.
+        let global = vec![0.0f32; sweep.dim];
+        let mut clients = InProcessTransport::new(simulated_update);
         let started = Instant::now();
         for round in 0..scheduler.rounds() {
             let selected = scheduler.select(round, None);
@@ -251,14 +263,17 @@ fn main() {
                 // below the cohort.
                 policy.aggregator.sink(sweep.wave * 4, sweep.seed)
             };
-            let out = scheduler.run_round_streaming(
-                round,
-                &selected,
-                sweep.wave,
-                sink.as_mut(),
-                |client| simulated_update(round, client, dim),
-                obs.recorder(),
-            );
+            let out = scheduler
+                .run_round_transport(
+                    round,
+                    &selected,
+                    sweep.wave,
+                    &global,
+                    sink.as_mut(),
+                    &mut clients,
+                    obs.recorder(),
+                )
+                .expect("the in-process transport cannot fail");
             peak_state = peak_state.max(out.peak_state_bytes);
             accepted += out.accepted;
             dropped += out.dropped + out.rejected;

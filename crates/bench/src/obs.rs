@@ -85,11 +85,6 @@ pub struct ObsArgs {
     pub detect: Option<bool>,
     /// Minimum aggregation quorum (`--min-quorum`).
     pub min_quorum: Option<usize>,
-    /// Forced round execution path (`--round-path auto|collect|streaming`).
-    pub round_path: Option<calibre_fl::RoundPath>,
-    /// Cohort size at which `auto` switches to streaming
-    /// (`--streaming-threshold`).
-    pub streaming_threshold: Option<usize>,
     /// Server aggregation statistic (`--aggregator`).
     pub aggregator: Option<calibre_fl::aggregate::Aggregator>,
     /// Address for the live metrics HTTP server (`--metrics-addr`), e.g.
@@ -144,18 +139,6 @@ impl ObsArgs {
             "min-quorum" => {
                 self.min_quorum = Some(value.parse().expect("--min-quorum must be an integer"));
             }
-            "round-path" => {
-                let path = calibre_fl::RoundPath::parse(value)
-                    .unwrap_or_else(|e| panic!("bad --round-path: {e}"));
-                self.round_path = Some(path);
-            }
-            "streaming-threshold" => {
-                self.streaming_threshold = Some(
-                    value
-                        .parse()
-                        .expect("--streaming-threshold must be an integer"),
-                );
-            }
             "aggregator" => {
                 let agg = calibre_fl::aggregate::Aggregator::parse_spec(value)
                     .unwrap_or_else(|e| panic!("bad --aggregator spec {value:?}: {e}"));
@@ -185,12 +168,6 @@ impl ObsArgs {
         }
         if let Some(aggregator) = self.aggregator {
             cfg.policy.aggregator = aggregator;
-        }
-        if let Some(path) = self.round_path {
-            cfg.streaming.path = path;
-        }
-        if let Some(threshold) = self.streaming_threshold {
-            cfg.streaming.threshold = threshold;
         }
     }
 
@@ -405,14 +382,6 @@ mod tests {
             cfg.policy.aggregator,
             calibre_fl::aggregate::Aggregator::TrimmedMean(0.1)
         );
-
-        let mut args = ObsArgs::default();
-        assert!(args.accept("round-path", "streaming"));
-        assert!(args.accept("streaming-threshold", "8"));
-        let mut cfg = calibre_fl::FlConfig::for_input(64);
-        args.apply_fl(&mut cfg);
-        assert_eq!(cfg.streaming.path, calibre_fl::RoundPath::Streaming);
-        assert_eq!(cfg.streaming.threshold, 8);
 
         // Absent flags leave the config alone.
         let mut untouched = calibre_fl::FlConfig::for_input(64);

@@ -12,13 +12,12 @@
 use crate::loss::{calibre_loss, CalibreConfig, CalibreLoss};
 use calibre_data::batch::batches;
 use calibre_data::{AugmentConfig, ClientData, FederatedDataset, SynthVision};
-use calibre_fl::aggregate::{divergence_weights, sample_count_weights, StreamingWeightedSink};
+use calibre_fl::aggregate::{divergence_weights, sample_count_weights};
 use calibre_fl::baselines::BaselineResult;
 use calibre_fl::comm::CommReport;
 use calibre_fl::pfl_ssl::RoundObserver;
 use calibre_fl::resilient::ClientOutcome;
 use calibre_fl::scheduler::{RoundContext, RoundScheduler};
-use calibre_fl::transport::StreamUpdate;
 use calibre_fl::FlConfig;
 use calibre_ssl::{create_method, SslKind, SslMethod, TwoViewBatch};
 use calibre_telemetry::{ClientLosses, NullRecorder, Recorder};
@@ -235,75 +234,6 @@ pub fn train_calibre_encoder_observed(
             alpha: config.alpha * ramp,
             ..*config
         };
-        // Streaming path (above the cohort threshold or forced via
-        // `--round-path streaming`): fold wave by wave into a
-        // constant-memory sink with fresh per-client state each round.
-        // Divergence-aware aggregation is approximated per client as
-        // `count × 1/(divergence + 1e-3)` — the sink's deferred
-        // normalization divides by the folded weight sum, standing in for
-        // the collect path's cohort-wide weight normalization.
-        if fl.streaming.use_streaming(selected.len()) {
-            recorder.round_start(round, &selected);
-            let mut sink = StreamingWeightedSink::new();
-            let streamed = scheduler.run_round_streaming_with(
-                round,
-                &selected,
-                fl.streaming.wave,
-                &mut sink,
-                |id| {
-                    let mut method =
-                        create_method(kind, fl.ssl.clone().with_seed(fl.seed ^ (id as u64) << 8));
-                    method.encoder_mut().load_flat(&global_flat);
-                    let mut opt =
-                        Sgd::new(SgdConfig::with_lr_momentum(fl.local_lr, fl.local_momentum));
-                    let mut r = rng::seeded(
-                        fl.seed
-                            ^ (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                            ^ (id as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9),
-                    );
-                    let data = fed.client(id);
-                    let update = calibre_local_update_detailed(
-                        method.as_mut(),
-                        data,
-                        fed.generator(),
-                        aug,
-                        fl.local_epochs,
-                        fl.batch_size,
-                        &round_config,
-                        &mut opt,
-                        &mut r,
-                    );
-                    let count = data.ssl_pool().len().max(1) as f32;
-                    let weight = if config.divergence_aware_aggregation {
-                        count / (update.divergence.max(0.0) + 1e-3)
-                    } else {
-                        count
-                    };
-                    StreamUpdate {
-                        update: method.encoder().to_flat(),
-                        weight,
-                        loss: update.loss,
-                        divergence: update.divergence,
-                    }
-                },
-                recorder,
-            );
-            if let Some(aggregated) = &streamed.aggregated {
-                global_encoder.load_flat(aggregated);
-            }
-            if streamed.skipped {
-                round_losses.push(round_losses.last().copied().unwrap_or(0.0));
-                round_divergences.push(round_divergences.last().copied().unwrap_or(0.0));
-            } else {
-                round_losses.push(streamed.mean_loss);
-                round_divergences.push(streamed.mean_divergence);
-            }
-            if let Some(observer) = round_observer.as_deref_mut() {
-                observer(round, &global_encoder);
-            }
-            continue;
-        }
-
         let ctx = RoundContext {
             recorder,
             downlink_params: global_flat.len(),
@@ -507,23 +437,6 @@ mod tests {
             late <= early * 1.2,
             "divergence should not grow: {divergences:?}"
         );
-    }
-
-    #[test]
-    fn forced_streaming_path_trains_deterministically() {
-        let fed = tiny_fed();
-        let mut cfg = tiny_cfg();
-        cfg.streaming.path = calibre_fl::RoundPath::Streaming;
-        cfg.streaming.wave = 2;
-        let aug = AugmentConfig::default();
-        let ccfg = CalibreConfig::default();
-        let (a, losses_a, div_a) = train_calibre_encoder(&fed, &cfg, SslKind::SimClr, &ccfg, &aug);
-        let (b, losses_b, div_b) = train_calibre_encoder(&fed, &cfg, SslKind::SimClr, &ccfg, &aug);
-        assert_eq!(a.to_flat(), b.to_flat(), "streaming path must replay");
-        assert_eq!(losses_a, losses_b);
-        assert_eq!(div_a, div_b);
-        assert!(losses_a.iter().all(|l| l.is_finite()));
-        assert!(div_a.iter().all(|d| d.is_finite()));
     }
 
     #[test]

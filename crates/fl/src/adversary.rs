@@ -15,8 +15,8 @@
 //! Defending is split across three seams, mirroring chaos/resilient:
 //!
 //! - **injection** happens server-side at the same point chaos corruption
-//!   does, so all round paths (collect, streaming, transport) observe the
-//!   identical attacked bytes;
+//!   does, so both round paths (collect and transport, on every
+//!   transport) observe the identical attacked bytes;
 //! - **robust aggregation** (Krum, geometric median, norm bounding — see
 //!   [`crate::aggregate::Aggregator`]) absorbs what validation cannot
 //!   detect;

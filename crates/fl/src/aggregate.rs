@@ -52,14 +52,14 @@ pub fn weighted_average_refs(updates: &[&[f32]], weights: &[f32]) -> Vec<f32> {
     fold_weighted(updates.iter().copied(), weights)
 }
 
-/// Shared core of the panicking `weighted_average` family: folds each
-/// borrowed slice into a [`StreamingWeightedSink`] in canonical (input)
 /// `usize` → `u64` for span item/byte accounting without a lossy cast:
 /// widening on every supported target, saturating only in theory.
 fn span_count(n: usize) -> u64 {
     u64::try_from(n).unwrap_or(u64::MAX)
 }
 
+/// Shared core of the panicking `weighted_average` family: folds each
+/// borrowed slice into a [`StreamingWeightedSink`] in canonical (input)
 /// order, so callers never materialize an intermediate `Vec` of updates —
 /// owned or borrowed.
 fn fold_weighted<'a, I>(updates: I, weights: &[f32]) -> Vec<f32>
@@ -845,8 +845,9 @@ use rand::Rng as _;
 
 /// A streaming accumulator that client updates are folded into the moment
 /// they finish, instead of being collected into an O(cohort × model) `Vec`
-/// first. This is the aggregation substrate of the massive-cohort execution
-/// path (`DESIGN.md` §11).
+/// first. This is the aggregation substrate of the sink-fed round engine
+/// (`RoundScheduler::run_round_transport` in [`crate::scheduler`];
+/// `DESIGN.md` §11).
 ///
 /// # Contract
 ///
@@ -859,9 +860,12 @@ use rand::Rng as _;
 /// * **Quorum interaction.** A fold cannot be undone, so executors that
 ///   enforce a minimum quorum ([`crate::resilient::RoundPolicy::min_quorum`])
 ///   must buffer the first `min_quorum` accepted updates and start folding
-///   only once the quorum is reached (see
-///   `RoundScheduler::run_round_streaming` in [`crate::scheduler`]). The
+///   only once the quorum is reached (as `run_round_transport` does). The
 ///   buffer is O(min_quorum × model), independent of cohort size.
+/// * **Callers screen first.** A sink trusts what it is handed: the
+///   engine rejects a reply whose length differs from the global model's,
+///   whose weight is non-finite or negative, or whose update is non-finite
+///   before it reaches [`UpdateSink::fold`].
 /// * **A sink is spent after [`UpdateSink::finish`]:** the accumulator is
 ///   drained, and a second `finish` reports [`AggregateError::Empty`].
 ///

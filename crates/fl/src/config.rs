@@ -54,81 +54,8 @@ pub struct FlConfig {
     /// Server-side failure handling: retries, minimum quorum, aggregation
     /// statistic, optional norm clipping.
     pub policy: RoundPolicy,
-    /// Which round execution path the training loops take (collect vs.
-    /// constant-memory streaming) and the auto-switch threshold.
-    pub streaming: StreamingConfig,
     /// Run seed (client sampling, initialization, shuffling).
     pub seed: u64,
-}
-
-/// Which round execution path a training loop uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RoundPath {
-    /// Collect below [`StreamingConfig::threshold`] clients per round,
-    /// stream at or above it.
-    Auto,
-    /// Always collect-then-aggregate (full telemetry, retries, state
-    /// caching) — the historical path the golden checksums pin.
-    Collect,
-    /// Always stream updates into a constant-memory sink (lean telemetry,
-    /// no retries, fresh per-client state each round).
-    Streaming,
-}
-
-impl RoundPath {
-    /// Parses a `--round-path` flag value.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the accepted values.
-    pub fn parse(value: &str) -> Result<RoundPath, String> {
-        match value {
-            "auto" => Ok(RoundPath::Auto),
-            "collect" => Ok(RoundPath::Collect),
-            "streaming" => Ok(RoundPath::Streaming),
-            other => Err(format!(
-                "round-path: expected auto|collect|streaming, got {other:?}"
-            )),
-        }
-    }
-}
-
-/// How the training loops choose between the collect and streaming round
-/// paths (ROADMAP item 1: stream automatically above a cohort threshold,
-/// with a flag to force either path).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StreamingConfig {
-    /// Forced or automatic path selection.
-    pub path: RoundPath,
-    /// Cohort size at which [`RoundPath::Auto`] switches to streaming.
-    pub threshold: usize,
-    /// Wave size (clients in flight at once) on the streaming path.
-    pub wave: usize,
-}
-
-impl Default for StreamingConfig {
-    fn default() -> Self {
-        StreamingConfig {
-            path: RoundPath::Auto,
-            // Defaults keep the simulation-scale runs (≤ 10 clients/round)
-            // on the collect path, so the golden training checksums are
-            // untouched; production cohorts cross it and stream.
-            threshold: 64,
-            wave: 32,
-        }
-    }
-}
-
-impl StreamingConfig {
-    /// Whether a round with `cohort` selected clients takes the streaming
-    /// path.
-    pub fn use_streaming(&self, cohort: usize) -> bool {
-        match self.path {
-            RoundPath::Collect => false,
-            RoundPath::Streaming => true,
-            RoundPath::Auto => cohort >= self.threshold.max(1),
-        }
-    }
 }
 
 impl FlConfig {
@@ -148,7 +75,6 @@ impl FlConfig {
             attack: AttackPlan::default(),
             detect: false,
             policy: RoundPolicy::default(),
-            streaming: StreamingConfig::default(),
             seed: 0,
         }
     }
@@ -251,27 +177,6 @@ mod tests {
         let mut cfg = FlConfig::for_input(64);
         cfg.dropout_prob = 1.0;
         cfg.selection_schedule(10);
-    }
-
-    #[test]
-    fn streaming_path_selection_honors_force_and_threshold() {
-        let auto = StreamingConfig::default();
-        assert!(!auto.use_streaming(5), "simulation cohorts stay on collect");
-        assert!(auto.use_streaming(auto.threshold));
-        let collect = StreamingConfig {
-            path: RoundPath::Collect,
-            ..StreamingConfig::default()
-        };
-        assert!(!collect.use_streaming(100_000));
-        let stream = StreamingConfig {
-            path: RoundPath::Streaming,
-            ..StreamingConfig::default()
-        };
-        assert!(stream.use_streaming(1));
-        assert_eq!(RoundPath::parse("auto"), Ok(RoundPath::Auto));
-        assert_eq!(RoundPath::parse("collect"), Ok(RoundPath::Collect));
-        assert_eq!(RoundPath::parse("streaming"), Ok(RoundPath::Streaming));
-        assert!(RoundPath::parse("warp").is_err());
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub use aggregate::{
     BufferedRobustSink, HierarchicalSink, ReservoirSink, StreamingWeightedSink, UpdateSink,
 };
 pub use chaos::{FaultInjector, FaultPlan, WireFaultPlan, WireInjector};
-pub use config::{FlConfig, RoundPath, StreamingConfig};
+pub use config::FlConfig;
 pub use metrics::{jain_index, pearson, worst_fraction_mean, ConfusionMatrix, Stats};
 pub use personalize::{personalize_cohort, personalize_cohort_observed, PersonalizationOutcome};
 pub use resilient::RoundPolicy;

@@ -15,7 +15,7 @@
 //! have similar sample budgets by construction; if a future workload breaks
 //! that assumption (say, clients with order-of-magnitude different data
 //! sizes), switch to work stealing or size-sorted round-robin assignment
-//! before tuning anything else. The [`parallel_map_owned_timed`] variant
+//! before tuning anything else. The [`parallel_map_resilient`] variant
 //! exposes exactly the per-item wall-clock needed to diagnose such skew.
 //!
 //! # Workspaces are per worker
@@ -53,105 +53,54 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let threads = worker_count(items.len());
-    if threads <= 1 || items.len() == 1 {
-        return items.iter().map(&f).collect();
-    }
-
-    let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    let chunk_size = items.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (item_chunk, result_chunk) in
-            items.chunks(chunk_size).zip(results.chunks_mut(chunk_size))
-        {
-            let f = &f;
-            scope.spawn(move || {
-                for (item, slot) in item_chunk.iter().zip(result_chunk.iter_mut()) {
-                    let _span = calibre_telemetry::span("client");
-                    *slot = Some(f(item));
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        // analyze:allow(no-expect) -- the scoped threads fill every slot
-        // before `scope` returns; an empty slot is impossible.
-        .map(|r| r.expect("every slot filled by its chunk thread"))
-        .collect()
+    parallel_map_owned(items.iter().collect(), f)
 }
 
 /// Like [`parallel_map`], but consumes the items — used when each client's
 /// persistent state (SSL networks, optimizers, queues) must move into its
 /// update closure and back out through the result.
+///
+/// This is the one fan-out behind every map here: contiguous chunks of
+/// `ceil(items / threads)` items, one scoped thread per chunk, a `client`
+/// span around each item (opened inside the worker, so parallel clients
+/// land on distinct tids), and results in input order. Runs sequentially
+/// below two items or two threads. A panic in `f` propagates to the caller
+/// with its original payload.
 pub fn parallel_map_owned<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    parallel_map_owned_timed(items, f)
-        .into_iter()
-        .map(|(r, _)| r)
-        .collect()
-}
-
-/// Like [`parallel_map_owned`], but additionally reports each item's
-/// wall-clock execution time, measured *inside* its worker thread.
-///
-/// This is the round-telemetry hook: per-client timings taken outside the
-/// parallel section would measure the whole round, not the client, so the
-/// clock must run where the work runs. Results stay in input order.
-pub fn parallel_map_owned_timed<T, R, F>(items: Vec<T>, f: F) -> Vec<(R, Duration)>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    if items.is_empty() {
-        return Vec::new();
-    }
-    // The span wraps the same region the per-item clock measures, from
-    // inside the worker thread — so parallel clients land on distinct tids.
-    let timed = |f: &F, item: T| {
+    let run = |item: T| {
         let _span = calibre_telemetry::span("client");
-        let start = Instant::now(); // analyze:allow(wallclock) -- telemetry only
-        let out = f(item);
-        (out, start.elapsed())
+        f(item)
     };
-    let threads = worker_count(items.len());
-    if threads <= 1 || items.len() == 1 {
-        return items.into_iter().map(|item| timed(&f, item)).collect();
+    let len = items.len();
+    let threads = worker_count(len);
+    if threads <= 1 || len <= 1 {
+        return items.into_iter().map(run).collect();
     }
-    let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    let mut results: Vec<Option<(R, Duration)>> = (0..slots.len()).map(|_| None).collect();
-    let chunk_size = slots.len().div_ceil(threads);
+    let chunk_size = len.div_ceil(threads);
+    let mut rest = items.into_iter();
+    let chunks: Vec<Vec<T>> = (0..len.div_ceil(chunk_size))
+        .map(|_| rest.by_ref().take(chunk_size).collect())
+        .collect();
     std::thread::scope(|scope| {
-        for (in_chunk, out_chunk) in slots
-            .chunks_mut(chunk_size)
-            .zip(results.chunks_mut(chunk_size))
-        {
-            let f = &f;
-            let timed = &timed;
-            scope.spawn(move || {
-                for (slot, out) in in_chunk.iter_mut().zip(out_chunk.iter_mut()) {
-                    // analyze:allow(no-expect) -- slots are populated just
-                    // before the scope spawns and taken exactly once.
-                    let item = slot.take().expect("slot filled before scope");
-                    *out = Some(timed(f, item));
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        // analyze:allow(no-expect) -- the scoped threads fill every slot
-        // before `scope` returns; an empty slot is impossible.
-        .map(|r| r.expect("every slot filled by its chunk thread"))
-        .collect()
+        let run = &run;
+        let workers: Vec<_> = chunks
+            .into_iter()
+            .map(|chunk| scope.spawn(move || chunk.into_iter().map(run).collect::<Vec<R>>()))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
+    })
 }
 
 /// A panic caught from one client's worker closure.
@@ -183,14 +132,17 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Like [`parallel_map_owned_timed`], but a panic in one item's closure is
+/// Like [`parallel_map_owned`], but a panic in one item's closure is
 /// caught (`catch_unwind` around the worker body) and surfaces as an `Err`
-/// in that item's slot instead of aborting the whole round.
+/// in that item's slot instead of aborting the whole round, and each
+/// item's wall-clock execution time is reported next to its result.
 ///
 /// This is the execution substrate of the resilient round executor: a
 /// client crashing mid-update must cost exactly one cohort slot, never the
-/// run. Results stay in input order; the per-item wall clock covers the
-/// failed attempt too (crash time is still time spent).
+/// run. The clock runs *inside* the worker thread — a timing taken outside
+/// the parallel section would measure the whole round, not the client —
+/// and covers the failed attempt too (crash time is still time spent).
+/// Results stay in input order.
 ///
 /// The closure must be idempotent-safe to lose: when it panics, the moved
 /// item is gone with it — retry logic has to rebuild state upstream.
@@ -217,15 +169,11 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let guarded = |f: &F, item: T| {
-        let _span = calibre_telemetry::span("client");
+    parallel_map_owned(items, |item| {
+        // AssertUnwindSafe below: the closure owns `item` (moved in, lost
+        // on panic) and the shared captures are read-only (`Fn` + `Sync`),
+        // so no observable state can be left torn by an unwind.
         let start = Instant::now(); // analyze:allow(wallclock) -- telemetry only
-                                    // AssertUnwindSafe: the closure owns `item` (moved in, lost on
-                                    // panic) and the shared captures are read-only (`Fn` + `Sync`), so
-                                    // no observable state can be left torn by an unwind.
         let out =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item))).map_err(|payload| {
                 ClientPanic {
@@ -233,38 +181,7 @@ where
                 }
             });
         (out, start.elapsed())
-    };
-    let threads = worker_count(items.len());
-    if threads <= 1 || items.len() == 1 {
-        return items.into_iter().map(|item| guarded(&f, item)).collect();
-    }
-    let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    let mut results: Vec<Option<(Result<R, ClientPanic>, Duration)>> =
-        (0..slots.len()).map(|_| None).collect();
-    let chunk_size = slots.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (in_chunk, out_chunk) in slots
-            .chunks_mut(chunk_size)
-            .zip(results.chunks_mut(chunk_size))
-        {
-            let f = &f;
-            let guarded = &guarded;
-            scope.spawn(move || {
-                for (slot, out) in in_chunk.iter_mut().zip(out_chunk.iter_mut()) {
-                    // analyze:allow(no-expect) -- slots are populated just
-                    // before the scope spawns and taken exactly once.
-                    let item = slot.take().expect("slot filled before scope");
-                    *out = Some(guarded(f, item));
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        // analyze:allow(no-expect) -- the scoped threads fill every slot
-        // before `scope` returns; an empty slot is impossible.
-        .map(|r| r.expect("every slot filled by its chunk thread"))
-        .collect()
+    })
 }
 
 /// Number of worker threads for `len` items: `available_parallelism` capped
@@ -319,24 +236,19 @@ mod tests {
     #[test]
     fn timed_variant_measures_each_item() {
         let items: Vec<u64> = vec![1, 5, 1, 5];
-        let out = parallel_map_owned_timed(items, |ms| {
+        let out = parallel_map_resilient(items, |ms| {
             std::thread::sleep(Duration::from_millis(ms));
             ms
         });
         assert_eq!(out.len(), 4);
-        for (ms, elapsed) in &out {
+        for (result, elapsed) in &out {
+            let ms = *result.as_ref().unwrap();
             assert!(
-                *elapsed >= Duration::from_millis(*ms),
+                *elapsed >= Duration::from_millis(ms),
                 "item slept {ms}ms but measured {elapsed:?}"
             );
         }
-        assert_eq!(out[1].0, 5);
-    }
-
-    #[test]
-    fn timed_empty_input_gives_empty_output() {
-        let out: Vec<(usize, Duration)> = parallel_map_owned_timed(Vec::new(), |i: usize| i);
-        assert!(out.is_empty());
+        assert_eq!(out[1].0, Ok(5));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! crate swaps in a calibrated local update and a divergence-aware
 //! aggregation).
 
-use crate::aggregate::{sample_count_weights, StreamingWeightedSink};
+use crate::aggregate::sample_count_weights;
 use crate::baselines::{client_round_seed, BaselineResult};
 use crate::checkpoint::{self, CheckpointStore, TrainerCheckpoint};
 use crate::comm::CommReport;
@@ -17,7 +17,6 @@ use crate::config::FlConfig;
 use crate::personalize::personalize_cohort_observed;
 use crate::resilient::ClientOutcome;
 use crate::scheduler::{RoundContext, RoundScheduler};
-use crate::transport::StreamUpdate;
 use calibre_data::batch::batches;
 use calibre_data::{AugmentConfig, ClientData, SynthVision};
 use calibre_ssl::{create_method, ssl_step_in, SslKind, SslMethod, TwoViewBatch};
@@ -216,74 +215,6 @@ pub fn train_pfl_ssl_encoder_resumable(
         let round_span = calibre_telemetry::span("round");
         round_span.add_items(selected.len() as u64);
         let global_flat = global_encoder.to_flat();
-
-        // Above the streaming threshold (or when forced via
-        // `--round-path streaming`) the round folds wave by wave into a
-        // constant-memory sink. Per-client SSL state is rebuilt fresh each
-        // round on this path — at streaming cohort sizes caching every
-        // client's projector is exactly the memory blow-up being avoided.
-        if cfg.streaming.use_streaming(selected.len()) {
-            recorder.round_start(round, &selected);
-            let mut sink = StreamingWeightedSink::new();
-            let streamed = scheduler.run_round_streaming_with(
-                round,
-                &selected,
-                cfg.streaming.wave,
-                &mut sink,
-                |id| {
-                    let mut method = fresh_method(cfg, kind, id);
-                    method.encoder_mut().load_flat(&global_flat);
-                    let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
-                        cfg.local_lr,
-                        cfg.local_momentum,
-                    ));
-                    let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
-                    let data = fed.client(id);
-                    let loss = ssl_local_update(
-                        method.as_mut(),
-                        data,
-                        fed.generator(),
-                        aug,
-                        cfg.local_epochs,
-                        cfg.batch_size,
-                        &mut opt,
-                        &mut r,
-                    );
-                    StreamUpdate {
-                        update: method.encoder().to_flat(),
-                        // Raw sample counts: the deferred-normalization sink
-                        // divides by the folded weight sum, matching the
-                        // collect path's `sample_count_weights` transform.
-                        weight: data.ssl_pool().len().max(1) as f32,
-                        loss,
-                        divergence: 0.0,
-                    }
-                },
-                recorder,
-            );
-            if let Some(aggregated) = &streamed.aggregated {
-                global_encoder.load_flat(aggregated);
-            }
-            round_losses.push(if streamed.skipped {
-                round_losses.last().copied().unwrap_or(0.0)
-            } else {
-                streamed.mean_loss
-            });
-            if let Some(observer) = round_observer.as_deref_mut() {
-                observer(round, &global_encoder);
-            }
-            if let Some(store) = store {
-                let ckpt = TrainerCheckpoint {
-                    round: round + 1,
-                    global: global_encoder.parameters().into_iter().cloned().collect(),
-                    clients: Vec::new(), // fresh state per round on this path
-                    round_losses: round_losses.clone(),
-                    reputation: scheduler.reputation(),
-                };
-                let _ = store.save_text(&ckpt.to_text());
-            }
-            continue;
-        }
 
         let ctx = RoundContext {
             recorder,
@@ -508,33 +439,6 @@ mod tests {
 
     fn cfg_for_test() -> calibre_ssl::SslConfig {
         calibre_ssl::SslConfig::for_input(64)
-    }
-
-    #[test]
-    fn forced_streaming_path_trains_deterministically() {
-        let fed = tiny_fed();
-        let mut cfg = tiny_cfg();
-        cfg.streaming.path = crate::config::RoundPath::Streaming;
-        cfg.streaming.wave = 2;
-        let aug = AugmentConfig::default();
-        let (a, losses_a) = train_pfl_ssl_encoder(&fed, &cfg, SslKind::SimClr, &aug);
-        let (b, losses_b) = train_pfl_ssl_encoder(&fed, &cfg, SslKind::SimClr, &aug);
-        assert_eq!(a.to_flat(), b.to_flat(), "streaming path must replay");
-        assert_eq!(losses_a, losses_b);
-        assert!(losses_a.iter().all(|l| l.is_finite()));
-
-        // The paths aggregate the same statistic but cache state
-        // differently, so they train — both produce finite, non-degenerate
-        // encoders — without being bit-coupled.
-        let collect = FlConfig {
-            streaming: crate::config::StreamingConfig {
-                path: crate::config::RoundPath::Collect,
-                ..cfg.streaming
-            },
-            ..cfg
-        };
-        let (c, _) = train_pfl_ssl_encoder(&fed, &collect, SslKind::SimClr, &aug);
-        assert!(c.to_flat().iter().all(|v| v.is_finite()));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Round orchestration shared by every training loop.
+//! Round orchestration shared by every training loop and the serve engine.
 //!
 //! [`RoundScheduler`] owns the three per-run decisions that used to be
 //! duplicated inside `pfl_ssl` and the Calibre framework loop: which
@@ -11,27 +11,29 @@
 //! * [`RoundScheduler::run_round`] — the collect-then-aggregate path used
 //!   by training: full per-client telemetry, retries, and state caching via
 //!   [`run_round_resilient`]. Memory is O(cohort × model).
-//! * [`RoundScheduler::run_round_streaming`] — the massive-cohort path:
-//!   updates are folded into an [`UpdateSink`] the moment a wave of workers
-//!   finishes, so aggregation state is O(model) (or O(groups × model) for a
-//!   [`crate::aggregate::HierarchicalSink`]) no matter how many clients
-//!   participate. See `DESIGN.md` §11 for the scaling model.
+//! * [`RoundScheduler::run_round_transport`] — the sink-fed path: client
+//!   work runs wherever a [`Transport`] puts it (in-process workers or
+//!   remote clients), and updates are folded into an [`UpdateSink`] the
+//!   moment a wave returns, so aggregation state is O(model) (or
+//!   O(groups × model) for a [`crate::aggregate::HierarchicalSink`]) no
+//!   matter how many clients participate. See `DESIGN.md` §11 for the
+//!   scaling model.
 //!
 //! # Determinism
 //!
 //! Both paths are replay-identical: selection depends only on
 //! `(seed, round)`, fault decisions only on `(round, client, attempt)`, and
-//! updates are folded in selection-slot order (the parallel maps preserve
-//! input order). With an inactive chaos plan and the default policy,
-//! `run_round` is bit-identical to the historical nominal loop — the
-//! golden-checksum tests pin this through the training entry points.
+//! updates are folded in selection-slot order (the parallel maps and
+//! transports preserve input order). With an inactive chaos plan and the
+//! default policy, `run_round` is bit-identical to the historical nominal
+//! loop — the golden-checksum tests pin this through the training entry
+//! points.
 
 use crate::adversary::{anomaly_scores, AttackInjector, AttackPlan, ReputationBook};
 use crate::aggregate::UpdateSink;
 use crate::chaos::{ClientFault, FaultInjector, FaultPlan};
 use crate::comm::BYTES_PER_PARAM;
 use crate::config::FlConfig;
-use crate::parallel::parallel_map;
 use crate::resilient::{
     run_round_resilient, AcceptedClient, ClientOutcome, ResilientRound, RoundPolicy,
 };
@@ -94,17 +96,18 @@ pub struct ScheduledRound<S, P> {
     pub mean_divergence: f32,
 }
 
-/// Result of one streaming round over a massive cohort.
-#[derive(Debug)]
+/// Result of one sink-fed round ([`RoundScheduler::run_round_transport`]).
+#[derive(Debug, Default)]
 pub struct StreamedRound {
     /// Cohort size this round (selected clients).
     pub cohort: usize,
     /// Updates folded into the sink.
     pub accepted: usize,
-    /// Clients that never reported (dropout or mid-update panic — the
-    /// streaming path does not retry).
+    /// Clients that never reported (dropout, mid-update panic, or a reply
+    /// the transport could not deliver — this path does not retry).
     pub dropped: usize,
-    /// Updates rejected by validation (non-finite).
+    /// Replies rejected by screening: a length other than the global
+    /// model's, a non-finite or negative weight, or a non-finite update.
     pub rejected: usize,
     /// Sum of the folded aggregation weights.
     pub weight_sum: f32,
@@ -115,77 +118,60 @@ pub struct StreamedRound {
     /// Peak bytes held by the aggregation path (sink state + quorum buffer
     /// + in-flight wave) — the O(model) quantity the `cohort` bench pins.
     pub peak_state_bytes: usize,
-    /// Mean reported loss over accepted clients (0 when none reported a
-    /// loss — the tuple-based [`RoundScheduler::run_round_streaming`] entry
-    /// reports no losses).
+    /// Mean reported loss over accepted clients (0 when none accepted).
     pub mean_loss: f32,
     /// Mean reported divergence over accepted clients (0 when untracked).
     pub mean_divergence: f32,
 }
 
-/// The quorum hold-then-flush gate shared by every streaming fold path.
+/// The quorum hold-then-flush gate of the sink-fed round.
 ///
-/// A fold cannot be undone, so the first `min_quorum - 1` validated updates
+/// A fold cannot be undone, so the first `min_quorum - 1` accepted updates
 /// are buffered; once the quorum is certain the buffer is flushed and
 /// subsequent updates stream straight into the sink. The buffer is
 /// O(min_quorum × model), independent of cohort size. Fold indices are
 /// assigned in acceptance order, so replaying the same acceptance sequence
 /// folds bit-identically.
+#[derive(Default)]
 struct FoldGate {
     min_quorum: usize,
     held: Vec<(usize, Vec<f32>, f32)>,
+    /// Bytes currently buffered awaiting quorum certainty.
     held_bytes: usize,
     accepted: usize,
     weight_sum: f32,
     loss_sum: f32,
     div_sum: f32,
-    slot: usize,
 }
 
 impl FoldGate {
     fn new(min_quorum: usize) -> Self {
         FoldGate {
             min_quorum: min_quorum.max(1),
-            held: Vec::new(),
-            held_bytes: 0,
-            accepted: 0,
-            weight_sum: 0.0,
-            loss_sum: 0.0,
-            div_sum: 0.0,
-            slot: 0,
+            ..FoldGate::default()
         }
     }
 
-    /// Accepts one validated update: buffers it while the quorum is
-    /// uncertain, otherwise flushes the buffer and folds.
-    fn accept(
-        &mut self,
-        sink: &mut dyn UpdateSink,
-        update: Vec<f32>,
-        weight: f32,
-        loss: f32,
-        divergence: f32,
-    ) {
+    /// Accepts one screened reply: buffers it while the quorum is
+    /// uncertain, otherwise flushes the buffer and folds. Screening already
+    /// matched every update's length to the global model, so the folds
+    /// cannot fail.
+    fn accept(&mut self, sink: &mut dyn UpdateSink, reply: StreamUpdate) {
+        let slot = self.accepted;
         self.accepted += 1;
-        self.weight_sum += weight;
-        self.loss_sum += loss;
-        self.div_sum += divergence;
-        if self.accepted <= self.min_quorum && self.held.len() + 1 < self.min_quorum {
-            self.held_bytes += update.len() * std::mem::size_of::<f32>();
-            self.held.push((self.slot, update, weight));
+        self.weight_sum += reply.weight;
+        self.loss_sum += reply.loss;
+        self.div_sum += reply.divergence;
+        if self.accepted < self.min_quorum {
+            self.held_bytes += std::mem::size_of_val(reply.update.as_slice());
+            self.held.push((slot, reply.update, reply.weight));
         } else {
             for (s, u, w) in self.held.drain(..) {
                 let _ = sink.fold(s, &u, w);
             }
             self.held_bytes = 0;
-            let _ = sink.fold(self.slot, &update, weight);
+            let _ = sink.fold(slot, &reply.update, reply.weight);
         }
-        self.slot += 1;
-    }
-
-    /// Bytes currently buffered awaiting quorum certainty.
-    fn held_bytes(&self) -> usize {
-        self.held_bytes
     }
 
     /// Mean loss/divergence over accepted updates (0 when none accepted).
@@ -264,12 +250,13 @@ impl DetectionBuffer {
 /// # Examples
 ///
 /// Sampling a 32-client cohort from a 10k population and streaming the
-/// round through a constant-memory sink:
+/// round through a constant-memory sink on in-process workers:
 ///
 /// ```
 /// use calibre_fl::aggregate::StreamingWeightedSink;
 /// use calibre_fl::sampler::{Sampler, SamplerKind};
 /// use calibre_fl::scheduler::RoundScheduler;
+/// use calibre_fl::transport::{InProcessTransport, StreamUpdate};
 /// use calibre_telemetry::NullRecorder;
 ///
 /// let scheduler =
@@ -278,15 +265,17 @@ impl DetectionBuffer {
 /// let selected = scheduler.select(0, None);
 /// assert_eq!(selected, scheduler.select(0, None), "replay-identical");
 ///
+/// let global = vec![0.0f32; 4];
+/// let mut transport = InProcessTransport::new(|_round, client, global: &[f32]| StreamUpdate {
+///     update: vec![client as f32; global.len()],
+///     weight: 1.0,
+///     loss: 0.0,
+///     divergence: 0.0,
+/// });
 /// let mut sink = StreamingWeightedSink::new();
-/// let out = scheduler.run_round_streaming(
-///     0,
-///     &selected,
-///     8,
-///     &mut sink,
-///     |client| (vec![client as f32; 4], 1.0),
-///     &NullRecorder,
-/// );
+/// let out = scheduler
+///     .run_round_transport(0, &selected, 8, &global, &mut sink, &mut transport, &NullRecorder)
+///     .unwrap();
 /// assert_eq!(out.accepted, 32);
 /// assert!(!out.skipped);
 /// assert_eq!(out.aggregated.unwrap().len(), 4);
@@ -371,7 +360,7 @@ impl RoundScheduler {
     /// [`ReputationBook`], and quarantined clients stop being drawn by
     /// [`RoundScheduler::select`]. Detection holds the round's accepted
     /// updates (O(cohort × model) — accounted into `peak_state_bytes` on
-    /// the streaming paths), so leave it off for massive-cohort runs.
+    /// the sink-fed path), so leave it off for massive-cohort runs.
     pub fn with_detection(mut self, on: bool) -> Self {
         self.detect = on;
         self
@@ -609,22 +598,26 @@ impl RoundScheduler {
         }
     }
 
-    /// Executes one round over a massive cohort, folding updates into
+    /// Executes one round through a [`Transport`], folding updates into
     /// `sink` wave by wave so aggregation memory stays at the sink's
-    /// O(model) state bound.
+    /// O(model) state bound. Client work runs wherever the transport puts
+    /// it — in-process workers ([`crate::transport::InProcessTransport`])
+    /// or remote `calibre-client` processes
+    /// ([`crate::transport::SocketTransport`]) — at most `wave` clients in
+    /// flight at once, and replies are folded in selection-slot order.
     ///
-    /// `work` maps a client id to its `(update, weight)` pair and runs on
-    /// the worker pool, at most `wave` clients in flight at once; results
-    /// are folded in selection-slot order, so a replay folds identically.
     /// Chaos composes with sampling: dropout and mid-update panics remove
-    /// the client for the round (the streaming path does not retry —
-    /// at cohort scale a lost client is noise, and the next round resamples),
+    /// the client for the round (this path does not retry — at cohort
+    /// scale a lost client is noise, and the next round resamples),
     /// stragglers still report (their delay is accounted, not slept), and
     /// corrupted updates face the same validation and norm clipping as the
-    /// resilient path.
+    /// resilient path. A reply is rejected, never folded, when its update
+    /// length differs from `global`'s, its weight is non-finite or
+    /// negative, or its update is non-finite — so `global` must be the
+    /// round's real model.
     ///
     /// Because a fold cannot be undone, the first
-    /// [`RoundPolicy::min_quorum`] validated updates are buffered and only
+    /// [`RoundPolicy::min_quorum`] accepted updates are buffered and only
     /// flushed into the sink once the quorum is reached — a round that
     /// misses quorum leaves the sink untouched and reports
     /// `skipped: true`. The buffer is O(min_quorum × model), independent of
@@ -634,108 +627,20 @@ impl RoundScheduler {
     /// `round_resilience` when anything non-nominal happened. Per-client
     /// `client_update` events would dominate the run at 100k clients; the
     /// bench layer reports cohort-level summaries instead.
-    pub fn run_round_streaming<W>(
-        &self,
-        round: usize,
-        selected: &[usize],
-        wave: usize,
-        sink: &mut dyn UpdateSink,
-        work: W,
-        recorder: &dyn Recorder,
-    ) -> StreamedRound
-    where
-        W: Fn(usize) -> (Vec<f32>, f32) + Sync,
-    {
-        self.run_round_streaming_with(
-            round,
-            selected,
-            wave,
-            sink,
-            |id| {
-                let (update, weight) = work(id);
-                StreamUpdate {
-                    update,
-                    weight,
-                    loss: 0.0,
-                    divergence: 0.0,
-                }
-            },
-            recorder,
-        )
-    }
-
-    /// [`RoundScheduler::run_round_streaming`] for workloads that also
-    /// report per-client loss and divergence: `work` returns a full
-    /// [`StreamUpdate`], and the result's `mean_loss`/`mean_divergence`
-    /// average the accepted clients' reports. This is the entry the
-    /// training loops use when they stream above the cohort threshold
-    /// ([`FlConfig::streaming`]).
-    pub fn run_round_streaming_with<W>(
-        &self,
-        round: usize,
-        selected: &[usize],
-        wave: usize,
-        sink: &mut dyn UpdateSink,
-        work: W,
-        recorder: &dyn Recorder,
-    ) -> StreamedRound
-    where
-        W: Fn(usize) -> StreamUpdate + Sync,
-    {
-        let wave = wave.max(1);
-        let _round_timer =
-            metrics::start_timer("calibre_round_duration_ms", &[("path", "streaming")]);
-        self.record_attacks(round, selected, recorder);
-        let mut out = self.empty_round(selected.len());
-
-        // Churn is decided up front on the scheduler thread, per
-        // (round, id, attempt 0) — identical on replay.
-        let survivors = self.survivors(round, selected, &mut out);
-
-        // Fold-or-hold: buffer until the quorum is certain, then stream.
-        let mut gate = FoldGate::new(self.policy.min_quorum);
-        let mut watch = DetectionBuffer::new(self.detect);
-        for chunk in survivors.chunks(wave) {
-            let results = parallel_map(chunk, |&(id, _fault)| work(id));
-            let wave_bytes: usize = results
-                .iter()
-                .map(|r| r.update.len() * std::mem::size_of::<f32>())
-                .sum();
-            for ((id, fault), reply) in chunk.iter().copied().zip(results) {
-                self.screen_and_fold(
-                    round, id, fault, reply, &mut gate, sink, &mut watch, &mut out,
-                );
-            }
-            out.peak_state_bytes = out
-                .peak_state_bytes
-                .max(sink.state_bytes() + gate.held_bytes() + watch.bytes() + wave_bytes);
-        }
-
-        let sealed = self.seal_round(round, out, gate, sink, recorder, "streaming");
-        watch.observe(self, round, recorder);
-        sealed
-    }
-
-    /// Executes one round through a [`Transport`]: the same selection,
-    /// chaos, validation, quorum gating, and fold order as
-    /// [`RoundScheduler::run_round_streaming_with`], but client work runs
-    /// wherever the transport puts it — in-process workers
-    /// ([`crate::transport::InProcessTransport`]) or remote `calibre-client`
-    /// processes ([`crate::transport::SocketTransport`]).
     ///
     /// # Determinism
     ///
     /// With the same seeds and cohort schedule, and a transport that
     /// delivers every surviving client's reply (possibly after retries),
-    /// this folds bit-identically to the in-process path — the golden
-    /// cross-transport test pins it. A reply the transport could not obtain
-    /// counts as dropped, exactly like a chaos dropout.
+    /// every transport folds bit-identically — the golden cross-transport
+    /// test pins it. A reply the transport could not obtain counts as
+    /// dropped, exactly like a chaos dropout.
     ///
     /// # Errors
     ///
     /// Propagates unrecoverable [`TransportError`]s; per-client delivery
     /// failures are absorbed as drops.
-    #[allow(clippy::too_many_arguments)] // mirrors run_round_streaming's surface
+    #[allow(clippy::too_many_arguments)] // one argument per round input
     pub fn run_round_transport(
         &self,
         round: usize,
@@ -750,9 +655,15 @@ impl RoundScheduler {
         let _round_timer =
             metrics::start_timer("calibre_round_duration_ms", &[("path", "transport")]);
         self.record_attacks(round, selected, recorder);
-        let mut out = self.empty_round(selected.len());
+        let mut out = StreamedRound {
+            cohort: selected.len(),
+            ..StreamedRound::default()
+        };
+        // Churn is decided up front on the scheduler thread, per
+        // (round, id, attempt 0) — identical on replay.
         let survivors = self.survivors(round, selected, &mut out);
 
+        // Fold-or-hold: buffer until the quorum is certain, then stream.
         let mut gate = FoldGate::new(self.policy.min_quorum);
         let mut watch = DetectionBuffer::new(self.detect);
         let mut wire_slot = 0usize;
@@ -770,42 +681,32 @@ impl RoundScheduler {
             let wave_bytes: usize = replies
                 .iter()
                 .flatten()
-                .map(|r| r.update.len() * std::mem::size_of::<f32>())
+                .map(|r| std::mem::size_of_val(r.update.as_slice()))
                 .sum();
             for ((id, fault), reply) in chunk.iter().copied().zip(replies) {
-                match reply {
-                    Some(reply) => self.screen_and_fold(
-                        round, id, fault, reply, &mut gate, sink, &mut watch, &mut out,
-                    ),
-                    // The transport exhausted its delivery attempts: at the
-                    // orchestration layer this is indistinguishable from a
-                    // client dropout.
-                    None => out.dropped += 1,
+                // A reply the transport exhausted its delivery attempts on
+                // is, at the orchestration layer, indistinguishable from a
+                // client dropout.
+                let Some(reply) = reply else {
+                    out.dropped += 1;
+                    continue;
+                };
+                match self.screen(round, id, fault, reply, global.len()) {
+                    Some(reply) => {
+                        watch.push(id, &reply.update);
+                        gate.accept(sink, reply);
+                    }
+                    None => out.rejected += 1,
                 }
             }
             out.peak_state_bytes = out
                 .peak_state_bytes
-                .max(sink.state_bytes() + gate.held_bytes() + watch.bytes() + wave_bytes);
+                .max(sink.state_bytes() + gate.held_bytes + watch.bytes() + wave_bytes);
         }
 
-        let sealed = self.seal_round(round, out, gate, sink, recorder, "transport");
+        let sealed = self.seal_round(round, out, gate, sink, recorder);
         watch.observe(self, round, recorder);
         Ok(sealed)
-    }
-
-    fn empty_round(&self, cohort: usize) -> StreamedRound {
-        StreamedRound {
-            cohort,
-            accepted: 0,
-            dropped: 0,
-            rejected: 0,
-            weight_sum: 0.0,
-            skipped: false,
-            aggregated: None,
-            peak_state_bytes: 0,
-            mean_loss: 0.0,
-            mean_divergence: 0.0,
-        }
     }
 
     /// Applies the round's up-front chaos decisions: dropouts and
@@ -828,48 +729,41 @@ impl RoundScheduler {
         survivors
     }
 
-    /// Applies adversarial tampering (the client is compromised, so the
-    /// attack lands first), then per-reply chaos corruption, validation,
-    /// and norm clipping, and hands the survivor to the quorum gate.
-    #[allow(clippy::too_many_arguments)] // internal plumbing shared by two paths
-    fn screen_and_fold(
+    /// Screens one delivered reply, returning it ready to fold or `None`
+    /// when it must be rejected. A reply whose shape or weight is malformed
+    /// (length other than `dim`, non-finite or negative weight) is rejected
+    /// as received. Otherwise adversarial tampering lands first (the client
+    /// is compromised), then per-reply chaos corruption, validation, and
+    /// norm clipping.
+    fn screen(
         &self,
         round: usize,
         id: usize,
         fault: Option<ClientFault>,
-        reply: StreamUpdate,
-        gate: &mut FoldGate,
-        sink: &mut dyn UpdateSink,
-        watch: &mut DetectionBuffer,
-        out: &mut StreamedRound,
-    ) {
-        let StreamUpdate {
-            mut update,
-            weight,
-            loss,
-            divergence,
-        } = reply;
+        mut reply: StreamUpdate,
+        dim: usize,
+    ) -> Option<StreamUpdate> {
+        if reply.update.len() != dim || !reply.weight.is_finite() || reply.weight < 0.0 {
+            return None;
+        }
         if let Some(atk) = &self.attacker {
             if let Some(kind) = atk.decide(round, id) {
-                atk.apply(round, id, kind, &mut update);
+                atk.apply(round, id, kind, &mut reply.update);
             }
         }
         if let (Some(ClientFault::Corrupt(kind)), Some(inj)) = (fault, self.injector.as_ref()) {
-            inj.corrupt(round, id, 0, kind, &mut update);
+            inj.corrupt(round, id, 0, kind, &mut reply.update);
         }
-        if !crate::aggregate::validate_update(&update) {
-            out.rejected += 1;
-            return;
+        if !crate::aggregate::validate_update(&reply.update) {
+            return None;
         }
         if let Some(max_norm) = self.policy.clip_norm {
-            crate::aggregate::clip_norm(&mut update, max_norm);
+            crate::aggregate::clip_norm(&mut reply.update, max_norm);
         }
-        watch.push(id, &update);
-        gate.accept(sink, update, weight, loss, divergence);
+        Some(reply)
     }
 
-    /// Quorum check, telemetry, and metrics shared by the streaming and
-    /// transport round paths.
+    /// Quorum check, telemetry, and metrics that close a sink-fed round.
     fn seal_round(
         &self,
         round: usize,
@@ -877,8 +771,8 @@ impl RoundScheduler {
         gate: FoldGate,
         sink: &mut dyn UpdateSink,
         recorder: &dyn Recorder,
-        path: &'static str,
     ) -> StreamedRound {
+        let path = [("path", "transport")];
         let min_quorum = self.policy.min_quorum.max(1);
         out.accepted = gate.accepted;
         out.weight_sum = gate.weight_sum;
@@ -901,22 +795,18 @@ impl RoundScheduler {
             );
         }
 
-        metrics::counter_add("calibre_rounds_total", &[("path", path)], 1);
+        metrics::counter_add("calibre_rounds_total", &path, 1);
         metrics::counter_add("calibre_clients_accepted_total", &[], out.accepted as u64);
         metrics::counter_add("calibre_clients_dropped_total", &[], out.dropped as u64);
         metrics::counter_add("calibre_clients_rejected_total", &[], out.rejected as u64);
-        metrics::observe(
-            "calibre_round_quorum",
-            &[("path", path)],
-            out.accepted as f64,
-        );
+        metrics::observe("calibre_round_quorum", &path, out.accepted as f64);
         metrics::counter_add(
             "calibre_quorum_outcomes_total",
             &[("outcome", if out.skipped { "missed" } else { "met" })],
             1,
         );
         if out.skipped {
-            metrics::counter_add("calibre_rounds_skipped_total", &[("path", path)], 1);
+            metrics::counter_add("calibre_rounds_skipped_total", &path, 1);
         }
         metrics::gauge_max(
             "calibre_sink_peak_state_bytes",
@@ -932,10 +822,46 @@ mod tests {
     use super::*;
     use crate::aggregate::{weighted_average_refs, StreamingWeightedSink};
     use crate::sampler::SamplerKind;
+    use crate::transport::InProcessTransport;
     use calibre_telemetry::{Event, MemoryRecorder, NullRecorder};
 
     fn toy_scheduler(cohort: usize, rounds: usize) -> RoundScheduler {
         RoundScheduler::sampled(Sampler::new(SamplerKind::Uniform, 9), 1_000, cohort, rounds)
+    }
+
+    /// One sink-fed round over in-process workers against a zero global
+    /// model of `dim`: each client replies `update_of(client)` at weight 1,
+    /// folded into a deferred weighted sink.
+    fn in_process_round<U>(
+        scheduler: &RoundScheduler,
+        round: usize,
+        selected: &[usize],
+        wave: usize,
+        dim: usize,
+        update_of: U,
+        recorder: &dyn Recorder,
+    ) -> StreamedRound
+    where
+        U: Fn(usize) -> Vec<f32> + Sync,
+    {
+        let mut transport = InProcessTransport::new(|_round, id, _global: &[f32]| StreamUpdate {
+            update: update_of(id),
+            weight: 1.0,
+            loss: 0.0,
+            divergence: 0.0,
+        });
+        let mut sink = StreamingWeightedSink::new();
+        scheduler
+            .run_round_transport(
+                round,
+                selected,
+                wave,
+                &vec![0.0; dim],
+                &mut sink,
+                &mut transport,
+                recorder,
+            )
+            .unwrap()
     }
 
     #[test]
@@ -1010,15 +936,7 @@ mod tests {
         let selected = scheduler.select(0, None);
         // analyze:allow(lossy-cast) -- toy ids in tests.
         let update_of = |id: usize| vec![id as f32 * 0.5, 1.0 - id as f32];
-        let mut sink = StreamingWeightedSink::new();
-        let out = scheduler.run_round_streaming(
-            0,
-            &selected,
-            4,
-            &mut sink,
-            |id| (update_of(id), 1.0),
-            &NullRecorder,
-        );
+        let out = in_process_round(&scheduler, 0, &selected, 4, 2, update_of, &NullRecorder);
         let updates: Vec<Vec<f32>> = selected.iter().map(|&id| update_of(id)).collect();
         let refs: Vec<&[f32]> = updates.iter().map(Vec::as_slice).collect();
         let expected = weighted_average_refs(&refs, &vec![1.0; refs.len()]);
@@ -1041,14 +959,14 @@ mod tests {
                 77,
             );
             let selected = scheduler.select(0, None);
-            let mut sink = StreamingWeightedSink::new();
-            let out = scheduler.run_round_streaming(
+            let out = in_process_round(
+                &scheduler,
                 0,
                 &selected,
                 8,
-                &mut sink,
+                3,
                 // analyze:allow(lossy-cast) -- toy ids in tests.
-                |id| (vec![id as f32; 3], 1.0),
+                |id| vec![id as f32; 3],
                 &NullRecorder,
             );
             (out.accepted, out.dropped, out.aggregated)
@@ -1062,85 +980,27 @@ mod tests {
     }
 
     #[test]
-    fn transport_round_via_in_process_transport_matches_streaming_bitwise() {
-        use crate::transport::{InProcessTransport, StreamUpdate};
-        let scheduler = toy_scheduler(16, 1).with_chaos(
-            FaultPlan {
-                drop_prob: 0.2,
-                corrupt_prob: 0.2,
-                ..FaultPlan::default()
-            },
-            5,
-        );
+    fn streaming_round_reports_accepted_loss_means() {
+        let scheduler = toy_scheduler(8, 1);
         let selected = scheduler.select(0, None);
-        let global = vec![0.5f32, -1.25, 2.0];
-        let work = |_round: usize, id: usize, g: &[f32]| StreamUpdate {
-            // analyze:allow(lossy-cast) -- toy ids in tests.
-            update: g.iter().map(|v| v * (id as f32 + 1.0)).collect(),
-            weight: 1.0 + (id % 3) as f32,
-            loss: 0.25,
-            divergence: 0.5,
-        };
-
-        let mut sink_a = StreamingWeightedSink::new();
-        let a = scheduler.run_round_streaming_with(
-            0,
-            &selected,
-            4,
-            &mut sink_a,
-            |id| work(0, id, &global),
-            &NullRecorder,
-        );
-        let mut transport = InProcessTransport::new(work);
-        let mut sink_b = StreamingWeightedSink::new();
-        let b = scheduler
+        let mut transport = InProcessTransport::new(|_round, _id, _global: &[f32]| StreamUpdate {
+            update: vec![1.0, 2.0],
+            weight: 1.0,
+            loss: 0.75,
+            divergence: 1.5,
+        });
+        let mut sink = StreamingWeightedSink::new();
+        let out = scheduler
             .run_round_transport(
                 0,
                 &selected,
                 4,
-                &global,
-                &mut sink_b,
+                &[0.0; 2],
+                &mut sink,
                 &mut transport,
                 &NullRecorder,
             )
             .unwrap();
-
-        assert_eq!(a.accepted, b.accepted);
-        assert_eq!(a.dropped, b.dropped);
-        assert_eq!(a.rejected, b.rejected);
-        assert_eq!(a.mean_loss.to_bits(), b.mean_loss.to_bits());
-        assert_eq!(a.mean_divergence.to_bits(), b.mean_divergence.to_bits());
-        let bits = |v: &Option<Vec<f32>>| {
-            v.as_ref()
-                .map(|u| u.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
-        };
-        assert_eq!(
-            bits(&a.aggregated),
-            bits(&b.aggregated),
-            "transport path must fold bit-identically to the streaming path"
-        );
-        assert!(a.dropped > 0, "chaos should remove someone at these rates");
-    }
-
-    #[test]
-    fn streaming_round_reports_accepted_loss_means() {
-        use crate::transport::StreamUpdate;
-        let scheduler = toy_scheduler(8, 1);
-        let selected = scheduler.select(0, None);
-        let mut sink = StreamingWeightedSink::new();
-        let out = scheduler.run_round_streaming_with(
-            0,
-            &selected,
-            4,
-            &mut sink,
-            |_| StreamUpdate {
-                update: vec![1.0, 2.0],
-                weight: 1.0,
-                loss: 0.75,
-                divergence: 1.5,
-            },
-            &NullRecorder,
-        );
         assert_eq!(out.accepted, 8);
         assert!((out.mean_loss - 0.75).abs() < 1e-6);
         assert!((out.mean_divergence - 1.5).abs() < 1e-6);
@@ -1154,21 +1014,79 @@ mod tests {
         });
         let selected = scheduler.select(0, None);
         let rec = MemoryRecorder::new();
-        let mut sink = StreamingWeightedSink::new();
-        let out = scheduler.run_round_streaming(
-            0,
-            &selected,
-            2,
-            &mut sink,
-            |_| (vec![1.0, 2.0], 1.0),
-            &rec,
-        );
+        let out = in_process_round(&scheduler, 0, &selected, 2, 2, |_| vec![1.0, 2.0], &rec);
         assert!(out.skipped);
         assert!(out.aggregated.is_none());
         assert!(matches!(
             rec.events().last(),
             Some(Event::RoundResilience { skipped: true, .. })
         ));
+    }
+
+    #[test]
+    fn malformed_replies_are_rejected_and_never_folded() {
+        // One bad client out of 8 (the first slot), dim 4, weighted sink:
+        // each malformed shape must be counted as rejected and leave the
+        // aggregate equal to the weighted mean of the 7 honest replies.
+        type Corrupt = fn(&mut StreamUpdate);
+        let cases: [(&str, Corrupt); 3] = [
+            ("weight NaN", |r| r.weight = f32::NAN),
+            ("length 2", |r| r.update.truncate(2)),
+            ("weight -6.5 on a 100x update", |r| {
+                r.weight = -6.5;
+                r.update.iter_mut().for_each(|v| *v *= 100.0);
+            }),
+        ];
+        let scheduler = RoundScheduler::sampled(Sampler::new(SamplerKind::Uniform, 9), 8, 8, 1);
+        let selected = scheduler.select(0, None);
+        let bad = selected[0];
+        // analyze:allow(lossy-cast) -- toy ids in tests.
+        let honest = |id: usize| vec![1.0 + id as f32, -2.0, 0.5, id as f32];
+        // analyze:allow(lossy-cast) -- toy ids in tests.
+        let weight_of = |id: usize| 1.0 + (id % 3) as f32;
+        for (name, corrupt) in cases {
+            let mut transport = InProcessTransport::new(|_round, id, _global: &[f32]| {
+                let mut reply = StreamUpdate {
+                    update: honest(id),
+                    weight: weight_of(id),
+                    loss: 0.0,
+                    divergence: 0.0,
+                };
+                if id == bad {
+                    corrupt(&mut reply);
+                }
+                reply
+            });
+            let mut sink = StreamingWeightedSink::new();
+            let out = scheduler
+                .run_round_transport(
+                    0,
+                    &selected,
+                    8,
+                    &[0.0; 4],
+                    &mut sink,
+                    &mut transport,
+                    &NullRecorder,
+                )
+                .unwrap();
+            assert_eq!((out.accepted, out.rejected), (7, 1), "{name}");
+            let good = &selected[1..];
+            let weight_sum: f32 = good.iter().map(|&id| weight_of(id)).sum();
+            assert_eq!(out.weight_sum, weight_sum, "{name}: weight_sum");
+            let agg = out.aggregated.expect("quorum of one is met");
+            assert_eq!(agg.len(), 4, "{name}: aggregate length");
+            for (d, got) in agg.iter().enumerate() {
+                let want = good
+                    .iter()
+                    .map(|&id| weight_of(id) * honest(id)[d])
+                    .sum::<f32>()
+                    / weight_sum;
+                assert!(
+                    (got - want).abs() <= 1e-5 * want.abs().max(1.0),
+                    "{name}: {got} vs {want}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1181,14 +1099,14 @@ mod tests {
                     .with_detection(false);
             }
             let selected = scheduler.select(0, None);
-            let mut sink = StreamingWeightedSink::new();
-            let out = scheduler.run_round_streaming(
+            let out = in_process_round(
+                &scheduler,
                 0,
                 &selected,
                 4,
-                &mut sink,
+                3,
                 // analyze:allow(lossy-cast) -- toy ids in tests.
-                |id| (vec![id as f32; 3], 1.0),
+                |id| vec![id as f32; 3],
                 &NullRecorder,
             );
             (selected, out.aggregated)
@@ -1218,14 +1136,14 @@ mod tests {
             }
             let selected = scheduler.select(0, None);
             let rec = MemoryRecorder::new();
-            let mut sink = StreamingWeightedSink::new();
-            let out = scheduler.run_round_streaming(
+            let out = in_process_round(
+                &scheduler,
                 0,
                 &selected,
                 8,
-                &mut sink,
+                3,
                 // analyze:allow(lossy-cast) -- toy ids in tests.
-                |id| (vec![id as f32 + 1.0; 3], 1.0),
+                |id| vec![id as f32 + 1.0; 3],
                 &rec,
             );
             let attacks = rec
@@ -1243,74 +1161,6 @@ mod tests {
         let (clean, no_attacks) = run(None);
         assert_eq!(no_attacks, 0);
         assert_ne!(a, clean, "an active attack must move the aggregate");
-    }
-
-    #[test]
-    fn attacked_transport_round_matches_streaming_bitwise() {
-        use crate::transport::{InProcessTransport, StreamUpdate};
-        let plan = AttackPlan {
-            flip_prob: 0.15,
-            scale_prob: 0.1,
-            noise_prob: 0.1,
-            seed: 3,
-            ..AttackPlan::default()
-        };
-        let make = || {
-            toy_scheduler(16, 1)
-                .with_chaos(
-                    FaultPlan {
-                        drop_prob: 0.2,
-                        corrupt_prob: 0.2,
-                        ..FaultPlan::default()
-                    },
-                    5,
-                )
-                .with_attack(plan.clone(), 5)
-        };
-        let scheduler = make();
-        let selected = scheduler.select(0, None);
-        let global = vec![0.5f32, -1.25, 2.0];
-        let work = |_round: usize, id: usize, g: &[f32]| StreamUpdate {
-            // analyze:allow(lossy-cast) -- toy ids in tests.
-            update: g.iter().map(|v| v * (id as f32 + 1.0)).collect(),
-            weight: 1.0 + (id % 3) as f32,
-            loss: 0.25,
-            divergence: 0.5,
-        };
-
-        let mut sink_a = StreamingWeightedSink::new();
-        let a = scheduler.run_round_streaming_with(
-            0,
-            &selected,
-            4,
-            &mut sink_a,
-            |id| work(0, id, &global),
-            &NullRecorder,
-        );
-        let other = make();
-        let mut transport = InProcessTransport::new(work);
-        let mut sink_b = StreamingWeightedSink::new();
-        let b = other
-            .run_round_transport(
-                0,
-                &selected,
-                4,
-                &global,
-                &mut sink_b,
-                &mut transport,
-                &NullRecorder,
-            )
-            .unwrap();
-        let bits = |v: &Option<Vec<f32>>| {
-            v.as_ref()
-                .map(|u| u.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
-        };
-        assert_eq!(
-            bits(&a.aggregated),
-            bits(&b.aggregated),
-            "attacks must fold identically on both execution paths"
-        );
-        assert_eq!(a.accepted, b.accepted);
     }
 
     #[test]
@@ -1339,17 +1189,17 @@ mod tests {
                 );
                 break;
             }
-            let mut sink = StreamingWeightedSink::new();
-            let _ = scheduler.run_round_streaming(
+            let _ = in_process_round(
+                &scheduler,
                 round,
                 &selected,
                 4,
-                &mut sink,
+                4,
                 |id| {
                     if id == bad {
-                        (vec![1.0e6; 4], 1.0)
+                        vec![1.0e6; 4]
                     } else {
-                        (vec![1.0, 2.0, 3.0, 4.0], 1.0)
+                        vec![1.0, 2.0, 3.0, 4.0]
                     }
                 },
                 &rec,
@@ -1379,13 +1229,13 @@ mod tests {
         let peak_of = |cohort: usize| {
             let scheduler = toy_scheduler(cohort, 1);
             let selected = scheduler.select(0, None);
-            let mut sink = StreamingWeightedSink::new();
-            let out = scheduler.run_round_streaming(
+            let out = in_process_round(
+                &scheduler,
                 0,
                 &selected,
                 8,
-                &mut sink,
-                |_| (vec![1.0; dim], 1.0),
+                dim,
+                |_| vec![1.0; dim],
                 &NullRecorder,
             );
             out.peak_state_bytes

@@ -42,8 +42,9 @@ use crate::parallel::parallel_map;
 use crate::proto::{Msg, WireError};
 
 /// One client's reply to a round assignment: the update vector plus the
-/// scalars round summaries need. The streaming and transport round paths
-/// both fold these.
+/// scalars round summaries need.
+/// [`crate::scheduler::RoundScheduler::run_round_transport`] screens and
+/// folds these.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamUpdate {
     /// The local update (a model delta), folded into the round's sink.

@@ -160,6 +160,7 @@ fn ten_thousand_client_streaming_round_accounts_for_every_client() {
     use calibre_fl::aggregate::StreamingWeightedSink;
     use calibre_fl::sampler::{Sampler, SamplerKind};
     use calibre_fl::scheduler::RoundScheduler;
+    use calibre_fl::transport::{InProcessTransport, StreamUpdate};
 
     let run = || {
         let scheduler =
@@ -179,20 +180,29 @@ fn ten_thousand_client_streaming_round_accounts_for_every_client() {
                 });
 
         let memory = MemoryRecorder::new();
+        let mut transport = InProcessTransport::new(|_round, id, _global: &[f32]| StreamUpdate {
+            update: vec![(id % 7) as f32, 1.0, -0.5],
+            weight: 1.0,
+            loss: 0.0,
+            divergence: 0.0,
+        });
         let mut counts = Vec::new();
         let mut aggregates = Vec::new();
         for round in 0..scheduler.rounds() {
             let selected = scheduler.select(round, None);
             assert_eq!(selected.len(), 10_000, "sampler under-filled the cohort");
             let mut sink = StreamingWeightedSink::new();
-            let out = scheduler.run_round_streaming(
-                round,
-                &selected,
-                64,
-                &mut sink,
-                |id| (vec![(id % 7) as f32, 1.0, -0.5], 1.0),
-                &memory,
-            );
+            let out = scheduler
+                .run_round_transport(
+                    round,
+                    &selected,
+                    64,
+                    &[0.0; 3],
+                    &mut sink,
+                    &mut transport,
+                    &memory,
+                )
+                .expect("the in-process transport cannot fail");
             assert_eq!(
                 out.accepted + out.dropped + out.rejected,
                 out.cohort,

@@ -407,6 +407,137 @@ proptest! {
     }
 }
 
+// The sink-fed round engine against a reference computed here: every
+// selected client lands in exactly one of accepted/dropped/rejected, the
+// quorum gate is exact, replays are bit-identical, and a chaos- and
+// attack-free round folds the weighted mean of its cohort.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn transport_round_accounts_for_every_client_and_folds_the_weighted_mean(
+        seed in 0u64..10_000,
+        cohort in 1usize..64,
+        wave in 1usize..16,
+        min_quorum in 0usize..72,
+        dim in 1usize..9,
+        (drop, corrupt) in prop_oneof![Just((0.0f32, 0.0f32)), (0.0f32..0.5, 0.0f32..0.5)],
+        (flip, scale) in prop_oneof![Just((0.0f32, 0.0f32)), (0.0f32..0.3, 0.0f32..0.3)],
+    ) {
+        use calibre_fl::sampler::{Sampler, SamplerKind};
+        use calibre_fl::transport::{InProcessTransport, StreamUpdate};
+        use calibre_fl::{AttackPlan, RoundPolicy, RoundScheduler};
+        use calibre_telemetry::NullRecorder;
+
+        const ROUNDS: usize = 3;
+        let weight_of = |client: usize| 1.0 + (client % 5) as f32;
+        let update_of = |round: usize, client: usize, global: &[f32]| -> Vec<f32> {
+            global
+                .iter()
+                .enumerate()
+                .map(|(d, g)| 0.5 * g + ((client * 31 + d * 7 + round) % 13) as f32 * 0.25 - 1.5)
+                .collect()
+        };
+        let global: Vec<f32> = (0..dim).map(|d| d as f32 * 0.5 - 1.0).collect();
+        let run = || {
+            let scheduler = RoundScheduler::sampled(
+                Sampler::new(SamplerKind::Uniform, seed),
+                cohort * 2,
+                cohort,
+                ROUNDS,
+            )
+            .with_policy(RoundPolicy {
+                min_quorum,
+                ..RoundPolicy::default()
+            })
+            .with_chaos(
+                FaultPlan {
+                    drop_prob: drop,
+                    corrupt_prob: corrupt,
+                    seed,
+                    ..FaultPlan::default()
+                },
+                seed,
+            )
+            .with_attack(
+                AttackPlan {
+                    flip_prob: flip,
+                    scale_prob: scale,
+                    seed,
+                    ..AttackPlan::default()
+                },
+                seed,
+            );
+            let mut transport = InProcessTransport::new(|round, client, global: &[f32]| {
+                StreamUpdate {
+                    update: update_of(round, client, global),
+                    weight: weight_of(client),
+                    loss: 0.0,
+                    divergence: 0.0,
+                }
+            });
+            (0..ROUNDS)
+                .map(|round| {
+                    let selected = scheduler.select(round, None);
+                    let mut sink = StreamingWeightedSink::new();
+                    let out = scheduler
+                        .run_round_transport(
+                            round,
+                            &selected,
+                            wave,
+                            &global,
+                            &mut sink,
+                            &mut transport,
+                            &NullRecorder,
+                        )
+                        .expect("the in-process transport cannot fail");
+                    (selected, out)
+                })
+                .collect::<Vec<_>>()
+        };
+
+        let rounds = run();
+        let replay = run();
+        let clean = drop == 0.0 && corrupt == 0.0 && flip == 0.0 && scale == 0.0;
+        // The policy treats a quorum of 0 as 1: an empty round never folds.
+        let quorum = min_quorum.max(1);
+        for (round, ((selected, out), (_, again))) in rounds.iter().zip(&replay).enumerate() {
+            prop_assert_eq!(out.cohort, cohort);
+            prop_assert_eq!(out.accepted + out.dropped + out.rejected, cohort, "round {}", round);
+            prop_assert_eq!(out.skipped, out.accepted < quorum, "round {}", round);
+            let bits = |v: &Option<Vec<f32>>| {
+                v.as_ref().map(|u| u.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+            };
+            prop_assert_eq!(
+                (out.accepted, out.dropped, out.rejected, out.skipped),
+                (again.accepted, again.dropped, again.rejected, again.skipped)
+            );
+            prop_assert_eq!(bits(&out.aggregated), bits(&again.aggregated), "replay diverged");
+            if let Some(agg) = &out.aggregated {
+                prop_assert_eq!(agg.len(), dim);
+                prop_assert!(agg.iter().all(|v| v.is_finite()), "non-finite aggregate {:?}", agg);
+            }
+            if clean {
+                prop_assert_eq!((out.accepted, out.dropped, out.rejected), (cohort, 0, 0));
+                let total: f32 = selected.iter().map(|&c| weight_of(c)).sum();
+                if let Some(agg) = &out.aggregated {
+                    for (d, got) in agg.iter().enumerate() {
+                        let want = selected
+                            .iter()
+                            .map(|&c| weight_of(c) * update_of(round, c, &global)[d])
+                            .sum::<f32>()
+                            / total;
+                        prop_assert!(
+                            (got - want).abs() <= 1e-5 * want.abs().max(1.0),
+                            "round {} coord {}: {} vs {}", round, d, got, want
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 // Whole-training chaos runs are orders of magnitude slower than the pure
 // aggregation properties above, so they get their own small-case block.
 proptest! {
