@@ -10,9 +10,9 @@
 //! * no nondeterministic containers or ambient clocks in aggregation and
 //!   training paths (fairness variance, PAPER.md §V, is measured as the
 //!   std-dev of per-client accuracy — aggregation-order noise pollutes it);
-//! * no `unwrap`/`expect`/`panic!` in library code, so the resilient
-//!   round executor's retry accounting only ever observes *injected*
-//!   panics;
+//! * no `unwrap`/`expect`/`panic!` in library code, so a client the round
+//!   engine reports as `lost` after a caught panic is never a library bug
+//!   in disguise;
 //! * every `unsafe` carries a `SAFETY:` justification, and each crate's
 //!   `forbid(unsafe_code)` status can only strengthen;
 //! * float comparisons are total and loss/aggregation casts are audited;

@@ -5,8 +5,8 @@
 //! while a round is in flight. A `slice-index` candidate inside a
 //! reachable fn is reclassified to `hot-path-index`: an out-of-bounds
 //! panic there doesn't fail one computation, it kills the server loop or
-//! corrupts the resilient executor's retry accounting, so this debt is
-//! held at zero while cold-path `slice-index` debt merely ratchets.
+//! masquerades as a lost client in the engine's fault accounting, so this
+//! debt is held at zero while cold-path `slice-index` debt merely ratchets.
 //!
 //! Call edges resolve by callee name (the workspace is `dyn`-free on this
 //! path), with the shared stoplist and ambiguity cap from the determinism

@@ -8,7 +8,7 @@
 //! |------|-----------|
 //! | `hash-container` | aggregation crates iterate deterministically |
 //! | `wallclock` | training paths are replayable (no ambient time/rng) |
-//! | `no-unwrap` / `no-expect` / `no-panic` | library panics stay typed, so `resilient` retry accounting only sees *injected* panics |
+//! | `no-unwrap` / `no-expect` / `no-panic` | library panics stay typed, so a client the engine reports `lost` is never a library bug |
 //! | `slice-index` | out-of-bounds indexing cannot masquerade as a fault |
 //! | `unsafe-no-safety` | every `unsafe` carries its justification |
 //! | `float-cmp-unwrap` | float ordering is total (`total_cmp`), never a NaN panic |

@@ -7,7 +7,7 @@
 //! round each honest client pulls the global model toward its target
 //! (`lr · (t_i − w)`); the seeded [`calibre_fl::AttackPlan`] compromises a
 //! fraction of the cohort per round through the *production* scheduler
-//! path ([`calibre_fl::RoundScheduler::run_round_transport`] over an
+//! path ([`calibre_fl::RoundScheduler::run_round`] over an
 //! [`calibre_fl::InProcessTransport`]), so the ablation exercises exactly
 //! the injection + defense code a real serve run uses. Client `i`'s accuracy after the last round is
 //! `1 / (1 + ‖w − t_i‖)` — a decreasing function of how far the global
@@ -179,7 +179,7 @@ fn run_cell(
             divergence: 0.0,
         });
         let out = scheduler
-            .run_round_transport(
+            .run_round(
                 round,
                 &selected,
                 16,

@@ -3,7 +3,7 @@
 //!
 //! Each sweep point samples a cohort from a twice-as-large population with a
 //! seeded [`Sampler`], runs `--rounds` sink-fed rounds through
-//! [`RoundScheduler::run_round_transport`] over an [`InProcessTransport`]
+//! [`RoundScheduler::run_round`] over an [`InProcessTransport`]
 //! (updates are synthesized per client — no real SSL training, this
 //! measures the *aggregation path*), and reports rounds/sec plus the peak
 //! bytes the aggregation path held.
@@ -40,7 +40,7 @@ use calibre_telemetry::metrics;
 use std::time::Instant;
 
 /// Committed peak-memory bound for the smoke sweep (`--smoke`), in bytes:
-/// sink state + quorum buffer + one in-flight wave for the smoke shape
+/// sink state + one in-flight wave for the smoke shape
 /// (dim 256, wave 64), with headroom for struct overhead. CI fails if the
 /// sink-fed path regresses past this.
 const SMOKE_PEAK_BOUND_BYTES: usize = 256 * 1024;
@@ -110,7 +110,7 @@ fn reservoir_gate(sweep: &SweepConfig) {
         let selected = scheduler.select(0, None);
         let mut sink = ReservoirSink::trimmed(0.1, capacity, sweep.seed);
         let out = scheduler
-            .run_round_transport(
+            .run_round(
                 0,
                 &selected,
                 sweep.wave,
@@ -264,7 +264,7 @@ fn main() {
                 policy.aggregator.sink(sweep.wave * 4, sweep.seed)
             };
             let out = scheduler
-                .run_round_transport(
+                .run_round(
                     round,
                     &selected,
                     sweep.wave,

@@ -12,12 +12,11 @@
 use crate::loss::{calibre_loss, CalibreConfig, CalibreLoss};
 use calibre_data::batch::batches;
 use calibre_data::{AugmentConfig, ClientData, FederatedDataset, SynthVision};
-use calibre_fl::aggregate::{divergence_weights, sample_count_weights};
+use calibre_fl::aggregate::divergence_weight;
 use calibre_fl::baselines::BaselineResult;
-use calibre_fl::comm::CommReport;
-use calibre_fl::pfl_ssl::RoundObserver;
-use calibre_fl::resilient::ClientOutcome;
-use calibre_fl::scheduler::{RoundContext, RoundScheduler};
+use calibre_fl::pfl_ssl::{run_training_round, RoundObserver};
+use calibre_fl::scheduler::RoundScheduler;
+use calibre_fl::transport::StreamUpdate;
 use calibre_fl::FlConfig;
 use calibre_ssl::{create_method, SslKind, SslMethod, TwoViewBatch};
 use calibre_telemetry::{ClientLosses, NullRecorder, Recorder};
@@ -196,8 +195,11 @@ pub fn train_calibre_encoder_with(
 /// Like [`train_calibre_encoder_with`], additionally reporting the round
 /// lifecycle to a telemetry [`Recorder`].
 ///
-/// Each `client_update` event carries the full Calibre loss decomposition
-/// (`L_ssl`, `L_n`, `L_p`) and divergence rate from
+/// Rounds run through [`run_training_round`], so the events are its:
+/// `round_start`, any `attack`/`fault` events, `aggregate`, any
+/// `round_resilience`, one `client_update` per accepted client, and
+/// `round_end`. Each `client_update` carries the full Calibre loss
+/// decomposition (`L_ssl`, `L_n`, `L_p`) and divergence rate from
 /// [`calibre_local_update_detailed`], with wall-clock measured inside the
 /// worker thread that ran the client.
 #[allow(clippy::too_many_arguments)]
@@ -234,28 +236,23 @@ pub fn train_calibre_encoder_observed(
             alpha: config.alpha * ramp,
             ..*config
         };
-        let ctx = RoundContext {
-            recorder,
-            downlink_params: global_flat.len(),
-            // Shape-derived, so computable before the aggregate lands.
-            planned_bytes: CommReport::for_module(&global_encoder, 1, selected.len()).total as u64,
-            // Skipped round: repeat the previous values so histories stay
-            // finite and plottable.
-            fallback_loss: round_losses.last().copied().unwrap_or(0.0),
-            fallback_divergence: round_divergences.last().copied().unwrap_or(0.0),
-        };
+        // Skipped round: repeat the previous values so histories stay
+        // finite and plottable.
+        let fallback_loss = round_losses.last().copied().unwrap_or(0.0);
 
-        let outcome = scheduler.run_round(
+        let outcome = run_training_round(
+            &scheduler,
             round,
             &selected,
-            &ctx,
-            |id| {
-                states[id].take().unwrap_or_else(|| {
+            &global_flat,
+            &mut states,
+            fallback_loss,
+            recorder,
+            |id, state: Option<Box<dyn SslMethod>>, global: &[f32]| {
+                let mut method = state.unwrap_or_else(|| {
                     create_method(kind, fl.ssl.clone().with_seed(fl.seed ^ (id as u64) << 8))
-                })
-            },
-            |id, mut method: Box<dyn SslMethod>| {
-                method.encoder_mut().load_flat(&global_flat);
+                });
+                method.encoder_mut().load_flat(global);
                 let mut opt = Sgd::new(SgdConfig::with_lr_momentum(fl.local_lr, fl.local_momentum));
                 let mut r = rng::seeded(
                     fl.seed
@@ -274,57 +271,39 @@ pub fn train_calibre_encoder_observed(
                     &mut opt,
                     &mut r,
                 );
-                let flat = method.encoder().to_flat();
-                let count = data.ssl_pool().len();
-                ClientOutcome {
-                    state: method,
-                    flat,
-                    count,
-                    payload: update,
-                }
-            },
-            |accepted| {
-                // Divergence-aware aggregation (§IV-B): sample-count
-                // weights are modulated by inverse divergence so clients
+                // Divergence-aware aggregation (§IV-B): the sample-count
+                // weight is modulated by inverse divergence so clients
                 // whose representations already form tight prototypes
                 // anchor the global model.
-                let counts: Vec<usize> = accepted.iter().map(|a| a.count).collect();
+                let mut weight = data.ssl_pool().len() as f32;
                 if config.divergence_aware_aggregation {
-                    let divergences: Vec<f32> =
-                        accepted.iter().map(|a| a.payload.divergence).collect();
-                    sample_count_weights(&counts)
-                        .iter()
-                        .zip(divergence_weights(&divergences).iter())
-                        .map(|(s, d)| s * d)
-                        .collect()
-                } else {
-                    sample_count_weights(&counts)
+                    weight *= divergence_weight(update.divergence);
                 }
-            },
-            |update| {
-                (
-                    ClientLosses {
-                        total: update.loss,
-                        ssl: update.ssl,
-                        l_n: update.l_n,
-                        l_p: update.l_p,
-                    },
-                    update.divergence,
-                )
+                let reply = StreamUpdate {
+                    update: method.encoder().to_flat(),
+                    weight,
+                    loss: update.loss,
+                    divergence: update.divergence,
+                };
+                let losses = ClientLosses {
+                    total: update.loss,
+                    ssl: update.ssl,
+                    l_n: update.l_n,
+                    l_p: update.l_p,
+                };
+                (method, reply, losses)
             },
         );
 
-        if let Some(aggregated) = &outcome.round.aggregated {
+        if let Some(aggregated) = &outcome.aggregated {
             global_encoder.load_flat(aggregated);
         }
-        for a in outcome.round.accepted {
-            states[a.id] = Some(a.state);
-        }
-        for (id, state) in outcome.round.rejected_states {
-            states[id] = Some(state);
-        }
         round_losses.push(outcome.mean_loss);
-        round_divergences.push(outcome.mean_divergence);
+        round_divergences.push(if outcome.accepted == 0 {
+            round_divergences.last().copied().unwrap_or(0.0)
+        } else {
+            outcome.mean_divergence
+        });
         if let Some(observer) = round_observer.as_deref_mut() {
             observer(round, &global_encoder);
         }

@@ -118,7 +118,6 @@ proptest! {
         };
         cfg.policy = RoundPolicy {
             min_quorum: 2,
-            max_retries: 2,
             ..RoundPolicy::default()
         };
         let (encoder, losses, divergences) = train_calibre_encoder(

@@ -53,7 +53,7 @@ fn instrumented_run_emits_ordered_round_and_personalize_events() {
     personalize_cohort_observed(&encoder, &fed, 10, &cfg.probe, &rec);
 
     let events = rec.events();
-    // Per round: round_start, clients_per_round client_updates, aggregate,
+    // Per round: round_start, aggregate, clients_per_round client_updates,
     // round_end. Then one personalize event per client.
     let per_round = 1 + cfg.clients_per_round + 1 + 1;
     assert_eq!(
@@ -73,7 +73,7 @@ fn instrumented_run_emits_ordered_round_and_personalize_events() {
             other => panic!("round {round}: expected RoundStart, got {other:?}"),
         }
         for slot in 0..cfg.clients_per_round {
-            match &events[base + 1 + slot] {
+            match &events[base + 2 + slot] {
                 Event::ClientUpdate {
                     round: r,
                     wall_ms,
@@ -88,7 +88,7 @@ fn instrumented_run_emits_ordered_round_and_personalize_events() {
                 other => panic!("round {round}: expected ClientUpdate, got {other:?}"),
             }
         }
-        match &events[base + 1 + cfg.clients_per_round] {
+        match &events[base + 1] {
             Event::Aggregate {
                 round: r,
                 num_clients,

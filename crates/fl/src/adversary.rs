@@ -12,11 +12,12 @@
 //! client)` and replays bit-for-bit — in process or over a socket — from
 //! the seeds alone.
 //!
-//! Defending is split across three seams, mirroring chaos/resilient:
+//! Defending is split across three seams, mirroring chaos and the round
+//! engine:
 //!
 //! - **injection** happens server-side at the same point chaos corruption
-//!   does, so both round paths (collect and transport, on every
-//!   transport) observe the identical attacked bytes;
+//!   does, so the round engine observes the identical attacked bytes on
+//!   every transport, in training and in serving;
 //! - **robust aggregation** (Krum, geometric median, norm bounding — see
 //!   [`crate::aggregate::Aggregator`]) absorbs what validation cannot
 //!   detect;

@@ -2,8 +2,8 @@
 //!
 //! Everything travels as flat parameter vectors (`Module::to_flat`). The
 //! plain weighted average is FedAvg; Calibre's divergence-aware variant
-//! (in the `calibre` crate) reuses [`weighted_average`] with
-//! prototype-distance-derived weights.
+//! (in the `calibre` crate) scales each client's sample-count weight by
+//! [`divergence_weight`] and aggregates through the same weighted average.
 //!
 //! # Robustness
 //!
@@ -19,9 +19,9 @@
 //!    bound the influence of any single client, absorbing silent
 //!    corruptions (sign flips) that validation cannot see.
 //!
-//! [`aggregate_robust`] is the typed-error front door used by the resilient
-//! round executor; the panicking [`weighted_average`] family remains for
-//! call sites that have already validated their cohort.
+//! [`aggregate_robust`] is the typed-error front door behind the training
+//! loops' [`BufferedRobustSink`]; the panicking [`weighted_average`] family
+//! remains for call sites that have already validated their cohort.
 
 use crate::spec::SpecError;
 
@@ -137,8 +137,9 @@ pub enum AggregateError {
     /// The fold weights summed to a non-positive total, so a
     /// deferred-normalization sink cannot recover the uniform-average
     /// fallback (it accumulated `w·u`, not `u`). Only produced by
-    /// [`UpdateSink::finish`] on the streaming paths; the collect-then-
-    /// aggregate paths fall back to a uniform average instead.
+    /// [`UpdateSink::finish`] of a deferred-normalization sink; the slice
+    /// APIs (and the sinks that finish through them) fall back to a uniform
+    /// average instead.
     NonPositiveTotal,
     /// A trim ratio at or above 0.5 would discard every value of every
     /// coordinate. The CLI parser rejects such ratios up front; a directly
@@ -392,7 +393,7 @@ impl Aggregator {
 }
 
 /// Whether every coordinate of an update is finite. The validation gate the
-/// resilient executor applies before letting an update near the aggregator.
+/// round engine applies before letting an update near the aggregator.
 pub fn validate_update(update: &[f32]) -> bool {
     update.iter().all(|v| v.is_finite())
 }
@@ -824,16 +825,15 @@ pub fn aggregate_robust(
     }
 }
 
-/// Converts per-client divergence rates into aggregation weights via
-/// inverse-divergence normalization (Calibre §IV-B: clients whose samples
+/// Converts one client's divergence rate into its aggregation-weight
+/// factor, `1 / (max(d, 0) + 1e-3)` (Calibre §IV-B: clients whose samples
 /// sit closer to their prototypes — lower divergence — contribute more).
+/// The aggregate normalizes by the weight total, so no cohort-wide pass is
+/// needed.
 ///
-/// A small epsilon keeps the weights finite when a divergence is zero.
-pub fn divergence_weights(divergences: &[f32]) -> Vec<f32> {
-    divergences
-        .iter()
-        .map(|&d| 1.0 / (d.max(0.0) + 1e-3))
-        .collect()
+/// A small epsilon keeps the weight finite when a divergence is zero.
+pub fn divergence_weight(divergence: f32) -> f32 {
+    1.0 / (divergence.max(0.0) + 1e-3)
 }
 
 // ---------------------------------------------------------------------------
@@ -845,23 +845,22 @@ use rand::Rng as _;
 
 /// A streaming accumulator that client updates are folded into the moment
 /// they finish, instead of being collected into an O(cohort × model) `Vec`
-/// first. This is the aggregation substrate of the sink-fed round engine
-/// (`RoundScheduler::run_round_transport` in [`crate::scheduler`];
-/// `DESIGN.md` §11).
+/// first. This is the aggregation substrate of the round engine
+/// ([`crate::scheduler::RoundScheduler::run_round`]; `DESIGN.md` §11).
 ///
 /// # Contract
 ///
 /// * **Fold order is the determinism boundary.** Folding the same
 ///   `(client, update, weight)` triples in the same order is bit-identical
 ///   on replay; folding a permutation is only guaranteed to agree within
-///   f32 round-off. Executors that need replay identity fold in
-///   selection-slot order — [`crate::parallel::parallel_map`] returns
-///   results in input order precisely so they can.
-/// * **Quorum interaction.** A fold cannot be undone, so executors that
-///   enforce a minimum quorum ([`crate::resilient::RoundPolicy::min_quorum`])
-///   must buffer the first `min_quorum` accepted updates and start folding
-///   only once the quorum is reached (as `run_round_transport` does). The
-///   buffer is O(min_quorum × model), independent of cohort size.
+///   f32 round-off. The engine folds in selection-slot order, passing the
+///   client id as `client` — [`crate::parallel::parallel_map`] and every
+///   transport return results in input order precisely so it can.
+/// * **Quorum interaction.** A fold cannot be undone, so the engine folds
+///   each accepted update at once and checks
+///   [`crate::scheduler::RoundPolicy::min_quorum`] at the end: a round
+///   below quorum never calls [`UpdateSink::finish`]. A sink serves one
+///   round; callers build a fresh one every round.
 /// * **Callers screen first.** A sink trusts what it is handed: the
 ///   engine rejects a reply whose length differs from the global model's,
 ///   whose weight is non-finite or negative, or whose update is non-finite
@@ -1362,6 +1361,12 @@ impl UpdateSink for HierarchicalSink {
 /// Memory-bounded [`UpdateSink`] for the defense-grade aggregators
 /// (Krum family, geometric median, norm bounding, centered clipping).
 ///
+/// With `capacity` equal to the cohort it also serves the training loops
+/// ([`crate::pfl_ssl::run_training_round`]) for every [`Aggregator`]: it
+/// holds each accepted update and runs [`aggregate_robust`] once, in fold
+/// order — for the weighted average that is [`weighted_average_refs`], bit
+/// for bit.
+///
 /// Those statistics need the whole cohort at once — Krum compares every
 /// pair of updates, Weiszfeld iterates over all of them — so a constant-
 /// memory stream is impossible. Like [`ReservoirSink`] the sink keeps a
@@ -1526,8 +1531,7 @@ mod tests {
 
     #[test]
     fn divergence_weights_prefer_low_divergence() {
-        let w = divergence_weights(&[0.1, 1.0]);
-        assert!(w[0] > w[1]);
+        assert!(divergence_weight(0.1) > divergence_weight(1.0));
     }
 
     #[test]

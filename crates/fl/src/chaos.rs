@@ -9,9 +9,12 @@
 //! same seeds.
 //!
 //! The chaos layer only *decides and applies* faults. Surviving them is the
-//! resilient round executor's job ([`crate::resilient`]): bounded retries,
-//! update validation, minimum-quorum partial aggregation, and crash-safe
-//! checkpoints.
+//! round engine's job ([`crate::scheduler::RoundScheduler::run_round`]):
+//! dropouts and crashed clients cost their slot for the round (there are no
+//! retries), corrupted updates face validation and optional norm clipping,
+//! stragglers are reported rather than slept, and a round below the
+//! minimum quorum is skipped. Crash-safe checkpoints ([`crate::checkpoint`])
+//! cover the server itself.
 //!
 //! # Spec strings
 //!
@@ -22,7 +25,6 @@
 //! |---------------|-------------------------------------------|---------|
 //! | `drop`        | per-client dropout probability            | 0       |
 //! | `straggle`    | per-client straggler probability          | 0       |
-//! | `straggle-ms` | straggler delay in milliseconds           | 10      |
 //! | `panic`       | per-client mid-update panic probability   | 0       |
 //! | `corrupt`     | per-client update-corruption probability  | 0       |
 //! | `seed`        | chaos seed (mixed with the run seed)      | 0       |
@@ -72,17 +74,17 @@ impl Corruption {
     }
 }
 
-/// One fault assigned to one `(round, client, attempt)` cell.
+/// One fault assigned to one `(round, client, attempt)` cell. The round
+/// engine decides every client at attempt 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClientFault {
-    /// The client never responds this attempt (no compute happens).
+    /// The client never responds this round (no compute happens).
     Dropout,
-    /// The client completes, but only after an artificial delay.
-    Straggle {
-        /// Injected delay in milliseconds, slept inside the worker thread.
-        delay_ms: u64,
-    },
-    /// The client's worker panics partway through its local update.
+    /// The client reports late. The engine reports the fault and folds the
+    /// update; nothing sleeps.
+    Straggle,
+    /// The client crashes partway through its local update: the engine
+    /// drops it before dispatch, and its cached state survives.
     PanicMidUpdate,
     /// The client completes but its reported update is corrupted.
     Corrupt(Corruption),
@@ -93,7 +95,7 @@ impl ClientFault {
     pub fn kind_tag(self) -> &'static str {
         match self {
             ClientFault::Dropout => "dropout",
-            ClientFault::Straggle { .. } => "straggle",
+            ClientFault::Straggle => "straggle",
             ClientFault::PanicMidUpdate => "panic",
             ClientFault::Corrupt(c) => c.kind_tag(),
         }
@@ -109,10 +111,8 @@ impl ClientFault {
 pub struct FaultPlan {
     /// Probability a selected client drops out of an attempt.
     pub drop_prob: f32,
-    /// Probability a client straggles (completes after `straggle_ms`).
+    /// Probability a client straggles (reports late).
     pub straggle_prob: f32,
-    /// Injected straggler delay, milliseconds.
-    pub straggle_ms: u64,
     /// Probability a client's worker panics mid-update.
     pub panic_prob: f32,
     /// Probability a client's reported update is corrupted.
@@ -126,7 +126,6 @@ impl Default for FaultPlan {
         FaultPlan {
             drop_prob: 0.0,
             straggle_prob: 0.0,
-            straggle_ms: 10,
             panic_prob: 0.0,
             corrupt_prob: 0.0,
             seed: 0,
@@ -184,11 +183,6 @@ impl FaultPlan {
                 "straggle" => plan.straggle_prob = prob(value)?,
                 "panic" => plan.panic_prob = prob(value)?,
                 "corrupt" => plan.corrupt_prob = prob(value)?,
-                "straggle-ms" => {
-                    plan.straggle_ms = value
-                        .parse()
-                        .map_err(|_| format!("chaos spec: bad straggle-ms {value:?}"))?
-                }
                 "seed" => {
                     plan.seed = value
                         .parse()
@@ -230,11 +224,6 @@ impl FaultInjector {
         FaultInjector { plan, seed }
     }
 
-    /// The plan this injector draws from.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     fn cell_rng(&self, round: usize, client: usize, attempt: usize) -> rand::rngs::StdRng {
         let mixed = self
             .seed
@@ -271,9 +260,7 @@ impl FaultInjector {
             return Some(ClientFault::Corrupt(kind));
         }
         if r.gen::<f32>() < self.plan.straggle_prob {
-            return Some(ClientFault::Straggle {
-                delay_ms: self.plan.straggle_ms,
-            });
+            return Some(ClientFault::Straggle);
         }
         None
     }
@@ -529,11 +516,6 @@ impl WireInjector {
         WireInjector { plan, seed }
     }
 
-    /// The plan this injector draws from.
-    pub fn plan(&self) -> &WireFaultPlan {
-        &self.plan
-    }
-
     /// The fully mixed seed driving this injector's decisions. A server
     /// puts this in its `Welcome` as the churn seed, so clients replay the
     /// same decision stream via [`WireInjector::new`] without re-deriving
@@ -602,15 +584,6 @@ impl WireInjector {
     }
 }
 
-/// Panics with a recognizable message — the injected "client crashed
-/// mid-update" fault. Always caught by `parallel_map_resilient`'s
-/// `catch_unwind`; never escapes the resilient executor.
-pub fn panic_injected(round: usize, client: usize) -> ! {
-    // analyze:allow(no-panic) -- this *is* the injected fault: the chaos
-    // harness exists to throw this panic at the resilient executor.
-    panic!("chaos: injected mid-update panic (round {round}, client {client})");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -619,7 +592,6 @@ mod tests {
         FaultPlan {
             drop_prob: 0.3,
             straggle_prob: 0.2,
-            straggle_ms: 1,
             panic_prob: 0.1,
             corrupt_prob: 0.2,
             seed: 42,
@@ -701,11 +673,9 @@ mod tests {
     #[test]
     fn spec_parsing_roundtrips_and_rejects_garbage() {
         let plan =
-            FaultPlan::parse("drop=0.25,straggle=0.1,straggle-ms=25,panic=0.05,corrupt=0.2,seed=9")
-                .unwrap();
+            FaultPlan::parse("drop=0.25,straggle=0.1,panic=0.05,corrupt=0.2,seed=9").unwrap();
         assert_eq!(plan.drop_prob, 0.25);
         assert_eq!(plan.straggle_prob, 0.1);
-        assert_eq!(plan.straggle_ms, 25);
         assert_eq!(plan.panic_prob, 0.05);
         assert_eq!(plan.corrupt_prob, 0.2);
         assert_eq!(plan.seed, 9);
@@ -713,7 +683,6 @@ mod tests {
         assert!(FaultPlan::parse("drop").is_err());
         assert!(FaultPlan::parse("warp=0.5").is_err());
         assert!(FaultPlan::parse("panic=2.0").is_err());
-        assert!(FaultPlan::parse("straggle-ms=fast").is_err());
     }
 
     #[test]

@@ -26,9 +26,10 @@
 //! [`CheckpointStore`] adds one more layer: a `current` / `.prev` rotation
 //! where loading falls back to the previous good checkpoint when the
 //! current one is missing or corrupt. [`TrainerCheckpoint`] captures a full
-//! resilient-training snapshot (round index, global encoder, per-client
-//! state, loss history) in the same format family so `run_pfl_ssl`-style
-//! loops can resume bit-identically after a kill.
+//! training snapshot (round index, global encoder, per-client state, loss
+//! history) in the same format family so `run_pfl_ssl`-style loops can
+//! resume bit-identically after a kill. Clients cost their slot for a round
+//! when they drop or crash; the checkpoint is what lets the *server* crash.
 
 use calibre_tensor::nn::Module;
 use calibre_tensor::Matrix;
@@ -394,7 +395,7 @@ impl CheckpointStore {
     }
 }
 
-/// Complete snapshot of a resilient federated training run.
+/// Complete snapshot of a federated training run.
 ///
 /// Captures everything `run_pfl_ssl`-style loops need to continue
 /// bit-identically after a kill: the round index to resume *from* (i.e.

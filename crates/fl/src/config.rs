@@ -2,7 +2,7 @@
 
 use crate::adversary::AttackPlan;
 use crate::chaos::FaultPlan;
-use crate::resilient::RoundPolicy;
+use crate::scheduler::RoundPolicy;
 use calibre_ssl::{ProbeConfig, SslConfig};
 use calibre_tensor::rng;
 use serde::{Deserialize, Serialize};
@@ -39,8 +39,7 @@ pub struct FlConfig {
     ///
     /// This thins the *selection schedule* up front. For runtime faults
     /// (dropout after selection, stragglers, crashes, corrupted updates)
-    /// use [`FlConfig::chaos`], which the resilient round executor
-    /// handles per attempt.
+    /// use [`FlConfig::chaos`], which the round engine decides per client.
     pub dropout_prob: f32,
     /// Deterministic runtime fault injection. The default plan is inactive
     /// and training is bit-identical to a chaos-free build.
@@ -51,8 +50,8 @@ pub struct FlConfig {
     /// Server-side anomaly detection and quarantine. Off by default; when
     /// on, quarantined clients stop being selected.
     pub detect: bool,
-    /// Server-side failure handling: retries, minimum quorum, aggregation
-    /// statistic, optional norm clipping.
+    /// Server-side round handling: minimum quorum, aggregation statistic,
+    /// optional norm clipping.
     pub policy: RoundPolicy,
     /// Run seed (client sampling, initialization, shuffling).
     pub seed: u64,

@@ -26,10 +26,11 @@
 //!   Ditto, FedEMA and the local-only Script baselines;
 //! - parallel client execution ([`parallel`]) and fairness metrics
 //!   ([`metrics`]);
-//! - deterministic fault injection ([`chaos`]) and the resilient round
-//!   executor ([`resilient`]) that survives dropouts, stragglers, panics
-//!   and corrupted updates with bounded retries and minimum-quorum
-//!   partial aggregation;
+//! - deterministic fault injection ([`chaos`]) and the one round engine
+//!   ([`scheduler`]) that survives dropouts, stragglers, crashed clients
+//!   and corrupted updates with screening, optional norm clipping and
+//!   minimum-quorum partial aggregation, over in-process workers or
+//!   sockets ([`transport`], [`serve`]);
 //! - crash-safe checkpointing ([`checkpoint`]) with atomic writes,
 //!   integrity checksums, and a previous-generation fallback.
 //!
@@ -69,7 +70,6 @@ pub mod parallel;
 pub mod personalize;
 pub mod pfl_ssl;
 pub mod proto;
-pub mod resilient;
 pub mod sampler;
 pub mod scheduler;
 pub mod secure;
@@ -85,9 +85,8 @@ pub use chaos::{FaultInjector, FaultPlan, WireFaultPlan, WireInjector};
 pub use config::FlConfig;
 pub use metrics::{jain_index, pearson, worst_fraction_mean, ConfusionMatrix, Stats};
 pub use personalize::{personalize_cohort, personalize_cohort_observed, PersonalizationOutcome};
-pub use resilient::RoundPolicy;
 pub use sampler::{Sampler, SamplerKind};
-pub use scheduler::{RoundScheduler, StreamedRound};
+pub use scheduler::{RoundPolicy, RoundScheduler, StreamedRound};
 pub use spec::SpecError;
 pub use transport::{
     ClientAddr, ClientOptions, InProcessTransport, Listener, SocketTransport, StreamUpdate,

@@ -15,8 +15,10 @@
 //! have similar sample budgets by construction; if a future workload breaks
 //! that assumption (say, clients with order-of-magnitude different data
 //! sizes), switch to work stealing or size-sorted round-robin assignment
-//! before tuning anything else. The [`parallel_map_resilient`] variant
-//! exposes exactly the per-item wall-clock needed to diagnose such skew.
+//! before tuning anything else. The training loops' `client_update` events
+//! carry each client's wall-clock, measured inside the worker
+//! ([`crate::pfl_ssl::run_training_round`]), which is exactly what is needed
+//! to diagnose such skew.
 //!
 //! # Workspaces are per worker
 //!
@@ -28,9 +30,6 @@
 //! through an `Arc` at workspace creation.
 
 use std::num::NonZeroUsize;
-// analyze:allow(wallclock) -- Duration/Instant feed per-client telemetry
-// only; scheduling and aggregation stay clock-free.
-use std::time::{Duration, Instant};
 
 /// Maps `f` over `items` in parallel, preserving order.
 ///
@@ -103,87 +102,6 @@ where
     })
 }
 
-/// A panic caught from one client's worker closure.
-///
-/// Produced by [`parallel_map_resilient`]; the payload is stringified so it
-/// can cross threads and land in telemetry without generic baggage.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClientPanic {
-    /// The panic payload, if it was a `&str` or `String` (the usual case);
-    /// `"<non-string panic payload>"` otherwise.
-    pub message: String,
-}
-
-impl std::fmt::Display for ClientPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "client worker panicked: {}", self.message)
-    }
-}
-
-impl std::error::Error for ClientPanic {}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
-/// Like [`parallel_map_owned`], but a panic in one item's closure is
-/// caught (`catch_unwind` around the worker body) and surfaces as an `Err`
-/// in that item's slot instead of aborting the whole round, and each
-/// item's wall-clock execution time is reported next to its result.
-///
-/// This is the execution substrate of the resilient round executor: a
-/// client crashing mid-update must cost exactly one cohort slot, never the
-/// run. The clock runs *inside* the worker thread — a timing taken outside
-/// the parallel section would measure the whole round, not the client —
-/// and covers the failed attempt too (crash time is still time spent).
-/// Results stay in input order.
-///
-/// The closure must be idempotent-safe to lose: when it panics, the moved
-/// item is gone with it — retry logic has to rebuild state upstream.
-///
-/// # Examples
-///
-/// ```
-/// use calibre_fl::parallel::parallel_map_resilient;
-///
-/// let out = parallel_map_resilient(vec![1, 2, 3], |x| {
-///     if x == 2 { panic!("boom") }
-///     x * 10
-/// });
-/// assert_eq!(out[0].0.as_ref().unwrap(), &10);
-/// assert!(out[1].0.is_err());
-/// assert_eq!(out[2].0.as_ref().unwrap(), &30);
-/// ```
-pub fn parallel_map_resilient<T, R, F>(
-    items: Vec<T>,
-    f: F,
-) -> Vec<(Result<R, ClientPanic>, Duration)>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    parallel_map_owned(items, |item| {
-        // AssertUnwindSafe below: the closure owns `item` (moved in, lost
-        // on panic) and the shared captures are read-only (`Fn` + `Sync`),
-        // so no observable state can be left torn by an unwind.
-        let start = Instant::now(); // analyze:allow(wallclock) -- telemetry only
-        let out =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item))).map_err(|payload| {
-                ClientPanic {
-                    message: panic_message(payload),
-                }
-            });
-        (out, start.elapsed())
-    })
-}
-
 /// Number of worker threads for `len` items: `available_parallelism` capped
 /// by the item count.
 fn worker_count(len: usize) -> usize {
@@ -231,68 +149,5 @@ mod tests {
     fn single_item_runs_sequentially() {
         let out = parallel_map(&[41usize], |&i| i + 1);
         assert_eq!(out, vec![42]);
-    }
-
-    #[test]
-    fn timed_variant_measures_each_item() {
-        let items: Vec<u64> = vec![1, 5, 1, 5];
-        let out = parallel_map_resilient(items, |ms| {
-            std::thread::sleep(Duration::from_millis(ms));
-            ms
-        });
-        assert_eq!(out.len(), 4);
-        for (result, elapsed) in &out {
-            let ms = *result.as_ref().unwrap();
-            assert!(
-                *elapsed >= Duration::from_millis(ms),
-                "item slept {ms}ms but measured {elapsed:?}"
-            );
-        }
-        assert_eq!(out[1].0, Ok(5));
-    }
-
-    #[test]
-    fn resilient_map_isolates_panics_to_their_slot() {
-        let items: Vec<usize> = (0..20).collect();
-        let out = parallel_map_resilient(items, |i| {
-            if i % 7 == 3 {
-                panic!("injected failure on {i}");
-            }
-            i * 2
-        });
-        assert_eq!(out.len(), 20);
-        for (i, (result, _)) in out.iter().enumerate() {
-            if i % 7 == 3 {
-                let err = result.as_ref().unwrap_err();
-                assert!(err.message.contains("injected failure"), "{err}");
-            } else {
-                assert_eq!(result.as_ref().unwrap(), &(i * 2));
-            }
-        }
-    }
-
-    #[test]
-    fn resilient_map_matches_timed_map_when_nothing_panics() {
-        let items: Vec<usize> = (0..13).collect();
-        let ok: Vec<usize> = parallel_map_resilient(items, |i| i + 1)
-            .into_iter()
-            .map(|(r, _)| r.unwrap())
-            .collect();
-        assert_eq!(ok, (1..14).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn resilient_map_stringifies_string_panics() {
-        let out = parallel_map_resilient(vec![0usize], |_| -> usize {
-            panic!("{}", String::from("owned message"))
-        });
-        assert_eq!(out[0].0.as_ref().unwrap_err().message, "owned message");
-    }
-
-    #[test]
-    fn resilient_empty_input_gives_empty_output() {
-        let out: Vec<(Result<usize, ClientPanic>, Duration)> =
-            parallel_map_resilient(Vec::new(), |i: usize| i);
-        assert!(out.is_empty());
     }
 }

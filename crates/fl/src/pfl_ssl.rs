@@ -9,14 +9,14 @@
 //! crate swaps in a calibrated local update and a divergence-aware
 //! aggregation).
 
-use crate::aggregate::sample_count_weights;
+use crate::aggregate::BufferedRobustSink;
 use crate::baselines::{client_round_seed, BaselineResult};
 use crate::checkpoint::{self, CheckpointStore, TrainerCheckpoint};
-use crate::comm::CommReport;
+use crate::comm::{CommReport, BYTES_PER_PARAM};
 use crate::config::FlConfig;
 use crate::personalize::personalize_cohort_observed;
-use crate::resilient::ClientOutcome;
-use crate::scheduler::{RoundContext, RoundScheduler};
+use crate::scheduler::{RoundScheduler, StreamedRound};
+use crate::transport::{InProcessTransport, StreamUpdate};
 use calibre_data::batch::batches;
 use calibre_data::{AugmentConfig, ClientData, SynthVision};
 use calibre_ssl::{create_method, ssl_step_in, SslKind, SslMethod, TwoViewBatch};
@@ -25,7 +25,12 @@ use calibre_tensor::nn::Module;
 use calibre_tensor::optim::{Sgd, SgdConfig};
 use calibre_tensor::pool::report_arena_stats;
 use calibre_tensor::{rng, StepArena};
+use parking_lot::Mutex;
 use rand::Rng;
+use std::collections::BTreeMap;
+// analyze:allow(wallclock) -- Duration/Instant feed per-client telemetry
+// only; scheduling and aggregation stay clock-free.
+use std::time::{Duration, Instant};
 
 /// Runs `epochs` of two-view SSL training over a client's SSL pool
 /// (labeled + unlabeled samples, labels unused). Returns the mean loss of
@@ -73,6 +78,104 @@ pub fn ssl_local_update<R: Rng + ?Sized>(
 /// Observer invoked after every aggregation with `(round, global_encoder)`.
 pub type RoundObserver<'a> = &'a mut dyn FnMut(usize, &calibre_tensor::nn::Mlp);
 
+/// Runs one round of an in-process training loop on the round engine
+/// ([`RoundScheduler::run_round`]) and reports it to `recorder`. Both the
+/// pFL-SSL loop and the Calibre framework loop train through it.
+///
+/// `work(id, state, global)` is one client's local update. It receives the
+/// client's cached state (`None` on first selection or after a crash),
+/// trains from `global`, and returns the new state, its reply (flattened
+/// model, aggregation weight, loss, divergence), and its loss
+/// decomposition. The whole cohort runs in one wave on an
+/// [`InProcessTransport`], and each client is timed inside its worker.
+///
+/// `states[id]` is taken when client `id` runs and put back whether or not
+/// its reply is accepted. A client whose `work` panics loses its state (the
+/// next round rebuilds it); a client dropped before dispatch keeps it.
+///
+/// Accepted updates fold into a [`BufferedRobustSink`] sized to the cohort,
+/// so the policy's aggregator runs once over every accepted update in fold
+/// order — for the weighted average this is
+/// [`crate::aggregate::weighted_average_refs`] bit for bit, the arithmetic
+/// the golden checksums pin.
+///
+/// Events: `round_start`, the engine's `attack`, `fault`, `aggregate` and
+/// `round_resilience` events, one `client_update` per accepted client in
+/// fold order, then `round_end`. When nothing was accepted, the returned
+/// `mean_loss` (and `round_end`'s) is `fallback_loss`, so loss histories
+/// stay finite.
+#[allow(clippy::too_many_arguments)] // one argument per round input
+pub fn run_training_round<S, F>(
+    scheduler: &RoundScheduler,
+    round: usize,
+    selected: &[usize],
+    global: &[f32],
+    states: &mut [Option<S>],
+    fallback_loss: f32,
+    recorder: &dyn Recorder,
+    work: F,
+) -> StreamedRound
+where
+    S: Send,
+    F: Fn(usize, Option<S>, &[f32]) -> (S, StreamUpdate, ClientLosses) + Sync,
+{
+    recorder.round_start(round, selected);
+    let cohort = selected.len();
+    let shared = Mutex::new((states, BTreeMap::new()));
+    // Capacity = cohort: every accepted update is held, so the reservoir
+    // never samples and its seed is inert.
+    let mut sink = BufferedRobustSink::new(scheduler.policy().aggregator, cohort, 0);
+    let mut transport = InProcessTransport::new(|_round, id, global: &[f32]| {
+        let state = shared.lock().0.get_mut(id).and_then(Option::take);
+        let start = Instant::now(); // analyze:allow(wallclock) -- telemetry only
+        let (state, reply, losses) = work(id, state, global);
+        let wall = start.elapsed();
+        let mut shared = shared.lock();
+        if let Some(slot) = shared.0.get_mut(id) {
+            *slot = Some(state);
+        }
+        shared.1.insert(id, (wall, losses, reply.divergence));
+        reply
+    });
+    // The in-process transport never fails.
+    let mut out = scheduler
+        .run_round(
+            round,
+            selected,
+            cohort,
+            global,
+            &mut sink,
+            &mut transport,
+            recorder,
+        )
+        .unwrap_or_default();
+    let reports: BTreeMap<usize, (Duration, ClientLosses, f32)> = shared.into_inner().1;
+
+    let mut client_wall_ms = Vec::with_capacity(out.accepted);
+    let mut client_loss = Vec::with_capacity(out.accepted);
+    for &id in &out.clients {
+        if let Some(&(wall, losses, divergence)) = reports.get(&id) {
+            recorder.client_update(round, id, wall, losses, divergence);
+            client_wall_ms.push(wall.as_secs_f64() * 1e3);
+            client_loss.push(losses.total);
+        }
+    }
+    if out.accepted == 0 {
+        out.mean_loss = fallback_loss;
+    }
+    // One model down and one model up per accepted client.
+    let exchanged = 2 * global.len() * BYTES_PER_PARAM * out.accepted;
+    recorder.round_end(
+        round,
+        out.mean_loss,
+        &client_wall_ms,
+        &client_loss,
+        CommReport::new(global.len(), 1, cohort).total as u64,
+        exchanged as u64,
+    );
+    out
+}
+
 /// Trains a global encoder with federated SSL (the pFL-SSL training stage)
 /// and returns it with the round-loss history.
 pub fn train_pfl_ssl_encoder(
@@ -99,15 +202,14 @@ pub fn train_pfl_ssl_encoder_with(
 /// Like [`train_pfl_ssl_encoder_with`], additionally reporting the round
 /// lifecycle to a telemetry [`Recorder`].
 ///
-/// Per round the recorder sees: `round_start` with the selection, one
+/// Per round the recorder sees the events of [`run_training_round`]:
+/// `round_start` with the selection, an `aggregate` event, one
 /// `client_update` per accepted client carrying the wall-clock time measured
-/// inside the worker thread that ran the update (via the resilient executor,
-/// [`crate::resilient::run_round_resilient`]) and the final local loss, an
-/// `aggregate` event, and a `round_end` event with the per-client
-/// wall-clock/loss vectors plus planned vs observed communication bytes.
-/// Under active chaos ([`FlConfig::chaos`]) additional `fault` and
-/// `round_resilience` events surface injected faults; nominal rounds emit
-/// the exact legacy event sequence.
+/// inside the worker thread that ran the update and the final local loss,
+/// and a `round_end` event with the per-client wall-clock/loss vectors plus
+/// planned vs observed communication bytes. Under active chaos
+/// ([`FlConfig::chaos`]) `fault` and `round_resilience` events surface the
+/// injected faults; nominal rounds emit neither.
 pub fn train_pfl_ssl_encoder_observed(
     fed: &calibre_data::FederatedDataset,
     cfg: &FlConfig,
@@ -157,13 +259,13 @@ fn restore_from_checkpoint(
 /// Like [`train_pfl_ssl_encoder_observed`], with runtime fault handling and
 /// optional crash-safe resume.
 ///
-/// The round loop runs through [`RoundScheduler::run_round`]: faults from
-/// `cfg.chaos` are injected per `(round, client, attempt)`, panicked
-/// clients are retried per `cfg.policy`, non-finite updates are rejected,
-/// and rounds missing the minimum quorum are skipped (the skipped round
-/// repeats the previous mean loss so histories stay finite). With an
-/// inactive chaos plan and the default policy this is bit-identical to the
-/// nominal training path.
+/// The round loop runs through [`run_training_round`]: faults from
+/// `cfg.chaos` are injected per `(round, client)`, dropped and crashed
+/// clients sit the round out, non-finite updates are rejected, and rounds
+/// missing the minimum quorum are skipped (the skipped round repeats the
+/// previous mean loss so histories stay finite). With an inactive chaos
+/// plan and the default policy this is bit-identical to the nominal
+/// training path.
 ///
 /// When `store` is given, a [`TrainerCheckpoint`] is written after every
 /// round (atomic write + previous-generation rotation), and training
@@ -215,29 +317,21 @@ pub fn train_pfl_ssl_encoder_resumable(
         let round_span = calibre_telemetry::span("round");
         round_span.add_items(selected.len() as u64);
         let global_flat = global_encoder.to_flat();
+        // Skipped round: repeat the last known loss so the history stays
+        // finite and plottable.
+        let fallback_loss = round_losses.last().copied().unwrap_or(0.0);
 
-        let ctx = RoundContext {
-            recorder,
-            downlink_params: global_flat.len(),
-            // Shape-derived, so computable before the aggregate lands.
-            planned_bytes: CommReport::for_module(&global_encoder, 1, selected.len()).total as u64,
-            // Skipped round: repeat the last known loss so the history
-            // stays finite and plottable.
-            fallback_loss: round_losses.last().copied().unwrap_or(0.0),
-            fallback_divergence: 0.0,
-        };
-
-        let outcome = scheduler.run_round(
+        let outcome = run_training_round(
+            &scheduler,
             round,
             &selected,
-            &ctx,
-            |id| {
-                states[id]
-                    .take()
-                    .unwrap_or_else(|| fresh_method(cfg, kind, id))
-            },
-            |id, mut method: Box<dyn SslMethod>| {
-                method.encoder_mut().load_flat(&global_flat);
+            &global_flat,
+            &mut states,
+            fallback_loss,
+            recorder,
+            |id, state: Option<Box<dyn SslMethod>>, global: &[f32]| {
+                let mut method = state.unwrap_or_else(|| fresh_method(cfg, kind, id));
+                method.encoder_mut().load_flat(global);
                 let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
                     cfg.local_lr,
                     cfg.local_momentum,
@@ -254,40 +348,25 @@ pub fn train_pfl_ssl_encoder_resumable(
                     &mut opt,
                     &mut r,
                 );
-                let flat = method.encoder().to_flat();
-                let count = data.ssl_pool().len();
-                ClientOutcome {
-                    state: method,
-                    flat,
-                    count,
-                    payload: loss,
-                }
-            },
-            |accepted| {
-                let counts: Vec<usize> = accepted.iter().map(|a| a.count).collect();
-                sample_count_weights(&counts)
-            },
-            |&loss| {
-                (
-                    ClientLosses {
-                        total: loss,
-                        ssl: loss,
-                        l_n: 0.0,
-                        l_p: 0.0,
-                    },
-                    0.0,
-                )
+                let reply = StreamUpdate {
+                    update: method.encoder().to_flat(),
+                    // FedAvg weighting by sample count.
+                    weight: data.ssl_pool().len() as f32,
+                    loss,
+                    divergence: 0.0,
+                };
+                let losses = ClientLosses {
+                    total: loss,
+                    ssl: loss,
+                    l_n: 0.0,
+                    l_p: 0.0,
+                };
+                (method, reply, losses)
             },
         );
 
-        if let Some(aggregated) = &outcome.round.aggregated {
+        if let Some(aggregated) = &outcome.aggregated {
             global_encoder.load_flat(aggregated);
-        }
-        for a in outcome.round.accepted {
-            states[a.id] = Some(a.state);
-        }
-        for (id, state) in outcome.round.rejected_states {
-            states[id] = Some(state);
         }
         round_losses.push(outcome.mean_loss);
         if let Some(observer) = round_observer.as_deref_mut() {
@@ -373,7 +452,180 @@ pub fn run_pfl_ssl_resumable(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::{aggregate_robust, Aggregator};
+    use crate::chaos::FaultPlan;
+    use crate::sampler::{Sampler, SamplerKind};
+    use crate::scheduler::RoundPolicy;
     use calibre_data::{FederatedDataset, NonIid, PartitionConfig, SynthVisionSpec};
+    use calibre_telemetry::{Event, MemoryRecorder};
+
+    const TOY_CLIENTS: usize = 6;
+    const TOY_GLOBAL: [f32; 3] = [0.25, -1.5, 3.0];
+
+    /// Every client of a 6-client population, every round.
+    fn toy_scheduler(rounds: usize) -> RoundScheduler {
+        RoundScheduler::sampled(Sampler::new(SamplerKind::Uniform, 5), 6, 6, rounds)
+    }
+
+    /// A toy client: its state counts the rounds it trained, its update is
+    /// derived from its id and the global model.
+    fn toy_client(
+        id: usize,
+        runs: Option<u32>,
+        global: &[f32],
+    ) -> (u32, StreamUpdate, ClientLosses) {
+        // analyze:allow(lossy-cast) -- toy ids in tests.
+        let x = id as f32;
+        let update = global.iter().map(|g| g + x * 0.75 - 1.0).collect();
+        let reply = StreamUpdate {
+            update,
+            weight: 1.0 + x * 0.375,
+            loss: 0.5 + x,
+            divergence: 0.0,
+        };
+        (runs.unwrap_or(0) + 1, reply, ClientLosses::default())
+    }
+
+    fn toy_round<F>(
+        scheduler: &RoundScheduler,
+        round: usize,
+        states: &mut [Option<u32>],
+        rec: &dyn Recorder,
+        work: F,
+    ) -> StreamedRound
+    where
+        F: Fn(usize, Option<u32>, &[f32]) -> (u32, StreamUpdate, ClientLosses) + Sync,
+    {
+        let selected = scheduler.select(round, None);
+        run_training_round(
+            scheduler,
+            round,
+            &selected,
+            &TOY_GLOBAL,
+            states,
+            0.0,
+            rec,
+            work,
+        )
+    }
+
+    fn faults_of(rec: &MemoryRecorder) -> Vec<(usize, usize, &'static str, bool)> {
+        let fault = |e: Event| match e {
+            Event::Fault {
+                round,
+                client,
+                kind,
+                detected,
+                ..
+            } => Some((round, client, kind, detected)),
+            _ => None,
+        };
+        rec.events().into_iter().filter_map(fault).collect()
+    }
+
+    #[test]
+    fn a_panicking_client_is_lost_and_its_state_rebuilt_next_round() {
+        let (scheduler, rec, crash) = (toy_scheduler(2), MemoryRecorder::new(), 3);
+        let mut states = vec![None; TOY_CLIENTS];
+        let out = toy_round(
+            &scheduler,
+            0,
+            &mut states,
+            &rec,
+            |id, runs, global: &[f32]| {
+                assert_ne!(id, crash, "client crashes mid-update");
+                toy_client(id, runs, global)
+            },
+        );
+        assert_eq!((out.accepted, out.dropped), (TOY_CLIENTS - 1, 1));
+        assert!(out.aggregated.is_some(), "the rest still aggregate");
+        assert_eq!(states[crash], None, "a crash loses the client's state");
+        assert_eq!(faults_of(&rec), vec![(0, crash, "lost", true)]);
+        let updates = |rec: &MemoryRecorder| {
+            rec.events()
+                .iter()
+                .filter(|e| matches!(e, Event::ClientUpdate { .. }))
+                .count()
+        };
+        assert_eq!(
+            updates(&rec),
+            TOY_CLIENTS - 1,
+            "no client_update for a lost client"
+        );
+
+        assert_eq!(
+            toy_round(&scheduler, 1, &mut states, &rec, toy_client).accepted,
+            TOY_CLIENTS
+        );
+        let want: Vec<Option<u32>> = (0..TOY_CLIENTS)
+            .map(|id| Some(if id == crash { 1 } else { 2 }))
+            .collect();
+        assert_eq!(states, want, "the crashed client's state is rebuilt");
+    }
+
+    #[test]
+    fn a_nan_update_is_rejected_and_its_state_kept() {
+        let (rec, bad) = (MemoryRecorder::new(), 2);
+        let mut states = vec![Some(7); TOY_CLIENTS];
+        let out = toy_round(
+            &toy_scheduler(1),
+            0,
+            &mut states,
+            &rec,
+            |id, runs, global: &[f32]| {
+                let (runs, mut reply, losses) = toy_client(id, runs, global);
+                if id == bad {
+                    reply.update[1] = f32::NAN;
+                }
+                (runs, reply, losses)
+            },
+        );
+        assert_eq!((out.accepted, out.rejected), (TOY_CLIENTS - 1, 1));
+        assert!(out.aggregated.unwrap().iter().all(|v| v.is_finite()));
+        assert_eq!(faults_of(&rec), vec![(0, bad, "invalid", true)]);
+        assert_eq!(
+            states,
+            vec![Some(8); TOY_CLIENTS],
+            "every client that ran keeps its new state"
+        );
+    }
+
+    #[test]
+    fn the_round_aggregate_is_aggregate_robust_over_the_accepted_updates() {
+        for aggregator in [Aggregator::WeightedAverage, Aggregator::CoordinateMedian] {
+            let policy = RoundPolicy {
+                aggregator,
+                ..RoundPolicy::default()
+            };
+            let chaos = FaultPlan {
+                drop_prob: 0.3,
+                seed: 4,
+                ..FaultPlan::default()
+            };
+            let scheduler = toy_scheduler(3).with_policy(policy).with_chaos(chaos, 4);
+            let mut states = vec![None; TOY_CLIENTS];
+            for round in 0..scheduler.rounds() {
+                let out = toy_round(&scheduler, round, &mut states, &NullRecorder, toy_client);
+                let replies: Vec<StreamUpdate> = out
+                    .clients
+                    .iter()
+                    .map(|&id| toy_client(id, None, &TOY_GLOBAL).1)
+                    .collect();
+                let updates: Vec<&[f32]> = replies.iter().map(|r| r.update.as_slice()).collect();
+                let weights: Vec<f32> = replies.iter().map(|r| r.weight).collect();
+                let want = aggregate_robust(aggregator, &updates, &weights).ok();
+                let bits = |v: Option<Vec<f32>>| {
+                    v.map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+                };
+                assert_eq!(
+                    bits(out.aggregated),
+                    bits(want),
+                    "{} round {round}",
+                    aggregator.name()
+                );
+            }
+        }
+    }
 
     fn tiny_fed() -> FederatedDataset {
         FederatedDataset::build(

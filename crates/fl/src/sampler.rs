@@ -26,7 +26,7 @@ pub enum SamplerKind {
     /// Clients are drawn proportionally to their last reported model
     /// divergence, favouring *high*-divergence clients. This is the inverse
     /// of the divergence-aware aggregation weighting
-    /// ([`crate::aggregate::divergence_weights`] down-weights divergent
+    /// ([`crate::aggregate::divergence_weight`] down-weights divergent
     /// updates when merging): sampling seeks out the clients the global
     /// model fits worst so their data is represented, while aggregation
     /// then tempers how hard each such update pulls.

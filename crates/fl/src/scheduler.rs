@@ -1,45 +1,61 @@
 //! Round orchestration shared by every training loop and the serve engine.
 //!
-//! [`RoundScheduler`] owns the three per-run decisions that used to be
-//! duplicated inside `pfl_ssl` and the Calibre framework loop: which
-//! clients participate in a round (a fixed schedule or a seeded
-//! [`Sampler`]), what faults are injected ([`FaultInjector`]), and how the
-//! round is executed and aggregated ([`RoundPolicy`]).
+//! [`RoundScheduler`] owns the per-run decisions: which clients
+//! participate in a round (a fixed schedule or a seeded [`Sampler`]), what
+//! faults and attacks are injected ([`FaultInjector`],
+//! [`AttackInjector`]), and how the round is screened and aggregated
+//! ([`RoundPolicy`]).
 //!
-//! Two execution paths share that state:
-//!
-//! * [`RoundScheduler::run_round`] — the collect-then-aggregate path used
-//!   by training: full per-client telemetry, retries, and state caching via
-//!   [`run_round_resilient`]. Memory is O(cohort × model).
-//! * [`RoundScheduler::run_round_transport`] — the sink-fed path: client
-//!   work runs wherever a [`Transport`] puts it (in-process workers or
-//!   remote clients), and updates are folded into an [`UpdateSink`] the
-//!   moment a wave returns, so aggregation state is O(model) (or
-//!   O(groups × model) for a [`crate::aggregate::HierarchicalSink`]) no
-//!   matter how many clients participate. See `DESIGN.md` §11 for the
-//!   scaling model.
+//! [`RoundScheduler::run_round`] is the one round engine. Client work runs
+//! wherever a [`Transport`] puts it (in-process workers or remote
+//! clients), and each accepted update is folded into an [`UpdateSink`] the
+//! moment its wave returns, so aggregation state is the sink's: O(model)
+//! for a streaming sink, O(groups × model) for a
+//! [`crate::aggregate::HierarchicalSink`], O(capacity × model) for a
+//! reservoir. The training loops run on it through
+//! [`crate::pfl_ssl::run_training_round`], the serve engine through
+//! [`crate::serve::run_rounds`]. See `DESIGN.md` §11 for the scaling model.
 //!
 //! # Determinism
 //!
-//! Both paths are replay-identical: selection depends only on
-//! `(seed, round)`, fault decisions only on `(round, client, attempt)`, and
-//! updates are folded in selection-slot order (the parallel maps and
-//! transports preserve input order). With an inactive chaos plan and the
-//! default policy, `run_round` is bit-identical to the historical nominal
-//! loop — the golden-checksum tests pin this through the training entry
-//! points.
+//! Rounds are replay-identical: selection depends only on `(seed, round)`,
+//! fault and attack decisions only on `(round, client)`, and updates are
+//! folded in selection-slot order (transports return replies in slot
+//! order). With an inactive chaos plan and the default policy the training
+//! loops are bit-identical to the historical nominal loop — the
+//! golden-checksum tests pin this through the training entry points.
 
 use crate::adversary::{anomaly_scores, AttackInjector, AttackPlan, ReputationBook};
-use crate::aggregate::UpdateSink;
+use crate::aggregate::{clip_norm, validate_update, Aggregator, UpdateSink};
 use crate::chaos::{ClientFault, FaultInjector, FaultPlan};
-use crate::comm::BYTES_PER_PARAM;
 use crate::config::FlConfig;
-use crate::resilient::{
-    run_round_resilient, AcceptedClient, ClientOutcome, ResilientRound, RoundPolicy,
-};
 use crate::sampler::Sampler;
 use crate::transport::{StreamUpdate, Transport, TransportError, WaveSlot};
-use calibre_telemetry::{metrics, ClientLosses, Recorder};
+use calibre_telemetry::{metrics, Recorder};
+use serde::{Deserialize, Serialize};
+
+/// How the server screens and aggregates one round.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct RoundPolicy {
+    /// Minimum number of accepted client updates required to aggregate;
+    /// below this the round is skipped (global model unchanged). Values
+    /// below 1 behave as 1.
+    pub min_quorum: usize,
+    /// Aggregation statistic applied to the accepted updates.
+    pub aggregator: Aggregator,
+    /// Optional L2 norm cap applied to each accepted update.
+    pub clip_norm: Option<f32>,
+}
+
+impl Default for RoundPolicy {
+    fn default() -> Self {
+        RoundPolicy {
+            min_quorum: 1,
+            aggregator: Aggregator::WeightedAverage,
+            clip_norm: None,
+        }
+    }
+}
 
 /// How a scheduler picks each round's cohort.
 #[derive(Debug, Clone)]
@@ -56,55 +72,17 @@ enum Selection {
     },
 }
 
-/// Per-round context the caller threads into [`RoundScheduler::run_round`]:
-/// the telemetry sink plus the few quantities only the caller knows.
-pub struct RoundContext<'a> {
-    /// Destination for the round's telemetry events.
-    pub recorder: &'a dyn Recorder,
-    /// Parameter count pushed down to each client (the global model size),
-    /// used for observed-bytes accounting.
-    pub downlink_params: usize,
-    /// Planned communication volume for the round (shape-derived).
-    pub planned_bytes: u64,
-    /// Mean loss to report if the round is skipped (usually the previous
-    /// round's, so histories stay finite).
-    pub fallback_loss: f32,
-    /// Mean divergence to report if the round is skipped.
-    pub fallback_divergence: f32,
-}
-
-impl std::fmt::Debug for RoundContext<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RoundContext")
-            .field("downlink_params", &self.downlink_params)
-            .field("planned_bytes", &self.planned_bytes)
-            .field("fallback_loss", &self.fallback_loss)
-            .field("fallback_divergence", &self.fallback_divergence)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Result of one scheduled (collect-then-aggregate) round: the resilient
-/// round plus the loss/divergence means the loop histories record.
-#[derive(Debug)]
-pub struct ScheduledRound<S, P> {
-    /// Accepted clients, rejected states, aggregate, and fault accounting.
-    pub round: ResilientRound<S, P>,
-    /// Mean client loss over accepted clients (fallback if skipped).
-    pub mean_loss: f32,
-    /// Mean client divergence over accepted clients (fallback if skipped).
-    pub mean_divergence: f32,
-}
-
-/// Result of one sink-fed round ([`RoundScheduler::run_round_transport`]).
+/// Result of one round ([`RoundScheduler::run_round`]).
 #[derive(Debug, Default)]
 pub struct StreamedRound {
     /// Cohort size this round (selected clients).
     pub cohort: usize,
     /// Updates folded into the sink.
     pub accepted: usize,
-    /// Clients that never reported (dropout, mid-update panic, or a reply
-    /// the transport could not deliver — this path does not retry).
+    /// The accepted client ids, in fold order.
+    pub clients: Vec<usize>,
+    /// Clients that never reported: a dropout or injected panic (decided
+    /// before dispatch), or a reply the transport could not deliver.
     pub dropped: usize,
     /// Replies rejected by screening: a length other than the global
     /// model's, a non-finite or negative weight, or a non-finite update.
@@ -115,121 +93,14 @@ pub struct StreamedRound {
     pub skipped: bool,
     /// The aggregate, unless the round was skipped.
     pub aggregated: Option<Vec<f32>>,
-    /// Peak bytes held by the aggregation path (sink state + quorum buffer
-    /// + in-flight wave) — the O(model) quantity the `cohort` bench pins.
+    /// Peak bytes held by the aggregation path (sink state + detection
+    /// buffer + in-flight wave) — the O(model) quantity the `cohort` bench
+    /// pins.
     pub peak_state_bytes: usize,
     /// Mean reported loss over accepted clients (0 when none accepted).
     pub mean_loss: f32,
     /// Mean reported divergence over accepted clients (0 when untracked).
     pub mean_divergence: f32,
-}
-
-/// The quorum hold-then-flush gate of the sink-fed round.
-///
-/// A fold cannot be undone, so the first `min_quorum - 1` accepted updates
-/// are buffered; once the quorum is certain the buffer is flushed and
-/// subsequent updates stream straight into the sink. The buffer is
-/// O(min_quorum × model), independent of cohort size. Fold indices are
-/// assigned in acceptance order, so replaying the same acceptance sequence
-/// folds bit-identically.
-#[derive(Default)]
-struct FoldGate {
-    min_quorum: usize,
-    held: Vec<(usize, Vec<f32>, f32)>,
-    /// Bytes currently buffered awaiting quorum certainty.
-    held_bytes: usize,
-    accepted: usize,
-    weight_sum: f32,
-    loss_sum: f32,
-    div_sum: f32,
-}
-
-impl FoldGate {
-    fn new(min_quorum: usize) -> Self {
-        FoldGate {
-            min_quorum: min_quorum.max(1),
-            ..FoldGate::default()
-        }
-    }
-
-    /// Accepts one screened reply: buffers it while the quorum is
-    /// uncertain, otherwise flushes the buffer and folds. Screening already
-    /// matched every update's length to the global model, so the folds
-    /// cannot fail.
-    fn accept(&mut self, sink: &mut dyn UpdateSink, reply: StreamUpdate) {
-        let slot = self.accepted;
-        self.accepted += 1;
-        self.weight_sum += reply.weight;
-        self.loss_sum += reply.loss;
-        self.div_sum += reply.divergence;
-        if self.accepted < self.min_quorum {
-            self.held_bytes += std::mem::size_of_val(reply.update.as_slice());
-            self.held.push((slot, reply.update, reply.weight));
-        } else {
-            for (s, u, w) in self.held.drain(..) {
-                let _ = sink.fold(s, &u, w);
-            }
-            self.held_bytes = 0;
-            let _ = sink.fold(slot, &reply.update, reply.weight);
-        }
-    }
-
-    /// Mean loss/divergence over accepted updates (0 when none accepted).
-    fn means(&self) -> (f32, f32) {
-        if self.accepted == 0 {
-            (0.0, 0.0)
-        } else {
-            // analyze:allow(lossy-cast) -- cohort sizes sit far below f32
-            // integer precision loss (2^24).
-            let nf = self.accepted as f32;
-            (self.loss_sum / nf, self.div_sum / nf)
-        }
-    }
-}
-
-/// Holds the round's accepted updates for post-round anomaly scoring.
-/// Inert (and allocation-free) unless detection is armed; when armed its
-/// bytes are accounted into `peak_state_bytes`, making the O(cohort ×
-/// model) cost of detection visible to the memory gates.
-struct DetectionBuffer {
-    armed: bool,
-    watch: Vec<(usize, Vec<f32>)>,
-    bytes: usize,
-}
-
-impl DetectionBuffer {
-    fn new(armed: bool) -> Self {
-        DetectionBuffer {
-            armed,
-            watch: Vec::new(),
-            bytes: 0,
-        }
-    }
-
-    /// Records one accepted update (exactly as the aggregator saw it).
-    fn push(&mut self, id: usize, update: &[f32]) {
-        if self.armed {
-            self.bytes += std::mem::size_of_val(update);
-            self.watch.push((id, update.to_vec()));
-        }
-    }
-
-    /// Bytes currently held for scoring (0 when detection is off).
-    fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// Scores the held updates and folds them into the scheduler's
-    /// reputation book. Skipped rounds still observe: detection must not
-    /// pause while an adversary suppresses quorum.
-    fn observe(self, scheduler: &RoundScheduler, round: usize, recorder: &dyn Recorder) {
-        if !self.armed || self.watch.is_empty() {
-            return;
-        }
-        let ids: Vec<usize> = self.watch.iter().map(|(id, _)| *id).collect();
-        let updates: Vec<&[f32]> = self.watch.iter().map(|(_, u)| u.as_slice()).collect();
-        scheduler.observe_round(round, &ids, &updates, recorder);
-    }
 }
 
 /// Owns selection, fault injection, adversary simulation, anomaly
@@ -274,7 +145,7 @@ impl DetectionBuffer {
 /// });
 /// let mut sink = StreamingWeightedSink::new();
 /// let out = scheduler
-///     .run_round_transport(0, &selected, 8, &global, &mut sink, &mut transport, &NullRecorder)
+///     .run_round(0, &selected, 8, &global, &mut sink, &mut transport, &NullRecorder)
 ///     .unwrap();
 /// assert_eq!(out.accepted, 32);
 /// assert!(!out.skipped);
@@ -359,8 +230,8 @@ impl RoundScheduler {
     /// the accepted updates ([`anomaly_scores`]), folds them into the
     /// [`ReputationBook`], and quarantined clients stop being drawn by
     /// [`RoundScheduler::select`]. Detection holds the round's accepted
-    /// updates (O(cohort × model) — accounted into `peak_state_bytes` on
-    /// the sink-fed path), so leave it off for massive-cohort runs.
+    /// updates (O(cohort × model), accounted into `peak_state_bytes`), so
+    /// leave it off for massive-cohort runs.
     pub fn with_detection(mut self, on: bool) -> Self {
         self.detect = on;
         self
@@ -421,7 +292,7 @@ impl RoundScheduler {
     /// Emits one [`calibre_telemetry::Event::Attack`] per cohort member the
     /// adversary plan fires on this round. Decisions are pure per
     /// `(round, client)`, so the event stream is identical on every
-    /// execution path regardless of chaos dropouts downstream.
+    /// transport regardless of chaos dropouts downstream.
     fn record_attacks(&self, round: usize, selected: &[usize], recorder: &dyn Recorder) {
         if let Some(atk) = &self.attacker {
             for &id in selected {
@@ -434,19 +305,17 @@ impl RoundScheduler {
 
     /// Folds one executed round's anomaly scores into the reputation book
     /// and emits a [`calibre_telemetry::Event::Quarantine`] per newly
-    /// quarantined client. `updates` are the accepted updates exactly as
-    /// the aggregator saw them.
-    fn observe_round(
-        &self,
-        round: usize,
-        ids: &[usize],
-        updates: &[&[f32]],
-        recorder: &dyn Recorder,
-    ) {
-        if !self.detect || ids.is_empty() {
+    /// quarantined client. `watched` holds the accepted `(id, update)`
+    /// pairs exactly as the aggregator saw them. Skipped rounds still
+    /// observe: detection must not pause while an adversary suppresses
+    /// quorum.
+    fn observe_round(&self, round: usize, watched: &[(usize, Vec<f32>)], recorder: &dyn Recorder) {
+        if watched.is_empty() {
             return;
         }
-        let scores = anomaly_scores(ids, updates);
+        let ids: Vec<usize> = watched.iter().map(|(id, _)| *id).collect();
+        let updates: Vec<&[f32]> = watched.iter().map(|(_, u)| u.as_slice()).collect();
+        let scores = anomaly_scores(&ids, &updates);
         let newly = self.reputation.borrow_mut().observe_round(&scores);
         for client in newly {
             let suspicion = scores
@@ -462,186 +331,54 @@ impl RoundScheduler {
         );
     }
 
-    /// Executes one collect-then-aggregate round with full telemetry.
+    /// Executes one round through a [`Transport`], folding each accepted
+    /// update into `sink` as its wave returns. Client work runs wherever
+    /// the transport puts it — in-process workers
+    /// ([`crate::transport::InProcessTransport`]) or remote
+    /// `calibre-client` processes ([`crate::transport::SocketTransport`]) —
+    /// at most `wave` clients in flight at once, and replies are folded in
+    /// selection-slot order with the client id as [`UpdateSink::fold`]'s
+    /// `client` argument.
     ///
-    /// This is [`run_round_resilient`] plus the event choreography the
-    /// training loops used to inline: `round_start`, one `client_update`
-    /// per accepted client (losses and divergence extracted from the
-    /// payload by `losses_of`), `aggregate`, and `round_end` with the
-    /// per-client wall-clock/loss vectors and byte accounting. The caller
-    /// keeps what is loop-specific: loading the aggregate into the global
-    /// model, returning states to its cache, and recording the means.
-    #[allow(clippy::too_many_arguments)] // mirrors run_round_resilient's surface
-    pub fn run_round<S, P, MS, W, WF, L>(
-        &self,
-        round: usize,
-        selected: &[usize],
-        ctx: &RoundContext<'_>,
-        make_state: MS,
-        work: W,
-        weights_of: WF,
-        losses_of: L,
-    ) -> ScheduledRound<S, P>
-    where
-        S: Send,
-        P: Send,
-        MS: FnMut(usize) -> S,
-        W: Fn(usize, S) -> ClientOutcome<S, P> + Sync,
-        WF: FnOnce(&[AcceptedClient<S, P>]) -> Vec<f32>,
-        L: Fn(&P) -> (ClientLosses, f32),
-    {
-        ctx.recorder.round_start(round, selected);
-        self.record_attacks(round, selected, ctx.recorder);
-        // Inert unless `--metrics-addr` enabled the registry; the guard
-        // observes the round's wall-clock into the export histogram on drop.
-        let _round_timer =
-            metrics::start_timer("calibre_round_duration_ms", &[("path", "collect")]);
-        // The adversary compromises the client, so its tampering happens in
-        // the client's work function — before server-side chaos corruption,
-        // validation, and clipping get their turn.
-        let attacker = self.attacker.as_ref();
-        let work = move |id: usize, state: S| {
-            let mut outcome = work(id, state);
-            if let Some(atk) = attacker {
-                if let Some(kind) = atk.decide(round, id) {
-                    atk.apply(round, id, kind, &mut outcome.flat);
-                }
-            }
-            outcome
-        };
-        let outcome = run_round_resilient(
-            round,
-            selected,
-            make_state,
-            work,
-            weights_of,
-            self.injector.as_ref(),
-            &self.policy,
-            ctx.recorder,
-        );
-        {
-            let ids: Vec<usize> = outcome.accepted.iter().map(|a| a.id).collect();
-            let updates: Vec<&[f32]> = outcome.accepted.iter().map(|a| a.flat.as_slice()).collect();
-            self.observe_round(round, &ids, &updates, ctx.recorder);
-        }
-
-        let mut client_wall_ms = Vec::with_capacity(outcome.accepted.len());
-        let mut client_loss = Vec::with_capacity(outcome.accepted.len());
-        let mut observed_bytes = 0u64;
-        let mut div_sum = 0.0f32;
-        for a in &outcome.accepted {
-            let (losses, divergence) = losses_of(&a.payload);
-            ctx.recorder
-                .client_update(round, a.id, a.wall, losses, divergence);
-            client_wall_ms.push(a.wall.as_secs_f64() * 1e3);
-            client_loss.push(losses.total);
-            div_sum += divergence;
-            // One model down, one model up per client.
-            observed_bytes += ((a.flat.len() + ctx.downlink_params) * BYTES_PER_PARAM) as u64;
-        }
-
-        let n = outcome.accepted.len();
-        let (mean_loss, mean_divergence) = if n == 0 {
-            (ctx.fallback_loss, ctx.fallback_divergence)
-        } else {
-            // Division (not multiply-by-reciprocal) to stay bit-identical
-            // with the historical inline loops.
-            // analyze:allow(lossy-cast) -- cohort sizes sit far below f32
-            // integer precision loss (2^24).
-            let nf = n as f32;
-            (client_loss.iter().sum::<f32>() / nf, div_sum / nf)
-        };
-        ctx.recorder
-            .aggregate(round, outcome.report.quorum, outcome.report.weight_sum);
-        ctx.recorder.round_end(
-            round,
-            mean_loss,
-            &client_wall_ms,
-            &client_loss,
-            ctx.planned_bytes,
-            observed_bytes,
-        );
-
-        metrics::counter_add("calibre_rounds_total", &[("path", "collect")], 1);
-        metrics::counter_add("calibre_clients_accepted_total", &[], n as u64);
-        metrics::counter_add(
-            "calibre_clients_rejected_total",
-            &[],
-            outcome.rejected_states.len() as u64,
-        );
-        metrics::observe(
-            "calibre_round_quorum",
-            &[("path", "collect")],
-            outcome.report.quorum as f64,
-        );
-        metrics::counter_add(
-            "calibre_quorum_outcomes_total",
-            &[(
-                "outcome",
-                if outcome.report.skipped {
-                    "missed"
-                } else {
-                    "met"
-                },
-            )],
-            1,
-        );
-        if outcome.report.skipped {
-            metrics::counter_add("calibre_rounds_skipped_total", &[("path", "collect")], 1);
-        }
-        metrics::gauge_set("calibre_round_mean_loss", &[], f64::from(mean_loss));
-
-        ScheduledRound {
-            round: outcome,
-            mean_loss,
-            mean_divergence,
-        }
-    }
-
-    /// Executes one round through a [`Transport`], folding updates into
-    /// `sink` wave by wave so aggregation memory stays at the sink's
-    /// O(model) state bound. Client work runs wherever the transport puts
-    /// it — in-process workers ([`crate::transport::InProcessTransport`])
-    /// or remote `calibre-client` processes
-    /// ([`crate::transport::SocketTransport`]) — at most `wave` clients in
-    /// flight at once, and replies are folded in selection-slot order.
+    /// Chaos composes with sampling. Dropouts and injected mid-update
+    /// panics remove the client before dispatch (there are no retries: a
+    /// lost client is noise, and the next round selects again).
+    /// Stragglers are reported, not slept. A reply is rejected, never
+    /// folded, when its update length differs from `global`'s, its weight
+    /// is non-finite or negative, or its update is non-finite after
+    /// adversarial tampering and chaos corruption — so `global` must be
+    /// the round's real model. Accepted updates are norm-clipped when the
+    /// policy says so.
     ///
-    /// Chaos composes with sampling: dropout and mid-update panics remove
-    /// the client for the round (this path does not retry — at cohort
-    /// scale a lost client is noise, and the next round resamples),
-    /// stragglers still report (their delay is accounted, not slept), and
-    /// corrupted updates face the same validation and norm clipping as the
-    /// resilient path. A reply is rejected, never folded, when its update
-    /// length differs from `global`'s, its weight is non-finite or
-    /// negative, or its update is non-finite — so `global` must be the
-    /// round's real model.
+    /// The quorum gate is checked at the end: a round with fewer than
+    /// [`RoundPolicy::min_quorum`] accepted updates reports
+    /// `skipped: true` and never calls [`UpdateSink::finish`]. Folds
+    /// cannot be undone, so callers build a fresh sink every round.
     ///
-    /// Because a fold cannot be undone, the first
-    /// [`RoundPolicy::min_quorum`] accepted updates are buffered and only
-    /// flushed into the sink once the quorum is reached — a round that
-    /// misses quorum leaves the sink untouched and reports
-    /// `skipped: true`. The buffer is O(min_quorum × model), independent of
-    /// cohort size.
-    ///
-    /// Telemetry is deliberately lean — one `aggregate` event, plus
-    /// `round_resilience` when anything non-nominal happened. Per-client
-    /// `client_update` events would dominate the run at 100k clients; the
-    /// bench layer reports cohort-level summaries instead.
+    /// Telemetry: one `attack` event per attacked selection, one `fault`
+    /// event per client outcome the engine decides, in slot order —
+    /// `dropout` and `panic` before dispatch, the corruption tag or
+    /// `invalid` when screening rejects a reply, `lost` for a reply the
+    /// transport could not deliver (all `detected: true`), plus `straggle`
+    /// and finite corruptions on folded replies (`detected` only when the
+    /// norm clip bit) — then one `aggregate` event, and `round_resilience`
+    /// when anything was dropped or rejected or the quorum was missed.
+    /// Per-client `client_update` events belong to the caller: they would
+    /// dominate a 100k-client run.
     ///
     /// # Determinism
     ///
     /// With the same seeds and cohort schedule, and a transport that
-    /// delivers every surviving client's reply (possibly after retries),
-    /// every transport folds bit-identically — the golden cross-transport
-    /// test pins it. A reply the transport could not obtain counts as
-    /// dropped, exactly like a chaos dropout.
+    /// delivers every surviving client's reply (possibly after retries
+    /// below the seam), every transport folds bit-identically — the golden
+    /// cross-transport test pins it.
     ///
     /// # Errors
     ///
     /// Propagates unrecoverable [`TransportError`]s; per-client delivery
     /// failures are absorbed as drops.
     #[allow(clippy::too_many_arguments)] // one argument per round input
-    pub fn run_round_transport(
+    pub fn run_round(
         &self,
         round: usize,
         selected: &[usize],
@@ -652,20 +389,21 @@ impl RoundScheduler {
         recorder: &dyn Recorder,
     ) -> Result<StreamedRound, TransportError> {
         let wave = wave.max(1);
-        let _round_timer =
-            metrics::start_timer("calibre_round_duration_ms", &[("path", "transport")]);
+        let _round_timer = metrics::start_timer("calibre_round_duration_ms", &[]);
         self.record_attacks(round, selected, recorder);
         let mut out = StreamedRound {
             cohort: selected.len(),
             ..StreamedRound::default()
         };
-        // Churn is decided up front on the scheduler thread, per
-        // (round, id, attempt 0) — identical on replay.
-        let survivors = self.survivors(round, selected, &mut out);
+        // Dropouts and panics are decided up front on the scheduler
+        // thread, per (round, id) — identical on replay.
+        let survivors = self.survivors(round, selected, &mut out, recorder);
 
-        // Fold-or-hold: buffer until the quorum is certain, then stream.
-        let mut gate = FoldGate::new(self.policy.min_quorum);
-        let mut watch = DetectionBuffer::new(self.detect);
+        // Detection holds the accepted updates for post-round scoring; its
+        // O(cohort × model) bytes count into `peak_state_bytes`.
+        let mut watched: Option<Vec<(usize, Vec<f32>)>> = self.detect.then(Vec::new);
+        let mut watched_bytes = 0usize;
+        let (mut loss_sum, mut div_sum) = (0.0f32, 0.0f32);
         let mut wire_slot = 0usize;
         for chunk in survivors.chunks(wave) {
             let slots: Vec<WaveSlot> = chunk
@@ -685,101 +423,133 @@ impl RoundScheduler {
                 .sum();
             for ((id, fault), reply) in chunk.iter().copied().zip(replies) {
                 // A reply the transport exhausted its delivery attempts on
-                // is, at the orchestration layer, indistinguishable from a
-                // client dropout.
-                let Some(reply) = reply else {
+                // is, at the orchestration layer, a dropout.
+                let Some(mut reply) = reply else {
                     out.dropped += 1;
+                    recorder.fault(round, id, 0, "lost", true);
                     continue;
                 };
-                match self.screen(round, id, fault, reply, global.len()) {
-                    Some(reply) => {
-                        watch.push(id, &reply.update);
-                        gate.accept(sink, reply);
+                let clipped = match self.screen(round, id, fault, &mut reply, global.len()) {
+                    Ok(clipped) => clipped,
+                    Err(tag) => {
+                        out.rejected += 1;
+                        recorder.fault(round, id, 0, tag, true);
+                        continue;
                     }
-                    None => out.rejected += 1,
+                };
+                match fault {
+                    Some(ClientFault::Straggle) => recorder.fault(round, id, 0, "straggle", false),
+                    Some(ClientFault::Corrupt(kind)) => {
+                        recorder.fault(round, id, 0, kind.kind_tag(), clipped);
+                    }
+                    _ => {}
+                }
+                // Screening matched the update's length to the global
+                // model, so the fold cannot fail.
+                let _ = sink.fold(id, &reply.update, reply.weight);
+                out.clients.push(id);
+                out.weight_sum += reply.weight;
+                loss_sum += reply.loss;
+                div_sum += reply.divergence;
+                if let Some(watched) = watched.as_mut() {
+                    watched_bytes += std::mem::size_of_val(reply.update.as_slice());
+                    watched.push((id, reply.update));
                 }
             }
             out.peak_state_bytes = out
                 .peak_state_bytes
-                .max(sink.state_bytes() + gate.held_bytes + watch.bytes() + wave_bytes);
+                .max(sink.state_bytes() + watched_bytes + wave_bytes);
+        }
+        out.accepted = out.clients.len();
+        if out.accepted > 0 {
+            // Division (not multiply-by-reciprocal) to stay bit-identical
+            // with the historical training loops.
+            // analyze:allow(lossy-cast) -- cohort sizes sit far below f32
+            // integer precision loss (2^24).
+            let n = out.accepted as f32;
+            out.mean_loss = loss_sum / n;
+            out.mean_divergence = div_sum / n;
         }
 
-        let sealed = self.seal_round(round, out, gate, sink, recorder);
-        watch.observe(self, round, recorder);
+        let sealed = self.seal_round(round, out, sink, recorder);
+        if let Some(watched) = watched {
+            self.observe_round(round, &watched, recorder);
+        }
         Ok(sealed)
     }
 
-    /// Applies the round's up-front chaos decisions: dropouts and
-    /// mid-update panics remove the client for the round; other faults ride
-    /// along to be applied to the reply.
+    /// Applies the round's up-front chaos decisions: dropouts and injected
+    /// mid-update panics remove the client for the round (reported as
+    /// detected faults); other faults ride along to be applied to the
+    /// reply.
     fn survivors(
         &self,
         round: usize,
         selected: &[usize],
         out: &mut StreamedRound,
+        recorder: &dyn Recorder,
     ) -> Vec<(usize, Option<ClientFault>)> {
         let mut survivors: Vec<(usize, Option<ClientFault>)> = Vec::with_capacity(selected.len());
         for &id in selected {
             let fault = self.injector.as_ref().and_then(|i| i.decide(round, id, 0));
             match fault {
-                Some(ClientFault::Dropout) | Some(ClientFault::PanicMidUpdate) => out.dropped += 1,
+                Some(f @ (ClientFault::Dropout | ClientFault::PanicMidUpdate)) => {
+                    out.dropped += 1;
+                    recorder.fault(round, id, 0, f.kind_tag(), true);
+                }
                 _ => survivors.push((id, fault)),
             }
         }
         survivors
     }
 
-    /// Screens one delivered reply, returning it ready to fold or `None`
-    /// when it must be rejected. A reply whose shape or weight is malformed
-    /// (length other than `dim`, non-finite or negative weight) is rejected
-    /// as received. Otherwise adversarial tampering lands first (the client
-    /// is compromised), then per-reply chaos corruption, validation, and
-    /// norm clipping.
+    /// Screens one delivered reply in place. A reply whose shape or weight
+    /// is malformed (length other than `dim`, non-finite or negative
+    /// weight) is rejected as received. Otherwise adversarial tampering
+    /// lands first (the client is compromised), then per-reply chaos
+    /// corruption, validation, and norm clipping. Returns whether the clip
+    /// bit, or the fault tag a rejection is reported under.
     fn screen(
         &self,
         round: usize,
         id: usize,
         fault: Option<ClientFault>,
-        mut reply: StreamUpdate,
+        reply: &mut StreamUpdate,
         dim: usize,
-    ) -> Option<StreamUpdate> {
+    ) -> Result<bool, &'static str> {
         if reply.update.len() != dim || !reply.weight.is_finite() || reply.weight < 0.0 {
-            return None;
+            return Err("invalid");
         }
         if let Some(atk) = &self.attacker {
             if let Some(kind) = atk.decide(round, id) {
                 atk.apply(round, id, kind, &mut reply.update);
             }
         }
-        if let (Some(ClientFault::Corrupt(kind)), Some(inj)) = (fault, self.injector.as_ref()) {
+        let corruption = match fault {
+            Some(ClientFault::Corrupt(kind)) => Some(kind),
+            _ => None,
+        };
+        if let (Some(kind), Some(inj)) = (corruption, self.injector.as_ref()) {
             inj.corrupt(round, id, 0, kind, &mut reply.update);
         }
-        if !crate::aggregate::validate_update(&reply.update) {
-            return None;
+        if !validate_update(&reply.update) {
+            return Err(corruption.map_or("invalid", |kind| kind.kind_tag()));
         }
-        if let Some(max_norm) = self.policy.clip_norm {
-            crate::aggregate::clip_norm(&mut reply.update, max_norm);
-        }
-        Some(reply)
+        Ok(self
+            .policy
+            .clip_norm
+            .is_some_and(|max_norm| clip_norm(&mut reply.update, max_norm)))
     }
 
-    /// Quorum check, telemetry, and metrics that close a sink-fed round.
+    /// Quorum check, telemetry, and metrics that close a round.
     fn seal_round(
         &self,
         round: usize,
         mut out: StreamedRound,
-        gate: FoldGate,
         sink: &mut dyn UpdateSink,
         recorder: &dyn Recorder,
     ) -> StreamedRound {
-        let path = [("path", "transport")];
-        let min_quorum = self.policy.min_quorum.max(1);
-        out.accepted = gate.accepted;
-        out.weight_sum = gate.weight_sum;
-        let (mean_loss, mean_divergence) = gate.means();
-        out.mean_loss = mean_loss;
-        out.mean_divergence = mean_divergence;
-        if out.accepted >= min_quorum {
+        if out.accepted >= self.policy.min_quorum.max(1) {
             out.aggregated = sink.finish().ok();
         }
         out.skipped = out.aggregated.is_none();
@@ -795,18 +565,18 @@ impl RoundScheduler {
             );
         }
 
-        metrics::counter_add("calibre_rounds_total", &path, 1);
+        metrics::counter_add("calibre_rounds_total", &[], 1);
         metrics::counter_add("calibre_clients_accepted_total", &[], out.accepted as u64);
         metrics::counter_add("calibre_clients_dropped_total", &[], out.dropped as u64);
         metrics::counter_add("calibre_clients_rejected_total", &[], out.rejected as u64);
-        metrics::observe("calibre_round_quorum", &path, out.accepted as f64);
+        metrics::observe("calibre_round_quorum", &[], out.accepted as f64);
         metrics::counter_add(
             "calibre_quorum_outcomes_total",
             &[("outcome", if out.skipped { "missed" } else { "met" })],
             1,
         );
         if out.skipped {
-            metrics::counter_add("calibre_rounds_skipped_total", &path, 1);
+            metrics::counter_add("calibre_rounds_skipped_total", &[], 1);
         }
         metrics::gauge_max(
             "calibre_sink_peak_state_bytes",
@@ -829,7 +599,7 @@ mod tests {
         RoundScheduler::sampled(Sampler::new(SamplerKind::Uniform, 9), 1_000, cohort, rounds)
     }
 
-    /// One sink-fed round over in-process workers against a zero global
+    /// One round over in-process workers against a zero global
     /// model of `dim`: each client replies `update_of(client)` at weight 1,
     /// folded into a deferred weighted sink.
     fn in_process_round<U>(
@@ -852,7 +622,7 @@ mod tests {
         });
         let mut sink = StreamingWeightedSink::new();
         scheduler
-            .run_round_transport(
+            .run_round(
                 round,
                 selected,
                 wave,
@@ -875,59 +645,6 @@ mod tests {
         for (round, expected) in schedule.iter().enumerate() {
             assert_eq!(&scheduler.select(round, None), expected);
         }
-    }
-
-    #[test]
-    fn scheduled_round_emits_the_legacy_event_choreography() {
-        let rec = MemoryRecorder::new();
-        let scheduler = toy_scheduler(3, 1);
-        let selected = scheduler.select(0, None);
-        let ctx = RoundContext {
-            recorder: &rec,
-            downlink_params: 4,
-            planned_bytes: 128,
-            fallback_loss: 0.0,
-            fallback_divergence: 0.0,
-        };
-        let out = scheduler.run_round(
-            0,
-            &selected,
-            &ctx,
-            |id| id as u64,
-            |id, state| ClientOutcome {
-                state,
-                // analyze:allow(lossy-cast) -- toy ids in tests.
-                flat: vec![id as f32; 4],
-                count: 1,
-                payload: 0.5f32,
-            },
-            |accepted| vec![1.0; accepted.len()],
-            |&loss| {
-                (
-                    ClientLosses {
-                        total: loss,
-                        ssl: loss,
-                        l_n: 0.0,
-                        l_p: 0.0,
-                    },
-                    0.0,
-                )
-            },
-        );
-        assert_eq!(out.round.accepted.len(), 3);
-        assert!((out.mean_loss - 0.5).abs() < 1e-6);
-        let events = rec.events();
-        assert!(matches!(events[0], Event::RoundStart { .. }));
-        assert!(matches!(events[1], Event::ClientUpdate { .. }));
-        assert!(matches!(events[4], Event::Aggregate { .. }));
-        assert!(matches!(
-            events[5],
-            Event::RoundEnd {
-                planned_bytes: 128,
-                ..
-            }
-        ));
-        assert_eq!(events.len(), 6);
     }
 
     #[test]
@@ -991,7 +708,7 @@ mod tests {
         });
         let mut sink = StreamingWeightedSink::new();
         let out = scheduler
-            .run_round_transport(
+            .run_round(
                 0,
                 &selected,
                 4,
@@ -1004,6 +721,87 @@ mod tests {
         assert_eq!(out.accepted, 8);
         assert!((out.mean_loss - 0.75).abs() < 1e-6);
         assert!((out.mean_divergence - 1.5).abs() < 1e-6);
+    }
+
+    /// Forwards to a deferred weighted sink and records every fold's
+    /// `client` argument.
+    #[derive(Default)]
+    struct RecordingSink {
+        inner: StreamingWeightedSink,
+        clients: Vec<usize>,
+    }
+
+    impl UpdateSink for RecordingSink {
+        fn fold(
+            &mut self,
+            client: usize,
+            update: &[f32],
+            weight: f32,
+        ) -> Result<(), crate::aggregate::AggregateError> {
+            self.clients.push(client);
+            self.inner.fold(client, update, weight)
+        }
+
+        fn folded(&self) -> usize {
+            self.inner.folded()
+        }
+
+        fn state_bytes(&self) -> usize {
+            self.inner.state_bytes()
+        }
+
+        fn finish(&mut self) -> Result<Vec<f32>, crate::aggregate::AggregateError> {
+            self.inner.finish()
+        }
+    }
+
+    #[test]
+    fn sinks_fold_with_the_client_id_under_chaos_drops() {
+        // A hierarchical sink hashes the fold's `client` argument to an
+        // edge group, so it must be the client id — never the acceptance
+        // index, which one dropout shifts for every later client.
+        let plan = FaultPlan {
+            drop_prob: 0.3,
+            seed: 3,
+            ..FaultPlan::default()
+        };
+        let scheduler = toy_scheduler(16, 1).with_chaos(plan.clone(), 77);
+        let selected = scheduler.select(0, None);
+        let injector = FaultInjector::for_run(plan, 77);
+        let survivors: Vec<usize> = selected
+            .iter()
+            .copied()
+            .filter(|&id| injector.decide(0, id, 0) != Some(ClientFault::Dropout))
+            .collect();
+        assert!(
+            survivors.len() < selected.len() && !survivors.is_empty(),
+            "0.3 drop over 16 clients should drop some, not all"
+        );
+        let mut sink = RecordingSink::default();
+        let mut transport = InProcessTransport::new(|_round, id, _global: &[f32]| StreamUpdate {
+            // analyze:allow(lossy-cast) -- toy ids in tests.
+            update: vec![id as f32, 1.0],
+            weight: 1.0,
+            loss: 0.0,
+            divergence: 0.0,
+        });
+        let out = scheduler
+            .run_round(
+                0,
+                &selected,
+                4,
+                &[0.0; 2],
+                &mut sink,
+                &mut transport,
+                &NullRecorder,
+            )
+            .unwrap();
+        assert_eq!(sink.clients, survivors, "fold arguments are client ids");
+        assert_eq!(
+            out.clients, sink.clients,
+            "StreamedRound::clients is the fold order"
+        );
+        assert_eq!(out.accepted, survivors.len());
     }
 
     #[test]
@@ -1059,7 +857,7 @@ mod tests {
             });
             let mut sink = StreamingWeightedSink::new();
             let out = scheduler
-                .run_round_transport(
+                .run_round(
                     0,
                     &selected,
                     8,

@@ -139,9 +139,9 @@ pub fn aggregate_masked(updates: &[Vec<f32>]) -> Result<Vec<f32>, SecureAggError
 }
 
 /// [`aggregate_masked`] over borrowed slices — the zero-copy entry point
-/// for callers that already hold their updates elsewhere (e.g. an
-/// [`crate::resilient::AcceptedClient`] cohort) and should not clone
-/// O(cohort × model) floats just to sum them.
+/// for callers that already hold their updates elsewhere (e.g. a sink's
+/// buffered cohort) and should not clone O(cohort × model) floats just to
+/// sum them.
 ///
 /// # Errors
 ///
@@ -406,10 +406,20 @@ mod tests {
         assert!(err > 1.0, "dropout should skew the sum, error was {err}");
     }
 
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "cancellation invariant")]
     fn checked_aggregation_catches_dropout_in_debug() {
         aggregate_masked_checked(&[vec![1.0f32; 4]], 2).unwrap();
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn checked_aggregation_reports_dropout_in_release() {
+        assert_eq!(
+            aggregate_masked_checked(&[vec![1.0f32; 4]], 2),
+            Err(SecureAggError::CohortMismatch { cohort: 2, got: 1 })
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! One function, [`run_rounds`], owns the whole server loop — cohort
 //! selection through [`crate::sampler`], round execution through
-//! [`RoundScheduler::run_round_transport`], model application, and
+//! [`RoundScheduler::run_round`], model application, and
 //! crash-safe persistence through [`CheckpointStore`]. The two public
 //! entries differ **only** in the transport they plug in:
 //!
@@ -24,9 +24,8 @@ use crate::adversary::{AttackPlan, ReputationBook};
 use crate::chaos::{FaultPlan, WireFaultPlan, WireInjector};
 use crate::checkpoint::{CheckpointStore, ServerCheckpoint};
 use crate::proto::model_checksum;
-use crate::resilient::RoundPolicy;
 use crate::sampler::{Sampler, SamplerKind};
-use crate::scheduler::RoundScheduler;
+use crate::scheduler::{RoundPolicy, RoundScheduler};
 use crate::transport::{
     InProcessTransport, Listener, NetPolicy, SocketTransport, StreamUpdate, Transport,
     TransportError, WelcomeInfo,
@@ -220,7 +219,7 @@ pub fn run_rounds(
             selected.len().max(1),
             cfg.seed ^ (round as u64).wrapping_mul(0xA24B_AED4_963E_E407),
         );
-        let streamed = scheduler.run_round_transport(
+        let streamed = scheduler.run_round(
             round,
             &selected,
             cfg.wave,

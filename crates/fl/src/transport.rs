@@ -1,7 +1,7 @@
 //! The transport seam: round execution behind a [`Transport`] trait.
 //!
-//! [`crate::scheduler::RoundScheduler::run_round_transport`] drives a round
-//! through this trait, so the same orchestration code runs either
+//! [`crate::scheduler::RoundScheduler::run_round`] drives a round through
+//! this trait, so the same orchestration code runs either
 //! **in-process** ([`InProcessTransport`], a thin wrapper over the worker
 //! pool) or **over a socket** ([`SocketTransport`], the server side of the
 //! `calibre-serve`/`calibre-client` pair speaking [`crate::proto`] frames
@@ -43,8 +43,7 @@ use crate::proto::{Msg, WireError};
 
 /// One client's reply to a round assignment: the update vector plus the
 /// scalars round summaries need.
-/// [`crate::scheduler::RoundScheduler::run_round_transport`] screens and
-/// folds these.
+/// [`crate::scheduler::RoundScheduler::run_round`] screens and folds these.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamUpdate {
     /// The local update (a model delta), folded into the round's sink.
@@ -145,6 +144,10 @@ impl std::fmt::Debug for dyn Transport + '_ {
 /// execution path, now behind the [`Transport`] seam. `work` must be a pure
 /// function of `(round, client, global)`; it runs with the wave's
 /// parallelism and replies are returned in slot order.
+///
+/// A client whose `work` panics costs exactly its own slot: the panic is
+/// caught inside the worker and the slot's reply is `None`, which the
+/// engine reports as a `lost` client.
 pub struct InProcessTransport<F> {
     work: F,
 }
@@ -176,7 +179,14 @@ where
         global: &[f32],
     ) -> Result<Vec<Option<StreamUpdate>>, TransportError> {
         let work = &self.work;
-        Ok(parallel_map(slots, |s| Some(work(round, s.client, global))))
+        Ok(parallel_map(slots, |s| {
+            // AssertUnwindSafe: `work` is `Fn + Sync` and `global` is
+            // borrowed read-only, so an unwind leaves no state torn.
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                work(round, s.client, global)
+            }))
+            .ok()
+        }))
     }
 
     fn finish(&mut self, _rounds: usize, _checksum: u64) -> Result<(), TransportError> {
@@ -918,6 +928,35 @@ mod tests {
             assert_eq!(r.update, vec![(10 + i) as f32 + 2.0 + 3.0]);
         }
         assert!(t.finish(3, 42).is_ok());
+    }
+
+    #[test]
+    fn in_process_transport_isolates_a_panicking_client_to_its_slot() {
+        let mut t = InProcessTransport::new(|_round, client, _global: &[f32]| {
+            assert_ne!(client, 12, "client 12 crashes mid-update");
+            StreamUpdate {
+                // analyze:allow(lossy-cast) -- toy ids in tests.
+                update: vec![client as f32],
+                weight: 1.0,
+                loss: 0.0,
+                divergence: 0.0,
+            }
+        });
+        let slots: Vec<WaveSlot> = (0..5)
+            .map(|i| WaveSlot {
+                slot: i,
+                client: 10 + i,
+            })
+            .collect();
+        let replies = t.wave(0, &slots, &[]).unwrap();
+        let got: Vec<Option<f32>> = replies
+            .iter()
+            .map(|r| r.as_ref().map(|r| r.update[0]))
+            .collect();
+        assert_eq!(
+            got,
+            vec![Some(10.0), Some(11.0), None, Some(13.0), Some(14.0)]
+        );
     }
 
     #[test]

@@ -38,11 +38,9 @@ fn chaos_config(seed: u64) -> FlConfig {
         panic_prob: 0.15,
         straggle_prob: 0.0,
         seed,
-        ..FaultPlan::default()
     };
     cfg.policy = RoundPolicy {
         min_quorum: 2,
-        max_retries: 2,
         ..RoundPolicy::default()
     };
     cfg
@@ -193,7 +191,7 @@ fn ten_thousand_client_streaming_round_accounts_for_every_client() {
             assert_eq!(selected.len(), 10_000, "sampler under-filled the cohort");
             let mut sink = StreamingWeightedSink::new();
             let out = scheduler
-                .run_round_transport(
+                .run_round(
                     round,
                     &selected,
                     64,

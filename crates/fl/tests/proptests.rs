@@ -1,7 +1,7 @@
 //! Property-based tests for aggregation, metrics and checkpoint invariants.
 
 use calibre_fl::aggregate::{
-    aggregate_robust, clip_norm, coordinate_median, divergence_weights, geometric_median, krum,
+    aggregate_robust, clip_norm, coordinate_median, divergence_weight, geometric_median, krum,
     sample_count_weights, trimmed_mean, uniform_average, weighted_average, weighted_average_refs,
     AggregateError, Aggregator, StreamingWeightedSink, UpdateSink,
 };
@@ -61,7 +61,7 @@ proptest! {
 
     #[test]
     fn divergence_weights_are_positive_and_antitone(divs in prop::collection::vec(0.0f32..10.0, 2..10)) {
-        let w = divergence_weights(&divs);
+        let w: Vec<f32> = divs.iter().map(|&d| divergence_weight(d)).collect();
         prop_assert!(w.iter().all(|&v| v > 0.0 && v.is_finite()));
         for i in 0..divs.len() {
             for j in 0..divs.len() {
@@ -297,7 +297,6 @@ proptest! {
             panic_prob,
             straggle_prob: 0.1,
             seed: plan_seed,
-            ..FaultPlan::default()
         };
         let a = FaultInjector::for_run(plan.clone(), run_seed);
         let b = FaultInjector::for_run(plan, run_seed);
@@ -407,10 +406,13 @@ proptest! {
     }
 }
 
-// The sink-fed round engine against a reference computed here: every
-// selected client lands in exactly one of accepted/dropped/rejected, the
-// quorum gate is exact, replays are bit-identical, and a chaos- and
-// attack-free round folds the weighted mean of its cohort.
+// The round engine against a reference computed here: every selected
+// client lands in exactly one of accepted/dropped/rejected, the quorum gate
+// is exact, replays are bit-identical, and a chaos- and attack-free round
+// folds the weighted mean of its cohort. Under chaos, every dropped or
+// rejected client gets exactly one detected `fault` event with its tag,
+// stragglers and finite corruptions are reported undetected unless the norm
+// clip bit, and every folded update respects the clip.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -423,11 +425,14 @@ proptest! {
         dim in 1usize..9,
         (drop, corrupt) in prop_oneof![Just((0.0f32, 0.0f32)), (0.0f32..0.5, 0.0f32..0.5)],
         (flip, scale) in prop_oneof![Just((0.0f32, 0.0f32)), (0.0f32..0.3, 0.0f32..0.3)],
+        (panic, straggle) in prop_oneof![Just((0.0f32, 0.0f32)), (0.0f32..0.3, 0.0f32..0.3)],
+        clip in prop_oneof![Just(None), (0.5f32..5.0).prop_map(Some)],
     ) {
+        use calibre_fl::chaos::ClientFault;
         use calibre_fl::sampler::{Sampler, SamplerKind};
         use calibre_fl::transport::{InProcessTransport, StreamUpdate};
         use calibre_fl::{AttackPlan, RoundPolicy, RoundScheduler};
-        use calibre_telemetry::NullRecorder;
+        use calibre_telemetry::{Event, MemoryRecorder};
 
         const ROUNDS: usize = 3;
         let weight_of = |client: usize| 1.0 + (client % 5) as f32;
@@ -439,7 +444,15 @@ proptest! {
                 .collect()
         };
         let global: Vec<f32> = (0..dim).map(|d| d as f32 * 0.5 - 1.0).collect();
+        let plan = FaultPlan {
+            drop_prob: drop,
+            corrupt_prob: corrupt,
+            panic_prob: panic,
+            straggle_prob: straggle,
+            seed,
+        };
         let run = || {
+            let recorder = MemoryRecorder::new();
             let scheduler = RoundScheduler::sampled(
                 Sampler::new(SamplerKind::Uniform, seed),
                 cohort * 2,
@@ -448,17 +461,10 @@ proptest! {
             )
             .with_policy(RoundPolicy {
                 min_quorum,
+                clip_norm: clip,
                 ..RoundPolicy::default()
             })
-            .with_chaos(
-                FaultPlan {
-                    drop_prob: drop,
-                    corrupt_prob: corrupt,
-                    seed,
-                    ..FaultPlan::default()
-                },
-                seed,
-            )
+            .with_chaos(plan.clone(), seed)
             .with_attack(
                 AttackPlan {
                     flip_prob: flip,
@@ -476,32 +482,35 @@ proptest! {
                     divergence: 0.0,
                 }
             });
-            (0..ROUNDS)
+            let rounds = (0..ROUNDS)
                 .map(|round| {
                     let selected = scheduler.select(round, None);
-                    let mut sink = StreamingWeightedSink::new();
+                    let mut sink = FoldLog::default();
                     let out = scheduler
-                        .run_round_transport(
+                        .run_round(
                             round,
                             &selected,
                             wave,
                             &global,
                             &mut sink,
                             &mut transport,
-                            &NullRecorder,
+                            &recorder,
                         )
                         .expect("the in-process transport cannot fail");
-                    (selected, out)
+                    (selected, out, sink.folds)
                 })
-                .collect::<Vec<_>>()
+                .collect::<Vec<_>>();
+            (rounds, recorder.events())
         };
 
-        let rounds = run();
-        let replay = run();
+        let (rounds, events) = run();
+        let (replay, _) = run();
         let clean = drop == 0.0 && corrupt == 0.0 && flip == 0.0 && scale == 0.0;
+        let clean = clean && panic == 0.0 && clip.is_none();
+        let injector = FaultInjector::for_run(plan, seed);
         // The policy treats a quorum of 0 as 1: an empty round never folds.
         let quorum = min_quorum.max(1);
-        for (round, ((selected, out), (_, again))) in rounds.iter().zip(&replay).enumerate() {
+        for (round, ((selected, out, folds), (_, again, _))) in rounds.iter().zip(&replay).enumerate() {
             prop_assert_eq!(out.cohort, cohort);
             prop_assert_eq!(out.accepted + out.dropped + out.rejected, cohort, "round {}", round);
             prop_assert_eq!(out.skipped, out.accepted < quorum, "round {}", round);
@@ -534,7 +543,85 @@ proptest! {
                     }
                 }
             }
+
+            // The sink saw exactly the accepted clients, by id, in fold
+            // order, and every folded update respects the clip.
+            let folded: Vec<usize> = folds.iter().map(|(id, _)| *id).collect();
+            prop_assert_eq!(&folded, &out.clients, "round {}", round);
+            prop_assert_eq!(out.clients.len(), out.accepted);
+            if let Some(max_norm) = clip {
+                for (id, update) in folds {
+                    let norm = update.iter().map(|v| v * v).sum::<f32>().sqrt();
+                    prop_assert!(
+                        norm <= max_norm * (1.0 + 1e-4),
+                        "round {} client {}: folded norm {} above clip {}", round, id, norm, max_norm
+                    );
+                }
+            }
+
+            // One detected fault per client the engine did not fold, with
+            // its tag; folded stragglers and finite corruptions are
+            // reported undetected (a corruption is detected when the clip
+            // bit, which only a clipping policy allows).
+            let mut faults: Vec<(usize, &str, bool)> = events
+                .iter()
+                .filter_map(|e| match e {
+                    Event::Fault { round: r, client, attempt: 0, kind, detected } if *r == round => {
+                        Some((*client, *kind, *detected))
+                    }
+                    _ => None,
+                })
+                .collect();
+            faults.sort_by_key(|f| f.0);
+            let mut expected: Vec<(usize, &str, Option<bool>)> = Vec::new();
+            for &id in selected {
+                let folded = out.clients.contains(&id);
+                expected.push(match injector.decide(round, id, 0) {
+                    Some(ClientFault::Straggle) if folded => (id, "straggle", Some(false)),
+                    Some(ClientFault::Corrupt(kind)) if folded => {
+                        (id, kind.kind_tag(), clip.is_none().then_some(false))
+                    }
+                    _ if folded => continue,
+                    Some(ClientFault::Dropout) => (id, "dropout", Some(true)),
+                    Some(ClientFault::PanicMidUpdate) => (id, "panic", Some(true)),
+                    Some(ClientFault::Corrupt(kind)) => (id, kind.kind_tag(), Some(true)),
+                    _ => (id, "invalid", Some(true)),
+                });
+            }
+            expected.sort_by_key(|f| f.0);
+            prop_assert_eq!(faults.len(), expected.len(), "round {}: {:?}", round, faults);
+            for (&(id, kind, detected), &(want_id, want_kind, want)) in faults.iter().zip(&expected) {
+                prop_assert_eq!((id, kind), (want_id, want_kind), "round {}", round);
+                prop_assert!(want.is_none_or(|w| w == detected), "round {} client {}", round, id);
+            }
         }
+    }
+}
+
+/// Forwards to a deferred weighted sink and logs every fold's `client`
+/// argument and update.
+#[derive(Default)]
+struct FoldLog {
+    inner: StreamingWeightedSink,
+    folds: Vec<(usize, Vec<f32>)>,
+}
+
+impl UpdateSink for FoldLog {
+    fn fold(&mut self, client: usize, update: &[f32], weight: f32) -> Result<(), AggregateError> {
+        self.folds.push((client, update.to_vec()));
+        self.inner.fold(client, update, weight)
+    }
+
+    fn folded(&self) -> usize {
+        self.inner.folded()
+    }
+
+    fn state_bytes(&self) -> usize {
+        self.inner.state_bytes()
+    }
+
+    fn finish(&mut self) -> Result<Vec<f32>, AggregateError> {
+        self.inner.finish()
     }
 }
 
@@ -572,12 +659,10 @@ proptest! {
             corrupt_prob: 0.2,
             panic_prob: 0.1,
             straggle_prob: 0.1,
-            straggle_ms: 1,
             seed,
         };
         cfg.policy = RoundPolicy {
             min_quorum: 2,
-            max_retries: 2,
             ..RoundPolicy::default()
         };
         let (encoder, losses) =

@@ -80,27 +80,31 @@ pub enum Event {
         /// Personalized test accuracy of the local probe, in `[0, 1]`.
         accuracy: f32,
     },
-    /// A fault was injected into (or detected in) one client's round.
+    /// One client's fault outcome in one round, emitted once by the round
+    /// engine when it decides.
     ///
-    /// Emitted twice per fault in the common case: once at injection time
-    /// (`detected: false`) by the chaos layer, and once more (`detected:
-    /// true`) if the resilient executor catches it — a caught panic, a
-    /// noticed dropout, or an update rejected by validation. Silent
-    /// corruptions (sign flips, norm blow-ups under the clip threshold)
-    /// only produce the injection event.
+    /// Every client the engine does not fold gets exactly one event with
+    /// `detected: true`: `dropout` or `panic` (dropped before dispatch),
+    /// the corruption tag or `invalid` (reply rejected by screening), or
+    /// `lost` (a reply the transport could not deliver, including a client
+    /// that crashed in-process). A folded client gets one event when it
+    /// straggled (`detected: false`) or carried a finite corruption
+    /// (`detected` only when the norm clip bit).
     Fault {
         /// Zero-based round index.
         round: usize,
         /// Client id the fault applies to.
         client: usize,
-        /// Zero-based delivery attempt within the round.
+        /// Delivery attempt. Always 0: the engine does not retry; the field
+        /// is kept for schema compatibility.
         attempt: usize,
         /// Fault kind tag: `"dropout"`, `"straggle"`, `"panic"`,
         /// `"corrupt_nan"`, `"corrupt_inf"`, `"corrupt_norm"`,
-        /// `"corrupt_sign"`.
+        /// `"corrupt_sign"`, `"invalid"`, `"lost"`.
         kind: &'static str,
-        /// `false` when the chaos layer injected the fault, `true` when the
-        /// executor/validator observed it.
+        /// Whether the engine caught the fault (the client was not folded,
+        /// or the norm clip bit) rather than letting it reach the
+        /// aggregate.
         detected: bool,
     },
     /// A Byzantine attack was injected into one client's update by the
@@ -150,18 +154,19 @@ pub enum Event {
         /// bytes (0 when the platform does not expose it).
         peak_rss_bytes: u64,
     },
-    /// Per-round resilience accounting, emitted by the resilient round
-    /// executor only for rounds where something non-nominal happened
-    /// (faults, retries, rejections, or a missed quorum).
+    /// Per-round resilience accounting, emitted by the round engine right
+    /// after [`Event::Aggregate`], only for rounds that dropped or rejected
+    /// a client or missed the quorum.
     RoundResilience {
         /// Zero-based round index.
         round: usize,
-        /// Faults the chaos layer injected this round.
+        /// Clients dropped or rejected this round.
         injected: usize,
-        /// Faults the executor detected (panics caught, dropouts noticed,
-        /// updates rejected by validation).
+        /// Clients dropped or rejected this round (the engine detects every
+        /// client it does not fold, so this equals `injected`).
         detected: usize,
-        /// Client update attempts that were retried.
+        /// Retried client updates. Always 0: the engine does not retry; the
+        /// field is kept for schema compatibility.
         retries: usize,
         /// Number of client updates that survived into aggregation.
         quorum: usize,
@@ -509,6 +514,7 @@ fn intern_fault_kind(kind: &str) -> &'static str {
         "corrupt_norm" => "corrupt_norm",
         "corrupt_sign" => "corrupt_sign",
         "invalid" => "invalid",
+        "lost" => "lost",
         _ => "other",
     }
 }
@@ -770,6 +776,13 @@ mod tests {
                 client: 5,
                 attempt: 1,
                 kind: "corrupt_nan",
+                detected: true,
+            },
+            Event::Fault {
+                round: 3,
+                client: 8,
+                attempt: 0,
+                kind: "lost",
                 detected: true,
             },
             Event::RoundResilience {

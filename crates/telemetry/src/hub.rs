@@ -117,17 +117,19 @@ pub struct CohortSummary {
 
 /// Run-level totals of the chaos/resilience event stream.
 ///
-/// All zeros for a run with no fault injection and no failures — the
-/// resilient executor only emits [`Event::Fault`] / [`Event::RoundResilience`]
-/// when something non-nominal happens.
+/// All zeros for a run with no fault injection and no failures — the round
+/// engine only emits [`Event::Fault`] / [`Event::RoundResilience`] when
+/// something non-nominal happens: per round, the faults come before
+/// [`Event::Aggregate`], the resilience record right after it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResilienceSummary {
-    /// Faults the chaos layer injected across all rounds.
+    /// [`Event::Fault`] events across all rounds.
     pub faults_injected: usize,
-    /// Faults the executor detected (caught panics, noticed dropouts,
-    /// validation rejections).
+    /// Of those, the faults the engine caught (dropouts, crashed or lost
+    /// clients, rejected updates, clipped corruptions).
     pub faults_detected: usize,
-    /// Client update attempts that were retried.
+    /// Client update attempts that were retried. Always 0 for runs of the
+    /// current engine, which does not retry.
     pub retries: usize,
     /// Rounds skipped because the surviving quorum was below `min_quorum`.
     pub rounds_skipped: usize,

@@ -1,9 +1,11 @@
 //! Round-level telemetry for the Calibre federated loop.
 //!
 //! In Algorithm 1 terms this crate observes both stages without taking part
-//! in either: the *training stage* emits one [`Event::RoundStart`], one
-//! [`Event::ClientUpdate`] per selected client, one [`Event::Aggregate`] and
-//! one [`Event::RoundEnd`] per federated round, and the *personalization
+//! in either. Each federated round of the *training stage* emits one
+//! [`Event::RoundStart`], any [`Event::Attack`] and [`Event::Fault`] events,
+//! one [`Event::Aggregate`], an [`Event::RoundResilience`] when clients were
+//! dropped or rejected or the quorum was missed, one [`Event::ClientUpdate`]
+//! per accepted client, and one [`Event::RoundEnd`]. The *personalization
 //! stage* emits one [`Event::Personalize`] per client when the frozen global
 //! encoder is evaluated with a local linear probe.
 //!
@@ -22,9 +24,10 @@
 //!   evaluation protocol.
 //!
 //! Every recorder is `Send + Sync`, so a single `&dyn Recorder` can be
-//! captured by the closure that `calibre_fl::parallel::parallel_map_owned`
-//! fans out across worker threads: per-client events are recorded from the
-//! thread that ran the client.
+//! shared by the round engine and the worker threads it fans client work
+//! out to. The training loops time each client inside its worker and record
+//! the `client_update` events on the calling thread once the round has
+//! aggregated, in fold order.
 //!
 //! Below the round-level events sits a second, finer-grained layer added in
 //! PR 2: **spans** ([`mod@span`]) — RAII-guarded named regions with thread-local

@@ -6,8 +6,8 @@ use std::time::Duration;
 
 /// Something that consumes telemetry [`Event`]s.
 ///
-/// Implementations must be `Send + Sync` because the federated loop records
-/// per-client events from inside the worker threads spawned by
+/// Implementations must be `Send + Sync` because one recorder is shared by
+/// the round engine and the worker threads spawned by
 /// `calibre_fl::parallel`. All methods take `&self`; interior mutability is
 /// the implementation's concern.
 ///
@@ -92,9 +92,10 @@ pub trait Recorder: Send + Sync {
         self.record(Event::Personalize { client, accuracy });
     }
 
-    /// A fault was injected into (`detected: false`) or observed in
-    /// (`detected: true`) one client's round. See [`Event::Fault`] for the
-    /// `kind` vocabulary.
+    /// One client's fault outcome in one round: caught by the engine
+    /// (`detected: true`) or let through to the aggregate (`detected:
+    /// false`). `attempt` is always 0. See [`Event::Fault`] for the `kind`
+    /// vocabulary.
     fn fault(
         &self,
         round: usize,
@@ -112,9 +113,11 @@ pub trait Recorder: Send + Sync {
         });
     }
 
-    /// Per-round resilience accounting from the resilient round executor.
-    /// Only emitted for rounds where faults, retries, rejections or a
-    /// missed quorum occurred.
+    /// Per-round resilience accounting from the round engine, recorded
+    /// right after [`Recorder::aggregate`] and only for rounds that dropped
+    /// or rejected a client or missed the quorum. `injected` and `detected`
+    /// both carry the dropped + rejected count; `retries` is always 0 (the
+    /// engine does not retry) and is kept for schema compatibility.
     fn round_resilience(
         &self,
         round: usize,
