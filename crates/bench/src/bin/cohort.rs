@@ -32,7 +32,7 @@
 
 use calibre_bench::obs::ObsArgs;
 use calibre_bench::parse_args;
-use calibre_fl::aggregate::{HierarchicalSink, ReservoirSink, UpdateSink};
+use calibre_fl::aggregate::{Aggregator, HierarchicalSink, UpdateSink};
 use calibre_fl::sampler::{Sampler, SamplerKind};
 use calibre_fl::scheduler::RoundScheduler;
 use calibre_fl::transport::{InProcessTransport, StreamUpdate};
@@ -108,14 +108,14 @@ fn reservoir_gate(sweep: &SweepConfig) {
             1,
         );
         let selected = scheduler.select(0, None);
-        let mut sink = ReservoirSink::trimmed(0.1, capacity, sweep.seed);
+        let mut sink = Aggregator::TrimmedMean(0.1).sink(capacity, sweep.seed);
         let out = scheduler
             .run_round(
                 0,
                 &selected,
                 sweep.wave,
                 &vec![0.0; sweep.dim],
-                &mut sink,
+                sink.as_mut(),
                 &mut InProcessTransport::new(simulated_update),
                 &calibre_telemetry::NullRecorder,
             )

@@ -443,24 +443,7 @@ pub fn anomaly_scores(ids: &[usize], updates: &[&[f32]]) -> Vec<AnomalyScore> {
     }
     let dim = updates.first().map_or(0, |u| u.len());
     // Unweighted coordinate median as the cohort's reference direction.
-    let mut median = vec![0.0f32; dim];
-    let mut col = Vec::with_capacity(n);
-    for (d, m) in median.iter_mut().enumerate() {
-        col.clear();
-        col.extend(
-            updates
-                .iter()
-                .take(n)
-                .map(|u| u.get(d).copied().unwrap_or(0.0)),
-        );
-        col.sort_unstable_by(|a, b| a.total_cmp(b));
-        let hi = col.get(n / 2).copied().unwrap_or(0.0);
-        *m = if n % 2 == 1 {
-            hi
-        } else {
-            0.5 * (col.get(n / 2 - 1).copied().unwrap_or(0.0) + hi)
-        };
-    }
+    let median = crate::aggregate::column_medians(updates.get(..n).unwrap_or(updates), dim);
     let med_norm = l2_norm(&median).max(1e-12);
     let norms: Vec<f32> = updates.iter().take(n).map(|u| l2_norm(u)).collect();
     let cosines: Vec<f32> = updates

@@ -23,6 +23,8 @@
 //! loops' [`BufferedRobustSink`]; the panicking [`weighted_average`] family
 //! remains for call sites that have already validated their cohort.
 
+use std::ops::Range;
+
 use crate::spec::SpecError;
 
 /// Weighted average of flat parameter vectors.
@@ -476,26 +478,21 @@ pub fn trimmed_mean(
     }
     let span = calibre_telemetry::span("aggregate");
     span.add_items(span_count(n));
-    let mut out = vec![0.0f32; dim];
-    let mut column: Vec<(f32, f32)> = Vec::with_capacity(n);
     // The cohort-size check above guarantees n > 2*trim, so the kept range
     // is in bounds and non-empty for every coordinate.
     let hi = n.saturating_sub(trim);
-    for (j, o) in out.iter_mut().enumerate() {
-        column.clear();
-        // analyze:allow(slice-index) -- check_shapes guarantees every
-        // update has exactly `dim` coordinates, and j < dim
-        column.extend(updates.iter().zip(weights).map(|(u, &w)| (u[j], w)));
-        column.sort_by(|a, b| a.0.total_cmp(&b.0));
+    Ok(map_columns(updates, dim, |column| {
+        column.sort_unstable();
         let kept = column.get(trim..hi).unwrap_or(&[]);
-        let total: f32 = kept.iter().map(|(_, w)| w).sum();
+        let total: f32 = kept.iter().map(|&e| entry_weight(e, weights)).sum();
         let uniform = 1.0 / count_f32(kept.len().max(1));
-        *o = kept
-            .iter()
-            .map(|(v, w)| v * if total > 0.0 { w / total } else { uniform })
-            .sum();
-    }
-    Ok(out)
+        kept.iter()
+            .map(|&e| {
+                let w = entry_weight(e, weights);
+                entry_value(e) * if total > 0.0 { w / total } else { uniform }
+            })
+            .sum()
+    }))
 }
 
 /// Per-coordinate weighted median.
@@ -515,31 +512,131 @@ pub fn coordinate_median(updates: &[&[f32]], weights: &[f32]) -> Result<Vec<f32>
     let total: f32 = weights.iter().sum();
     let uniform = total <= 0.0;
     let full: f32 = if uniform { count_f32(n) } else { total };
-    let mut out = vec![0.0f32; dim];
-    let mut column: Vec<(f32, f32)> = Vec::with_capacity(n);
-    for (j, o) in out.iter_mut().enumerate() {
-        column.clear();
-        column.extend(
-            updates
-                .iter()
-                .zip(weights)
-                // analyze:allow(slice-index) -- check_shapes guarantees
-                // every update has exactly `dim` coordinates, and j < dim
-                .map(|(u, &w)| (u[j], if uniform { 1.0 } else { w })),
-        );
-        column.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let half = full * 0.5;
+    Ok(map_columns(updates, dim, |column| {
+        column.sort_unstable();
         let mut acc = 0.0f32;
-        let mut median = column.last().map(|c| c.0).unwrap_or(0.0);
-        for &(v, w) in column.iter() {
-            acc += w;
-            if acc >= full * 0.5 {
-                median = v;
-                break;
+        for &e in column.iter() {
+            acc += if uniform {
+                1.0
+            } else {
+                entry_weight(e, weights)
+            };
+            if acc >= half {
+                return entry_value(e);
             }
         }
-        *o = median;
+        column.last().map_or(0.0, |&e| entry_value(e))
+    }))
+}
+
+/// Unweighted per-coordinate median of `dim` coordinates — the mean of the
+/// two middle values for an even count — with rows shorter than `dim`
+/// reading as zero past their end. Detection's reference direction
+/// ([`crate::adversary::anomaly_scores`]); selection, not a sort, since no
+/// weights are walked.
+pub(crate) fn column_medians(updates: &[&[f32]], dim: usize) -> Vec<f32> {
+    map_columns(updates, dim, |column| {
+        // `map_columns` never passes an empty column, so `n / 2` is in range.
+        let n = column.len();
+        let (lower, mid, _) = column.select_nth_unstable(n / 2);
+        let hi = entry_value(*mid);
+        if n % 2 == 1 {
+            hi
+        } else {
+            // The lower partition holds exactly the n/2 smallest entries.
+            0.5 * (lower.iter().max().map_or(0.0, |&e| entry_value(e)) + hi)
+        }
+    })
+}
+
+// ---------------------------------------------------------------------------
+// The column kernel behind the per-coordinate order statistics.
+// ---------------------------------------------------------------------------
+
+/// Coordinates gathered per block: one 64-byte cache line of `f32`s from
+/// each update row.
+const BLOCK: usize = 16;
+
+/// Column entries a worker must get before the kernel fans out: below
+/// about this many, spawning a thread costs more than it saves.
+const WORKER_ENTRIES: usize = 1 << 13;
+
+/// Sign bit of an `f32`'s bit pattern.
+const SIGN: u32 = 1 << 31;
+
+/// One update's value in one coordinate's column: the monotone `u32` image
+/// of [`f32::total_cmp`] in the high half and the update's slot in the low
+/// half. Entries order as a stable `sort_by(|a, b| a.total_cmp(b))` orders
+/// their values: by value, ties in slot order. No two entries of a column
+/// are equal, so `sort_unstable` gives that order too.
+fn column_entry(value: f32, slot: u32) -> u64 {
+    let bits = value.to_bits();
+    let key = if bits & SIGN == 0 { bits | SIGN } else { !bits };
+    (u64::from(key) << 32) | u64::from(slot)
+}
+
+/// The value an entry was built from, bit for bit.
+fn entry_value(entry: u64) -> f32 {
+    let [_, _, _, _, k0, k1, k2, k3] = entry.to_le_bytes();
+    let key = u32::from_le_bytes([k0, k1, k2, k3]);
+    f32::from_bits(if key & SIGN == 0 { !key } else { key & !SIGN })
+}
+
+/// The weight of the update an entry came from.
+fn entry_weight(entry: u64, weights: &[f32]) -> f32 {
+    let [s0, s1, s2, s3, ..] = entry.to_le_bytes();
+    usize::try_from(u32::from_le_bytes([s0, s1, s2, s3]))
+        .ok()
+        .and_then(|slot| weights.get(slot))
+        .copied()
+        .unwrap_or(0.0)
+}
+
+/// Maps every coordinate's column through `stat`.
+///
+/// A column holds one [`column_entry`] per update, in slot order; a row
+/// shorter than `dim` reads as zero past its end. Coordinates are gathered
+/// [`BLOCK`] at a time into a column-major scratch buffer, so each update
+/// row is read a cache line at a time rather than once per coordinate, and
+/// contiguous coordinate ranges run on the [`crate::parallel`] workers,
+/// each with its own scratch, one worker per [`WORKER_ENTRIES`] entries at
+/// most.
+fn map_columns<F>(updates: &[&[f32]], dim: usize, stat: F) -> Vec<f32>
+where
+    F: Fn(&mut [u64]) -> f32 + Sync,
+{
+    let n = updates.len();
+    if n == 0 {
+        // No update, no column: splitting scratch into columns needs n > 0.
+        return vec![0.0; dim];
     }
-    Ok(out)
+    let grain = WORKER_ENTRIES.div_ceil(n);
+    let columns = crate::parallel::parallel_ranges(dim, grain, |coords| {
+        let mut out = Vec::with_capacity(coords.len());
+        let mut scratch = vec![0u64; BLOCK * n];
+        for lo in coords.clone().step_by(BLOCK) {
+            let width = BLOCK.min(coords.end - lo);
+            let block = scratch.get_mut(..width * n).unwrap_or_default();
+            gather(updates, lo..lo + width, block);
+            out.extend(block.chunks_exact_mut(n).map(&stat));
+        }
+        out
+    });
+    columns.concat()
+}
+
+/// Fills `block` (column-major, `updates.len()` entries per column) with
+/// the entries of coordinates `coords`, at most [`BLOCK`] of them. The
+/// first column reads one line per update row; the rest of the block
+/// reads those lines again from cache.
+fn gather(updates: &[&[f32]], coords: Range<usize>, block: &mut [u64]) {
+    for (d, column) in coords.zip(block.chunks_exact_mut(updates.len())) {
+        // Slots fit the low half: a cohort holds far fewer than 2^32 updates.
+        for ((slot, row), e) in (0u32..).zip(updates).zip(column.iter_mut()) {
+            *e = column_entry(row.get(d).copied().unwrap_or(0.0), slot);
+        }
+    }
 }
 
 /// Squared L2 distance between two same-length slices.
@@ -1065,150 +1162,6 @@ impl UpdateSink for StreamingWeightedSink {
     }
 }
 
-/// Which robust statistic a [`ReservoirSink`] computes over its reservoir.
-#[derive(Debug, Clone, Copy)]
-enum ReservoirStat {
-    /// [`trimmed_mean`] with the given trim ratio.
-    Trimmed(f32),
-    /// [`coordinate_median`].
-    Median,
-}
-
-/// A bounded-memory [`UpdateSink`] for the robust aggregators
-/// ([`Aggregator::TrimmedMean`], [`Aggregator::CoordinateMedian`]).
-///
-/// Order statistics need the per-coordinate *columns*, so an exact
-/// constant-memory stream is impossible (`DESIGN.md` §11). Instead the sink
-/// keeps a uniform reservoir of at most `capacity` updates (Vitter's
-/// algorithm R, driven by a seeded rng) and finishes with the exact
-/// [`trimmed_mean`] / [`coordinate_median`] over the reservoir:
-///
-/// * cohorts up to `capacity` are **exact** — every update is retained;
-/// * beyond that the statistic is computed over a uniform sample of the
-///   stream, with state bounded by O(capacity × model) regardless of
-///   cohort size.
-///
-/// # Determinism
-///
-/// Replacement choices depend only on `(seed, fold order)`: replaying the
-/// same fold sequence reproduces the reservoir — and the aggregate — bit
-/// for bit. Permutations change which updates survive past `capacity`, so
-/// unlike the weighted sink there is no permutation-tolerance guarantee
-/// beyond it.
-///
-/// # Examples
-///
-/// Under capacity the sink is exact:
-///
-/// ```
-/// use calibre_fl::aggregate::{coordinate_median, ReservoirSink, UpdateSink};
-///
-/// let updates: [&[f32]; 3] = [&[1.0], &[5.0], &[-400.0]];
-/// let mut sink = ReservoirSink::median(16, 7);
-/// for (i, u) in updates.iter().enumerate() {
-///     sink.fold(i, u, 1.0).unwrap();
-/// }
-/// let exact = coordinate_median(&updates, &[1.0; 3]).unwrap();
-/// assert_eq!(sink.finish().unwrap(), exact);
-/// ```
-#[derive(Debug)]
-pub struct ReservoirSink {
-    entries: Vec<Vec<f32>>,
-    weights: Vec<f32>,
-    capacity: usize,
-    rng: StdRng,
-    folded: usize,
-    stat: ReservoirStat,
-}
-
-impl ReservoirSink {
-    fn with_stat(capacity: usize, seed: u64, stat: ReservoirStat) -> Self {
-        let capacity = capacity.max(1);
-        ReservoirSink {
-            entries: Vec::new(),
-            weights: Vec::new(),
-            capacity,
-            rng: calibre_tensor::rng::seeded(seed ^ 0x5EED_5EED_5EED_5EED),
-            folded: 0,
-            stat,
-        }
-    }
-
-    /// Trimmed-mean reservoir (mirrors [`Aggregator::TrimmedMean`]): keeps
-    /// at most `capacity` updates, finishes with [`trimmed_mean`] at the
-    /// given `ratio`.
-    pub fn trimmed(ratio: f32, capacity: usize, seed: u64) -> Self {
-        Self::with_stat(capacity, seed, ReservoirStat::Trimmed(ratio))
-    }
-
-    /// Coordinate-median reservoir (mirrors
-    /// [`Aggregator::CoordinateMedian`]): keeps at most `capacity` updates,
-    /// finishes with [`coordinate_median`].
-    pub fn median(capacity: usize, seed: u64) -> Self {
-        Self::with_stat(capacity, seed, ReservoirStat::Median)
-    }
-}
-
-impl UpdateSink for ReservoirSink {
-    fn fold(&mut self, _client: usize, update: &[f32], weight: f32) -> Result<(), AggregateError> {
-        if let Some(first) = self.entries.first() {
-            if update.len() != first.len() {
-                return Err(AggregateError::LengthMismatch {
-                    index: self.folded,
-                    expected: first.len(),
-                    got: update.len(),
-                });
-            }
-        }
-        if self.entries.len() < self.capacity {
-            self.entries.push(update.to_vec());
-            self.weights.push(weight);
-        } else {
-            // Algorithm R: item k replaces a uniform j ∈ [0, k]; j beyond
-            // the capacity means the item is discarded.
-            let j = self.rng.gen_range(0..=self.folded);
-            if let (Some(slot), Some(wslot)) = (self.entries.get_mut(j), self.weights.get_mut(j)) {
-                slot.clear();
-                slot.extend_from_slice(update);
-                *wslot = weight;
-            }
-        }
-        self.folded += 1;
-        Ok(())
-    }
-
-    fn folded(&self) -> usize {
-        self.folded
-    }
-
-    fn state_bytes(&self) -> usize {
-        // Count allocated capacity — the sample buffer's resident footprint —
-        // including the spine of the `Vec<Vec<f32>>` itself. Length-based
-        // accounting under-reported the reservoir before it filled and hid
-        // the retained buffer from the cohort bench's peak assertion.
-        let held: usize = self.entries.iter().map(Vec::capacity).sum();
-        let spine = self.entries.capacity() * std::mem::size_of::<Vec<f32>>();
-        (held + self.weights.capacity()) * std::mem::size_of::<f32>()
-            + spine
-            + std::mem::size_of::<Self>()
-    }
-
-    fn finish(&mut self) -> Result<Vec<f32>, AggregateError> {
-        // The reservoir is ≤ capacity entries — a bounded borrow, not the
-        // O(cohort) collection this sink exists to avoid.
-        let refs: Vec<&[f32]> = self.entries.iter().map(Vec::as_slice).collect();
-        let out = match self.stat {
-            ReservoirStat::Trimmed(ratio) => trimmed_mean(&refs, &self.weights, ratio),
-            ReservoirStat::Median => coordinate_median(&refs, &self.weights),
-        };
-        drop(refs);
-        self.entries.clear();
-        self.weights.clear();
-        self.folded = 0;
-        out
-    }
-}
-
 /// SplitMix64 finalizer — the deterministic group-assignment hash of
 /// [`HierarchicalSink`].
 fn mix64(mut x: u64) -> u64 {
@@ -1358,8 +1311,10 @@ impl UpdateSink for HierarchicalSink {
     }
 }
 
-/// Memory-bounded [`UpdateSink`] for the defense-grade aggregators
-/// (Krum family, geometric median, norm bounding, centered clipping).
+/// Memory-bounded [`UpdateSink`] for every robust aggregator: the order
+/// statistics ([`Aggregator::TrimmedMean`], [`Aggregator::CoordinateMedian`])
+/// and the defense-grade ones (Krum family, geometric median, norm
+/// bounding, centered clipping).
 ///
 /// With `capacity` equal to the cohort it also serves the training loops
 /// ([`crate::pfl_ssl::run_training_round`]) for every [`Aggregator`]: it
@@ -1367,20 +1322,26 @@ impl UpdateSink for HierarchicalSink {
 /// order — for the weighted average that is [`weighted_average_refs`], bit
 /// for bit.
 ///
-/// Those statistics need the whole cohort at once — Krum compares every
-/// pair of updates, Weiszfeld iterates over all of them — so a constant-
-/// memory stream is impossible. Like [`ReservoirSink`] the sink keeps a
-/// uniform reservoir of at most `capacity` updates (algorithm R, seeded)
-/// and finishes with the exact [`aggregate_robust`] statistic over the
-/// reservoir in fold order: exact up to `capacity` folded updates, a
-/// uniform-sample approximation beyond that, with state bounded by
-/// O(capacity × model) regardless of cohort size.
+/// Those statistics need the whole cohort at once — order statistics need
+/// every coordinate's column, Krum compares every pair of updates,
+/// Weiszfeld iterates over all of them — so a constant-memory stream is
+/// impossible (`DESIGN.md` §11). Instead the sink keeps a uniform reservoir
+/// of at most `capacity` updates (Vitter's algorithm R, driven by a seeded
+/// rng) and finishes with the exact [`aggregate_robust`] statistic over the
+/// reservoir in fold order:
+///
+/// * cohorts up to `capacity` are **exact** — every update is retained;
+/// * beyond that the statistic is computed over a uniform sample of the
+///   stream, with state bounded by O(capacity × model) regardless of
+///   cohort size.
 ///
 /// # Determinism
 ///
 /// Replacement choices depend only on `(seed, fold order)`; replaying the
-/// same fold sequence reproduces the reservoir — and the defense output —
-/// bit for bit.
+/// same fold sequence reproduces the reservoir — and the aggregate — bit
+/// for bit. Permutations change which updates survive past `capacity`, so
+/// unlike the weighted sink there is no permutation-tolerance guarantee
+/// beyond it.
 ///
 /// # Examples
 ///
@@ -1393,6 +1354,20 @@ impl UpdateSink for HierarchicalSink {
 ///     sink.fold(i, u, 1.0).unwrap();
 /// }
 /// assert_eq!(sink.finish().unwrap(), krum(&updates, &[1.0; 4], 1).unwrap());
+/// ```
+///
+/// Under capacity the sink is exact:
+///
+/// ```
+/// use calibre_fl::aggregate::{coordinate_median, Aggregator, BufferedRobustSink, UpdateSink};
+///
+/// let updates: [&[f32]; 3] = [&[1.0], &[5.0], &[-400.0]];
+/// let mut sink = BufferedRobustSink::new(Aggregator::CoordinateMedian, 16, 7);
+/// for (i, u) in updates.iter().enumerate() {
+///     sink.fold(i, u, 1.0).unwrap();
+/// }
+/// let exact = coordinate_median(&updates, &[1.0; 3]).unwrap();
+/// assert_eq!(sink.finish().unwrap(), exact);
 /// ```
 #[derive(Debug)]
 pub struct BufferedRobustSink {
@@ -1434,6 +1409,8 @@ impl UpdateSink for BufferedRobustSink {
             self.entries.push(update.to_vec());
             self.weights.push(weight);
         } else {
+            // Algorithm R: item k replaces a uniform j ∈ [0, k]; j beyond
+            // the capacity means the item is discarded.
             let j = self.rng.gen_range(0..=self.folded);
             if let (Some(slot), Some(wslot)) = (self.entries.get_mut(j), self.weights.get_mut(j)) {
                 slot.clear();
@@ -1450,6 +1427,9 @@ impl UpdateSink for BufferedRobustSink {
     }
 
     fn state_bytes(&self) -> usize {
+        // Count allocated capacity — the sample buffer's resident footprint —
+        // including the spine of the `Vec<Vec<f32>>` itself, which the
+        // cohort bench's peak assertion must see.
         let held: usize = self.entries.iter().map(Vec::capacity).sum();
         let spine = self.entries.capacity() * std::mem::size_of::<Vec<f32>>();
         (held + self.weights.capacity()) * std::mem::size_of::<f32>()
@@ -1471,19 +1451,16 @@ impl UpdateSink for BufferedRobustSink {
 impl Aggregator {
     /// Builds the streaming [`UpdateSink`] mirroring this aggregator.
     ///
-    /// `capacity` bounds the reservoir of the robust variants (which are
-    /// exact up to `capacity` folded updates, see [`ReservoirSink`] and
-    /// [`BufferedRobustSink`]); the weighted variant ignores it and holds
-    /// exactly O(model) state. `seed` drives the reservoirs' deterministic
-    /// replacement choices.
+    /// Every robust variant gets a [`BufferedRobustSink`], exact up to
+    /// `capacity` folded updates, with `seed` driving its reservoir's
+    /// deterministic replacement choices; the weighted variant ignores both
+    /// and holds exactly O(model) state.
     pub fn sink(self, capacity: usize, seed: u64) -> Box<dyn UpdateSink + Send> {
         match self {
             Aggregator::WeightedAverage => Box::new(StreamingWeightedSink::new()),
-            Aggregator::TrimmedMean(ratio) => {
-                Box::new(ReservoirSink::trimmed(ratio, capacity, seed))
-            }
-            Aggregator::CoordinateMedian => Box::new(ReservoirSink::median(capacity, seed)),
-            Aggregator::Krum { .. }
+            Aggregator::TrimmedMean(_)
+            | Aggregator::CoordinateMedian
+            | Aggregator::Krum { .. }
             | Aggregator::MultiKrum { .. }
             | Aggregator::GeometricMedian
             | Aggregator::NormBound(_)
@@ -1845,7 +1822,7 @@ mod tests {
     fn reservoir_sink_is_exact_under_capacity() {
         let updates: [&[f32]; 5] = [&[1.0], &[2.0], &[3.0], &[100.0], &[-50.0]];
         let weights = [1.0; 5];
-        let mut sink = ReservoirSink::median(8, 3);
+        let mut sink = BufferedRobustSink::new(Aggregator::CoordinateMedian, 8, 3);
         for (i, u) in updates.iter().enumerate() {
             sink.fold(i, u, 1.0).unwrap();
         }
@@ -1854,7 +1831,7 @@ mod tests {
             coordinate_median(&updates, &weights).unwrap()
         );
 
-        let mut sink = ReservoirSink::trimmed(0.2, 8, 3);
+        let mut sink = BufferedRobustSink::new(Aggregator::TrimmedMean(0.2), 8, 3);
         for (i, u) in updates.iter().enumerate() {
             sink.fold(i, u, 1.0).unwrap();
         }
@@ -1867,7 +1844,7 @@ mod tests {
     #[test]
     fn reservoir_sink_is_bounded_and_replay_identical() {
         let run = || {
-            let mut sink = ReservoirSink::median(16, 9);
+            let mut sink = BufferedRobustSink::new(Aggregator::CoordinateMedian, 16, 9);
             for i in 0..5_000usize {
                 // analyze:allow(lossy-cast) -- test data generation only.
                 sink.fold(i, &[i as f32, -(i as f32)], 1.0).unwrap();

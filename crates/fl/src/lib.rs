@@ -78,9 +78,7 @@ pub mod spec;
 pub mod transport;
 
 pub use adversary::{AttackInjector, AttackKind, AttackPlan, ReputationBook};
-pub use aggregate::{
-    BufferedRobustSink, HierarchicalSink, ReservoirSink, StreamingWeightedSink, UpdateSink,
-};
+pub use aggregate::{BufferedRobustSink, HierarchicalSink, StreamingWeightedSink, UpdateSink};
 pub use chaos::{FaultInjector, FaultPlan, WireFaultPlan, WireInjector};
 pub use config::FlConfig;
 pub use metrics::{jain_index, pearson, worst_fraction_mean, ConfusionMatrix, Stats};

@@ -1,5 +1,6 @@
 //! Property-based tests for aggregation, metrics and checkpoint invariants.
 
+use calibre_fl::adversary::anomaly_scores;
 use calibre_fl::aggregate::{
     aggregate_robust, clip_norm, coordinate_median, divergence_weight, geometric_median, krum,
     sample_count_weights, trimmed_mean, uniform_average, weighted_average, weighted_average_refs,
@@ -203,6 +204,65 @@ proptest! {
         }
         for (m, v) in med.iter().zip(update.iter()) {
             prop_assert!((m - v).abs() < 1e-5, "median moved: {m} vs {v}");
+        }
+    }
+
+    #[test]
+    fn order_statistics_are_bit_identical_to_the_sorting_loops(
+        n in prop_oneof![Just(1usize), Just(2usize), 3usize..40],
+        dim in prop_oneof![Just(1usize), Just(16usize), 2usize..40, Just(1000usize)],
+        values in prop::collection::vec(
+            prop_oneof![Just(0.0f32), Just(-0.0f32), Just(1.5f32), Just(-1.5f32), -4.0f32..4.0],
+            40 * 40,
+        ),
+        weights in prop::collection::vec(0.1f32..5.0, 40),
+        zero_weights in any::<bool>(),
+        ragged in any::<bool>(),
+    ) {
+        // The column kernel must return exactly what the per-coordinate
+        // sorting loops it replaced return. The value pool puts duplicates
+        // and both zeros in most columns; `dim` 1 is below the worker count,
+        // most other widths are not a multiple of the gather block, and
+        // `dim` 1000 with a larger cohort splits the coordinates over
+        // several workers.
+        let owned: Vec<Vec<f32>> = (0..n)
+            .map(|i| (0..=dim).map(|j| values[(i * (dim + 1) + j) % values.len()]).collect())
+            .collect();
+        let updates: Vec<&[f32]> = owned.iter().map(|row| &row[..dim]).collect();
+        let weights: Vec<f32> = if zero_weights { vec![0.0; n] } else { weights[..n].to_vec() };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        let median = coordinate_median(&updates, &weights).unwrap();
+        let want = sorting_reference::coordinate_median(&updates, &weights);
+        prop_assert_eq!(bits(&median), bits(&want));
+        for ratio in [0.0f32, 0.1, 0.3] {
+            let want = sorting_reference::trimmed_mean(&updates, &weights, ratio);
+            match (trimmed_mean(&updates, &weights, ratio), want) {
+                (Ok(got), Some(want)) => prop_assert_eq!(bits(&got), bits(&want), "ratio {}", ratio),
+                (Err(AggregateError::CohortTooSmall { .. }), None) => {}
+                (got, want) => prop_assert!(false, "ratio {}: {:?} vs {:?}", ratio, got, want),
+            }
+        }
+
+        // Detection reads rows past their end as zero and ignores their
+        // tails; ragged rows after the first exercise both.
+        let rows: Vec<&[f32]> = owned
+            .iter()
+            .enumerate()
+            .map(|(i, row)| match (ragged && i > 0, i % 3) {
+                (true, 1) => &row[..dim - 1],
+                (true, 2) => &row[..],
+                _ => &row[..dim],
+            })
+            .collect();
+        let ids: Vec<usize> = (0..n).map(|i| 7 * i + 1).collect();
+        let got = anomaly_scores(&ids, &rows);
+        let want = sorting_reference::anomaly_scores(&ids, &rows);
+        prop_assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            prop_assert_eq!(g.client, w.client);
+            prop_assert_eq!(g.norm_z.to_bits(), w.norm_z.to_bits(), "norm z of {}", g.client);
+            prop_assert_eq!(g.cosine_z.to_bits(), w.cosine_z.to_bits(), "cosine z of {}", g.client);
         }
     }
 
@@ -680,4 +740,135 @@ proptest! {
 fn sample_count_weights_preserve_ratios() {
     let w = sample_count_weights(&[5, 10, 0]);
     assert_eq!(w, vec![5.0, 10.0, 0.0]);
+}
+
+/// The per-coordinate sorting loops the aggregation column kernel replaced,
+/// kept as bit-for-bit references for it.
+mod sorting_reference {
+    use calibre_fl::adversary::AnomalyScore;
+
+    /// Weighted trimmed mean; `None` where the trims consume the cohort.
+    pub fn trimmed_mean(updates: &[&[f32]], weights: &[f32], ratio: f32) -> Option<Vec<f32>> {
+        let n = updates.len();
+        let trim = (ratio * n as f32).ceil() as usize;
+        if trim > 0 && n.saturating_sub(2 * trim) == 0 {
+            return None;
+        }
+        let dim = updates[0].len();
+        let hi = n - trim;
+        let mut column: Vec<(f32, f32)> = Vec::with_capacity(n);
+        let out = (0..dim)
+            .map(|j| {
+                column.clear();
+                column.extend(updates.iter().zip(weights).map(|(u, &w)| (u[j], w)));
+                column.sort_by(|a, b| a.0.total_cmp(&b.0));
+                let kept = &column[trim..hi];
+                let total: f32 = kept.iter().map(|(_, w)| w).sum();
+                let uniform = 1.0 / kept.len().max(1) as f32;
+                kept.iter()
+                    .map(|(v, w)| v * if total > 0.0 { w / total } else { uniform })
+                    .sum()
+            })
+            .collect();
+        Some(out)
+    }
+
+    /// Weighted median: the first sorted value whose cumulative weight
+    /// reaches half the total (uniform weights for a non-positive total).
+    pub fn coordinate_median(updates: &[&[f32]], weights: &[f32]) -> Vec<f32> {
+        let n = updates.len();
+        let total: f32 = weights.iter().sum();
+        let uniform = total <= 0.0;
+        let full: f32 = if uniform { n as f32 } else { total };
+        let mut column: Vec<(f32, f32)> = Vec::with_capacity(n);
+        (0..updates[0].len())
+            .map(|j| {
+                column.clear();
+                column.extend(
+                    updates
+                        .iter()
+                        .zip(weights)
+                        .map(|(u, &w)| (u[j], if uniform { 1.0 } else { w })),
+                );
+                column.sort_by(|a, b| a.0.total_cmp(&b.0));
+                let mut acc = 0.0f32;
+                let mut median = column.last().map(|c| c.0).unwrap_or(0.0);
+                for &(v, w) in column.iter() {
+                    acc += w;
+                    if acc >= full * 0.5 {
+                        median = v;
+                        break;
+                    }
+                }
+                median
+            })
+            .collect()
+    }
+
+    fn l2_norm(v: &[f32]) -> f32 {
+        v.iter().map(|x| x * x).sum::<f32>().sqrt()
+    }
+
+    /// Anomaly scores against a reference median built by sorting every
+    /// zero-filled column.
+    pub fn anomaly_scores(ids: &[usize], updates: &[&[f32]]) -> Vec<AnomalyScore> {
+        let n = ids.len().min(updates.len());
+        if n < 3 {
+            return ids
+                .iter()
+                .take(n)
+                .map(|&client| AnomalyScore {
+                    client,
+                    norm_z: 0.0,
+                    cosine_z: 0.0,
+                })
+                .collect();
+        }
+        let dim = updates.first().map_or(0, |u| u.len());
+        let mut median = vec![0.0f32; dim];
+        let mut col = Vec::with_capacity(n);
+        for (d, m) in median.iter_mut().enumerate() {
+            col.clear();
+            col.extend(
+                updates
+                    .iter()
+                    .take(n)
+                    .map(|u| u.get(d).copied().unwrap_or(0.0)),
+            );
+            col.sort_unstable_by(|a, b| a.total_cmp(b));
+            let hi = col[n / 2];
+            *m = if n % 2 == 1 {
+                hi
+            } else {
+                0.5 * (col[n / 2 - 1] + hi)
+            };
+        }
+        let med_norm = l2_norm(&median).max(1e-12);
+        let norms: Vec<f32> = updates.iter().take(n).map(|u| l2_norm(u)).collect();
+        let cosines: Vec<f32> = updates
+            .iter()
+            .take(n)
+            .zip(&norms)
+            .map(|(u, &un)| {
+                let dot: f32 = u.iter().zip(&median).map(|(a, b)| a * b).sum();
+                dot / (un.max(1e-12) * med_norm)
+            })
+            .collect();
+        let z = |xs: &[f32]| -> (f32, f32) {
+            let m = xs.iter().sum::<f32>() / n as f32;
+            let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f32>() / n as f32;
+            (m, var.sqrt().max(1e-6))
+        };
+        let (nm, ns) = z(&norms);
+        let (cm, cs) = z(&cosines);
+        ids.iter()
+            .take(n)
+            .zip(norms.iter().zip(&cosines))
+            .map(|(&client, (&norm, &cosine))| AnomalyScore {
+                client,
+                norm_z: (norm - nm) / ns,
+                cosine_z: (cosine - cm) / cs,
+            })
+            .collect()
+    }
 }
