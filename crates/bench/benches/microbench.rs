@@ -7,6 +7,7 @@ use calibre_cluster::{kmeans, KMeansConfig};
 use calibre_data::{AugmentConfig, FederatedDataset, NonIid, PartitionConfig, SynthVisionSpec};
 use calibre_embed::{tsne, TsneConfig};
 use calibre_fl::aggregate::weighted_average;
+use calibre_fl::proto::{encode_assign_into, frame_checksum, Msg};
 use calibre_ssl::{nt_xent, ssl_step, ssl_step_in, SimClr, SslConfig, SslMethod, TwoViewBatch};
 use calibre_tensor::backend::{Backend, Blocked, Scalar};
 use calibre_tensor::nn::{gradients, Binding, Mlp};
@@ -160,6 +161,47 @@ fn bench_aggregation(c: &mut Criterion) {
     });
 }
 
+/// The wire codec on the 1 MiB frames `serve_tcp` moves every round, next
+/// to a plain `memcpy` of the same size for scale.
+fn bench_wire(c: &mut Criterion) {
+    const MIB: usize = 1 << 20;
+    let bytes: Vec<u8> = (0..MIB).map(|i| (i % 251) as u8).collect();
+    c.bench_function("frame_checksum_1mib", |bench| {
+        bench.iter(|| black_box(frame_checksum(black_box(&bytes))))
+    });
+    let model: Vec<f32> = (0..MIB / 4).map(|i| i as f32 * 0.5).collect();
+    let mut frame = Vec::new();
+    c.bench_function("frame_encode_assign_1mib", |bench| {
+        bench.iter(|| {
+            encode_assign_into(&mut frame, 1, 0, 0, black_box(&model));
+            black_box(frame.len())
+        })
+    });
+    let update = Msg::Update {
+        round: 1,
+        slot: 0,
+        client: 0,
+        weight: 1.0,
+        loss: 0.5,
+        update: model,
+    }
+    .encode();
+    let mut buf = Vec::new();
+    c.bench_function("frame_read_update_1mib", |bench| {
+        bench.iter(|| {
+            let mut r = std::io::Cursor::new(black_box(&update));
+            black_box(Msg::read_from(&mut r, &mut buf).is_ok())
+        })
+    });
+    let mut dst = vec![0u8; MIB];
+    c.bench_function("memcpy_1mib", |bench| {
+        bench.iter(|| {
+            dst.copy_from_slice(black_box(&bytes));
+            black_box(dst.first().copied())
+        })
+    });
+}
+
 fn bench_ssl_step(c: &mut Criterion) {
     let mut r = rng::seeded(5);
     let base = rng::normal_matrix(&mut r, 32, 64, 1.0);
@@ -303,7 +345,7 @@ criterion_group! {
     name = kernels;
     config = config();
     targets = bench_matmul, bench_mlp_backward, bench_nt_xent, bench_kmeans,
-        bench_aggregation, bench_ssl_step, bench_calibre_step,
+        bench_aggregation, bench_wire, bench_ssl_step, bench_calibre_step,
         bench_federated_round, bench_encoder_inference, bench_tsne,
         bench_render_two_views
 }

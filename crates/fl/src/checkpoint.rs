@@ -91,8 +91,8 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-// The integrity checksum is the crate-wide FNV-1a, shared with the wire
-// protocol's frame checksums and the serve-path model fingerprints.
+// The integrity checksum is FNV-1a, the same function as the serve-path
+// model fingerprints. Wire frames use their own word checksum.
 use crate::adversary::ReputationBook;
 use crate::proto::fnv1a;
 

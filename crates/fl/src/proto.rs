@@ -4,20 +4,26 @@
 //! protocol over TCP or Unix-domain sockets — no serialization crates, in
 //! the same spirit as `calibre-telemetry`'s hand-rolled JSON. Every frame
 //! carries a version byte, a message tag, a little-endian payload length,
-//! and an FNV-1a checksum over the header and payload:
+//! and a word checksum over the header and payload:
 //!
 //! ```text
 //! +---------+---------+-------------+-----------------+----------------+
 //! | version |   tag   |  len (u32)  |     payload     | checksum (u64) |
 //! |  1 byte |  1 byte | 4 bytes LE  |   `len` bytes   |  8 bytes LE    |
 //! +---------+---------+-------------+-----------------+----------------+
-//!            checksum = FNV-1a(version ‖ tag ‖ len ‖ payload)
+//!            checksum = frame_checksum(version ‖ tag ‖ len ‖ payload)
 //! ```
 //!
 //! Model vectors travel as raw IEEE-754 bit patterns (`f32::to_bits`, LE),
 //! so a value survives the wire **bit-identically** — the foundation of the
 //! cross-transport golden test: same seeds ⇒ byte-identical final model
 //! whether rounds run in-process or over a loopback socket.
+//!
+//! Frames move at memory speed: [`frame_checksum`] hashes four 8-byte
+//! lanes at a time, vectors are converted in bulk, and each endpoint owns
+//! one frame buffer that serves both directions. [`Msg::write_to`] encodes
+//! into it and writes once; [`Msg::read_from`] reads one whole frame into
+//! it and parses it with [`Msg::decode`], the one frame parser.
 //!
 //! Decoding is total: arbitrary junk, truncated frames, bad versions, bad
 //! tags, and flipped bits all surface as typed [`WireError`]s, never as
@@ -27,11 +33,18 @@ use std::io::{Read, Write};
 
 use calibre_telemetry::metrics;
 
-/// Current protocol version, first byte of every frame.
-pub const PROTO_VERSION: u8 = 1;
+/// Current protocol version, first byte of every frame. A peer speaking
+/// another version gets [`WireError::BadVersion`].
+pub const PROTO_VERSION: u8 = 2;
+
+/// Bytes before the payload: version, tag, length.
+const HEADER_BYTES: usize = 1 + 1 + 4;
+
+/// Bytes after the payload: the checksum.
+const CHECKSUM_BYTES: usize = 8;
 
 /// Bytes of frame framing around a payload: version, tag, length, checksum.
-pub const FRAME_OVERHEAD_BYTES: usize = 1 + 1 + 4 + 8;
+pub const FRAME_OVERHEAD_BYTES: usize = HEADER_BYTES + CHECKSUM_BYTES;
 
 /// Upper bound on a payload length (64 MiB). Anything larger is rejected
 /// before allocation — a desynced or hostile stream cannot OOM the peer.
@@ -40,8 +53,7 @@ pub const MAX_PAYLOAD_BYTES: u32 = 64 * 1024 * 1024;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a over a byte slice — the checksum shared by wire frames,
-/// checkpoints, and the serve-path model fingerprints.
+/// FNV-1a over a byte slice — the integrity checksum of checkpoint files.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {
@@ -62,6 +74,58 @@ pub fn model_checksum(model: &[f32]) -> u64 {
         }
     }
     h
+}
+
+/// The multiplier of every checksum step; odd, so `x ↦ x·P` is a
+/// bijection on `u64`.
+const SUM_PRIME: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The checksum's lane seeds: the first 256 bits of π's fraction.
+const LANE_SEEDS: [u64; 4] = [
+    0x243F_6A88_85A3_08D3,
+    0x1319_8A2E_0370_7344,
+    0xA409_3822_299F_31D0,
+    0x082E_FA98_EC4E_6C89,
+];
+
+/// The frame checksum over `bytes` (a frame's header ‖ payload).
+///
+/// `bytes` is read as little-endian `u64` words, the last one zero-padded.
+/// Word `i` feeds lane `i mod 4` through the step `h ← (h ⊕ w)·P`, and the
+/// four lanes then fold, in order, into the byte length with the same step.
+/// For a fixed length every step is a bijection in `h` (`⊕ w` is, and `P`
+/// is odd), so a changed word changes its lane, and a changed lane changes
+/// the sum: any change confined to one aligned 8-byte word, every single
+/// flipped bit included, is always caught. The four independent lanes keep
+/// four multiplies in flight, which runs near memory speed.
+pub fn frame_checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = LANE_SEEDS;
+    let mut blocks = bytes.chunks_exact(8 * LANE_SEEDS.len());
+    for block in &mut blocks {
+        for (h, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *h = sum_step(*h, le_word(w));
+        }
+    }
+    // The tail's words continue the lane order from lane 0.
+    for (h, w) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+        *h = sum_step(*h, le_word(w));
+    }
+    // usize → u64 is lossless on every supported target.
+    let len = bytes.len() as u64;
+    lanes.iter().fold(len, |h, &lane| sum_step(h, lane))
+}
+
+fn sum_step(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(SUM_PRIME)
+}
+
+/// A little-endian `u64` from up to 8 bytes, zero-padded.
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    for (d, s) in w.iter_mut().zip(bytes) {
+        *d = *s;
+    }
+    u64::from_le_bytes(w)
 }
 
 /// A decode or I/O failure on the wire. Every malformed input maps to one
@@ -159,6 +223,16 @@ impl From<std::io::Error> for WireError {
     }
 }
 
+/// Message tags, the second byte of every frame.
+mod tag {
+    pub const HELLO: u8 = 1;
+    pub const WELCOME: u8 = 2;
+    pub const ASSIGN: u8 = 3;
+    pub const UPDATE: u8 = 4;
+    pub const FINISH: u8 = 5;
+    pub const BYE: u8 = 6;
+}
+
 /// The messages of the serve protocol.
 ///
 /// Handshake: client sends [`Msg::Hello`], server replies [`Msg::Welcome`]
@@ -231,12 +305,12 @@ pub enum Msg {
 impl Msg {
     fn tag(&self) -> u8 {
         match self {
-            Msg::Hello { .. } => 1,
-            Msg::Welcome { .. } => 2,
-            Msg::Assign { .. } => 3,
-            Msg::Update { .. } => 4,
-            Msg::Finish { .. } => 5,
-            Msg::Bye => 6,
+            Msg::Hello { .. } => tag::HELLO,
+            Msg::Welcome { .. } => tag::WELCOME,
+            Msg::Assign { .. } => tag::ASSIGN,
+            Msg::Update { .. } => tag::UPDATE,
+            Msg::Finish { .. } => tag::FINISH,
+            Msg::Bye => tag::BYE,
         }
     }
 
@@ -277,12 +351,7 @@ impl Msg {
                 slot,
                 attempt,
                 model,
-            } => {
-                put_u32(out, *round);
-                put_u32(out, *slot);
-                put_u32(out, *attempt);
-                put_vec_f32(out, model);
-            }
+            } => put_assign(out, *round, *slot, *attempt, model),
             Msg::Update {
                 round,
                 slot,
@@ -309,10 +378,10 @@ impl Msg {
     fn decode_payload(tag: u8, payload: &[u8]) -> Result<Msg, WireError> {
         let mut c = Cursor::new(payload);
         let msg = match tag {
-            1 => Msg::Hello {
+            tag::HELLO => Msg::Hello {
                 client: c.take_u64()?,
             },
-            2 => Msg::Welcome {
+            tag::WELCOME => Msg::Welcome {
                 client: c.take_u64()?,
                 seed: c.take_u64()?,
                 rounds: c.take_u32()?,
@@ -321,13 +390,13 @@ impl Msg {
                 churn_prob: c.take_f32()?,
                 churn_seed: c.take_u64()?,
             },
-            3 => Msg::Assign {
+            tag::ASSIGN => Msg::Assign {
                 round: c.take_u32()?,
                 slot: c.take_u32()?,
                 attempt: c.take_u32()?,
                 model: c.take_vec_f32()?,
             },
-            4 => Msg::Update {
+            tag::UPDATE => Msg::Update {
                 round: c.take_u32()?,
                 slot: c.take_u32()?,
                 client: c.take_u64()?,
@@ -335,11 +404,11 @@ impl Msg {
                 loss: c.take_f32()?,
                 update: c.take_vec_f32()?,
             },
-            5 => Msg::Finish {
+            tag::FINISH => Msg::Finish {
                 rounds: c.take_u32()?,
                 checksum: c.take_u64()?,
             },
-            6 => Msg::Bye,
+            tag::BYE => Msg::Bye,
             other => return Err(WireError::BadTag(other)),
         };
         let left = c.remaining();
@@ -352,19 +421,15 @@ impl Msg {
     /// Encodes this message into a complete frame (header + payload +
     /// checksum), ready to write to a socket.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        self.encode_payload(&mut payload);
-        let mut frame = Vec::with_capacity(FRAME_OVERHEAD_BYTES + payload.len());
-        frame.push(PROTO_VERSION);
-        frame.push(self.tag());
-        // Payload length is bounded by message construction well below
-        // u32::MAX; the cast cannot truncate in practice, and the decoder
-        // enforces MAX_PAYLOAD_BYTES regardless.
-        put_u32(&mut frame, payload.len() as u32);
-        frame.extend_from_slice(&payload);
-        let checksum = fnv1a(&frame);
-        put_u64(&mut frame, checksum);
+        let mut frame = Vec::new();
+        self.encode_into(&mut frame);
         frame
+    }
+
+    /// Encodes this message's frame into `buf`, replacing its contents and
+    /// reusing its capacity.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        encode_frame(buf, self.tag(), |out| self.encode_payload(out));
     }
 
     /// Decodes one frame from the front of `buf`, returning the message and
@@ -376,68 +441,57 @@ impl Msg {
     /// oversize length, checksum mismatch, trailing payload bytes —
     /// returns the matching [`WireError`]; this function never panics.
     pub fn decode(buf: &[u8]) -> Result<(Msg, usize), WireError> {
-        let header = buf.get(..6).ok_or(WireError::Truncated {
-            needed: 6,
-            got: buf.len(),
-        })?;
-        let mut h = Cursor::new(header);
-        let version = h.take_u8()?;
-        if version != PROTO_VERSION {
-            return Err(WireError::BadVersion(version));
-        }
-        let tag = h.take_u8()?;
-        let len = h.take_u32()?;
-        if len > MAX_PAYLOAD_BYTES {
-            return Err(WireError::Oversize(len));
-        }
-        let total = 6 + len as usize + 8;
+        let (tag, len) = parse_header(buf)?;
+        let body_len = HEADER_BYTES + len as usize;
+        let total = body_len + CHECKSUM_BYTES;
         let frame = buf.get(..total).ok_or(WireError::Truncated {
             needed: total,
             got: buf.len(),
         })?;
-        let (body, sum_bytes) = frame.split_at(6 + len as usize);
+        let (body, sum_bytes) = frame.split_at(body_len);
         let mut s = Cursor::new(sum_bytes);
         let got = s.take_u64()?;
-        let expected = fnv1a(body);
+        let expected = frame_checksum(body);
         if got != expected {
             return Err(WireError::BadChecksum { expected, got });
         }
-        let payload = body.get(6..).unwrap_or(&[]);
+        let payload = body.get(HEADER_BYTES..).unwrap_or(&[]);
         let msg = Msg::decode_payload(tag, payload)?;
         Ok((msg, total))
     }
 
-    /// Writes this message as one frame to `w` and returns the frame size.
-    /// Records `calibre_net_frames_sent_total` / `calibre_net_bytes_sent_total`.
+    /// Encodes this message into `buf` and writes it to `w` as one frame,
+    /// with one write; returns the frame size. Records
+    /// `calibre_net_frames_sent_total` / `calibre_net_bytes_sent_total`.
     ///
     /// # Errors
     ///
     /// [`WireError::Io`] if the write fails.
-    pub fn write_to<W: Write + ?Sized>(&self, w: &mut W) -> Result<usize, WireError> {
-        let frame = self.encode();
-        w.write_all(&frame)?;
-        w.flush()?;
-        metrics::counter_add(
-            "calibre_net_frames_sent_total",
-            &[("tag", self.tag_name())],
-            1,
-        );
-        metrics::counter_add("calibre_net_bytes_sent_total", &[], frame.len() as u64);
-        Ok(frame.len())
+    pub fn write_to<W: Write + ?Sized>(
+        &self,
+        w: &mut W,
+        buf: &mut Vec<u8>,
+    ) -> Result<usize, WireError> {
+        self.encode_into(buf);
+        write_frame(w, buf, self.tag_name())
     }
 
-    /// Reads exactly one frame from `r`.
+    /// Reads exactly one frame from `r` into `buf` and decodes it with
+    /// [`Msg::decode`].
     ///
-    /// Respects the stream's read timeout: an idle timeout surfaces as a
-    /// [`WireError::Io`] for which [`WireError::is_timeout`] is true.
-    /// Records receive/error metrics.
+    /// `buf` grows only as bytes arrive, never to the length a header
+    /// claims, so a lying header costs no more memory than the bytes
+    /// actually sent. Respects the stream's read timeout: an idle timeout
+    /// surfaces as a [`WireError::Io`] for which [`WireError::is_timeout`]
+    /// is true. Records receive/error metrics.
     ///
     /// # Errors
     ///
-    /// [`WireError::Io`] on read failures; the decode errors of
-    /// [`Msg::decode`] on malformed frames.
-    pub fn read_from<R: Read + ?Sized>(r: &mut R) -> Result<Msg, WireError> {
-        match Self::read_from_inner(r) {
+    /// [`WireError::Io`] on read failures (a stream that ends mid-frame
+    /// is `UnexpectedEof`); the decode errors of [`Msg::decode`] on
+    /// malformed frames.
+    pub fn read_from<R: Read + ?Sized>(r: &mut R, buf: &mut Vec<u8>) -> Result<Msg, WireError> {
+        match read_frame(r, buf).and_then(|()| Msg::decode(buf)) {
             Ok((msg, bytes)) => {
                 metrics::counter_add(
                     "calibre_net_frames_received_total",
@@ -459,36 +513,86 @@ impl Msg {
             }
         }
     }
+}
 
-    fn read_from_inner<R: Read + ?Sized>(r: &mut R) -> Result<(Msg, usize), WireError> {
-        let mut header = [0u8; 6];
-        r.read_exact(&mut header)?;
-        let mut h = Cursor::new(&header);
-        let version = h.take_u8()?;
-        if version != PROTO_VERSION {
-            return Err(WireError::BadVersion(version));
-        }
-        let tag = h.take_u8()?;
-        let len = h.take_u32()?;
-        if len > MAX_PAYLOAD_BYTES {
-            return Err(WireError::Oversize(len));
-        }
-        let mut rest = vec![0u8; len as usize + 8];
-        r.read_exact(&mut rest)?;
-        let (payload, sum_bytes) = rest.split_at(len as usize);
-        let mut expected = fnv1a(&header);
-        for &b in payload {
-            expected ^= u64::from(b);
-            expected = expected.wrapping_mul(FNV_PRIME);
-        }
-        let mut s = Cursor::new(sum_bytes);
-        let got = s.take_u64()?;
-        if got != expected {
-            return Err(WireError::BadChecksum { expected, got });
-        }
-        let msg = Msg::decode_payload(tag, payload)?;
-        Ok((msg, 6 + rest.len()))
+/// Encodes the frame of `Msg::Assign { round, slot, attempt, model }` into
+/// `buf`, straight from a borrowed model: the server sends its global
+/// model to every client without copying it into a message first.
+pub fn encode_assign_into(buf: &mut Vec<u8>, round: u32, slot: u32, attempt: u32, model: &[f32]) {
+    encode_frame(buf, tag::ASSIGN, |out| {
+        put_assign(out, round, slot, attempt, model);
+    });
+}
+
+/// Writes one encoded frame with a single `write_all` and records the send
+/// metrics under `tag_name`; returns the frame size.
+pub(crate) fn write_frame<W: Write + ?Sized>(
+    w: &mut W,
+    frame: &[u8],
+    tag_name: &'static str,
+) -> Result<usize, WireError> {
+    w.write_all(frame)?;
+    w.flush()?;
+    metrics::counter_add("calibre_net_frames_sent_total", &[("tag", tag_name)], 1);
+    metrics::counter_add("calibre_net_bytes_sent_total", &[], frame.len() as u64);
+    Ok(frame.len())
+}
+
+/// Replaces `buf` with one frame: the header, the payload `put` appends,
+/// and the checksum over both.
+fn encode_frame(buf: &mut Vec<u8>, tag: u8, put: impl FnOnce(&mut Vec<u8>)) {
+    buf.clear();
+    buf.extend_from_slice(&[PROTO_VERSION, tag, 0, 0, 0, 0]);
+    put(buf);
+    // Payload length is bounded by message construction well below
+    // u32::MAX; the cast cannot truncate in practice, and the decoder
+    // enforces MAX_PAYLOAD_BYTES regardless.
+    let len = (buf.len() - HEADER_BYTES) as u32;
+    if let Some(field) = buf.get_mut(2..HEADER_BYTES) {
+        field.copy_from_slice(&len.to_le_bytes());
     }
+    let checksum = frame_checksum(buf);
+    put_u64(buf, checksum);
+}
+
+/// Checks a frame header — version, then the length bound — and returns
+/// its tag and payload length.
+fn parse_header(buf: &[u8]) -> Result<(u8, u32), WireError> {
+    let header = buf.get(..HEADER_BYTES).ok_or(WireError::Truncated {
+        needed: HEADER_BYTES,
+        got: buf.len(),
+    })?;
+    let mut h = Cursor::new(header);
+    let version = h.take_u8()?;
+    if version != PROTO_VERSION {
+        return Err(WireError::BadVersion(version));
+    }
+    let tag = h.take_u8()?;
+    let len = h.take_u32()?;
+    if len > MAX_PAYLOAD_BYTES {
+        return Err(WireError::Oversize(len));
+    }
+    Ok((tag, len))
+}
+
+/// Reads one whole frame into `buf`, replacing its contents. The header is
+/// checked first, so a bad version or an oversize claim fails before any
+/// payload is read.
+fn read_frame<R: Read + ?Sized>(r: &mut R, buf: &mut Vec<u8>) -> Result<(), WireError> {
+    buf.clear();
+    read_exactly(r, buf, HEADER_BYTES)?;
+    let (_, len) = parse_header(buf)?;
+    read_exactly(r, buf, len as usize + CHECKSUM_BYTES)
+}
+
+/// Appends exactly `n` bytes from `r` to `buf`, growing it only as they
+/// arrive.
+fn read_exactly<R: Read + ?Sized>(r: &mut R, buf: &mut Vec<u8>, n: usize) -> Result<(), WireError> {
+    let got = (&mut *r).take(n as u64).read_to_end(buf)?;
+    if got < n {
+        return Err(WireError::Io(std::io::ErrorKind::UnexpectedEof.into()));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -507,12 +611,25 @@ fn put_f32(out: &mut Vec<u8>, v: f32) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
+/// Appends an element count, then every value's LE bit pattern in bulk.
 fn put_vec_f32(out: &mut Vec<u8>, v: &[f32]) {
     // Length bounded by MAX_PAYLOAD_BYTES / 4 on decode; encode mirrors it.
     put_u32(out, v.len() as u32);
-    for x in v {
-        put_f32(out, *x);
+    let start = out.len();
+    out.resize(start + 4 * v.len(), 0);
+    let dst = out.get_mut(start..).unwrap_or_default();
+    for (d, x) in dst.chunks_exact_mut(4).zip(v) {
+        d.copy_from_slice(&x.to_le_bytes());
     }
+}
+
+/// The `Assign` payload, shared by [`Msg::Assign`] and
+/// [`encode_assign_into`] so the wire has one Assign layout.
+fn put_assign(out: &mut Vec<u8>, round: u32, slot: u32, attempt: u32, model: &[f32]) {
+    put_u32(out, round);
+    put_u32(out, slot);
+    put_u32(out, attempt);
+    put_vec_f32(out, model);
 }
 
 /// A bounds-checked little-endian reader over a payload slice.
@@ -568,6 +685,7 @@ impl<'a> Cursor<'a> {
         Ok(f32::from_bits(self.take_u32()?))
     }
 
+    /// Reads an element count, then that many values in bulk.
     fn take_vec_f32(&mut self) -> Result<Vec<f32>, WireError> {
         let n = self.take_u32()? as usize;
         // Each element needs 4 payload bytes; an absurd count is caught
@@ -578,11 +696,11 @@ impl<'a> Cursor<'a> {
                 got: self.remaining(),
             });
         }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.take_f32()?);
-        }
-        Ok(out)
+        let bytes = self.take(4 * n)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|b| b.try_into().map_or(0.0, f32::from_le_bytes))
+            .collect())
     }
 }
 
@@ -624,6 +742,18 @@ mod tests {
         ]
     }
 
+    /// Frames `payload` under `version` and `tag` with a caller-chosen
+    /// checksum function, so tests can build frames the encoder never
+    /// would.
+    fn raw_frame(version: u8, tag: u8, payload: &[u8], sum: fn(&[u8]) -> u64) -> Vec<u8> {
+        let mut frame = vec![version, tag];
+        put_u32(&mut frame, payload.len() as u32);
+        frame.extend_from_slice(payload);
+        let s = sum(&frame);
+        put_u64(&mut frame, s);
+        frame
+    }
+
     #[test]
     fn every_message_roundtrips_bit_exactly() {
         for msg in sample_msgs() {
@@ -636,14 +766,96 @@ mod tests {
 
     #[test]
     fn streams_of_frames_roundtrip_through_read_write() {
+        let mut stream = Vec::new();
         let mut buf = Vec::new();
         for msg in sample_msgs() {
-            msg.write_to(&mut buf).unwrap();
+            msg.write_to(&mut stream, &mut buf).unwrap();
         }
-        let mut r = std::io::Cursor::new(buf);
+        let mut r = std::io::Cursor::new(stream);
         for msg in sample_msgs() {
-            assert_eq!(Msg::read_from(&mut r).unwrap(), msg);
+            assert_eq!(Msg::read_from(&mut r, &mut buf).unwrap(), msg);
         }
+    }
+
+    #[test]
+    fn one_buffer_reads_each_frame_as_its_own_message() {
+        let big = Msg::Update {
+            round: 7,
+            slot: 1,
+            client: 1,
+            weight: 2.0,
+            loss: 0.25,
+            update: (0..1 << 18).map(|i| i as f32 * 0.5).collect(),
+        };
+        let finish = Msg::Finish {
+            rounds: 7,
+            checksum: 0xFEED,
+        };
+        let small = Msg::Assign {
+            round: 8,
+            slot: 0,
+            attempt: 1,
+            model: vec![1.5, -0.0],
+        };
+        let prefix = {
+            let frame = Msg::Assign {
+                round: 8,
+                slot: 0,
+                attempt: 0,
+                model: vec![3.0; 64],
+            }
+            .encode();
+            frame.get(..frame.len() - 1).unwrap().to_vec()
+        };
+        let mut buf = Vec::new();
+        let mut read = |bytes: Vec<u8>| Msg::read_from(&mut std::io::Cursor::new(bytes), &mut buf);
+        assert_eq!(read(big.encode()).unwrap(), big);
+        assert_eq!(read(finish.encode()).unwrap(), finish);
+        assert!(matches!(read(prefix), Err(WireError::Io(_))));
+        assert_eq!(read(small.encode()).unwrap(), small);
+    }
+
+    #[test]
+    fn encode_into_a_used_buffer_matches_a_fresh_encode() {
+        let long = Msg::Update {
+            round: 1,
+            slot: 2,
+            client: 3,
+            weight: 1.0,
+            loss: 0.5,
+            update: vec![0.25; 4096],
+        };
+        let mut buf = Vec::new();
+        long.encode_into(&mut buf);
+        for short in sample_msgs() {
+            short.encode_into(&mut buf);
+            assert_eq!(buf, short.encode(), "{}", short.tag_name());
+        }
+    }
+
+    #[test]
+    fn assign_from_a_borrowed_model_matches_the_message_encoding() {
+        let model = vec![f32::NAN, -0.0, 1.0, 2.5e-38];
+        let mut buf = vec![0xAA; 3];
+        encode_assign_into(&mut buf, 4, 5, 6, &model);
+        let msg = Msg::Assign {
+            round: 4,
+            slot: 5,
+            attempt: 6,
+            model,
+        };
+        assert_eq!(buf, msg.encode());
+    }
+
+    #[test]
+    fn a_lying_length_grows_the_buffer_only_by_what_arrives() {
+        let mut stream = vec![PROTO_VERSION, tag::UPDATE];
+        put_u32(&mut stream, MAX_PAYLOAD_BYTES);
+        stream.extend_from_slice(&[7u8; 100]);
+        let mut buf = Vec::new();
+        let err = Msg::read_from(&mut std::io::Cursor::new(stream), &mut buf).unwrap_err();
+        assert!(matches!(err, WireError::Io(_)), "{err}");
+        assert!(buf.capacity() < 1 << 20, "capacity {}", buf.capacity());
     }
 
     #[test]
@@ -673,12 +885,16 @@ mod tests {
             .nth(2)
             .map(|m| m.encode())
             .unwrap();
+        let mut buf = Vec::new();
         for cut in 0..frame.len() {
-            let err = Msg::decode(frame.get(..cut).unwrap_or(&[])).unwrap_err();
+            let prefix = frame.get(..cut).unwrap_or(&[]);
+            let err = Msg::decode(prefix).unwrap_err();
             assert!(
                 matches!(err, WireError::Truncated { .. }),
                 "cut {cut}: {err}"
             );
+            let err = Msg::read_from(&mut std::io::Cursor::new(prefix), &mut buf).unwrap_err();
+            assert!(matches!(err, WireError::Io(_)), "cut {cut}: {err}");
         }
     }
 
@@ -699,6 +915,58 @@ mod tests {
     }
 
     #[test]
+    fn a_change_confined_to_one_word_is_always_caught() {
+        // 37 bytes: four full words, then a partial one.
+        let bytes: Vec<u8> = (0..37u8).map(|b| b.wrapping_mul(29)).collect();
+        let sum = frame_checksum(&bytes);
+        let masks = (0..64)
+            .map(|bit| 1u64 << bit)
+            .chain([u64::MAX, 0x0101, 0xFF00]);
+        for start in (0..bytes.len()).step_by(8) {
+            for mask in masks.clone() {
+                let mut bad = bytes.clone();
+                let word = bad.iter_mut().skip(start).take(8);
+                for (b, m) in word.zip(mask.to_le_bytes()) {
+                    *b ^= m;
+                }
+                if bad != bytes {
+                    assert_ne!(frame_checksum(&bad), sum, "word at {start}, mask {mask:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frame_checksum_known_answers() {
+        // Pinned from an independent implementation of the definition in
+        // `frame_checksum`'s docs: a change here changes the wire format.
+        assert_eq!(frame_checksum(&[]), 0x4a70_095e_e956_27d2);
+        let ramp: Vec<u8> = (0..100).collect();
+        assert_eq!(frame_checksum(&ramp), 0x1fca_7702_6b70_6be2);
+        let finish = Msg::Finish {
+            rounds: 3,
+            checksum: 42,
+        };
+        let expected: [u8; 26] = [
+            0x02, 0x05, 0x0c, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x2a, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x5e, 0x90, 0xbe, 0x0b, 0x1c, 0x82, 0x91, 0x32,
+        ];
+        assert_eq!(finish.encode(), expected);
+    }
+
+    #[test]
+    fn a_v1_frame_is_a_typed_bad_version() {
+        let mut payload = Vec::new();
+        put_u32(&mut payload, 3);
+        put_u64(&mut payload, 42);
+        let v1 = raw_frame(1, tag::FINISH, &payload, fnv1a);
+        assert!(matches!(Msg::decode(&v1), Err(WireError::BadVersion(1))));
+        let mut buf = Vec::new();
+        let got = Msg::read_from(&mut std::io::Cursor::new(v1), &mut buf);
+        assert!(matches!(got, Err(WireError::BadVersion(1))));
+    }
+
+    #[test]
     fn wrong_version_tag_and_oversize_are_typed() {
         let mut frame = Msg::Bye.encode();
         if let Some(b) = frame.first_mut() {
@@ -706,15 +974,16 @@ mod tests {
         }
         assert!(matches!(Msg::decode(&frame), Err(WireError::BadVersion(9))));
 
-        // A frame with an unknown tag, re-checksummed so only the tag is bad.
-        let mut body = vec![PROTO_VERSION, 200, 0, 0, 0, 0];
-        let sum = fnv1a(&body);
-        body.extend_from_slice(&sum.to_le_bytes());
+        // A frame with an unknown tag, checksummed so only the tag is bad.
+        let body = raw_frame(PROTO_VERSION, 200, &[], frame_checksum);
         assert!(matches!(Msg::decode(&body), Err(WireError::BadTag(200))));
 
         let mut huge = vec![PROTO_VERSION, 6];
         huge.extend_from_slice(&(MAX_PAYLOAD_BYTES + 1).to_le_bytes());
         assert!(matches!(Msg::decode(&huge), Err(WireError::Oversize(_))));
+        let mut buf = Vec::new();
+        let got = Msg::read_from(&mut std::io::Cursor::new(huge), &mut buf);
+        assert!(matches!(got, Err(WireError::Oversize(_))));
     }
 
     #[test]
@@ -726,11 +995,7 @@ mod tests {
         put_u32(&mut payload, 0); // slot
         put_u32(&mut payload, 0); // attempt
         put_u32(&mut payload, u32::MAX); // claimed element count
-        let mut frame = vec![PROTO_VERSION, 3];
-        put_u32(&mut frame, payload.len() as u32);
-        frame.extend_from_slice(&payload);
-        let sum = fnv1a(&frame);
-        put_u64(&mut frame, sum);
+        let frame = raw_frame(PROTO_VERSION, tag::ASSIGN, &payload, frame_checksum);
         assert!(matches!(
             Msg::decode(&frame),
             Err(WireError::Truncated { .. })

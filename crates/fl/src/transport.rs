@@ -39,7 +39,7 @@ use calibre_telemetry::metrics;
 
 use crate::chaos::{WireFault, WireInjector};
 use crate::parallel::parallel_map;
-use crate::proto::{Msg, WireError};
+use crate::proto::{self, Msg, WireError};
 
 /// One client's reply to a round assignment: the update vector plus the
 /// scalars round summaries need.
@@ -399,6 +399,8 @@ pub struct SocketTransport {
     welcome: WelcomeInfo,
     net: NetPolicy,
     wire: Option<WireInjector>,
+    /// The one frame buffer every send and receive reuses.
+    buf: Vec<u8>,
 }
 
 impl std::fmt::Debug for SocketTransport {
@@ -426,6 +428,7 @@ impl SocketTransport {
             welcome,
             net,
             wire,
+            buf: Vec::new(),
         }
     }
 
@@ -446,12 +449,12 @@ impl SocketTransport {
         if conn.set_read_timeout(Some(timeout)).is_err() {
             return;
         }
-        let client = match Msg::read_from(&mut conn) {
+        let client = match Msg::read_from(&mut conn, &mut self.buf) {
             Ok(Msg::Hello { client }) => client,
             _ => return,
         };
         if client >= u64::from(self.welcome.population) {
-            let _ = Msg::Bye.write_to(&mut conn);
+            let _ = Msg::Bye.write_to(&mut conn, &mut self.buf);
             return;
         }
         let welcome = Msg::Welcome {
@@ -463,7 +466,7 @@ impl SocketTransport {
             churn_prob: self.welcome.churn_prob,
             churn_seed: self.welcome.churn_seed,
         };
-        if welcome.write_to(&mut conn).is_ok() {
+        if welcome.write_to(&mut conn, &mut self.buf).is_ok() {
             // Latest registration wins: a reconnecting client replaces its
             // dead predecessor.
             self.conns.insert(client as usize, conn);
@@ -504,10 +507,11 @@ impl SocketTransport {
         )))
     }
 
-    /// Sends one `Assign` frame, applying any decided wire fault. Returns
-    /// whether the frame actually left intact (a dropped or truncated
-    /// delivery returns false so the caller knows not to expect a reply
-    /// from this attempt — though it retries by re-reading regardless).
+    /// Sends one `Assign` frame, encoded straight from `global`, applying
+    /// any decided wire fault. Returns whether the frame actually left
+    /// intact (a dropped or truncated delivery returns false so the caller
+    /// knows not to expect a reply from this attempt — though it retries by
+    /// re-reading regardless).
     fn send_assign(
         &mut self,
         round: usize,
@@ -526,45 +530,37 @@ impl SocketTransport {
                 1,
             );
         }
-        let msg = Msg::Assign {
-            round: round as u32,
-            slot: slot.slot as u32,
-            attempt: attempt as u32,
-            model: global.to_vec(),
-        };
         match fault {
-            Some(WireFault::Drop) => false,
-            Some(WireFault::Truncate) => {
-                // Write half a frame, then reset the connection: the client
-                // sees a short read / checksum failure and reconnects.
-                if let Some(conn) = self.conns.get_mut(&slot.client) {
-                    let frame = msg.encode();
-                    let half = frame.len() / 2;
-                    let _ = conn.write_all(frame.get(..half).unwrap_or(&frame));
-                    let _ = conn.flush();
-                }
-                self.conns.remove(&slot.client);
-                false
-            }
+            Some(WireFault::Drop) => return false,
             Some(WireFault::Delay { delay_ms }) => {
                 std::thread::sleep(Duration::from_millis(delay_ms));
-                self.write_assign(slot.client, &msg)
             }
-            None => self.write_assign(slot.client, &msg),
+            Some(WireFault::Truncate) | None => {}
         }
-    }
-
-    fn write_assign(&mut self, client: usize, msg: &Msg) -> bool {
-        match self.conns.get_mut(&client) {
-            Some(conn) => match msg.write_to(conn) {
-                Ok(_) => true,
-                Err(_) => {
-                    self.conns.remove(&client);
-                    false
-                }
-            },
-            None => false,
+        let Some(conn) = self.conns.get_mut(&slot.client) else {
+            return false;
+        };
+        proto::encode_assign_into(
+            &mut self.buf,
+            round as u32,
+            slot.slot as u32,
+            attempt as u32,
+            global,
+        );
+        let sent = if fault == Some(WireFault::Truncate) {
+            // Write half a frame, then reset the connection: the client
+            // sees a short read / checksum failure and reconnects.
+            let half = self.buf.get(..self.buf.len() / 2).unwrap_or_default();
+            let _ = conn.write_all(half);
+            let _ = conn.flush();
+            false
+        } else {
+            proto::write_frame(conn, &self.buf, "assign").is_ok()
+        };
+        if !sent {
+            self.conns.remove(&slot.client);
         }
+        sent
     }
 
     /// Reads frames from one client until its `Update` for `(round, slot)`
@@ -576,7 +572,7 @@ impl SocketTransport {
         // cannot stall the wave forever.
         for _ in 0..64 {
             let conn = self.conns.get_mut(&slot.client)?;
-            match Msg::read_from(conn) {
+            match Msg::read_from(conn, &mut self.buf) {
                 Ok(Msg::Update {
                     round: r,
                     slot: s,
@@ -663,7 +659,7 @@ impl Transport for SocketTransport {
         };
         let mut reached = 0usize;
         for conn in self.conns.values_mut() {
-            if msg.write_to(conn).is_ok() {
+            if msg.write_to(conn, &mut self.buf).is_ok() {
                 reached += 1;
             }
         }
@@ -748,6 +744,7 @@ fn connect_and_hello(
     addr: &ClientAddr,
     client: u64,
     opts: &ClientOptions,
+    buf: &mut Vec<u8>,
 ) -> Result<(Conn, WelcomeInfo), TransportError> {
     let mut last: Option<TransportError> = None;
     for _ in 0..opts.connect_attempts.max(1) {
@@ -755,8 +752,8 @@ fn connect_and_hello(
             Ok(mut conn) => {
                 conn.set_read_timeout(Some(Duration::from_millis(opts.read_timeout_ms.max(1))))
                     .map_err(|e| TransportError::Wire(WireError::Io(e)))?;
-                Msg::Hello { client }.write_to(&mut conn)?;
-                match Msg::read_from(&mut conn) {
+                Msg::Hello { client }.write_to(&mut conn, buf)?;
+                match Msg::read_from(&mut conn, buf) {
                     Ok(Msg::Welcome {
                         client: echoed,
                         seed,
@@ -830,7 +827,9 @@ where
     F: FnMut(usize, &[f32]) -> StreamUpdate,
 {
     let mut work = work;
-    let (mut conn, welcome) = connect_and_hello(addr, client, opts)?;
+    // The one frame buffer this client's sends and receives reuse.
+    let mut buf = Vec::new();
+    let (mut conn, welcome) = connect_and_hello(addr, client, opts, &mut buf)?;
     let churn = crate::chaos::WireFaultPlan {
         churn_prob: welcome.churn_prob,
         seed: welcome.churn_seed,
@@ -846,7 +845,7 @@ where
     };
     let mut idle = 0usize;
     loop {
-        match Msg::read_from(&mut conn) {
+        match Msg::read_from(&mut conn, &mut buf) {
             Ok(Msg::Assign {
                 round,
                 slot,
@@ -863,7 +862,7 @@ where
                     loss: su.loss,
                     update: su.update,
                 };
-                let sent = update.write_to(&mut conn).is_ok();
+                let sent = update.write_to(&mut conn, &mut buf).is_ok();
                 if sent {
                     report.updates_sent += 1;
                 }
@@ -871,7 +870,7 @@ where
                 // connection and re-register. The server re-delivers
                 // anything it still needs on its next attempt.
                 if !sent || churn.churns(round as usize, client as usize) {
-                    let (c, _) = connect_and_hello(addr, client, opts)?;
+                    let (c, _) = connect_and_hello(addr, client, opts, &mut buf)?;
                     conn = c;
                     report.reconnects += 1;
                     metrics::counter_add("calibre_net_reconnects_total", &[], 1);
@@ -880,7 +879,7 @@ where
             Ok(Msg::Finish { rounds, checksum }) => {
                 report.rounds = rounds;
                 report.final_checksum = checksum;
-                let _ = Msg::Bye.write_to(&mut conn);
+                let _ = Msg::Bye.write_to(&mut conn, &mut buf);
                 return Ok(report);
             }
             Ok(_) => {}
@@ -893,7 +892,7 @@ where
             Err(_) => {
                 // Broken or desynced stream (e.g. a truncated frame):
                 // re-register and wait for re-delivery.
-                let (c, _) = connect_and_hello(addr, client, opts)?;
+                let (c, _) = connect_and_hello(addr, client, opts, &mut buf)?;
                 conn = c;
                 report.reconnects += 1;
                 metrics::counter_add("calibre_net_reconnects_total", &[], 1);

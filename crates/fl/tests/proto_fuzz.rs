@@ -1,11 +1,53 @@
 //! Property tests: wire-frame decoding never panics. A `calibre-serve`
 //! process reads frames from untrusted sockets — junk bytes, truncated
 //! frames, and bit flips must all surface as typed [`WireError`]s, never
-//! aborts or unbounded allocations.
+//! aborts or unbounded allocations. The socket path (`Msg::read_from`,
+//! one frame buffer reused across every case, as each endpoint reuses
+//! one) is held to the same properties as `Msg::decode`.
 #![recursion_limit = "1024"]
 
-use calibre_fl::proto::{Msg, WireError, MAX_PAYLOAD_BYTES, PROTO_VERSION};
+use std::cell::RefCell;
+
+use calibre_fl::proto::{frame_checksum, Msg, WireError, MAX_PAYLOAD_BYTES, PROTO_VERSION};
 use proptest::prelude::*;
+
+thread_local! {
+    /// The frame buffer every `read_from` case below reuses.
+    static BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Reads one frame from `bytes` through the socket path, reusing [`BUF`].
+fn read_from(bytes: &[u8]) -> Result<Msg, WireError> {
+    BUF.with(|buf| Msg::read_from(&mut std::io::Cursor::new(bytes), &mut buf.borrow_mut()))
+}
+
+/// Whether `read_from` agrees with `decode` on `bytes`: any message it
+/// returns is the one `decode` returns (compared by re-encoding, so NaN
+/// payloads compare bit-exactly).
+fn socket_path_agrees(bytes: &[u8]) -> bool {
+    match read_from(bytes) {
+        Ok(msg) => Msg::decode(bytes).is_ok_and(|(d, _)| d.encode() == msg.encode()),
+        Err(_) => true,
+    }
+}
+
+/// An `Assign` frame of at least 4 096 elements.
+fn big_assign() -> impl Strategy<Value = Vec<u8>> {
+    (
+        0u32..1000,
+        0u32..64,
+        prop::collection::vec(any::<f32>(), 4096..4200),
+    )
+        .prop_map(|(round, slot, model)| {
+            Msg::Assign {
+                round,
+                slot,
+                attempt: 0,
+                model,
+            }
+            .encode()
+        })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -16,6 +58,7 @@ proptest! {
     #[test]
     fn decode_never_panics_on_junk(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         let _ = Msg::decode(&bytes);
+        prop_assert!(socket_path_agrees(&bytes));
     }
 
     // Byte soup that *starts like a real frame* (good version byte, valid
@@ -30,6 +73,7 @@ proptest! {
         bytes.extend_from_slice(&len);
         bytes.extend_from_slice(&body);
         let _ = Msg::decode(&bytes);
+        prop_assert!(socket_path_agrees(&bytes));
     }
 
     // Every strict prefix of a valid frame is a typed `Truncated`/`Io`
@@ -43,10 +87,12 @@ proptest! {
     ) {
         let frame = Msg::Assign { round, slot, attempt: 0, model }.encode();
         let keep = keep % frame.len(); // always a strict prefix
-        match Msg::decode(&frame[..keep]) {
-            Err(WireError::Truncated { .. } | WireError::Io(_)) => {}
-            Err(other) => prop_assert!(false, "unexpected error kind: {other}"),
-            Ok(_) => prop_assert!(false, "prefix decoded as a full frame"),
+        for got in [Msg::decode(&frame[..keep]).map(|(m, _)| m), read_from(&frame[..keep])] {
+            match got {
+                Err(WireError::Truncated { .. } | WireError::Io(_)) => {}
+                Err(other) => prop_assert!(false, "unexpected error kind: {other}"),
+                Ok(_) => prop_assert!(false, "prefix decoded as a full frame"),
+            }
         }
     }
 
@@ -68,9 +114,10 @@ proptest! {
         bytes[at] ^= 1 << flip_bit;
         // Err is the expected outcome (typed rejection); an Ok decode is
         // only acceptable when the flip was somehow a no-op semantically.
-        if let Ok((decoded, _)) = Msg::decode(&bytes) {
+        let decoded = [Msg::decode(&bytes).map(|(m, _)| m), read_from(&bytes)];
+        for got in decoded.into_iter().flatten() {
             prop_assert!(
-                decoded == original,
+                got == original,
                 "corrupted frame decoded as different message"
             );
         }
@@ -85,6 +132,7 @@ proptest! {
         bytes.extend_from_slice(&len.to_le_bytes());
         bytes.extend_from_slice(&[0u8; 32]);
         prop_assert!(matches!(Msg::decode(&bytes), Err(WireError::Oversize(_))));
+        prop_assert!(matches!(read_from(&bytes), Err(WireError::Oversize(_))));
     }
 
     // Well-formed messages always round-trip bit-exactly, including
@@ -105,5 +153,69 @@ proptest! {
         // Compare re-encodings, not messages: NaN payloads must round-trip
         // bit-exactly, and `f32::eq` would call NaN != NaN.
         prop_assert_eq!(decoded.encode(), bytes, "round trip changed the bytes");
+        let read = read_from(&bytes).expect("own encoding reads back");
+        prop_assert_eq!(read.encode(), bytes, "socket round trip changed the bytes");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // One flipped bit anywhere in a large frame — header, payload or
+    // checksum trailer — is rejected by both parsers.
+    #[test]
+    fn a_flipped_bit_in_a_large_frame_is_rejected(
+        frame in big_assign(),
+        region in 0u8..3,
+        at in any::<usize>(),
+        bit in 0u8..8,
+    ) {
+        // A third of the cases each hit the 6-byte header and the 8-byte
+        // trailer, which uniform positions would almost never reach.
+        let at = match region {
+            0 => at % 6,
+            1 => frame.len() - 8 + at % 8,
+            _ => at % frame.len(),
+        };
+        let mut bad = frame;
+        bad[at] ^= 1 << bit;
+        prop_assert!(Msg::decode(&bad).is_err());
+        prop_assert!(read_from(&bad).is_err());
+    }
+
+    // Any nonzero XOR confined to one aligned 8-byte word of
+    // header ‖ payload is rejected by both parsers.
+    #[test]
+    fn a_change_confined_to_one_word_is_rejected(
+        frame in big_assign(),
+        region in 0u8..3,
+        word in any::<usize>(),
+        mask in any::<u64>(),
+    ) {
+        let body = frame.len() - 8;
+        let words = body.div_ceil(8);
+        // A third of the cases each hit the header's word and the partial
+        // last word.
+        let word = match region {
+            0 => 0,
+            1 => words - 1,
+            _ => word % words,
+        };
+        let start = 8 * word;
+        let end = (start + 8).min(body);
+        // Keep the mask nonzero on the bytes the (possibly partial) word has.
+        let width = 8 * (end - start) as u32;
+        let mask = match mask & u64::MAX.checked_shr(64 - width).unwrap_or(0) {
+            0 => 1,
+            m => m,
+        };
+        let mut bad = frame.clone();
+        for (b, m) in bad[start..end].iter_mut().zip(mask.to_le_bytes()) {
+            *b ^= m;
+        }
+        prop_assert!(Msg::decode(&bad).is_err());
+        prop_assert!(read_from(&bad).is_err());
+        // The checksum alone catches the change: the trailer is untouched.
+        prop_assert!(frame_checksum(&bad[..body]) != frame_checksum(&frame[..body]));
     }
 }
