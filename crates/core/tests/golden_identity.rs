@@ -139,3 +139,181 @@ fn killed_and_resumed_training_matches_the_uninterrupted_run() {
     assert_eq!(resumed.to_flat(), straight.to_flat());
     assert_eq!(resumed_losses, straight_losses);
 }
+
+// ---------------------------------------------------------------------------
+// The eleven aggregating baselines of Figs. 3-4.
+// ---------------------------------------------------------------------------
+
+use calibre_fl::baselines::{
+    apfl::run_apfl, ditto::run_ditto, fedavg::run_fedavg, fedbabu::run_fedbabu, fedema::run_fedema,
+    fedper::run_fedper, fedprox::run_fedprox, fedrep::run_fedrep, lgfedavg::run_lgfedavg,
+    perfedavg::run_perfedavg, scaffold::run_scaffold, BaselineResult,
+};
+
+/// Four Dirichlet-0.3 clients. 200 test samples per client make every
+/// accuracy sensitive to the per-client state a baseline carries across
+/// rounds; the unlabeled pool gives FedEMA a weight other than `train_len`.
+fn baseline_fed() -> FederatedDataset {
+    FederatedDataset::build(
+        SynthVisionSpec::cifar10(),
+        &PartitionConfig {
+            num_clients: 4,
+            train_per_client: 40,
+            test_per_client: 200,
+            unlabeled_per_client: 10,
+            non_iid: NonIid::Dirichlet { alpha: 0.3 },
+            seed: 11,
+        },
+    )
+}
+
+/// Four rounds of three clients: every client is selected at least twice,
+/// so state written back after one round is read in a later one. The small
+/// learning rate keeps APFL's mixing weight away from its clamp.
+fn baseline_cfg() -> FlConfig {
+    let mut cfg = FlConfig::for_input(64);
+    cfg.rounds = 4;
+    cfg.clients_per_round = 3;
+    cfg.local_epochs = 1;
+    cfg.batch_size = 16;
+    cfg.local_lr = 0.005;
+    cfg
+}
+
+/// Asserts a baseline run's `[encoder, round losses, seen accuracies]`
+/// checksums.
+fn assert_baseline_golden(result: &BaselineResult, golden: [u64; 3]) {
+    let got = [
+        flat_checksum(&result.encoder.to_flat()),
+        flat_checksum(&result.round_losses),
+        flat_checksum(&result.seen.accuracies),
+    ];
+    eprintln!("{}: {got:#018x?}", result.name);
+    assert_eq!(
+        got, golden,
+        "{} drifted: [encoder, round losses, accuracies]",
+        result.name
+    );
+}
+
+#[test]
+fn fedavg_ft_checksums_are_stable() {
+    let result = run_fedavg(&baseline_fed(), &baseline_cfg(), true);
+    assert_baseline_golden(&result, GOLDEN_FEDAVG_FT);
+}
+
+#[test]
+fn fedprox_ft_checksums_are_stable() {
+    let result = run_fedprox(&baseline_fed(), &baseline_cfg(), 0.1);
+    assert_baseline_golden(&result, GOLDEN_FEDPROX_FT);
+}
+
+#[test]
+fn scaffold_ft_checksums_are_stable() {
+    let result = run_scaffold(&baseline_fed(), &baseline_cfg(), true);
+    assert_baseline_golden(&result, GOLDEN_SCAFFOLD_FT);
+}
+
+#[test]
+fn fedbabu_checksums_are_stable() {
+    let result = run_fedbabu(&baseline_fed(), &baseline_cfg());
+    assert_baseline_golden(&result, GOLDEN_FEDBABU);
+}
+
+#[test]
+fn fedrep_checksums_are_stable() {
+    let result = run_fedrep(&baseline_fed(), &baseline_cfg());
+    assert_baseline_golden(&result, GOLDEN_FEDREP);
+}
+
+#[test]
+fn fedper_checksums_are_stable() {
+    let result = run_fedper(&baseline_fed(), &baseline_cfg());
+    assert_baseline_golden(&result, GOLDEN_FEDPER);
+}
+
+#[test]
+fn lgfedavg_checksums_are_stable() {
+    let result = run_lgfedavg(&baseline_fed(), &baseline_cfg());
+    assert_baseline_golden(&result, GOLDEN_LGFEDAVG);
+}
+
+#[test]
+fn ditto_checksums_are_stable() {
+    let result = run_ditto(&baseline_fed(), &baseline_cfg());
+    assert_baseline_golden(&result, GOLDEN_DITTO);
+}
+
+#[test]
+fn apfl_checksums_are_stable() {
+    let result = run_apfl(&baseline_fed(), &baseline_cfg());
+    assert_baseline_golden(&result, GOLDEN_APFL);
+}
+
+#[test]
+fn perfedavg_checksums_are_stable() {
+    let result = run_perfedavg(&baseline_fed(), &baseline_cfg());
+    assert_baseline_golden(&result, GOLDEN_PERFEDAVG);
+}
+
+#[test]
+fn fedema_checksums_are_stable() {
+    let result = run_fedema(&baseline_fed(), &baseline_cfg(), &AugmentConfig::default());
+    assert_baseline_golden(&result, GOLDEN_FEDEMA);
+}
+
+const GOLDEN_FEDAVG_FT: [u64; 3] = [
+    0xbe22_c3ad_1d2a_bc26,
+    0x8540_905d_8884_77a3,
+    0x4ef3_eee8_49c1_7a06,
+];
+const GOLDEN_FEDPROX_FT: [u64; 3] = [
+    0x8086_6036_1ca1_2d56,
+    0x9d49_e137_a961_2081,
+    0x4ef3_eee8_49c1_7a06,
+];
+const GOLDEN_SCAFFOLD_FT: [u64; 3] = [
+    0xc3ef_486f_f5be_6919,
+    0xcfbb_b264_05be_0364,
+    0xc6c9_89e6_fef8_0949,
+];
+const GOLDEN_FEDBABU: [u64; 3] = [
+    0xa7ab_3b75_340a_2e0d,
+    0xe7f2_e991_711a_9f96,
+    0x7678_a996_1b26_b276,
+];
+const GOLDEN_FEDREP: [u64; 3] = [
+    0xbb4d_399a_0be6_24d4,
+    0xd3c7_1a6e_b81d_b4e2,
+    0x51f0_d8d8_9dee_4114,
+];
+const GOLDEN_FEDPER: [u64; 3] = [
+    0xc864_2563_edb5_770d,
+    0xe8ad_af47_df8d_a759,
+    0x585b_3659_4ef5_113c,
+];
+const GOLDEN_LGFEDAVG: [u64; 3] = [
+    0x4d01_1032_f10b_7841,
+    0x32eb_ee8b_320f_8c6b,
+    0x9cdf_eaf1_1b60_8b31,
+];
+const GOLDEN_DITTO: [u64; 3] = [
+    0xbe22_c3ad_1d2a_bc26,
+    0x8540_905d_8884_77a3,
+    0x450a_4d8d_3688_85a6,
+];
+const GOLDEN_APFL: [u64; 3] = [
+    0xbe22_c3ad_1d2a_bc26,
+    0x8540_905d_8884_77a3,
+    0x48a4_4dd1_a69b_653c,
+];
+const GOLDEN_PERFEDAVG: [u64; 3] = [
+    0xce55_dc96_2771_9c5b,
+    0x0ea1_2c6c_baf8_019c,
+    0xf798_8dd3_373b_9b09,
+];
+const GOLDEN_FEDEMA: [u64; 3] = [
+    0x1e15_9726_7efe_3f45,
+    0xdc4c_6f67_bc19_47ec,
+    0x33e7_8f1f_a702_f39b,
+];
