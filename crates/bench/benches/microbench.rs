@@ -6,7 +6,7 @@ use calibre::{calibre_step, CalibreConfig};
 use calibre_cluster::{kmeans, KMeansConfig};
 use calibre_data::{AugmentConfig, FederatedDataset, NonIid, PartitionConfig, SynthVisionSpec};
 use calibre_embed::{tsne, TsneConfig};
-use calibre_fl::aggregate::weighted_average;
+use calibre_fl::aggregate::{aggregate_robust, Aggregator};
 use calibre_fl::proto::{encode_assign_into, frame_checksum, Msg};
 use calibre_ssl::{nt_xent, ssl_step, ssl_step_in, SimClr, SslConfig, SslMethod, TwoViewBatch};
 use calibre_tensor::backend::{Backend, Blocked, Scalar};
@@ -156,8 +156,15 @@ fn bench_aggregation(c: &mut Criterion) {
     let mut r = rng::seeded(4);
     let updates: Vec<Vec<f32>> = (0..10).map(|_| rng::normal_vec(&mut r, 10_000)).collect();
     let weights: Vec<f32> = (1..=10).map(|v| v as f32).collect();
+    let refs: Vec<&[f32]> = updates.iter().map(Vec::as_slice).collect();
     c.bench_function("weighted_average_10x10k", |bench| {
-        bench.iter(|| black_box(weighted_average(&updates, &weights)))
+        bench.iter(|| {
+            black_box(aggregate_robust(
+                Aggregator::WeightedAverage,
+                &refs,
+                &weights,
+            ))
+        })
     });
 }
 

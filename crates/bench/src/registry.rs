@@ -165,11 +165,12 @@ pub fn run_method(id: MethodId, fed: &FederatedDataset, cfg: &FlConfig) -> Basel
     run_method_observed(id, fed, cfg, &NullRecorder)
 }
 
-/// Like [`run_method`], reporting round-level telemetry for the SSL-based
-/// methods (pFL-SSL and Calibre families) to `recorder`.
+/// Like [`run_method`], reporting round-level telemetry to `recorder`.
 ///
-/// The supervised baselines have their own round loops and are not
-/// instrumented yet; for them the recorder simply sees no events.
+/// Every method except Script-* trains on the round engine, so
+/// `cfg.chaos`, `cfg.attack`, `cfg.detect` and `cfg.policy` apply to it
+/// and its rounds reach the recorder. Script-* trains locally, with no
+/// rounds, so the recorder sees no events for it.
 pub fn run_method_observed(
     id: MethodId,
     fed: &FederatedDataset,
@@ -178,17 +179,17 @@ pub fn run_method_observed(
 ) -> BaselineResult {
     let aug = AugmentConfig::default();
     match id {
-        MethodId::FedAvgFt => run_fedavg(fed, cfg, true),
-        MethodId::ScaffoldFt => run_scaffold(fed, cfg, true),
-        MethodId::FedRep => run_fedrep(fed, cfg),
-        MethodId::FedBabu => run_fedbabu(fed, cfg),
-        MethodId::FedPer => run_fedper(fed, cfg),
-        MethodId::LgFedAvg => run_lgfedavg(fed, cfg),
-        MethodId::PerFedAvg => run_perfedavg(fed, cfg),
-        MethodId::Apfl => run_apfl(fed, cfg),
-        MethodId::Ditto => run_ditto(fed, cfg),
-        MethodId::FedProxFt => run_fedprox(fed, cfg, 0.1),
-        MethodId::FedEma => run_fedema(fed, cfg, &aug),
+        MethodId::FedAvgFt => run_fedavg(fed, cfg, true, recorder),
+        MethodId::ScaffoldFt => run_scaffold(fed, cfg, true, recorder),
+        MethodId::FedRep => run_fedrep(fed, cfg, recorder),
+        MethodId::FedBabu => run_fedbabu(fed, cfg, recorder),
+        MethodId::FedPer => run_fedper(fed, cfg, recorder),
+        MethodId::LgFedAvg => run_lgfedavg(fed, cfg, recorder),
+        MethodId::PerFedAvg => run_perfedavg(fed, cfg, recorder),
+        MethodId::Apfl => run_apfl(fed, cfg, recorder),
+        MethodId::Ditto => run_ditto(fed, cfg, recorder),
+        MethodId::FedProxFt => run_fedprox(fed, cfg, 0.1, recorder),
+        MethodId::FedEma => run_fedema(fed, cfg, &aug, recorder),
         MethodId::ScriptConvergent => run_script(fed, cfg, true),
         MethodId::ScriptFair => run_script(fed, cfg, false),
         MethodId::PflSsl(kind) => run_pfl_ssl_observed(fed, cfg, kind, &aug, recorder),

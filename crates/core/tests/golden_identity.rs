@@ -149,6 +149,7 @@ use calibre_fl::baselines::{
     fedper::run_fedper, fedprox::run_fedprox, fedrep::run_fedrep, lgfedavg::run_lgfedavg,
     perfedavg::run_perfedavg, scaffold::run_scaffold, BaselineResult,
 };
+use calibre_telemetry::NullRecorder;
 
 /// Four Dirichlet-0.3 clients. 200 test samples per client make every
 /// accuracy sensitive to the per-client state a baseline carries across
@@ -198,67 +199,72 @@ fn assert_baseline_golden(result: &BaselineResult, golden: [u64; 3]) {
 
 #[test]
 fn fedavg_ft_checksums_are_stable() {
-    let result = run_fedavg(&baseline_fed(), &baseline_cfg(), true);
+    let result = run_fedavg(&baseline_fed(), &baseline_cfg(), true, &NullRecorder);
     assert_baseline_golden(&result, GOLDEN_FEDAVG_FT);
 }
 
 #[test]
 fn fedprox_ft_checksums_are_stable() {
-    let result = run_fedprox(&baseline_fed(), &baseline_cfg(), 0.1);
+    let result = run_fedprox(&baseline_fed(), &baseline_cfg(), 0.1, &NullRecorder);
     assert_baseline_golden(&result, GOLDEN_FEDPROX_FT);
 }
 
 #[test]
 fn scaffold_ft_checksums_are_stable() {
-    let result = run_scaffold(&baseline_fed(), &baseline_cfg(), true);
+    let result = run_scaffold(&baseline_fed(), &baseline_cfg(), true, &NullRecorder);
     assert_baseline_golden(&result, GOLDEN_SCAFFOLD_FT);
 }
 
 #[test]
 fn fedbabu_checksums_are_stable() {
-    let result = run_fedbabu(&baseline_fed(), &baseline_cfg());
+    let result = run_fedbabu(&baseline_fed(), &baseline_cfg(), &NullRecorder);
     assert_baseline_golden(&result, GOLDEN_FEDBABU);
 }
 
 #[test]
 fn fedrep_checksums_are_stable() {
-    let result = run_fedrep(&baseline_fed(), &baseline_cfg());
+    let result = run_fedrep(&baseline_fed(), &baseline_cfg(), &NullRecorder);
     assert_baseline_golden(&result, GOLDEN_FEDREP);
 }
 
 #[test]
 fn fedper_checksums_are_stable() {
-    let result = run_fedper(&baseline_fed(), &baseline_cfg());
+    let result = run_fedper(&baseline_fed(), &baseline_cfg(), &NullRecorder);
     assert_baseline_golden(&result, GOLDEN_FEDPER);
 }
 
 #[test]
 fn lgfedavg_checksums_are_stable() {
-    let result = run_lgfedavg(&baseline_fed(), &baseline_cfg());
+    let result = run_lgfedavg(&baseline_fed(), &baseline_cfg(), &NullRecorder);
     assert_baseline_golden(&result, GOLDEN_LGFEDAVG);
 }
 
 #[test]
 fn ditto_checksums_are_stable() {
-    let result = run_ditto(&baseline_fed(), &baseline_cfg());
+    let result = run_ditto(&baseline_fed(), &baseline_cfg(), &NullRecorder);
     assert_baseline_golden(&result, GOLDEN_DITTO);
 }
 
 #[test]
 fn apfl_checksums_are_stable() {
-    let result = run_apfl(&baseline_fed(), &baseline_cfg());
+    let result = run_apfl(&baseline_fed(), &baseline_cfg(), &NullRecorder);
     assert_baseline_golden(&result, GOLDEN_APFL);
 }
 
 #[test]
 fn perfedavg_checksums_are_stable() {
-    let result = run_perfedavg(&baseline_fed(), &baseline_cfg());
+    let result = run_perfedavg(&baseline_fed(), &baseline_cfg(), &NullRecorder);
     assert_baseline_golden(&result, GOLDEN_PERFEDAVG);
 }
 
 #[test]
 fn fedema_checksums_are_stable() {
-    let result = run_fedema(&baseline_fed(), &baseline_cfg(), &AugmentConfig::default());
+    let result = run_fedema(
+        &baseline_fed(),
+        &baseline_cfg(),
+        &AugmentConfig::default(),
+        &NullRecorder,
+    );
     assert_baseline_golden(&result, GOLDEN_FEDEMA);
 }
 

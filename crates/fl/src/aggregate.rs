@@ -19,15 +19,19 @@
 //!    bound the influence of any single client, absorbing silent
 //!    corruptions (sign flips) that validation cannot see.
 //!
-//! [`aggregate_robust`] is the typed-error front door behind the training
-//! loops' [`BufferedRobustSink`]; the panicking [`weighted_average`] family
-//! remains for call sites that have already validated their cohort.
+//! [`aggregate_robust`] is the one aggregation front door: a typed error,
+//! never a panic. The round engine folds each accepted update into an
+//! [`UpdateSink`] ([`Aggregator::sink`]); the training loops'
+//! [`BufferedRobustSink`] finishes with [`aggregate_robust`].
 
 use std::ops::Range;
 
 use crate::spec::SpecError;
 
-/// Weighted average of flat parameter vectors.
+/// Weighted average of borrowed flat vectors, the weighted core of
+/// [`aggregate_robust`]. It folds each slice into a
+/// [`StreamingWeightedSink::for_cohort`] sink in input order, so it *is*
+/// that fold, bit for bit.
 ///
 /// Weights are normalized internally; non-positive total weight falls back
 /// to a uniform average.
@@ -35,43 +39,12 @@ use crate::spec::SpecError;
 /// # Panics
 ///
 /// Panics if `updates` is empty, lengths differ, or `weights.len()`
-/// mismatches `updates.len()`.
-pub fn weighted_average(updates: &[Vec<f32>], weights: &[f32]) -> Vec<f32> {
-    fold_weighted(updates.iter().map(Vec::as_slice), weights)
-}
-
-/// Weighted average over borrowed flat vectors — the zero-copy core of
-/// [`weighted_average`]. The server loop aggregates straight from the
-/// clients' owned flats without cloning each one first.
-///
-/// Bit-identical to folding the same slices in the same order through a
-/// [`StreamingWeightedSink::for_cohort`] sink — it *is* that fold.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`weighted_average`].
-pub fn weighted_average_refs(updates: &[&[f32]], weights: &[f32]) -> Vec<f32> {
-    fold_weighted(updates.iter().copied(), weights)
-}
-
-/// `usize` → `u64` for span item/byte accounting without a lossy cast:
-/// widening on every supported target, saturating only in theory.
-fn span_count(n: usize) -> u64 {
-    u64::try_from(n).unwrap_or(u64::MAX)
-}
-
-/// Shared core of the panicking `weighted_average` family: folds each
-/// borrowed slice into a [`StreamingWeightedSink`] in canonical (input)
-/// order, so callers never materialize an intermediate `Vec` of updates —
-/// owned or borrowed.
-fn fold_weighted<'a, I>(updates: I, weights: &[f32]) -> Vec<f32>
-where
-    I: ExactSizeIterator<Item = &'a [f32]> + Clone,
-{
+/// mismatches `updates.len()`; callers check shapes first.
+fn weighted_average_refs(updates: &[&[f32]], weights: &[f32]) -> Vec<f32> {
     let n = updates.len();
     assert!(n > 0, "cannot aggregate zero updates");
     assert_eq!(n, weights.len(), "one weight per update required");
-    let dim = updates.clone().next().map(<[f32]>::len).unwrap_or(0);
+    let dim = updates.first().map_or(0, |u| u.len());
     let span = calibre_telemetry::span("aggregate");
     span.add_items(span_count(n));
     span.add_bytes(span_count(n * dim * std::mem::size_of::<f32>()));
@@ -80,7 +53,7 @@ where
     // total); no intermediate normalized-weights vector is materialized.
     let total: f32 = weights.iter().sum();
     let mut sink = StreamingWeightedSink::for_cohort(total, n);
-    for (i, (u, &w)) in updates.zip(weights.iter()).enumerate() {
+    for (i, (u, &w)) in updates.iter().zip(weights.iter()).enumerate() {
         assert_eq!(
             u.len(),
             dim,
@@ -93,14 +66,10 @@ where
     sink.finish().unwrap_or_default()
 }
 
-/// Uniform average of flat parameter vectors.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`weighted_average`].
-pub fn uniform_average(updates: &[Vec<f32>]) -> Vec<f32> {
-    let w = vec![1.0; updates.len()];
-    weighted_average(updates, &w)
+/// `usize` → `u64` for span item/byte accounting without a lossy cast:
+/// widening on every supported target, saturating only in theory.
+fn span_count(n: usize) -> u64 {
+    u64::try_from(n).unwrap_or(u64::MAX)
 }
 
 /// Exact `f32` for a cohort- or sample-sized count.
@@ -108,11 +77,6 @@ fn count_f32(n: usize) -> f32 {
     // analyze:allow(lossy-cast) -- cohort and sample counts sit far below
     // f32's 2^24 exact-integer range
     n as f32
-}
-
-/// Converts per-client sample counts into FedAvg weights.
-pub fn sample_count_weights(counts: &[usize]) -> Vec<f32> {
-    counts.iter().map(|&c| count_f32(c)).collect()
 }
 
 /// Typed failure of a fault-tolerant aggregation.
@@ -196,8 +160,8 @@ impl std::error::Error for AggregateError {}
 /// Aggregation statistic for the fault-tolerant round path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Aggregator {
-    /// Plain weighted average — bit-identical to [`weighted_average_refs`],
-    /// zero robustness to silent corruption.
+    /// Plain weighted average (FedAvg), zero robustness to silent
+    /// corruption.
     WeightedAverage,
     /// Per-coordinate weighted average after discarding the
     /// `ceil(ratio * n)` smallest and largest values of each coordinate.
@@ -891,9 +855,9 @@ pub fn centered_clip(
 /// Fault-tolerant aggregation front door: dispatches on [`Aggregator`] and
 /// returns a typed error instead of panicking.
 ///
-/// [`Aggregator::WeightedAverage`] delegates to [`weighted_average_refs`]
-/// after validating shapes, so its output is bit-identical to the legacy
-/// path — the golden-checksum tests rely on that.
+/// [`Aggregator::WeightedAverage`] validates shapes, then folds the updates
+/// in input order through a [`StreamingWeightedSink::for_cohort`] sink, bit
+/// for bit — the golden-checksum tests rely on that.
 ///
 /// # Errors
 ///
@@ -1009,8 +973,7 @@ enum WeightedMode {
     /// Accumulate `Σ wᵢ·uᵢ`, divide by `Σ wᵢ` at finish.
     Deferred,
     /// Total weight known up front: apply the exact `wᵢ / total` per-fold
-    /// scale of [`weighted_average_refs`] (uniform `1/n` fallback when the
-    /// total is non-positive).
+    /// scale (uniform `1/n` fallback when the total is non-positive).
     PerFold {
         /// Pre-computed `Σ wᵢ` over the full cohort.
         total: f32,
@@ -1020,28 +983,28 @@ enum WeightedMode {
 }
 
 /// The weighted-average [`UpdateSink`]: O(model) state, the streaming form
-/// of [`weighted_average_refs`].
+/// of [`Aggregator::WeightedAverage`].
 ///
 /// # Determinism
 ///
 /// * [`StreamingWeightedSink::new`] defers normalization to finish
 ///   (`Σ wᵢ·uᵢ / Σ wᵢ`) — the true streaming mode for cohorts whose total
 ///   weight is unknown until everyone reported. Agrees with
-///   [`weighted_average_refs`] within f32 round-off under *any* fold order,
+///   [`aggregate_robust`] within f32 round-off under *any* fold order,
 ///   and is bit-identical on replay of the same fold order.
 /// * [`StreamingWeightedSink::for_cohort`] takes the total weight and
-///   cohort size up front and applies the exact per-fold scale of
-///   [`weighted_average_refs`]; folding in canonical (selection-slot) order
-///   is **bit-identical** to it. This is the mode the round executors use —
-///   the golden-checksum tests pin it.
+///   cohort size up front and applies the exact per-fold scale `wᵢ / Σ w`;
+///   folding in canonical (selection-slot) order is **bit-identical** to
+///   [`aggregate_robust`] with [`Aggregator::WeightedAverage`], which runs
+///   this very fold. The golden-checksum tests pin it.
 ///
 /// # Examples
 ///
 /// Canonical-order folding through the pre-normalized mode reproduces
-/// [`weighted_average_refs`] bit for bit:
+/// the weighted [`aggregate_robust`] bit for bit:
 ///
 /// ```
-/// use calibre_fl::aggregate::{weighted_average_refs, StreamingWeightedSink, UpdateSink};
+/// use calibre_fl::aggregate::{aggregate_robust, Aggregator, StreamingWeightedSink, UpdateSink};
 ///
 /// let updates: [&[f32]; 2] = [&[1.0, -2.5], &[0.5, 4.0]];
 /// let weights = [2.0, 5.0];
@@ -1051,7 +1014,7 @@ enum WeightedMode {
 ///     sink.fold(i, u, w).unwrap();
 /// }
 /// let streamed = sink.finish().unwrap();
-/// let reference = weighted_average_refs(&updates, &weights);
+/// let reference = aggregate_robust(Aggregator::WeightedAverage, &updates, &weights).unwrap();
 /// assert!(streamed.iter().zip(&reference).all(|(a, b)| a.to_bits() == b.to_bits()));
 /// ```
 #[derive(Debug)]
@@ -1075,8 +1038,8 @@ impl StreamingWeightedSink {
     }
 
     /// Pre-normalized mode for a cohort whose `total_weight` (and size) is
-    /// known before folding starts: bit-identical to
-    /// [`weighted_average_refs`] when folded in canonical order.
+    /// known before folding starts: bit-identical to the weighted
+    /// [`aggregate_robust`] when folded in canonical order.
     pub fn for_cohort(total_weight: f32, cohort: usize) -> Self {
         StreamingWeightedSink {
             acc: Vec::new(),
@@ -1319,8 +1282,7 @@ impl UpdateSink for HierarchicalSink {
 /// With `capacity` equal to the cohort it also serves the training loops
 /// ([`crate::pfl_ssl::run_training_round`]) for every [`Aggregator`]: it
 /// holds each accepted update and runs [`aggregate_robust`] once, in fold
-/// order — for the weighted average that is [`weighted_average_refs`], bit
-/// for bit.
+/// order.
 ///
 /// Those statistics need the whole cohort at once — order statistics need
 /// every coordinate's column, Krum compares every pair of updates,
@@ -1477,32 +1439,32 @@ mod tests {
 
     #[test]
     fn uniform_average_of_two_vectors() {
-        let avg = uniform_average(&[vec![0.0, 2.0], vec![2.0, 4.0]]);
+        let avg = weighted_average_refs(&[&[0.0, 2.0], &[2.0, 4.0]], &[1.0, 1.0]);
         assert_eq!(avg, vec![1.0, 3.0]);
     }
 
     #[test]
     fn weighted_average_respects_weights() {
-        let avg = weighted_average(&[vec![0.0], vec![10.0]], &[3.0, 1.0]);
+        let avg = weighted_average_refs(&[&[0.0], &[10.0]], &[3.0, 1.0]);
         assert!((avg[0] - 2.5).abs() < 1e-6);
     }
 
     #[test]
     fn weights_are_normalized() {
-        let a = weighted_average(&[vec![1.0], vec![3.0]], &[1.0, 1.0]);
-        let b = weighted_average(&[vec![1.0], vec![3.0]], &[100.0, 100.0]);
+        let a = weighted_average_refs(&[&[1.0], &[3.0]], &[1.0, 1.0]);
+        let b = weighted_average_refs(&[&[1.0], &[3.0]], &[100.0, 100.0]);
         assert_eq!(a, b);
     }
 
     #[test]
     fn zero_total_weight_falls_back_to_uniform() {
-        let avg = weighted_average(&[vec![0.0], vec![4.0]], &[0.0, 0.0]);
+        let avg = weighted_average_refs(&[&[0.0], &[4.0]], &[0.0, 0.0]);
         assert_eq!(avg, vec![2.0]);
     }
 
     #[test]
     fn single_update_is_identity() {
-        let avg = weighted_average(&[vec![1.5, -2.0]], &[7.0]);
+        let avg = weighted_average_refs(&[&[1.5, -2.0]], &[7.0]);
         assert_eq!(avg, vec![1.5, -2.0]);
     }
 
@@ -1513,16 +1475,18 @@ mod tests {
 
     #[test]
     fn sample_count_weights_are_proportional() {
-        let w = sample_count_weights(&[10, 30]);
-        assert_eq!(w, vec![10.0, 30.0]);
+        // Clients holding 10 and 30 samples count 1:3.
+        let avg = weighted_average_refs(&[&[0.0], &[4.0]], &[10.0, 30.0]);
+        assert_eq!(avg, vec![3.0]);
     }
 
     #[test]
     fn refs_variant_matches_owned_variant_bitwise() {
-        let updates = vec![vec![1.0f32, -2.5, 3.25], vec![0.5, 4.0, -1.0]];
+        // Owned updates reach the weighted core through the front door.
+        let updates = [vec![1.0f32, -2.5, 3.25], vec![0.5, 4.0, -1.0]];
         let weights = [2.0, 5.0];
-        let owned = weighted_average(&updates, &weights);
         let refs: Vec<&[f32]> = updates.iter().map(Vec::as_slice).collect();
+        let owned = aggregate_robust(Aggregator::WeightedAverage, &refs, &weights).unwrap();
         let borrowed = weighted_average_refs(&refs, &weights);
         assert_eq!(
             owned.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -1533,13 +1497,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot aggregate zero updates")]
     fn empty_updates_panics() {
-        uniform_average(&[]);
+        weighted_average_refs(&[], &[]);
     }
 
     #[test]
     #[should_panic(expected = "expected")]
     fn mismatched_lengths_panic() {
-        uniform_average(&[vec![1.0], vec![1.0, 2.0]]);
+        weighted_average_refs(&[&[1.0], &[1.0, 2.0]], &[1.0, 1.0]);
     }
 
     #[test]
@@ -1877,7 +1841,8 @@ mod tests {
             sink.fold(i, u, w).unwrap();
         }
         let hier = sink.finish().unwrap();
-        let flat = weighted_average(&updates, &weights);
+        let refs: Vec<&[f32]> = updates.iter().map(Vec::as_slice).collect();
+        let flat = weighted_average_refs(&refs, &weights);
         for (h, f) in hier.iter().zip(flat.iter()) {
             assert!((h - f).abs() < 1e-3, "{h} vs {f}");
         }

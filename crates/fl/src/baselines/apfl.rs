@@ -6,16 +6,17 @@
 //! and takes mixture-gradient steps on `v`; the mixing weight `α` adapts by
 //! a closed-form gradient step, as in the original paper.
 
-use crate::aggregate::{sample_count_weights, weighted_average_refs};
-use crate::baselines::{client_round_seed, BaselineResult};
+use crate::baselines::{
+    client_round_seed, local_sgd, supervised_reply, train_rounds, BaselineResult,
+};
 use crate::config::FlConfig;
-use crate::model::{supervised_step, ClassifierModel, TrainScope};
-use crate::parallel::parallel_map;
+use crate::model::{render_labeled, supervised_step, ClassifierModel, TrainScope};
+use crate::parallel::parallel_map_owned;
 use crate::personalize::PersonalizationOutcome;
 use calibre_data::batch::batches;
 use calibre_data::FederatedDataset;
+use calibre_telemetry::Recorder;
 use calibre_tensor::nn::{gradients, Binding, Module};
-use calibre_tensor::optim::{Sgd, SgdConfig};
 use calibre_tensor::{rng, Graph};
 
 /// Builds the mixture model `ᾱ·v + (1−ᾱ)·w`.
@@ -31,48 +32,41 @@ fn mix_models(v: &ClassifierModel, w: &ClassifierModel, alpha: f32) -> Classifie
     mixed
 }
 
-/// Runs APFL end to end.
-pub fn run_apfl(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
+/// Runs APFL end to end, reporting its rounds to `recorder`.
+pub fn run_apfl(fed: &FederatedDataset, cfg: &FlConfig, recorder: &dyn Recorder) -> BaselineResult {
     let num_classes = fed.generator().num_classes();
-    let mut global = ClassifierModel::new(&cfg.ssl, num_classes, cfg.seed);
-    // Persistent local models and mixing weights.
-    let mut locals: Vec<ClassifierModel> = (0..fed.num_clients())
-        .map(|id| ClassifierModel::new(&cfg.ssl, num_classes, cfg.seed ^ 0xAF1 ^ id as u64))
-        .collect();
-    let mut alphas = vec![0.5f32; fed.num_clients()];
-    let schedule = cfg.selection_schedule(fed.num_clients());
-    let mut round_losses = Vec::with_capacity(schedule.len());
-
-    for (round, selected) in schedule.iter().enumerate() {
-        let inputs: Vec<(usize, ClassifierModel, f32)> = selected
-            .iter()
-            .map(|&id| (id, locals[id].clone(), alphas[id]))
-            .collect();
-        let updates = parallel_map(&inputs, |(id, local, alpha)| {
-            let data = fed.client(*id);
-            let labels = data.train_labels();
-            let mut w = global.clone();
-            let mut v = local.clone();
-            let mut alpha = *alpha;
-            let mut w_opt = Sgd::new(SgdConfig::with_lr_momentum(
-                cfg.local_lr,
-                cfg.local_momentum,
-            ));
-            let mut r = rng::seeded(client_round_seed(cfg.seed, round, *id));
+    let template = ClassifierModel::new(&cfg.ssl, num_classes, cfg.seed);
+    let mut global = template.clone();
+    // Every client owns a persistent local model, seeded per client, and
+    // its mixing weight.
+    let fresh_local = |id: usize| {
+        let v = ClassifierModel::new(&cfg.ssl, num_classes, cfg.seed ^ 0xAF1 ^ id as u64);
+        (v, 0.5f32)
+    };
+    let (round_losses, locals) = train_rounds(
+        fed,
+        cfg,
+        &mut global,
+        recorder,
+        |round, id, local: Option<(ClassifierModel, f32)>, global_flat: &[f32]| {
+            let data = fed.client(id);
+            let mut w = template.clone();
+            w.load_flat(global_flat);
+            let (mut v, mut alpha) = local.unwrap_or_else(|| fresh_local(id));
+            let mut w_opt = local_sgd(cfg);
+            let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
             let mut loss_sum = 0.0;
             let mut steps = 0;
             for _ in 0..cfg.local_epochs {
                 for batch in batches(data.train.len(), cfg.batch_size, false, &mut r) {
-                    let samples: Vec<_> = batch.iter().map(|&i| &data.train[i]).collect();
-                    let x = fed.generator().render_batch(samples.iter().copied());
-                    let y: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
+                    let (x, y) = render_labeled(data, fed.generator(), &batch);
                     // Step the shared model (this is what the server sees).
                     loss_sum += supervised_step(&mut w, &x, &y, &mut w_opt, TrainScope::Full);
                     // Mixture gradient step on the personal model v:
                     // ∂L(ᾱv + (1−ᾱ)w)/∂v = ᾱ · ∂L/∂mixed.
                     let mut mixed = mix_models(&v, &w, alpha);
                     let mut g = Graph::new();
-                    let xn = g.constant(x.clone());
+                    let xn = g.constant(x);
                     let mut binding = Binding::new();
                     let feats = mixed.encoder_mut().forward(&mut g, xn, &mut binding);
                     let logits = mixed.head().forward(&mut g, feats, &mut binding);
@@ -101,34 +95,20 @@ pub fn run_apfl(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
                     steps += 1;
                 }
             }
-            (
-                w.to_flat(),
-                v,
-                alpha,
-                data.train_len(),
-                loss_sum / steps.max(1) as f32,
-            )
-        });
-
-        let flats: Vec<&[f32]> = updates.iter().map(|(f, _, _, _, _)| f.as_slice()).collect();
-        let counts: Vec<usize> = updates.iter().map(|(_, _, _, c, _)| *c).collect();
-        let mean_loss =
-            updates.iter().map(|(_, _, _, _, l)| l).sum::<f32>() / updates.len().max(1) as f32;
-        global.load_flat(&weighted_average_refs(
-            &flats,
-            &sample_count_weights(&counts),
-        ));
-        for ((id, _, _), (_, v, alpha, _, _)) in inputs.iter().zip(updates) {
-            locals[*id] = v;
-            alphas[*id] = alpha;
-        }
-        round_losses.push(mean_loss);
-    }
+            let loss = loss_sum / steps.max(1) as f32;
+            let (reply, losses) = supervised_reply(w.to_flat(), data.train_len(), loss);
+            ((v, alpha), reply, losses)
+        },
+    );
 
     // Personalization: the mixture model IS the personalized model.
-    let ids: Vec<usize> = (0..fed.num_clients()).collect();
-    let accuracies = parallel_map(&ids, |&id| {
-        let mixed = mix_models(&locals[id], &global, alphas[id]);
+    let clients: Vec<(usize, (ClassifierModel, f32))> = locals
+        .into_iter()
+        .enumerate()
+        .map(|(id, local)| (id, local.unwrap_or_else(|| fresh_local(id))))
+        .collect();
+    let accuracies = parallel_map_owned(clients, |(id, (v, alpha))| {
+        let mixed = mix_models(&v, &global, alpha);
         mixed.test_accuracy(fed.client(id), fed.generator())
     });
     let seen = PersonalizationOutcome::from_accuracies(accuracies);
@@ -165,7 +145,7 @@ mod tests {
         cfg.rounds = 6;
         cfg.clients_per_round = 3;
         cfg.local_epochs = 2;
-        let result = run_apfl(&fed, &cfg);
+        let result = run_apfl(&fed, &cfg, &calibre_telemetry::NullRecorder);
         assert!(
             result.stats().mean > 0.55,
             "APFL mean accuracy {:?}",

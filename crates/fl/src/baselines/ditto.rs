@@ -5,14 +5,18 @@
 //! tethers it to the global solution. The personal model is the one
 //! evaluated — Ditto is the paper's dedicated fairness baseline (§V-A).
 
-use crate::aggregate::{sample_count_weights, weighted_average_refs};
-use crate::baselines::{client_round_seed, BaselineResult};
+use crate::baselines::{
+    client_round_seed, local_sgd, supervised_reply, train_rounds, BaselineResult,
+};
 use crate::config::FlConfig;
-use crate::model::{supervised_step, train_supervised, ClassifierModel, TrainScope};
-use crate::parallel::parallel_map;
+use crate::model::{
+    render_labeled, supervised_step, train_supervised, ClassifierModel, TrainScope,
+};
+use crate::parallel::parallel_map_owned;
 use crate::personalize::PersonalizationOutcome;
 use calibre_data::batch::batches;
 use calibre_data::FederatedDataset;
+use calibre_telemetry::Recorder;
 use calibre_tensor::nn::Module;
 use calibre_tensor::optim::{Sgd, SgdConfig};
 use calibre_tensor::rng;
@@ -20,40 +24,36 @@ use calibre_tensor::rng;
 /// The proximal strength λ (Ditto's default grid centers on ~0.1–1).
 const LAMBDA: f32 = 0.5;
 
-/// Runs Ditto end to end.
-pub fn run_ditto(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
+/// Runs Ditto end to end, reporting its rounds to `recorder`.
+pub fn run_ditto(
+    fed: &FederatedDataset,
+    cfg: &FlConfig,
+    recorder: &dyn Recorder,
+) -> BaselineResult {
     let num_classes = fed.generator().num_classes();
-    let mut global = ClassifierModel::new(&cfg.ssl, num_classes, cfg.seed);
-    let mut personals: Vec<ClassifierModel> = (0..fed.num_clients())
-        .map(|id| ClassifierModel::new(&cfg.ssl, num_classes, cfg.seed ^ 0xD1770 ^ id as u64))
-        .collect();
-    let schedule = cfg.selection_schedule(fed.num_clients());
-    let mut round_losses = Vec::with_capacity(schedule.len());
-
-    for (round, selected) in schedule.iter().enumerate() {
-        let global_flat = global.to_flat();
-        let inputs: Vec<(usize, ClassifierModel)> = selected
-            .iter()
-            .map(|&id| (id, personals[id].clone()))
-            .collect();
-        let updates = parallel_map(&inputs, |(id, personal)| {
-            let data = fed.client(*id);
-            let labels = data.train_labels();
-            let mut w = global.clone();
-            let mut v = personal.clone();
-            let mut w_opt = Sgd::new(SgdConfig::with_lr_momentum(
-                cfg.local_lr,
-                cfg.local_momentum,
-            ));
+    let template = ClassifierModel::new(&cfg.ssl, num_classes, cfg.seed);
+    let mut global = template.clone();
+    // Every client owns a persistent personal model, seeded per client.
+    let fresh_personal =
+        |id: usize| ClassifierModel::new(&cfg.ssl, num_classes, cfg.seed ^ 0xD1770 ^ id as u64);
+    let (round_losses, personals) = train_rounds(
+        fed,
+        cfg,
+        &mut global,
+        recorder,
+        |round, id, personal: Option<ClassifierModel>, global_flat: &[f32]| {
+            let data = fed.client(id);
+            let mut w = template.clone();
+            w.load_flat(global_flat);
+            let mut v = personal.unwrap_or_else(|| fresh_personal(id));
+            let mut w_opt = local_sgd(cfg);
             let mut v_opt = Sgd::new(SgdConfig::with_lr(cfg.local_lr));
-            let mut r = rng::seeded(client_round_seed(cfg.seed, round, *id));
+            let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
             let mut loss_sum = 0.0;
             let mut steps = 0;
             for _ in 0..cfg.local_epochs {
                 for batch in batches(data.train.len(), cfg.batch_size, false, &mut r) {
-                    let samples: Vec<_> = batch.iter().map(|&i| &data.train[i]).collect();
-                    let x = fed.generator().render_batch(samples.iter().copied());
-                    let y: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
+                    let (x, y) = render_labeled(data, fed.generator(), &batch);
                     // Global-model step (what the server aggregates).
                     loss_sum += supervised_step(&mut w, &x, &y, &mut w_opt, TrainScope::Full);
                     // Personal-model step with the proximal pull toward the
@@ -69,36 +69,23 @@ pub fn run_ditto(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
                     steps += 1;
                 }
             }
-            (
-                w.to_flat(),
-                v,
-                data.train_len(),
-                loss_sum / steps.max(1) as f32,
-            )
-        });
-
-        let flats: Vec<&[f32]> = updates.iter().map(|(f, _, _, _)| f.as_slice()).collect();
-        let counts: Vec<usize> = updates.iter().map(|(_, _, c, _)| *c).collect();
-        let mean_loss =
-            updates.iter().map(|(_, _, _, l)| l).sum::<f32>() / updates.len().max(1) as f32;
-        global.load_flat(&weighted_average_refs(
-            &flats,
-            &sample_count_weights(&counts),
-        ));
-        for ((id, _), (_, v, _, _)) in inputs.iter().zip(updates) {
-            personals[*id] = v;
-        }
-        round_losses.push(mean_loss);
-    }
+            let loss = loss_sum / steps.max(1) as f32;
+            let (reply, losses) = supervised_reply(w.to_flat(), data.train_len(), loss);
+            (v, reply, losses)
+        },
+    );
 
     // Evaluation: the personal models. Clients never selected during
     // training still hold their initialization, so give every client a
     // final personal pass (this mirrors Ditto's solver, where the personal
     // objective is optimized locally and cheaply).
     let global_flat = global.to_flat();
-    let ids: Vec<usize> = (0..fed.num_clients()).collect();
-    let accuracies = parallel_map(&ids, |&id| {
-        let mut v = personals[id].clone();
+    let clients: Vec<(usize, ClassifierModel)> = personals
+        .into_iter()
+        .enumerate()
+        .map(|(id, v)| (id, v.unwrap_or_else(|| fresh_personal(id))))
+        .collect();
+    let accuracies = parallel_map_owned(clients, |(id, mut v)| {
         let mut opt = Sgd::new(SgdConfig::with_lr(cfg.probe.lr));
         let mut r = rng::seeded(cfg.seed ^ 0xD1_770E ^ id as u64);
         let data = fed.client(id);
@@ -157,7 +144,7 @@ mod tests {
         cfg.rounds = 6;
         cfg.clients_per_round = 3;
         cfg.local_epochs = 2;
-        let result = run_ditto(&fed, &cfg);
+        let result = run_ditto(&fed, &cfg, &calibre_telemetry::NullRecorder);
         assert!(
             result.stats().mean > 0.6,
             "Ditto mean accuracy {:?}",

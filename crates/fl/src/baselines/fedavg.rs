@@ -4,80 +4,48 @@
 //! local models. The `-FT` variant (paper §V-A) additionally fine-tunes the
 //! head on each client's local data during personalization.
 
-use crate::aggregate::{sample_count_weights, weighted_average_refs};
-use crate::baselines::{client_round_seed, evaluate_with_head_finetune, BaselineResult};
-use crate::compress::{quantize, top_k_sparsify};
+use crate::baselines::{
+    client_round_seed, evaluate_with_head_finetune, local_sgd, supervised_reply, train_rounds,
+    BaselineResult,
+};
 use crate::config::FlConfig;
 use crate::model::{train_supervised, ClassifierModel, TrainScope};
 use crate::parallel::parallel_map;
 use crate::personalize::PersonalizationOutcome;
 use calibre_data::FederatedDataset;
+use calibre_telemetry::{NullRecorder, Recorder};
 use calibre_tensor::nn::Module;
-use calibre_tensor::optim::{Sgd, SgdConfig};
 use calibre_tensor::rng;
-
-/// Lossy compression applied to client → server updates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Compression {
-    /// Ship full-precision updates (plain FedAvg).
-    None,
-    /// Keep only the fraction `keep` of largest-magnitude coordinates.
-    TopK {
-        /// Fraction of coordinates retained, in `(0, 1]`.
-        keep: f32,
-    },
-    /// Uniform quantization to `bits` bits per coordinate.
-    Quantize {
-        /// Bits per coordinate (1..=8).
-        bits: u8,
-    },
-}
-
-impl Compression {
-    /// Applies the compression round-trip a real deployment would see
-    /// (compress on the client, decompress on the server).
-    pub fn round_trip(&self, update: Vec<f32>) -> Vec<f32> {
-        match *self {
-            Compression::None => update,
-            Compression::TopK { keep } => {
-                assert!(keep > 0.0 && keep <= 1.0, "keep fraction out of range");
-                let k = ((update.len() as f32 * keep).ceil() as usize).max(1);
-                top_k_sparsify(&update, k).to_dense()
-            }
-            Compression::Quantize { bits } => quantize(&update, bits).to_dense(),
-        }
-    }
-}
 
 /// Trains a global classifier with FedAvg and returns it together with the
 /// round-loss history.
 pub fn train_fedavg_global(fed: &FederatedDataset, cfg: &FlConfig) -> (ClassifierModel, Vec<f32>) {
-    train_fedavg_global_compressed(fed, cfg, Compression::None)
+    train_global(fed, cfg, &NullRecorder)
 }
 
-/// FedAvg with lossy update compression on the client → server path (the
-/// server's new global model is an average of *decompressed* updates).
-pub fn train_fedavg_global_compressed(
+/// [`train_fedavg_global`], reporting its rounds to `recorder`.
+fn train_global(
     fed: &FederatedDataset,
     cfg: &FlConfig,
-    compression: Compression,
+    recorder: &dyn Recorder,
 ) -> (ClassifierModel, Vec<f32>) {
     let num_classes = fed.generator().num_classes();
-    let mut global = ClassifierModel::new(&cfg.ssl, num_classes, cfg.seed);
-    let schedule = cfg.selection_schedule(fed.num_clients());
-    let mut round_losses = Vec::with_capacity(schedule.len());
-
-    for (round, selected) in schedule.iter().enumerate() {
-        let updates = parallel_map(selected, |&id| {
-            let mut local = global.clone();
-            let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
-                cfg.local_lr,
-                cfg.local_momentum,
-            ));
+    let template = ClassifierModel::new(&cfg.ssl, num_classes, cfg.seed);
+    let mut global = template.clone();
+    let (round_losses, _) = train_rounds(
+        fed,
+        cfg,
+        &mut global,
+        recorder,
+        |round, id, _: Option<()>, global: &[f32]| {
+            let mut local = template.clone();
+            local.load_flat(global);
+            let mut opt = local_sgd(cfg);
             let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
+            let data = fed.client(id);
             let loss = train_supervised(
                 &mut local,
-                fed.client(id),
+                data,
                 fed.generator(),
                 cfg.local_epochs,
                 cfg.batch_size,
@@ -85,33 +53,26 @@ pub fn train_fedavg_global_compressed(
                 TrainScope::Full,
                 &mut r,
             );
-            (
-                compression.round_trip(local.to_flat()),
-                fed.client(id).train_len(),
-                loss,
-            )
-        });
-        let flats: Vec<&[f32]> = updates.iter().map(|(f, _, _)| f.as_slice()).collect();
-        let counts: Vec<usize> = updates.iter().map(|(_, c, _)| *c).collect();
-        let mean_loss =
-            updates.iter().map(|(_, _, l)| l).sum::<f32>() / updates.len().max(1) as f32;
-        round_losses.push(mean_loss);
-        global.load_flat(&weighted_average_refs(
-            &flats,
-            &sample_count_weights(&counts),
-        ));
-    }
+            let (reply, losses) = supervised_reply(local.to_flat(), data.train_len(), loss);
+            ((), reply, losses)
+        },
+    );
     (global, round_losses)
 }
 
-/// Runs FedAvg end to end.
+/// Runs FedAvg end to end, reporting its rounds to `recorder`.
 ///
 /// With `finetune == false` every client evaluates the unmodified global
 /// model (plain FedAvg); with `finetune == true` each client fine-tunes the
 /// global head on its local data first (FedAvg-FT).
-pub fn run_fedavg(fed: &FederatedDataset, cfg: &FlConfig, finetune: bool) -> BaselineResult {
+pub fn run_fedavg(
+    fed: &FederatedDataset,
+    cfg: &FlConfig,
+    finetune: bool,
+    recorder: &dyn Recorder,
+) -> BaselineResult {
     let num_classes = fed.generator().num_classes();
-    let (global, round_losses) = train_fedavg_global(fed, cfg);
+    let (global, round_losses) = train_global(fed, cfg, recorder);
 
     let seen = if finetune {
         let head = global.head().clone();
@@ -138,45 +99,6 @@ pub fn run_fedavg(fed: &FederatedDataset, cfg: &FlConfig, finetune: bool) -> Bas
 mod tests {
     use super::*;
     use calibre_data::{NonIid, PartitionConfig, SynthVisionSpec};
-
-    #[test]
-    fn eight_bit_quantization_barely_moves_fedavg() {
-        let fed = tiny_fed();
-        let cfg = tiny_cfg();
-        let (exact, _) = train_fedavg_global(&fed, &cfg);
-        let (quantized, _) =
-            train_fedavg_global_compressed(&fed, &cfg, Compression::Quantize { bits: 8 });
-        let acc = |m: &ClassifierModel| -> f32 {
-            (0..fed.num_clients())
-                .map(|id| m.test_accuracy(fed.client(id), fed.generator()))
-                .sum::<f32>()
-                / fed.num_clients() as f32
-        };
-        let (a, b) = (acc(&exact), acc(&quantized));
-        assert!((a - b).abs() < 0.1, "8-bit {b} should track exact {a}");
-    }
-
-    #[test]
-    fn extreme_sparsification_degrades_the_global_model() {
-        let fed = tiny_fed();
-        let cfg = tiny_cfg();
-        let (exact, _) = train_fedavg_global(&fed, &cfg);
-        // Keep 1% of coordinates: the model ships almost nothing.
-        let (starved, _) =
-            train_fedavg_global_compressed(&fed, &cfg, Compression::TopK { keep: 0.01 });
-        let acc = |m: &ClassifierModel| -> f32 {
-            (0..fed.num_clients())
-                .map(|id| m.test_accuracy(fed.client(id), fed.generator()))
-                .sum::<f32>()
-                / fed.num_clients() as f32
-        };
-        assert!(
-            acc(&starved) < acc(&exact),
-            "1% top-k {} should underperform exact {}",
-            acc(&starved),
-            acc(&exact)
-        );
-    }
 
     fn tiny_fed() -> FederatedDataset {
         FederatedDataset::build(
@@ -206,8 +128,8 @@ mod tests {
     fn fedavg_ft_beats_plain_fedavg_under_label_skew() {
         let fed = tiny_fed();
         let cfg = tiny_cfg();
-        let plain = run_fedavg(&fed, &cfg, false);
-        let ft = run_fedavg(&fed, &cfg, true);
+        let plain = run_fedavg(&fed, &cfg, false, &NullRecorder);
+        let ft = run_fedavg(&fed, &cfg, true, &NullRecorder);
         // Under 2-class clients a personalized head is a huge win — this is
         // the paper's core motivation for personalization.
         assert!(
@@ -223,7 +145,7 @@ mod tests {
     fn training_loss_decreases_over_rounds() {
         let fed = tiny_fed();
         let cfg = tiny_cfg();
-        let result = run_fedavg(&fed, &cfg, true);
+        let result = run_fedavg(&fed, &cfg, true, &NullRecorder);
         let first = result.round_losses.first().copied().unwrap();
         let last = result.round_losses.last().copied().unwrap();
         assert!(
@@ -237,8 +159,8 @@ mod tests {
     fn result_is_deterministic() {
         let fed = tiny_fed();
         let cfg = tiny_cfg();
-        let a = run_fedavg(&fed, &cfg, true);
-        let b = run_fedavg(&fed, &cfg, true);
+        let a = run_fedavg(&fed, &cfg, true, &NullRecorder);
+        let b = run_fedavg(&fed, &cfg, true, &NullRecorder);
         assert_eq!(a.seen.accuracies, b.seen.accuracies);
     }
 }

@@ -6,39 +6,41 @@
 //! initialization. The paper (§II) notes FedBABU's two-stage structure is
 //! the closest supervised relative of Calibre's own pipeline.
 
-use crate::aggregate::{sample_count_weights, weighted_average_refs};
-use crate::baselines::{client_round_seed, evaluate_with_head_finetune, BaselineResult};
+use crate::baselines::{
+    client_round_seed, evaluate_with_head_finetune, local_sgd, supervised_reply, train_rounds,
+    BaselineResult,
+};
 use crate::config::FlConfig;
 use crate::model::{train_supervised, ClassifierModel, TrainScope};
-use crate::parallel::parallel_map;
 use calibre_data::FederatedDataset;
+use calibre_telemetry::Recorder;
 use calibre_tensor::nn::Module;
-use calibre_tensor::optim::{Sgd, SgdConfig};
 use calibre_tensor::rng;
 
-/// Runs FedBABU end to end.
-pub fn run_fedbabu(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
+/// Runs FedBABU end to end, reporting its rounds to `recorder`.
+pub fn run_fedbabu(
+    fed: &FederatedDataset,
+    cfg: &FlConfig,
+    recorder: &dyn Recorder,
+) -> BaselineResult {
     let num_classes = fed.generator().num_classes();
     // One shared random head, fixed for the entire training stage.
     let template = ClassifierModel::new(&cfg.ssl, num_classes, cfg.seed);
-    let fixed_head = template.head().clone();
     let mut global_encoder = template.encoder().clone();
-    let schedule = cfg.selection_schedule(fed.num_clients());
-    let mut round_losses = Vec::with_capacity(schedule.len());
-
-    for (round, selected) in schedule.iter().enumerate() {
-        let updates = parallel_map(selected, |&id| {
+    let (round_losses, _) = train_rounds(
+        fed,
+        cfg,
+        &mut global_encoder,
+        recorder,
+        |round, id, _: Option<()>, global: &[f32]| {
             let mut model = template.clone();
-            model.encoder_mut().load_flat(&global_encoder.to_flat());
-            model.set_head(fixed_head.clone());
-            let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
-                cfg.local_lr,
-                cfg.local_momentum,
-            ));
+            model.encoder_mut().load_flat(global);
+            let mut opt = local_sgd(cfg);
             let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
+            let data = fed.client(id);
             let loss = train_supervised(
                 &mut model,
-                fed.client(id),
+                data,
                 fed.generator(),
                 cfg.local_epochs,
                 cfg.batch_size,
@@ -46,21 +48,15 @@ pub fn run_fedbabu(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
                 TrainScope::EncoderOnly,
                 &mut r,
             );
-            (model.encoder().to_flat(), fed.client(id).train_len(), loss)
-        });
-        let flats: Vec<&[f32]> = updates.iter().map(|(f, _, _)| f.as_slice()).collect();
-        let counts: Vec<usize> = updates.iter().map(|(_, c, _)| *c).collect();
-        global_encoder.load_flat(&weighted_average_refs(
-            &flats,
-            &sample_count_weights(&counts),
-        ));
-        round_losses
-            .push(updates.iter().map(|(_, _, l)| l).sum::<f32>() / updates.len().max(1) as f32);
-    }
+            let (reply, losses) =
+                supervised_reply(model.encoder().to_flat(), data.train_len(), loss);
+            ((), reply, losses)
+        },
+    );
 
     // Personalization: fine-tune the head from the shared initialization.
     let seen = evaluate_with_head_finetune(&global_encoder, fed, num_classes, &cfg.probe, |_| {
-        fixed_head.clone()
+        template.head().clone()
     });
 
     BaselineResult {
@@ -95,7 +91,7 @@ mod tests {
         cfg.rounds = 6;
         cfg.clients_per_round = 3;
         cfg.local_epochs = 2;
-        let result = run_fedbabu(&fed, &cfg);
+        let result = run_fedbabu(&fed, &cfg, &calibre_telemetry::NullRecorder);
         assert!(
             result.stats().mean > 0.6,
             "FedBABU mean accuracy {:?}",

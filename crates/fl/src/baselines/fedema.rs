@@ -8,16 +8,15 @@
 //! clients far from the global model adopt more of it. This is the paper's
 //! closest related work (§II).
 
-use crate::aggregate::{sample_count_weights, weighted_average_refs};
-use crate::baselines::{client_round_seed, BaselineResult};
+use crate::baselines::{client_round_seed, local_sgd, train_rounds, BaselineResult};
 use crate::config::FlConfig;
-use crate::parallel::parallel_map_owned;
 use crate::personalize::personalize_cohort;
 use crate::pfl_ssl::ssl_local_update;
+use crate::transport::StreamUpdate;
 use calibre_data::{AugmentConfig, FederatedDataset};
 use calibre_ssl::{Byol, SslMethod};
+use calibre_telemetry::{ClientLosses, Recorder};
 use calibre_tensor::nn::Module;
-use calibre_tensor::optim::{Sgd, SgdConfig};
 use calibre_tensor::rng;
 
 /// The divergence auto-scaler τ. The original work calibrates it from the
@@ -35,31 +34,28 @@ fn lambda_for(global_flat: &[f32], local_flat: &[f32]) -> f32 {
     (TAU_SCALER * divergence).min(1.0)
 }
 
-/// Runs FedEMA end to end.
-pub fn run_fedema(fed: &FederatedDataset, cfg: &FlConfig, aug: &AugmentConfig) -> BaselineResult {
+/// Runs FedEMA end to end, reporting its rounds to `recorder`.
+pub fn run_fedema(
+    fed: &FederatedDataset,
+    cfg: &FlConfig,
+    aug: &AugmentConfig,
+    recorder: &dyn Recorder,
+) -> BaselineResult {
     let reference = Byol::new(cfg.ssl.clone());
     let mut global_encoder = reference.encoder().clone();
-    let mut states: Vec<Option<Byol>> = (0..fed.num_clients()).map(|_| None).collect();
-    let schedule = cfg.selection_schedule(fed.num_clients());
-    let mut round_losses = Vec::with_capacity(schedule.len());
-
-    for (round, selected) in schedule.iter().enumerate() {
-        let global_flat = global_encoder.to_flat();
-        let inputs: Vec<(usize, Byol)> = selected
-            .iter()
-            .map(|&id| {
-                let state = states[id].take().unwrap_or_else(|| {
-                    Byol::new(cfg.ssl.clone().with_seed(cfg.seed ^ (id as u64) << 8))
-                });
-                (id, state)
-            })
-            .collect();
-
-        let updates = parallel_map_owned(inputs, |(id, mut byol)| {
+    let (round_losses, _) = train_rounds(
+        fed,
+        cfg,
+        &mut global_encoder,
+        recorder,
+        |round, id, byol: Option<Byol>, global_flat: &[f32]| {
+            let mut byol = byol.unwrap_or_else(|| {
+                Byol::new(cfg.ssl.clone().with_seed(cfg.seed ^ (id as u64) << 8))
+            });
             // Divergence-aware merge of the global encoder into the local
             // online encoder (FedEMA's core mechanism).
             let local_flat = byol.encoder().to_flat();
-            let lambda = lambda_for(&global_flat, &local_flat);
+            let lambda = lambda_for(global_flat, &local_flat);
             let merged: Vec<f32> = global_flat
                 .iter()
                 .zip(local_flat.iter())
@@ -67,10 +63,7 @@ pub fn run_fedema(fed: &FederatedDataset, cfg: &FlConfig, aug: &AugmentConfig) -
                 .collect();
             byol.encoder_mut().load_flat(&merged);
 
-            let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
-                cfg.local_lr,
-                cfg.local_momentum,
-            ));
+            let mut opt = local_sgd(cfg);
             let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
             let data = fed.client(id);
             let loss = ssl_local_update(
@@ -83,24 +76,20 @@ pub fn run_fedema(fed: &FederatedDataset, cfg: &FlConfig, aug: &AugmentConfig) -
                 &mut opt,
                 &mut r,
             );
-            let flat = byol.encoder().to_flat();
-            let weight = data.ssl_pool().len();
-            (id, byol, flat, weight, loss)
-        });
-
-        let flats: Vec<&[f32]> = updates.iter().map(|(_, _, f, _, _)| f.as_slice()).collect();
-        let counts: Vec<usize> = updates.iter().map(|(_, _, _, c, _)| *c).collect();
-        let mean_loss =
-            updates.iter().map(|(_, _, _, _, l)| l).sum::<f32>() / updates.len().max(1) as f32;
-        global_encoder.load_flat(&weighted_average_refs(
-            &flats,
-            &sample_count_weights(&counts),
-        ));
-        for (id, byol, _, _, _) in updates {
-            states[id] = Some(byol);
-        }
-        round_losses.push(mean_loss);
-    }
+            let reply = StreamUpdate {
+                update: byol.encoder().to_flat(),
+                weight: data.ssl_pool().len() as f32,
+                loss,
+                divergence: 0.0,
+            };
+            let losses = ClientLosses {
+                total: loss,
+                ssl: loss,
+                ..ClientLosses::default()
+            };
+            (byol, reply, losses)
+        },
+    );
 
     let num_classes = fed.generator().num_classes();
     let seen = personalize_cohort(&global_encoder, fed, num_classes, &cfg.probe);
@@ -149,7 +138,12 @@ mod tests {
         cfg.clients_per_round = 3;
         cfg.local_epochs = 1;
         cfg.batch_size = 16;
-        let result = run_fedema(&fed, &cfg, &AugmentConfig::default());
+        let result = run_fedema(
+            &fed,
+            &cfg,
+            &AugmentConfig::default(),
+            &calibre_telemetry::NullRecorder,
+        );
         assert_eq!(result.name, "FedEMA");
         assert!(
             result.stats().mean > 0.5,

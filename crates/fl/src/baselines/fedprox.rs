@@ -6,45 +6,47 @@
 //! extension because it is the most common drift-control baseline and the
 //! plumbing (per-batch proximal pull) was already needed for Ditto.
 
-use crate::aggregate::{sample_count_weights, weighted_average_refs};
-use crate::baselines::{client_round_seed, evaluate_with_head_finetune, BaselineResult};
+use crate::baselines::{
+    client_round_seed, evaluate_with_head_finetune, local_sgd, supervised_reply, train_rounds,
+    BaselineResult,
+};
 use crate::config::FlConfig;
-use crate::model::{supervised_step, ClassifierModel, TrainScope};
-use crate::parallel::parallel_map;
+use crate::model::{render_labeled, supervised_step, ClassifierModel, TrainScope};
 use calibre_data::batch::batches;
 use calibre_data::FederatedDataset;
+use calibre_telemetry::Recorder;
 use calibre_tensor::nn::Module;
-use calibre_tensor::optim::{Sgd, SgdConfig};
 use calibre_tensor::rng;
 
-/// Runs FedProx end to end with proximal strength `mu`; evaluation uses the
-/// `-FT` rule (head fine-tuning), making it directly comparable with
-/// FedAvg-FT.
-pub fn run_fedprox(fed: &FederatedDataset, cfg: &FlConfig, mu: f32) -> BaselineResult {
+/// Runs FedProx end to end with proximal strength `mu`, reporting its
+/// rounds to `recorder`; evaluation uses the `-FT` rule (head fine-tuning),
+/// making it directly comparable with FedAvg-FT.
+pub fn run_fedprox(
+    fed: &FederatedDataset,
+    cfg: &FlConfig,
+    mu: f32,
+    recorder: &dyn Recorder,
+) -> BaselineResult {
     assert!(mu >= 0.0, "proximal strength must be non-negative");
     let num_classes = fed.generator().num_classes();
-    let mut global = ClassifierModel::new(&cfg.ssl, num_classes, cfg.seed);
-    let schedule = cfg.selection_schedule(fed.num_clients());
-    let mut round_losses = Vec::with_capacity(schedule.len());
-
-    for (round, selected) in schedule.iter().enumerate() {
-        let global_flat = global.to_flat();
-        let updates = parallel_map(selected, |&id| {
+    let template = ClassifierModel::new(&cfg.ssl, num_classes, cfg.seed);
+    let mut global = template.clone();
+    let (round_losses, _) = train_rounds(
+        fed,
+        cfg,
+        &mut global,
+        recorder,
+        |round, id, _: Option<()>, global_flat: &[f32]| {
             let data = fed.client(id);
-            let labels = data.train_labels();
-            let mut local = global.clone();
-            let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
-                cfg.local_lr,
-                cfg.local_momentum,
-            ));
+            let mut local = template.clone();
+            local.load_flat(global_flat);
+            let mut opt = local_sgd(cfg);
             let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
             let mut loss_sum = 0.0;
             let mut steps = 0;
             for _ in 0..cfg.local_epochs {
                 for batch in batches(data.train.len(), cfg.batch_size, false, &mut r) {
-                    let samples: Vec<_> = batch.iter().map(|&i| &data.train[i]).collect();
-                    let x = fed.generator().render_batch(samples.iter().copied());
-                    let y: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
+                    let (x, y) = render_labeled(data, fed.generator(), &batch);
                     loss_sum += supervised_step(&mut local, &x, &y, &mut opt, TrainScope::Full);
                     // Proximal pull toward the round's global parameters.
                     if mu > 0.0 {
@@ -59,21 +61,11 @@ pub fn run_fedprox(fed: &FederatedDataset, cfg: &FlConfig, mu: f32) -> BaselineR
                     steps += 1;
                 }
             }
-            (
-                local.to_flat(),
-                data.train_len(),
-                loss_sum / steps.max(1) as f32,
-            )
-        });
-        let flats: Vec<&[f32]> = updates.iter().map(|(f, _, _)| f.as_slice()).collect();
-        let counts: Vec<usize> = updates.iter().map(|(_, c, _)| *c).collect();
-        global.load_flat(&weighted_average_refs(
-            &flats,
-            &sample_count_weights(&counts),
-        ));
-        round_losses
-            .push(updates.iter().map(|(_, _, l)| l).sum::<f32>() / updates.len().max(1) as f32);
-    }
+            let loss = loss_sum / steps.max(1) as f32;
+            let (reply, losses) = supervised_reply(local.to_flat(), data.train_len(), loss);
+            ((), reply, losses)
+        },
+    );
 
     let head = global.head().clone();
     let seen = evaluate_with_head_finetune(global.encoder(), fed, num_classes, &cfg.probe, |_| {
@@ -91,6 +83,7 @@ pub fn run_fedprox(fed: &FederatedDataset, cfg: &FlConfig, mu: f32) -> BaselineR
 mod tests {
     use super::*;
     use calibre_data::{NonIid, PartitionConfig, SynthVisionSpec};
+    use calibre_telemetry::NullRecorder;
 
     fn tiny_fed() -> FederatedDataset {
         FederatedDataset::build(
@@ -118,7 +111,7 @@ mod tests {
 
     #[test]
     fn fedprox_learns_under_label_skew() {
-        let result = run_fedprox(&tiny_fed(), &tiny_cfg(), 0.1);
+        let result = run_fedprox(&tiny_fed(), &tiny_cfg(), 0.1, &NullRecorder);
         assert!(
             result.stats().mean > 0.5,
             "FedProx-FT accuracy {:?}",
@@ -131,8 +124,8 @@ mod tests {
         use crate::baselines::fedavg::run_fedavg;
         let fed = tiny_fed();
         let cfg = tiny_cfg();
-        let prox = run_fedprox(&fed, &cfg, 0.0);
-        let avg = run_fedavg(&fed, &cfg, true);
+        let prox = run_fedprox(&fed, &cfg, 0.0, &NullRecorder);
+        let avg = run_fedavg(&fed, &cfg, true, &NullRecorder);
         assert_eq!(prox.seen.accuracies, avg.seen.accuracies);
     }
 
@@ -155,8 +148,8 @@ mod tests {
                 .sum::<f32>()
                 .sqrt()
         };
-        let loose = run_fedprox(&fed, &cfg, 0.0);
-        let tight = run_fedprox(&fed, &cfg, 5.0);
+        let loose = run_fedprox(&fed, &cfg, 0.0, &NullRecorder);
+        let tight = run_fedprox(&fed, &cfg, 5.0, &NullRecorder);
         assert!(
             distance(&tight) < distance(&loose),
             "prox {} should be closer than plain {}",
@@ -168,6 +161,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_mu_rejected() {
-        run_fedprox(&tiny_fed(), &tiny_cfg(), -1.0);
+        run_fedprox(&tiny_fed(), &tiny_cfg(), -1.0, &NullRecorder);
     }
 }

@@ -3,48 +3,48 @@
 //! shared encoder, then updates the encoder with the head frozen; only the
 //! encoder is aggregated.
 
-use crate::aggregate::{sample_count_weights, weighted_average_refs};
-use crate::baselines::{client_round_seed, evaluate_with_head_finetune, BaselineResult};
+use crate::baselines::{
+    client_round_seed, evaluate_with_head_finetune, local_sgd, supervised_reply, train_rounds,
+    BaselineResult,
+};
 use crate::config::FlConfig;
 use crate::model::{train_supervised, ClassifierModel, TrainScope};
-use crate::parallel::parallel_map;
 use calibre_data::FederatedDataset;
+use calibre_telemetry::Recorder;
 use calibre_tensor::nn::{Linear, Module};
-use calibre_tensor::optim::{Sgd, SgdConfig};
 use calibre_tensor::rng;
 
-/// Runs FedRep end to end.
-pub fn run_fedrep(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
+/// Runs FedRep end to end, reporting its rounds to `recorder`.
+pub fn run_fedrep(
+    fed: &FederatedDataset,
+    cfg: &FlConfig,
+    recorder: &dyn Recorder,
+) -> BaselineResult {
     let num_classes = fed.generator().num_classes();
     let template = ClassifierModel::new(&cfg.ssl, num_classes, cfg.seed);
     let mut global_encoder = template.encoder().clone();
-    // Every client owns a persistent local head.
-    let mut heads: Vec<Linear> = (0..fed.num_clients())
-        .map(|id| {
-            let mut r = rng::seeded(cfg.seed ^ 0x0FED_00EB ^ id as u64);
-            Linear::new(cfg.ssl.repr_dim(), num_classes, &mut r)
-        })
-        .collect();
-    let schedule = cfg.selection_schedule(fed.num_clients());
-    let mut round_losses = Vec::with_capacity(schedule.len());
-
-    for (round, selected) in schedule.iter().enumerate() {
-        let inputs: Vec<(usize, Linear)> =
-            selected.iter().map(|&id| (id, heads[id].clone())).collect();
-        let updates = parallel_map(&inputs, |(id, head)| {
+    // Every client owns a persistent local head, seeded per client.
+    let fresh_head = |id: usize| {
+        let mut r = rng::seeded(cfg.seed ^ 0x0FED_00EB ^ id as u64);
+        Linear::new(cfg.ssl.repr_dim(), num_classes, &mut r)
+    };
+    let (round_losses, heads) = train_rounds(
+        fed,
+        cfg,
+        &mut global_encoder,
+        recorder,
+        |round, id, head: Option<Linear>, global: &[f32]| {
             let mut model = template.clone();
-            model.encoder_mut().load_flat(&global_encoder.to_flat());
-            model.set_head(head.clone());
-            let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
-                cfg.local_lr,
-                cfg.local_momentum,
-            ));
-            let mut r = rng::seeded(client_round_seed(cfg.seed, round, *id));
+            model.encoder_mut().load_flat(global);
+            model.set_head(head.unwrap_or_else(|| fresh_head(id)));
+            let mut opt = local_sgd(cfg);
+            let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
+            let data = fed.client(id);
             // Phase 1: head only, frozen encoder (FedRep trains the head to
             // convergence first — we give it the configured local epochs).
             train_supervised(
                 &mut model,
-                fed.client(*id),
+                data,
                 fed.generator(),
                 cfg.local_epochs,
                 cfg.batch_size,
@@ -55,7 +55,7 @@ pub fn run_fedrep(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
             // Phase 2: one encoder epoch with the head frozen.
             let loss = train_supervised(
                 &mut model,
-                fed.client(*id),
+                data,
                 fed.generator(),
                 1,
                 cfg.batch_size,
@@ -63,32 +63,20 @@ pub fn run_fedrep(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
                 TrainScope::EncoderOnly,
                 &mut r,
             );
-            (
-                model.encoder().to_flat(),
-                model.head().clone(),
-                fed.client(*id).train_len(),
-                loss,
-            )
-        });
-
-        let flats: Vec<&[f32]> = updates.iter().map(|(f, _, _, _)| f.as_slice()).collect();
-        let counts: Vec<usize> = updates.iter().map(|(_, _, c, _)| *c).collect();
-        global_encoder.load_flat(&weighted_average_refs(
-            &flats,
-            &sample_count_weights(&counts),
-        ));
-        for ((id, _), (_, head, _, _)) in inputs.iter().zip(updates.iter()) {
-            heads[*id] = head.clone();
-        }
-        let mean_loss =
-            updates.iter().map(|(_, _, _, l)| l).sum::<f32>() / updates.len().max(1) as f32;
-        round_losses.push(mean_loss);
-    }
+            let (reply, losses) =
+                supervised_reply(model.encoder().to_flat(), data.train_len(), loss);
+            (model.head().clone(), reply, losses)
+        },
+    );
 
     // Personalization: each seen client fine-tunes its own head on the
     // frozen shared encoder.
     let seen = evaluate_with_head_finetune(&global_encoder, fed, num_classes, &cfg.probe, |id| {
-        heads[id].clone()
+        heads
+            .get(id)
+            .cloned()
+            .flatten()
+            .unwrap_or_else(|| fresh_head(id))
     });
 
     BaselineResult {
@@ -123,7 +111,7 @@ mod tests {
         cfg.rounds = 6;
         cfg.clients_per_round = 3;
         cfg.local_epochs = 2;
-        let result = run_fedrep(&fed, &cfg);
+        let result = run_fedrep(&fed, &cfg, &calibre_telemetry::NullRecorder);
         assert!(
             result.stats().mean > 0.6,
             "FedRep mean accuracy {:?}",

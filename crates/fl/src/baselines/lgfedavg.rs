@@ -2,58 +2,54 @@
 //! the mirror image of FedPer. Each client keeps a personal encoder; only
 //! the classifier head is aggregated.
 
-use crate::aggregate::{sample_count_weights, uniform_average, weighted_average};
-use crate::baselines::{client_round_seed, BaselineResult};
+use crate::aggregate::{aggregate_robust, Aggregator};
+use crate::baselines::{
+    client_round_seed, local_sgd, supervised_reply, train_rounds, BaselineResult,
+};
 use crate::config::FlConfig;
 use crate::model::{train_supervised, ClassifierModel, TrainScope};
 use crate::parallel::parallel_map;
 use crate::personalize::PersonalizationOutcome;
 use calibre_data::FederatedDataset;
 use calibre_ssl::{probe_accuracy, train_linear_probe_from};
-use calibre_tensor::nn::{Mlp, Module};
-use calibre_tensor::optim::{Sgd, SgdConfig};
+use calibre_telemetry::Recorder;
+use calibre_tensor::nn::{Activation, Mlp, Module};
 use calibre_tensor::rng;
 
-/// Runs LG-FedAvg end to end.
+/// Runs LG-FedAvg end to end, reporting its rounds to `recorder`.
 ///
 /// The exported `encoder` in the result is the uniform average of all client
 /// encoders — LG-FedAvg has no true global encoder, and this average is what
 /// a novel client would reasonably bootstrap from.
-pub fn run_lgfedavg(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
+pub fn run_lgfedavg(
+    fed: &FederatedDataset,
+    cfg: &FlConfig,
+    recorder: &dyn Recorder,
+) -> BaselineResult {
     let num_classes = fed.generator().num_classes();
     let template = ClassifierModel::new(&cfg.ssl, num_classes, cfg.seed);
     let mut global_head = template.head().clone();
-    // Per-client persistent local encoders.
-    let mut encoders: Vec<Mlp> = (0..fed.num_clients())
-        .map(|id| {
-            let mut r = rng::seeded(cfg.seed ^ 0x16FED ^ id as u64);
-            Mlp::new(
-                &cfg.ssl.encoder_layer_dims(),
-                calibre_tensor::nn::Activation::Relu,
-                &mut r,
-            )
-        })
-        .collect();
-    let schedule = cfg.selection_schedule(fed.num_clients());
-    let mut round_losses = Vec::with_capacity(schedule.len());
-
-    for (round, selected) in schedule.iter().enumerate() {
-        let inputs: Vec<(usize, Mlp)> = selected
-            .iter()
-            .map(|&id| (id, encoders[id].clone()))
-            .collect();
-        let updates = parallel_map(&inputs, |(id, encoder)| {
+    // Every client owns a persistent local encoder, seeded per client.
+    let fresh_encoder = |id: usize| {
+        let mut r = rng::seeded(cfg.seed ^ 0x16FED ^ id as u64);
+        Mlp::new(&cfg.ssl.encoder_layer_dims(), Activation::Relu, &mut r)
+    };
+    // Only the head aggregates.
+    let (round_losses, encoders) = train_rounds(
+        fed,
+        cfg,
+        &mut global_head,
+        recorder,
+        |round, id, encoder: Option<Mlp>, global: &[f32]| {
             let mut model = template.clone();
-            model.encoder_mut().load_flat(&encoder.to_flat());
-            model.set_head(global_head.clone());
-            let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
-                cfg.local_lr,
-                cfg.local_momentum,
-            ));
-            let mut r = rng::seeded(client_round_seed(cfg.seed, round, *id));
+            *model.encoder_mut() = encoder.unwrap_or_else(|| fresh_encoder(id));
+            model.head_mut().load_flat(global);
+            let mut opt = local_sgd(cfg);
+            let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
+            let data = fed.client(id);
             let loss = train_supervised(
                 &mut model,
-                fed.client(*id),
+                data,
                 fed.generator(),
                 cfg.local_epochs,
                 cfg.batch_size,
@@ -61,37 +57,26 @@ pub fn run_lgfedavg(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
                 TrainScope::Full,
                 &mut r,
             );
-            (
-                model.encoder().to_flat(),
-                model.head().to_flat(),
-                fed.client(*id).train_len(),
-                loss,
-            )
-        });
-        // Only the head aggregates.
-        let head_flats: Vec<Vec<f32>> = updates.iter().map(|(_, h, _, _)| h.clone()).collect();
-        let counts: Vec<usize> = updates.iter().map(|(_, _, c, _)| *c).collect();
-        global_head.load_flat(&weighted_average(
-            &head_flats,
-            &sample_count_weights(&counts),
-        ));
-        for ((id, _), (enc_flat, _, _, _)) in inputs.iter().zip(updates.iter()) {
-            encoders[*id].load_flat(enc_flat);
-        }
-        round_losses
-            .push(updates.iter().map(|(_, _, _, l)| l).sum::<f32>() / updates.len().max(1) as f32);
-    }
+            let (reply, losses) = supervised_reply(model.head().to_flat(), data.train_len(), loss);
+            (model.encoder().clone(), reply, losses)
+        },
+    );
+    let encoders: Vec<Mlp> = encoders
+        .into_iter()
+        .enumerate()
+        .map(|(id, encoder)| encoder.unwrap_or_else(|| fresh_encoder(id)))
+        .collect();
 
     // Personalization: each client keeps its local encoder and fine-tunes
     // the global head on it.
-    let ids: Vec<usize> = (0..fed.num_clients()).collect();
-    let accuracies = parallel_map(&ids, |&id| {
+    let clients: Vec<(usize, &Mlp)> = encoders.iter().enumerate().collect();
+    let accuracies = parallel_map(&clients, |&(id, encoder)| {
         let data = fed.client(id);
         if data.train.is_empty() || data.test.is_empty() {
             return 0.0;
         }
-        let train_x = encoders[id].infer(&fed.generator().render_batch(data.train.iter()));
-        let test_x = encoders[id].infer(&fed.generator().render_batch(data.test.iter()));
+        let train_x = encoder.infer(&fed.generator().render_batch(data.train.iter()));
+        let test_x = encoder.infer(&fed.generator().render_batch(data.test.iter()));
         let mut probe = cfg.probe;
         probe.seed = cfg.probe.seed ^ (id as u64).wrapping_mul(0x9E37_79B9);
         let head = train_linear_probe_from(
@@ -108,8 +93,11 @@ pub fn run_lgfedavg(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
     // Export the average of local encoders as the best available "global"
     // encoder for novel clients / figures.
     let encoder_flats: Vec<Vec<f32>> = encoders.iter().map(Module::to_flat).collect();
-    let mut mean_encoder = encoders[0].clone();
-    mean_encoder.load_flat(&uniform_average(&encoder_flats));
+    let refs: Vec<&[f32]> = encoder_flats.iter().map(Vec::as_slice).collect();
+    let mut mean_encoder = template.encoder().clone();
+    if let Ok(mean) = aggregate_robust(Aggregator::WeightedAverage, &refs, &vec![1.0; refs.len()]) {
+        mean_encoder.load_flat(&mean);
+    }
 
     BaselineResult {
         name: "LG-FedAvg".to_string(),
@@ -143,7 +131,7 @@ mod tests {
         cfg.rounds = 6;
         cfg.clients_per_round = 3;
         cfg.local_epochs = 2;
-        let result = run_lgfedavg(&fed, &cfg);
+        let result = run_lgfedavg(&fed, &cfg, &calibre_telemetry::NullRecorder);
         assert!(
             result.stats().mean > 0.6,
             "LG-FedAvg mean accuracy {:?}",

@@ -22,6 +22,15 @@
 //! Every baseline returns a [`BaselineResult`]: per-seen-client accuracies
 //! after its own personalization rule, plus the global encoder used for
 //! novel-client evaluation and figure generation.
+//!
+//! Every aggregating baseline trains on the round engine through
+//! [`run_training_round`], so [`FlConfig`]'s chaos, attack, detection and
+//! round policy apply to it, and its rounds report to the `Recorder` its
+//! `run_*` function takes. SCAFFOLD runs its own round loop, because its
+//! server control variate changes between rounds; every other baseline
+//! trains through one shared loop. Per-client state (local heads,
+//! encoders, personal models) lives in the engine's state slots and is
+//! built from a per-client seed on first selection.
 
 pub mod apfl;
 pub mod ditto;
@@ -36,12 +45,18 @@ pub mod perfedavg;
 pub mod scaffold;
 pub mod script;
 
+use crate::config::FlConfig;
 use crate::metrics::Stats;
 use crate::parallel::parallel_map;
 use crate::personalize::PersonalizationOutcome;
+use crate::pfl_ssl::run_training_round;
+use crate::scheduler::RoundScheduler;
+use crate::transport::StreamUpdate;
 use calibre_data::FederatedDataset;
 use calibre_ssl::{probe_accuracy, train_linear_probe_from, ProbeConfig};
-use calibre_tensor::nn::{Linear, Mlp};
+use calibre_telemetry::{ClientLosses, Recorder};
+use calibre_tensor::nn::{Linear, Mlp, Module};
+use calibre_tensor::optim::{Sgd, SgdConfig};
 
 /// The outcome of running one baseline's training + personalization.
 #[derive(Debug, Clone)]
@@ -100,6 +115,84 @@ where
         probe_accuracy(&head, &test_x, &data.test_labels())
     });
     PersonalizationOutcome::from_accuracies(accuracies)
+}
+
+/// Trains a baseline whose server keeps only the shared model `global`.
+/// Returns the per-round mean losses and every client's final state.
+///
+/// Each round selects its cohort on [`RoundScheduler::from_config`],
+/// broadcasts `global` flattened, runs `work(round, id, state, global)` for
+/// each selected client through [`run_training_round`], and loads the
+/// aggregate back into `global`. `state` is the client's state from its
+/// last round (`None` on first selection, or after its work panicked).
+/// A round with nothing to aggregate keeps `global` and repeats the
+/// previous mean loss.
+pub(crate) fn train_rounds<M, S, F>(
+    fed: &FederatedDataset,
+    cfg: &FlConfig,
+    global: &mut M,
+    recorder: &dyn Recorder,
+    work: F,
+) -> (Vec<f32>, Vec<Option<S>>)
+where
+    M: Module,
+    S: Send,
+    F: Fn(usize, usize, Option<S>, &[f32]) -> (S, StreamUpdate, ClientLosses) + Sync,
+{
+    let scheduler = RoundScheduler::from_config(cfg, fed.num_clients());
+    let mut states: Vec<Option<S>> = (0..fed.num_clients()).map(|_| None).collect();
+    let mut round_losses = Vec::with_capacity(scheduler.rounds());
+    for round in 0..scheduler.rounds() {
+        let selected = scheduler.select(round, None);
+        let round_span = calibre_telemetry::span("round");
+        round_span.add_items(selected.len() as u64);
+        let global_flat = global.to_flat();
+        let fallback_loss = round_losses.last().copied().unwrap_or(0.0);
+        let outcome = run_training_round(
+            &scheduler,
+            round,
+            &selected,
+            &global_flat,
+            &mut states,
+            fallback_loss,
+            recorder,
+            |id, state, global: &[f32]| work(round, id, state, global),
+        );
+        if let Some(aggregated) = &outcome.aggregated {
+            global.load_flat(aggregated);
+        }
+        round_losses.push(outcome.mean_loss);
+    }
+    (round_losses, states)
+}
+
+/// A supervised client's reply: its flattened update, weighted by its
+/// training-set size, and its local loss as the total.
+pub(crate) fn supervised_reply(
+    update: Vec<f32>,
+    train_len: usize,
+    loss: f32,
+) -> (StreamUpdate, ClientLosses) {
+    let reply = StreamUpdate {
+        update,
+        weight: train_len as f32,
+        loss,
+        divergence: 0.0,
+    };
+    let losses = ClientLosses {
+        total: loss,
+        ..ClientLosses::default()
+    };
+    (reply, losses)
+}
+
+/// A client's local optimizer for one round: SGD at the run's local
+/// learning rate and momentum.
+pub(crate) fn local_sgd(cfg: &FlConfig) -> Sgd {
+    Sgd::new(SgdConfig::with_lr_momentum(
+        cfg.local_lr,
+        cfg.local_momentum,
+    ))
 }
 
 /// Derives a per-client, per-round RNG seed from the run seed.

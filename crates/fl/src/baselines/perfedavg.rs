@@ -3,14 +3,14 @@
 //! produce a good personalized model; evaluation therefore adapts the full
 //! model locally before testing.
 
-use crate::aggregate::{sample_count_weights, weighted_average_refs};
-use crate::baselines::{client_round_seed, BaselineResult};
+use crate::baselines::{client_round_seed, supervised_reply, train_rounds, BaselineResult};
 use crate::config::FlConfig;
-use crate::model::{train_supervised, ClassifierModel, TrainScope};
+use crate::model::{render_labeled, train_supervised, ClassifierModel, TrainScope};
 use crate::parallel::parallel_map;
 use crate::personalize::PersonalizationOutcome;
 use calibre_data::batch::batches;
 use calibre_data::FederatedDataset;
+use calibre_telemetry::Recorder;
 use calibre_tensor::nn::{gradients, Binding, Module};
 use calibre_tensor::optim::{Sgd, SgdConfig};
 use calibre_tensor::{rng, Graph, Matrix};
@@ -28,41 +28,42 @@ fn batch_gradients(model: &mut ClassifierModel, x: &Matrix, y: &[usize]) -> (Vec
     (gradients(&g, &binding), value)
 }
 
-/// Runs PerFedAvg (FO-MAML variant) end to end.
+/// Runs PerFedAvg (FO-MAML variant) end to end, reporting its rounds to
+/// `recorder`.
 ///
 /// Inner (adaptation) learning rate is `cfg.local_lr`; the outer
 /// (meta) learning rate is `cfg.local_lr / 2`, the standard β < α heuristic.
-pub fn run_perfedavg(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
+pub fn run_perfedavg(
+    fed: &FederatedDataset,
+    cfg: &FlConfig,
+    recorder: &dyn Recorder,
+) -> BaselineResult {
     let num_classes = fed.generator().num_classes();
-    let mut global = ClassifierModel::new(&cfg.ssl, num_classes, cfg.seed);
+    let template = ClassifierModel::new(&cfg.ssl, num_classes, cfg.seed);
+    let mut global = template.clone();
     let alpha = cfg.local_lr;
     let beta = cfg.local_lr * 0.5;
-    let schedule = cfg.selection_schedule(fed.num_clients());
-    let mut round_losses = Vec::with_capacity(schedule.len());
-
-    for (round, selected) in schedule.iter().enumerate() {
-        let updates = parallel_map(selected, |&id| {
+    let (round_losses, _) = train_rounds(
+        fed,
+        cfg,
+        &mut global,
+        recorder,
+        |round, id, _: Option<()>, global: &[f32]| {
             let data = fed.client(id);
-            let labels = data.train_labels();
-            let mut model = global.clone();
+            let mut model = template.clone();
+            model.load_flat(global);
             let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
             let mut loss_sum = 0.0;
             let mut meta_steps = 0;
             for _ in 0..cfg.local_epochs {
                 let all = batches(data.train.len(), cfg.batch_size, false, &mut r);
                 // Consume batches in (support, query) pairs.
-                for pair in all.chunks(2) {
-                    if pair.len() < 2 {
+                for pair in all.chunks_exact(2) {
+                    let [support, query] = pair else {
                         continue;
-                    }
-                    let render = |idx: &[usize]| {
-                        let samples: Vec<_> = idx.iter().map(|&i| &data.train[i]).collect();
-                        let x = fed.generator().render_batch(samples.iter().copied());
-                        let y: Vec<usize> = idx.iter().map(|&i| labels[i]).collect();
-                        (x, y)
                     };
-                    let (x_s, y_s) = render(&pair[0]);
-                    let (x_q, y_q) = render(&pair[1]);
+                    let (x_s, y_s) = render_labeled(data, fed.generator(), support);
+                    let (x_q, y_q) = render_labeled(data, fed.generator(), query);
                     // Inner step on the support batch.
                     let mut inner = model.clone();
                     let (support_grads, _) = batch_gradients(&mut inner, &x_s, &y_s);
@@ -79,21 +80,11 @@ pub fn run_perfedavg(fed: &FederatedDataset, cfg: &FlConfig) -> BaselineResult {
                     meta_steps += 1;
                 }
             }
-            (
-                model.to_flat(),
-                data.train_len(),
-                loss_sum / meta_steps.max(1) as f32,
-            )
-        });
-        let flats: Vec<&[f32]> = updates.iter().map(|(f, _, _)| f.as_slice()).collect();
-        let counts: Vec<usize> = updates.iter().map(|(_, c, _)| *c).collect();
-        global.load_flat(&weighted_average_refs(
-            &flats,
-            &sample_count_weights(&counts),
-        ));
-        round_losses
-            .push(updates.iter().map(|(_, _, l)| l).sum::<f32>() / updates.len().max(1) as f32);
-    }
+            let loss = loss_sum / meta_steps.max(1) as f32;
+            let (reply, losses) = supervised_reply(model.to_flat(), data.train_len(), loss);
+            ((), reply, losses)
+        },
+    );
 
     // Personalization: every client adapts the full model locally (the MAML
     // payoff) for the probe budget, then tests.
@@ -149,7 +140,7 @@ mod tests {
         cfg.clients_per_round = 3;
         cfg.local_epochs = 2;
         cfg.batch_size = 16;
-        let result = run_perfedavg(&fed, &cfg);
+        let result = run_perfedavg(&fed, &cfg, &calibre_telemetry::NullRecorder);
         assert!(
             result.stats().mean > 0.6,
             "PerFedAvg mean accuracy {:?}",

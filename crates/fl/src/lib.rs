@@ -39,6 +39,7 @@
 //! ```
 //! use calibre_data::{FederatedDataset, PartitionConfig, NonIid, SynthVisionSpec};
 //! use calibre_fl::{FlConfig, baselines::fedavg::run_fedavg};
+//! use calibre_telemetry::NullRecorder;
 //!
 //! let fed = FederatedDataset::build(SynthVisionSpec::cifar10(), &PartitionConfig {
 //!     num_clients: 3, train_per_client: 30, test_per_client: 10,
@@ -47,7 +48,7 @@
 //! let mut cfg = FlConfig::for_input(64);
 //! cfg.rounds = 2;
 //! cfg.clients_per_round = 2;
-//! let result = run_fedavg(&fed, &cfg, true);
+//! let result = run_fedavg(&fed, &cfg, true, &NullRecorder);
 //! assert_eq!(result.seen.accuracies.len(), 3);
 //! ```
 
@@ -62,7 +63,6 @@ pub mod baselines;
 pub mod chaos;
 pub mod checkpoint;
 pub mod comm;
-pub mod compress;
 mod config;
 pub mod metrics;
 pub mod model;

@@ -7,7 +7,7 @@
 //! substituted with a linear classifier", §V-A).
 
 use calibre_data::batch::batches;
-use calibre_data::{ClientData, SynthVision};
+use calibre_data::{ClientData, Sample, SynthVision};
 use calibre_ssl::SslConfig;
 use calibre_tensor::nn::{Activation, Binding, Linear, Mlp, Module};
 use calibre_tensor::optim::Sgd;
@@ -133,16 +133,13 @@ pub fn train_supervised<R: Rng + ?Sized>(
     if data.train.is_empty() {
         return 0.0;
     }
-    let labels = data.train_labels();
     let mut last_epoch_loss = 0.0;
     let mut arena = StepArena::new();
     for _ in 0..epochs {
         let mut epoch_loss = 0.0;
         let mut batches_seen = 0;
         for batch in batches(data.train.len(), batch_size, false, rng_) {
-            let samples: Vec<_> = batch.iter().map(|&i| &data.train[i]).collect();
-            let x = generator.render_batch(samples.iter().copied());
-            let y: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
+            let (x, y) = render_labeled(data, generator, &batch);
             epoch_loss += supervised_step_in(model, &x, &y, opt, scope, &mut arena);
             batches_seen += 1;
         }
@@ -150,6 +147,18 @@ pub fn train_supervised<R: Rng + ?Sized>(
     }
     report_arena_stats(&arena);
     last_epoch_loss
+}
+
+/// Renders the training samples at `batch` (indices into `data.train`) as
+/// observations and their labels, in batch order.
+pub(crate) fn render_labeled(
+    data: &ClientData,
+    generator: &SynthVision,
+    batch: &[usize],
+) -> (Matrix, Vec<usize>) {
+    let samples: Vec<&Sample> = batch.iter().filter_map(|&i| data.train.get(i)).collect();
+    let labels = samples.iter().map(|s| s.expect_label()).collect();
+    (generator.render_batch(samples), labels)
 }
 
 /// One supervised gradient step on a rendered batch. Returns the loss.

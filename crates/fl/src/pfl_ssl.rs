@@ -10,7 +10,7 @@
 //! aggregation).
 
 use crate::aggregate::BufferedRobustSink;
-use crate::baselines::{client_round_seed, BaselineResult};
+use crate::baselines::{client_round_seed, local_sgd, BaselineResult};
 use crate::checkpoint::{self, CheckpointStore, TrainerCheckpoint};
 use crate::comm::{CommReport, BYTES_PER_PARAM};
 use crate::config::FlConfig;
@@ -22,7 +22,7 @@ use calibre_data::{AugmentConfig, ClientData, SynthVision};
 use calibre_ssl::{create_method, ssl_step_in, SslKind, SslMethod, TwoViewBatch};
 use calibre_telemetry::{ClientLosses, NullRecorder, Recorder};
 use calibre_tensor::nn::Module;
-use calibre_tensor::optim::{Sgd, SgdConfig};
+use calibre_tensor::optim::Sgd;
 use calibre_tensor::pool::report_arena_stats;
 use calibre_tensor::{rng, StepArena};
 use parking_lot::Mutex;
@@ -79,8 +79,9 @@ pub fn ssl_local_update<R: Rng + ?Sized>(
 pub type RoundObserver<'a> = &'a mut dyn FnMut(usize, &calibre_tensor::nn::Mlp);
 
 /// Runs one round of an in-process training loop on the round engine
-/// ([`RoundScheduler::run_round`]) and reports it to `recorder`. Both the
-/// pFL-SSL loop and the Calibre framework loop train through it.
+/// ([`RoundScheduler::run_round`]) and reports it to `recorder`. Every
+/// training loop trains through it: pFL-SSL, the Calibre framework loop,
+/// and the aggregating baselines ([`crate::baselines`]).
 ///
 /// `work(id, state, global)` is one client's local update. It receives the
 /// client's cached state (`None` on first selection or after a crash),
@@ -95,9 +96,8 @@ pub type RoundObserver<'a> = &'a mut dyn FnMut(usize, &calibre_tensor::nn::Mlp);
 ///
 /// Accepted updates fold into a [`BufferedRobustSink`] sized to the cohort,
 /// so the policy's aggregator runs once over every accepted update in fold
-/// order — for the weighted average this is
-/// [`crate::aggregate::weighted_average_refs`] bit for bit, the arithmetic
-/// the golden checksums pin.
+/// order through [`crate::aggregate::aggregate_robust`] — for the weighted
+/// average, the arithmetic the golden checksums pin.
 ///
 /// Events: `round_start`, the engine's `attack`, `fault`, `aggregate` and
 /// `round_resilience` events, one `client_update` per accepted client in
@@ -332,10 +332,7 @@ pub fn train_pfl_ssl_encoder_resumable(
             |id, state: Option<Box<dyn SslMethod>>, global: &[f32]| {
                 let mut method = state.unwrap_or_else(|| fresh_method(cfg, kind, id));
                 method.encoder_mut().load_flat(global);
-                let mut opt = Sgd::new(SgdConfig::with_lr_momentum(
-                    cfg.local_lr,
-                    cfg.local_momentum,
-                ));
+                let mut opt = local_sgd(cfg);
                 let mut r = rng::seeded(client_round_seed(cfg.seed, round, id));
                 let data = fed.client(id);
                 let loss = ssl_local_update(
@@ -458,6 +455,7 @@ mod tests {
     use crate::scheduler::RoundPolicy;
     use calibre_data::{FederatedDataset, NonIid, PartitionConfig, SynthVisionSpec};
     use calibre_telemetry::{Event, MemoryRecorder};
+    use calibre_tensor::optim::SgdConfig;
 
     const TOY_CLIENTS: usize = 6;
     const TOY_GLOBAL: [f32; 3] = [0.25, -1.5, 3.0];

@@ -590,7 +590,7 @@ impl RoundScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::{weighted_average_refs, StreamingWeightedSink};
+    use crate::aggregate::{aggregate_robust, Aggregator, StreamingWeightedSink};
     use crate::sampler::SamplerKind;
     use crate::transport::InProcessTransport;
     use calibre_telemetry::{Event, MemoryRecorder, NullRecorder};
@@ -656,7 +656,8 @@ mod tests {
         let out = in_process_round(&scheduler, 0, &selected, 4, 2, update_of, &NullRecorder);
         let updates: Vec<Vec<f32>> = selected.iter().map(|&id| update_of(id)).collect();
         let refs: Vec<&[f32]> = updates.iter().map(Vec::as_slice).collect();
-        let expected = weighted_average_refs(&refs, &vec![1.0; refs.len()]);
+        let weights = vec![1.0; refs.len()];
+        let expected = aggregate_robust(Aggregator::WeightedAverage, &refs, &weights).unwrap();
         let got = out.aggregated.unwrap();
         for (g, e) in got.iter().zip(expected.iter()) {
             assert!((g - e).abs() < 1e-5, "{g} vs {e}");

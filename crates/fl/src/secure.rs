@@ -504,7 +504,7 @@ mod tests {
     fn secure_mean_matches_fedavg_mean() {
         // End-to-end: the server computes the mean from masked updates and
         // matches the plain FedAvg uniform average.
-        use crate::aggregate::uniform_average;
+        use crate::aggregate::{aggregate_robust, Aggregator};
         let cohort = vec![10usize, 11, 12];
         let updates: Vec<Vec<f32>> = cohort
             .iter()
@@ -517,7 +517,9 @@ mod tests {
             .collect();
         let sum = aggregate_masked(&masked).unwrap();
         let secure_mean: Vec<f32> = sum.iter().map(|v| v / cohort.len() as f32).collect();
-        let plain_mean = uniform_average(&updates);
+        let refs: Vec<&[f32]> = updates.iter().map(Vec::as_slice).collect();
+        let uniform = vec![1.0; refs.len()];
+        let plain_mean = aggregate_robust(Aggregator::WeightedAverage, &refs, &uniform).unwrap();
         for (s, p) in secure_mean.iter().zip(&plain_mean) {
             assert!((s - p).abs() < 1e-4);
         }

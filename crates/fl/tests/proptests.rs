@@ -3,8 +3,7 @@
 use calibre_fl::adversary::anomaly_scores;
 use calibre_fl::aggregate::{
     aggregate_robust, clip_norm, coordinate_median, divergence_weight, geometric_median, krum,
-    sample_count_weights, trimmed_mean, uniform_average, weighted_average, weighted_average_refs,
-    AggregateError, Aggregator, StreamingWeightedSink, UpdateSink,
+    trimmed_mean, AggregateError, Aggregator, StreamingWeightedSink, UpdateSink,
 };
 use calibre_fl::chaos::{FaultInjector, FaultPlan};
 use calibre_fl::checkpoint;
@@ -16,6 +15,23 @@ use calibre_tensor::nn::{Activation, Mlp, Module};
 use calibre_tensor::optim::{Sgd, SgdConfig};
 use calibre_tensor::{rng, StepArena};
 use proptest::prelude::*;
+
+/// The plain weighted average through the aggregation front door.
+fn weighted_average(updates: &[Vec<f32>], weights: &[f32]) -> Vec<f32> {
+    let refs: Vec<&[f32]> = updates.iter().map(Vec::as_slice).collect();
+    aggregate_robust(Aggregator::WeightedAverage, &refs, weights).unwrap()
+}
+
+/// The historical weighted fold: every update scaled by `w / Σw` into a
+/// pre-normalized streaming sink, in input order.
+fn cohort_fold(updates: &[&[f32]], weights: &[f32]) -> Vec<f32> {
+    let total: f32 = weights.iter().sum();
+    let mut sink = StreamingWeightedSink::for_cohort(total, updates.len());
+    for (slot, (u, &w)) in updates.iter().zip(weights.iter()).enumerate() {
+        sink.fold(slot, u, w).unwrap();
+    }
+    sink.finish().unwrap()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -40,7 +56,7 @@ proptest! {
         copies in 1usize..6,
     ) {
         let updates = vec![update.clone(); copies];
-        let avg = uniform_average(&updates);
+        let avg = weighted_average(&updates, &vec![1.0; copies]);
         for (a, b) in avg.iter().zip(update.iter()) {
             prop_assert!((a - b).abs() < 1e-5);
         }
@@ -152,7 +168,7 @@ proptest! {
         let weights = &weights[..updates.len()];
         let refs: Vec<&[f32]> = updates.iter().map(Vec::as_slice).collect();
         let robust = aggregate_robust(Aggregator::WeightedAverage, &refs, weights).unwrap();
-        let legacy = weighted_average(&updates, weights);
+        let legacy = cohort_fold(&refs, weights);
         for (a, b) in robust.iter().zip(legacy.iter()) {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "robust path drifted from legacy");
         }
@@ -287,17 +303,12 @@ proptest! {
         weights in prop::collection::vec(0.1f32..5.0, 8),
     ) {
         // The bit-identity contract behind the golden checksums: folding in
-        // selection-slot order through the cohort-mode sink reproduces
-        // `weighted_average_refs` bit for bit.
+        // selection-slot order through the cohort-mode sink reproduces the
+        // front door's weighted average bit for bit.
         let weights = &weights[..updates.len()];
         let refs: Vec<&[f32]> = updates.iter().map(Vec::as_slice).collect();
-        let expected = weighted_average_refs(&refs, weights);
-        let total: f32 = weights.iter().sum();
-        let mut sink = StreamingWeightedSink::for_cohort(total, updates.len());
-        for (slot, (u, &w)) in updates.iter().zip(weights.iter()).enumerate() {
-            sink.fold(slot, u, w).unwrap();
-        }
-        let got = sink.finish().unwrap();
+        let expected = aggregate_robust(Aggregator::WeightedAverage, &refs, weights).unwrap();
+        let got = cohort_fold(&refs, weights);
         prop_assert_eq!(got.len(), expected.len());
         for (g, e) in got.iter().zip(expected.iter()) {
             prop_assert_eq!(g.to_bits(), e.to_bits(), "streaming fold drifted from refs: {} vs {}", g, e);
@@ -738,8 +749,14 @@ proptest! {
 
 #[test]
 fn sample_count_weights_preserve_ratios() {
-    let w = sample_count_weights(&[5, 10, 0]);
-    assert_eq!(w, vec![5.0, 10.0, 0.0]);
+    // Sample counts weight the average: only their ratios matter, bit for
+    // bit, and a client with no samples contributes nothing.
+    let updates = [vec![3.0, -1.0], vec![6.0, 2.0], vec![100.0, 100.0]];
+    let counts = weighted_average(&updates, &[5.0, 10.0, 0.0]);
+    assert_eq!(counts, weighted_average(&updates, &[1.0, 2.0, 0.0]));
+    for (got, want) in counts.iter().zip([5.0f32, 1.0]) {
+        assert!((got - want).abs() < 1e-5, "{got} vs {want}");
+    }
 }
 
 /// The per-coordinate sorting loops the aggregation column kernel replaced,

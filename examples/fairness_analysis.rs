@@ -16,6 +16,7 @@ use calibre_fl::baselines::fedavg::run_fedavg;
 use calibre_fl::baselines::BaselineResult;
 use calibre_fl::{jain_index, pearson, worst_fraction_mean, ConfusionMatrix, FlConfig};
 use calibre_ssl::{train_linear_probe, SslKind};
+use calibre_telemetry::NullRecorder;
 use calibre_tensor::Matrix;
 
 fn analyze(fed: &FederatedDataset, cfg: &FlConfig, result: &BaselineResult) {
@@ -88,7 +89,7 @@ fn main() {
     cfg.rounds = 20;
     cfg.clients_per_round = 5;
 
-    let fedavg = run_fedavg(&fed, &cfg, true);
+    let fedavg = run_fedavg(&fed, &cfg, true, &NullRecorder);
     analyze(&fed, &cfg, &fedavg);
 
     let ccfg = CalibreConfig {

@@ -16,6 +16,7 @@ use calibre_data::{AugmentConfig, FederatedDataset, NonIid, PartitionConfig, Syn
 use calibre_fl::baselines::fedavg::run_fedavg;
 use calibre_fl::FlConfig;
 use calibre_ssl::SslKind;
+use calibre_telemetry::NullRecorder;
 
 fn main() {
     let mut fl = FlConfig::for_input(64);
@@ -64,7 +65,7 @@ fn main() {
             },
         );
         let hetero = calibre_data::HeterogeneityReport::measure(&fed);
-        let fedavg = run_fedavg(&fed, &fl, true);
+        let fedavg = run_fedavg(&fed, &fl, true, &NullRecorder);
         let calibre = run_calibre(&fed, &fl, SslKind::SimClr, &ccfg, &AugmentConfig::default());
         println!(
             "{:<24} {:<18} {:>9.2} {:>10.5}  {:<18} {:>9.2} {:>10.5}   [TV {:.3}]",

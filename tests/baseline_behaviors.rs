@@ -1,15 +1,18 @@
 //! Mechanism-level behavioral tests for the baseline zoo: each test pins
 //! down the *reason* an algorithm exists, not just that it runs.
 
-use calibre_bench::{build_dataset, DatasetId, Scale, Setting};
+use calibre_bench::{build_dataset, run_method_observed, DatasetId, MethodId, Scale, Setting};
 use calibre_data::{FederatedDataset, NonIid, PartitionConfig, SynthVisionSpec};
+use calibre_fl::aggregate::Aggregator;
 use calibre_fl::baselines::fedavg::{run_fedavg, train_fedavg_global};
 use calibre_fl::baselines::fedprox::run_fedprox;
 use calibre_fl::baselines::fedrep::run_fedrep;
 use calibre_fl::baselines::scaffold::train_scaffold_global;
+use calibre_fl::chaos::FaultPlan;
 use calibre_fl::checkpoint;
 use calibre_fl::comm::CommReport;
 use calibre_fl::{personalize_cohort, FlConfig};
+use calibre_telemetry::{Event, MemoryRecorder, NullRecorder};
 use calibre_tensor::nn::Module;
 
 fn skewed_fed(seed: u64) -> FederatedDataset {
@@ -66,8 +69,8 @@ fn fedrep_local_heads_beat_the_shared_global_head() {
     // shared representation crushes a single global head.
     let fed = skewed_fed(2);
     let cfg = cfg(8);
-    let global_only = run_fedavg(&fed, &cfg, false);
-    let fedrep = run_fedrep(&fed, &cfg);
+    let global_only = run_fedavg(&fed, &cfg, false, &NullRecorder);
+    let fedrep = run_fedrep(&fed, &cfg, &NullRecorder);
     assert!(
         fedrep.stats().mean > global_only.stats().mean + 0.1,
         "FedRep {:?} vs global-model FedAvg {:?}",
@@ -83,8 +86,8 @@ fn fedprox_mu_zero_and_positive_bracket_fedavg_drift() {
     let fed = skewed_fed(3);
     let mut one_round = cfg(1);
     one_round.clients_per_round = 1;
-    let loose = run_fedprox(&fed, &one_round, 0.0);
-    let tight = run_fedprox(&fed, &one_round, 10.0);
+    let loose = run_fedprox(&fed, &one_round, 0.0, &NullRecorder);
+    let tight = run_fedprox(&fed, &one_round, 10.0, &NullRecorder);
     let delta = |a: &[f32], b: &[f32]| -> f32 {
         a.iter()
             .zip(b)
@@ -100,7 +103,7 @@ fn fedprox_mu_zero_and_positive_bracket_fedavg_drift() {
 fn checkpointed_encoder_reproduces_personalization_exactly() {
     let fed = skewed_fed(4);
     let cfg = cfg(4);
-    let result = run_fedavg(&fed, &cfg, true);
+    let result = run_fedavg(&fed, &cfg, true, &NullRecorder);
     let path = std::env::temp_dir().join(format!("calibre-behav-{}.ckpt", std::process::id()));
     checkpoint::save(&result.encoder, &path).unwrap();
 
@@ -126,7 +129,7 @@ fn comm_report_matches_what_the_encoder_actually_ships() {
         5,
     );
     let cfg = Scale::Smoke.fl_config(5);
-    let result = run_fedavg(&fed, &cfg, true);
+    let result = run_fedavg(&fed, &cfg, true, &NullRecorder);
     let report = CommReport::for_module(&result.encoder, cfg.rounds, cfg.clients_per_round);
     // Encoder: 64→96→32 MLP = (64·96 + 96) + (96·32 + 32) scalars.
     let expected_params = 64 * 96 + 96 + 96 * 32 + 32;
@@ -153,12 +156,68 @@ fn feature_shift_hurts_a_shared_global_model() {
     let plain = FederatedDataset::build(SynthVisionSpec::cifar10(), &part);
     let shifted =
         FederatedDataset::build_with_feature_shift(SynthVisionSpec::cifar10(), &part, 3.0);
-    let base = run_fedavg(&plain, &cfg_fl, false);
-    let hard = run_fedavg(&shifted, &cfg_fl, false);
+    let base = run_fedavg(&plain, &cfg_fl, false, &NullRecorder);
+    let hard = run_fedavg(&shifted, &cfg_fl, false, &NullRecorder);
     assert!(
         hard.stats().mean < base.stats().mean,
         "feature shift should reduce global-model accuracy: {:?} vs {:?}",
         hard.stats(),
         base.stats()
+    );
+}
+
+#[test]
+fn run_flags_reach_every_aggregating_baseline() {
+    // Every aggregating baseline trains on the round engine, so the CLI's
+    // chaos, attack and policy flags (all `FlConfig` fields) apply to it and
+    // its rounds reach the recorder. Script-* trains locally: no rounds.
+    let fed = skewed_fed(7);
+    let mut cfg = cfg(3);
+    cfg.local_epochs = 1;
+    cfg.chaos = FaultPlan {
+        drop_prob: 0.3,
+        seed: 5,
+        ..FaultPlan::default()
+    };
+    let mut methods = MethodId::roster();
+    methods.push(MethodId::FedProxFt);
+    methods.retain(|m| !matches!(m, MethodId::PflSsl(_) | MethodId::Calibre(_)));
+    assert_eq!(methods.len(), 13, "eleven aggregating baselines + Script-*");
+    for method in methods {
+        let recorder = MemoryRecorder::new();
+        run_method_observed(method, &fed, &cfg, &recorder);
+        let events = recorder.events();
+        let count = |pick: fn(&Event) -> bool| events.iter().filter(|e| pick(e)).count();
+        let starts = count(|e| matches!(e, Event::RoundStart { .. }));
+        let ends = count(|e| matches!(e, Event::RoundEnd { .. }));
+        let dropouts = count(|e| {
+            matches!(
+                e,
+                Event::Fault {
+                    kind: "dropout",
+                    ..
+                }
+            )
+        });
+        if matches!(method, MethodId::ScriptConvergent | MethodId::ScriptFair) {
+            assert!(events.is_empty(), "{} trains locally", method.name());
+            continue;
+        }
+        assert_eq!(
+            (starts, ends),
+            (cfg.rounds, cfg.rounds),
+            "{} round events",
+            method.name()
+        );
+        assert!(dropouts > 0, "{} ignored cfg.chaos", method.name());
+    }
+
+    let weighted = run_method_observed(MethodId::FedAvgFt, &fed, &cfg, &NullRecorder);
+    cfg.policy.aggregator = Aggregator::CoordinateMedian;
+    let median = run_method_observed(MethodId::FedAvgFt, &fed, &cfg, &NullRecorder);
+    assert_ne!(
+        weighted.encoder.to_flat(),
+        median.encoder.to_flat(),
+        "FedAvg-FT ignored cfg.policy.aggregator"
     );
 }

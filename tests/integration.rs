@@ -12,6 +12,7 @@ use calibre_fl::baselines::fedavg::run_fedavg;
 use calibre_fl::pfl_ssl::run_pfl_ssl;
 use calibre_fl::{personalize_cohort, FlConfig};
 use calibre_ssl::{create_method, SslKind, TwoViewBatch};
+use calibre_telemetry::NullRecorder;
 use calibre_tensor::nn::Module;
 use calibre_tensor::optim::{Sgd, SgdConfig};
 use calibre_tensor::Matrix;
@@ -174,8 +175,8 @@ fn personalization_beats_global_model_under_label_skew() {
     // head beats the single global model.
     let fed = small_fed(5);
     let cfg = smoke_cfg();
-    let plain = run_fedavg(&fed, &cfg, false);
-    let personalized = run_fedavg(&fed, &cfg, true);
+    let plain = run_fedavg(&fed, &cfg, false, &NullRecorder);
+    let personalized = run_fedavg(&fed, &cfg, true, &NullRecorder);
     assert!(
         personalized.stats().mean > plain.stats().mean,
         "personalized {:?} vs global {:?}",
@@ -248,13 +249,14 @@ fn dirichlet_severity_increases_fedavg_variance() {
             },
         )
     };
-    let iid = run_fedavg(&make(NonIid::Iid), &cfg, false);
+    let iid = run_fedavg(&make(NonIid::Iid), &cfg, false, &NullRecorder);
     let skewed = run_fedavg(
         &make(NonIid::Quantity {
             classes_per_client: 2,
         }),
         &cfg,
         false,
+        &NullRecorder,
     );
     assert!(
         skewed.stats().variance > iid.stats().variance,
