@@ -9,7 +9,7 @@ use calibre_embed::{tsne, TsneConfig};
 use calibre_fl::aggregate::{aggregate_robust, Aggregator};
 use calibre_fl::proto::{encode_assign_into, frame_checksum, Msg};
 use calibre_ssl::{nt_xent, ssl_step, ssl_step_in, SimClr, SslConfig, SslMethod, TwoViewBatch};
-use calibre_tensor::backend::{Backend, Blocked, Scalar};
+use calibre_tensor::backend::{Backend, Scalar};
 use calibre_tensor::nn::{gradients, Binding, Mlp};
 use calibre_tensor::optim::{Sgd, SgdConfig};
 use calibre_tensor::{rng, Graph, Matrix, StepArena};
@@ -23,20 +23,13 @@ fn bench_matmul(c: &mut Criterion) {
     c.bench_function("matmul_128x128", |bench| {
         bench.iter(|| black_box(a.matmul(&b)))
     });
-    // The same product through each execution backend, on pre-allocated
-    // output storage — isolates kernel cost from allocation.
+    // The same product through the backend on pre-allocated output storage,
+    // which isolates kernel cost from allocation.
     let mut out = Matrix::zeros(128, 128);
     c.bench_function("matmul_128x128_scalar", |bench| {
         bench.iter(|| {
             out.as_mut_slice().fill(0.0);
             Scalar.matmul(&a, &b, &mut out);
-            black_box(out.get(0, 0))
-        })
-    });
-    c.bench_function("matmul_128x128_blocked", |bench| {
-        bench.iter(|| {
-            out.as_mut_slice().fill(0.0);
-            Blocked.matmul(&a, &b, &mut out);
             black_box(out.get(0, 0))
         })
     });
@@ -52,27 +45,13 @@ fn bench_matmul(c: &mut Criterion) {
             black_box(small.get(0, 0))
         })
     });
-    c.bench_function("matmul_smoke_16x64x32_blocked", |bench| {
-        bench.iter(|| {
-            small.as_mut_slice().fill(0.0);
-            Blocked.matmul(&act, &w, &mut small);
-            black_box(small.get(0, 0))
-        })
-    });
     // The same shape with a dense operand (a data batch rather than a ReLU
-    // activation) — exercises the register-blocked quad path.
+    // activation), so no term is skipped.
     let dense = rng::normal_matrix(&mut r, 16, 64, 1.0);
     c.bench_function("matmul_smoke_dense_scalar", |bench| {
         bench.iter(|| {
             small.as_mut_slice().fill(0.0);
             Scalar.matmul(&dense, &w, &mut small);
-            black_box(small.get(0, 0))
-        })
-    });
-    c.bench_function("matmul_smoke_dense_blocked", |bench| {
-        bench.iter(|| {
-            small.as_mut_slice().fill(0.0);
-            Blocked.matmul(&dense, &w, &mut small);
             black_box(small.get(0, 0))
         })
     });
@@ -85,12 +64,45 @@ fn bench_matmul(c: &mut Criterion) {
             black_box(da.get(0, 0))
         })
     });
-    c.bench_function("matmul_nt_smoke_blocked", |bench| {
-        bench.iter(|| {
-            Blocked.matmul_nt(&grad, &w, &mut da);
-            black_box(da.get(0, 0))
-        })
-    });
+}
+
+/// The five products of one `train_calibre` SimCLR step, batch 32 per view
+/// on the 64 → 96 → 32 encoder and 32 → 32 → 16 projector, plus the 64×64
+/// similarity matrix of NT-Xent. Each layer `(m, k, n)` runs its forward
+/// `x(m×k) · W(k×n)` as `matmul_train_m{m}_k{k}_n{n}` and its `dA`,
+/// `grad(m×n) · Wᵀ`, as `matmul_nt_train_m{m}_k{n}_n{k}` (id dims are the
+/// output rows, the reduction length and the output columns). Operands are
+/// dense, so neither kernel skips a term; `m·k·n` multiply-adds over the
+/// mean time gives GMAC/s.
+fn bench_train_shapes(c: &mut Criterion) {
+    const LAYERS: [(usize, usize, usize); 5] = [
+        (32, 64, 96),
+        (32, 96, 32),
+        (32, 32, 32),
+        (32, 32, 16),
+        (64, 16, 64),
+    ];
+    let mut r = rng::seeded(12);
+    for (m, k, n) in LAYERS {
+        let x = rng::normal_matrix(&mut r, m, k, 1.0);
+        let w = rng::normal_matrix(&mut r, k, n, 1.0);
+        let grad = rng::normal_matrix(&mut r, m, n, 1.0);
+        let mut y = Matrix::zeros(m, n);
+        c.bench_function(&format!("matmul_train_m{m}_k{k}_n{n}"), |bench| {
+            bench.iter(|| {
+                y.as_mut_slice().fill(0.0);
+                Scalar.matmul(&x, &w, &mut y);
+                black_box(y.get(0, 0))
+            })
+        });
+        let mut da = Matrix::zeros(m, k);
+        c.bench_function(&format!("matmul_nt_train_m{m}_k{n}_n{k}"), |bench| {
+            bench.iter(|| {
+                Scalar.matmul_nt(&grad, &w, &mut da);
+                black_box(da.get(0, 0))
+            })
+        });
+    }
 }
 
 fn bench_mlp_backward(c: &mut Criterion) {
@@ -351,7 +363,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = kernels;
     config = config();
-    targets = bench_matmul, bench_mlp_backward, bench_nt_xent, bench_kmeans,
+    targets = bench_matmul, bench_train_shapes, bench_mlp_backward, bench_nt_xent, bench_kmeans,
         bench_aggregation, bench_wire, bench_ssl_step, bench_calibre_step,
         bench_federated_round, bench_encoder_inference, bench_tsne,
         bench_render_two_views

@@ -45,7 +45,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: calibre-bench <baseline|regression> [--out p] [--baseline p] \
          [--current p] [--threshold-pct n] [--min-share-pts n] [--runs n] [--seed n] \
-         [--backend scalar|blocked] [--chaos spec] [--min-quorum n] [--aggregator name]"
+         [--chaos spec] [--min-quorum n] [--aggregator name]"
     );
     std::process::exit(2);
 }
@@ -155,12 +155,6 @@ fn main() {
             "min-share-pts" => min_share_pts = value.parse().expect("--min-share-pts: a number"),
             "runs" => runs = value.parse().expect("--runs must be an integer"),
             "seed" => seed = value.parse().expect("seed must be an integer"),
-            "backend" => {
-                let be = calibre_tensor::backend::backend_by_name(&value).unwrap_or_else(|| {
-                    panic!("unknown --backend {value:?} (expected \"scalar\" or \"blocked\")")
-                });
-                calibre_tensor::backend::set_global_backend(be);
-            }
             other => {
                 eprintln!("unknown flag --{other}");
                 usage();

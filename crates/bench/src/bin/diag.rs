@@ -12,7 +12,7 @@ use calibre_tensor::{rng, Matrix};
 
 fn main() {
     // First positional argument (if any) is the scale; the rest are the
-    // shared `--key value` flags (`--chaos`, `--min-quorum`, `--backend`, …).
+    // shared `--key value` flags (`--chaos`, `--min-quorum`, …).
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let (scale_arg, flags) = match argv.first() {
         Some(first) if !first.starts_with("--") => (Some(first.clone()), &argv[1..]),

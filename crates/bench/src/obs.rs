@@ -20,13 +20,6 @@
 //!   `/metrics` over HTTP once and write the body to `<path>` (requires
 //!   `--metrics-addr`).
 //!
-//! The hook also consumes one shared *execution* flag:
-//!
-//! - `--backend scalar|blocked` — select the process-wide tensor execution
-//!   backend (see `calibre_tensor::backend`). `scalar` is the bit-exact
-//!   reference; `blocked` is the cache-tiled, row-parallel implementation.
-//!   The default is `scalar`.
-//!
 //! And three shared *resilience* flags, applied to the run's `FlConfig` via
 //! [`ObsArgs::apply_fl`]:
 //!
@@ -98,14 +91,13 @@ pub struct ObsArgs {
 
 impl ObsArgs {
     /// Consumes one parsed `--key value` pair if it is an observability
-    /// flag or the shared `--backend` execution flag; returns `false`
-    /// (leaving `self` untouched) otherwise.
+    /// or resilience flag; returns `false` (leaving `self` untouched)
+    /// otherwise.
     ///
     /// # Panics
     ///
-    /// Panics if `--backend` names an unknown backend, `--chaos` carries an
-    /// unparsable spec, `--min-quorum` is not an integer, or `--aggregator`
-    /// names an unknown statistic.
+    /// Panics if `--chaos` carries an unparsable spec, `--min-quorum` is not
+    /// an integer, or `--aggregator` names an unknown statistic.
     pub fn accept(&mut self, key: &str, value: &str) -> bool {
         match key {
             "telemetry" => self.telemetry = Some(value.to_string()),
@@ -113,12 +105,6 @@ impl ObsArgs {
             "profile" => self.profile = Some(value.to_string()),
             "metrics-addr" => self.metrics_addr = Some(value.to_string()),
             "metrics-snapshot" => self.metrics_snapshot = Some(value.to_string()),
-            "backend" => {
-                let be = calibre_tensor::backend::backend_by_name(value).unwrap_or_else(|| {
-                    panic!("unknown --backend {value:?} (expected \"scalar\" or \"blocked\")")
-                });
-                calibre_tensor::backend::set_global_backend(be);
-            }
             "chaos" => {
                 let plan = calibre_fl::FaultPlan::parse(value)
                     .unwrap_or_else(|e| panic!("bad --chaos spec {value:?}: {e}"));
@@ -347,8 +333,7 @@ mod tests {
         assert!(args.accept("telemetry", "t.jsonl"));
         assert!(args.accept("trace", "t.json"));
         assert!(args.accept("profile", "-"));
-        // "scalar" is the process default, so accepting it here is a no-op.
-        assert!(args.accept("backend", "scalar"));
+        assert!(!args.accept("backend", "scalar"), "--backend is gone");
         assert!(!args.accept("scale", "smoke"));
         assert!(args.any());
         assert_eq!(args.telemetry.as_deref(), Some("t.jsonl"));

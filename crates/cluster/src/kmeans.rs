@@ -5,7 +5,7 @@
 //! cluster means become prototypes, and assignments become pseudo-labels for
 //! the `L_n` / `L_p` regularizers.
 
-use calibre_tensor::backend::global_backend;
+use calibre_tensor::backend::{Backend, Scalar};
 use calibre_tensor::{rng, Matrix};
 use rand::Rng;
 
@@ -112,12 +112,11 @@ fn kmeans_single(data: &Matrix, config: &KMeansConfig, seed: u64) -> KMeansResul
         iterations += 1;
         assignments = assign_to_centroids(data, &centroids);
         let update_span = calibre_telemetry::span("kmeans_update");
-        let be = global_backend();
         let mut new_centroids = Matrix::zeros(k, data.cols());
         let mut counts = vec![0usize; k];
         for (r, &a) in assignments.iter().enumerate() {
             counts[a] += 1;
-            be.axpy(new_centroids.row_mut(a), data.row(r), 1.0);
+            Scalar.axpy(new_centroids.row_mut(a), data.row(r), 1.0);
         }
         for (c, &count) in counts.iter().enumerate() {
             if count > 0 {
@@ -133,7 +132,8 @@ fn kmeans_single(data: &Matrix, config: &KMeansConfig, seed: u64) -> KMeansResul
         }
         let movement: f32 = (0..k)
             .map(|c| {
-                be.squared_distance(new_centroids.row(c), centroids.row(c))
+                Scalar
+                    .squared_distance(new_centroids.row(c), centroids.row(c))
                     .sqrt()
             })
             .sum();
@@ -159,13 +159,12 @@ pub fn assign_to_centroids(data: &Matrix, centroids: &Matrix) -> Vec<usize> {
     let span = calibre_telemetry::span("kmeans_assign");
     span.add_items(data.rows() as u64);
     assert_eq!(data.cols(), centroids.cols(), "assignment dim mismatch");
-    let be = global_backend();
     (0..data.rows())
         .map(|r| {
             let mut best = 0;
             let mut best_d = f32::INFINITY;
             for c in 0..centroids.rows() {
-                let d = be.squared_distance(data.row(r), centroids.row(c));
+                let d = Scalar.squared_distance(data.row(r), centroids.row(c));
                 if d < best_d {
                     best_d = d;
                     best = c;
@@ -184,21 +183,23 @@ pub fn mean_distance_to_assigned(data: &Matrix, centroids: &Matrix, assignments:
     if data.rows() == 0 {
         return 0.0;
     }
-    let be = global_backend();
     let total: f32 = assignments
         .iter()
         .enumerate()
-        .map(|(r, &a)| be.squared_distance(data.row(r), centroids.row(a)).sqrt())
+        .map(|(r, &a)| {
+            Scalar
+                .squared_distance(data.row(r), centroids.row(a))
+                .sqrt()
+        })
         .sum();
     total / data.rows() as f32
 }
 
 fn inertia_of(data: &Matrix, centroids: &Matrix, assignments: &[usize]) -> f32 {
-    let be = global_backend();
     assignments
         .iter()
         .enumerate()
-        .map(|(r, &a)| be.squared_distance(data.row(r), centroids.row(a)))
+        .map(|(r, &a)| Scalar.squared_distance(data.row(r), centroids.row(a)))
         .sum()
 }
 

@@ -1,9 +1,10 @@
 //! Property-based tests for the Calibre loss composition.
 
 use calibre::{calibre_loss, divergence_rate, CalibreConfig};
-use calibre_ssl::{SimClr, SslConfig, SslMethod, TwoViewBatch};
-use calibre_tensor::nn::gradients;
-use calibre_tensor::{rng, Matrix};
+use calibre_ssl::{SimClr, SslConfig, SslGraph, SslMethod, TwoViewBatch};
+use calibre_tensor::gradcheck::check_gradient;
+use calibre_tensor::nn::{gradients, Binding};
+use calibre_tensor::{rng, Graph, Matrix, Node};
 use proptest::prelude::*;
 
 fn toy_graph(seed: u64, n: usize) -> calibre_ssl::SslGraph {
@@ -74,6 +75,109 @@ proptest! {
         let dt = divergence_rate(&tight, 5, 0);
         let dl = divergence_rate(&loose, 5, 0);
         prop_assert!(dl > dt, "scaling up dispersion must raise divergence: {dt} vs {dl}");
+    }
+}
+
+/// Twelve 4-d rows around three well-separated directions (row `i` near
+/// direction `i % 3`), with Gaussian noise of std `noise`.
+fn three_clusters(seed: u64, noise: f32) -> Matrix {
+    const CENTERS: [[f32; 4]; 3] = [
+        [3.0, 0.0, 0.0, 0.5],
+        [0.0, 3.0, 0.5, 0.0],
+        [0.5, 0.0, 0.0, 3.0],
+    ];
+    let mut m = rng::normal_matrix(&mut rng::seeded(seed), 12, 4, noise);
+    for (r, center) in CENTERS.iter().cycle().take(12).enumerate() {
+        for (v, &c) in m.row_mut(r).iter_mut().zip(center) {
+            *v += c;
+        }
+    }
+    m
+}
+
+/// The Calibre regularizers as a function of the checked leaf `x`.
+///
+/// A hand-built `SslGraph` with `z_o = x`, `h_e = x·P` and `h_o = tanh(x)·P`
+/// goes through `calibre_loss`, whose total is returned. `z_e` is a
+/// constant: the prototypes are KMeans centroids of z_e's values, a
+/// stop-gradient by design, so a z_e that moved with `x` would move them
+/// under finite differences but not in the analytic gradient. `l_s` is a
+/// constant zero, so the total is `α·(L_n + L_p)` over the enabled terms.
+fn calibre_regularizers(
+    g: &mut Graph,
+    x: Node,
+    z_e: &Matrix,
+    p: &Matrix,
+    config: &CalibreConfig,
+) -> Node {
+    let z_e = g.constant(z_e.clone());
+    let p = g.constant(p.clone());
+    let h_e = g.matmul(x, p);
+    let t = g.tanh(x);
+    let h_o = g.matmul(t, p);
+    let ssl_loss = g.constant(Matrix::zeros(1, 1));
+    let mut ssl_graph = SslGraph {
+        graph: std::mem::take(g),
+        binding: Binding::new(),
+        z_e,
+        z_o: x,
+        h_e,
+        h_o,
+        ssl_loss,
+        aux: Vec::new(),
+    };
+    let total = calibre_loss(&mut ssl_graph, config, 5).total;
+    *g = ssl_graph.graph;
+    total
+}
+
+/// Gradchecks `calibre_regularizers` under `config` on a view-o batch that
+/// shares z_e's clusters, so the pseudo-labels stay put under the checker's
+/// perturbations. Returns the largest deviation from finite differences
+/// over the largest analytic gradient entry, and that entry.
+fn check_regularizers(seed: u64, config: &CalibreConfig) -> (f32, f32) {
+    let z_e = three_clusters(seed, 0.2);
+    let x = three_clusters(seed + 1, 0.2);
+    let p = rng::normal_matrix(&mut rng::seeded(seed + 2), 4, 3, 0.5);
+    let build = |g: &mut Graph, xn: Node| calibre_regularizers(g, xn, &z_e, &p, config);
+    let report = check_gradient(&x, 1e-2, build);
+    let mut g = Graph::new();
+    let xn = g.leaf(x);
+    let loss = build(&mut g, xn);
+    g.backward(loss);
+    let scale = g
+        .grad(xn)
+        .map_or(0.0, |d| d.iter().fold(0.0f32, |m, v| m.max(v.abs())));
+    (report.max_abs_err / scale, scale)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn ln_pull_gradient_matches_finite_differences(seed in 0u64..1_000) {
+        let config = CalibreConfig { alpha: 1.0, num_prototypes: 3, ..CalibreConfig::ablation(true, false) };
+        let (err, scale) = check_regularizers(seed, &config);
+        prop_assert!(scale > 1e-3 && err < 1e-2, "deviation {err} of gradient scale {scale}");
+    }
+
+    #[test]
+    fn ln_contrastive_gradient_matches_finite_differences(seed in 0u64..1_000) {
+        let config = CalibreConfig {
+            alpha: 1.0,
+            num_prototypes: 3,
+            ln_contrastive: true,
+            ..CalibreConfig::ablation(true, false)
+        };
+        let (err, scale) = check_regularizers(seed, &config);
+        prop_assert!(scale > 1e-3 && err < 1e-2, "deviation {err} of gradient scale {scale}");
+    }
+
+    #[test]
+    fn lp_gradient_matches_finite_differences(seed in 0u64..1_000) {
+        let config = CalibreConfig { alpha: 1.0, num_prototypes: 3, ..CalibreConfig::ablation(false, true) };
+        let (err, scale) = check_regularizers(seed, &config);
+        prop_assert!(scale > 1e-3 && err < 1e-2, "deviation {err} of gradient scale {scale}");
     }
 }
 

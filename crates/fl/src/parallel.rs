@@ -32,9 +32,7 @@
 //! The local-update closures each create their own
 //! [`calibre_tensor::StepArena`], so every worker thread owns a private
 //! buffer pool — recycled tape storage never crosses threads and needs no
-//! locking. The only shared execution state is the process-wide backend
-//! selection (`calibre_tensor::backend::global_backend`), which workers read
-//! through an `Arc` at workspace creation.
+//! locking.
 
 use std::num::NonZeroUsize;
 use std::ops::Range;

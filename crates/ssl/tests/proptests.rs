@@ -4,6 +4,7 @@ use calibre_ssl::{
     create_method, neg_cosine, nt_xent, sinkhorn, ssl_step, ssl_step_in, SslConfig, SslKind,
     TwoViewBatch,
 };
+use calibre_tensor::gradcheck::check_gradient;
 use calibre_tensor::nn::Module;
 use calibre_tensor::optim::{Sgd, SgdConfig};
 use calibre_tensor::{rng, Graph, Matrix, StepArena};
@@ -30,6 +31,28 @@ proptest! {
         prop_assert!(v.is_finite() && v >= 0.0, "loss {v}");
         g.backward(loss);
         prop_assert!(g.grad(an).unwrap().all_finite());
+    }
+
+    #[test]
+    fn nt_xent_gradient_matches_finite_differences((a, b) in views(4, 6), tau in 0.3f32..1.0) {
+        // Both views are rows of the one checked leaf, so the check covers
+        // the gradient through h_e and h_o together.
+        let x = a.concat_rows(&b);
+        let build = |g: &mut Graph, xn| {
+            let h_e = g.gather_rows(xn, &[0, 1, 2, 3]);
+            let h_o = g.gather_rows(xn, &[4, 5, 6, 7]);
+            nt_xent(g, h_e, h_o, tau)
+        };
+        let report = check_gradient(&x, 1e-2, build);
+        let mut g = Graph::new();
+        let xn = g.leaf(x);
+        let loss = build(&mut g, xn);
+        g.backward(loss);
+        let scale = g.grad(xn).unwrap().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        prop_assert!(
+            report.max_abs_err < 1e-2 * scale,
+            "deviation {} of gradient scale {scale}", report.max_abs_err
+        );
     }
 
     #[test]

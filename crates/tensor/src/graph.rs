@@ -12,8 +12,9 @@
 //!
 //! All dense kernels dispatch through the workspace's
 //! [`crate::backend::Backend`]; the default `Scalar` backend reproduces the
-//! original `Matrix` loops bit-for-bit, while `Blocked` trades bitwise
-//! reproducibility for speed.
+//! original `Matrix` loops bit-for-bit. Backward computes no gradient for
+//! an input that does not require one, so `constant · W` never runs the
+//! `dA` product.
 //!
 //! The operation set is exactly what the Calibre reproduction needs: dense
 //! linear algebra, the nonlinearities of the encoder MLPs, the normalizations
@@ -132,8 +133,8 @@ impl std::fmt::Debug for Graph {
 }
 
 impl Graph {
-    /// Creates an empty tape on a fresh [`Workspace`] (process-global
-    /// backend, empty pool).
+    /// Creates an empty tape on a fresh [`Workspace`] (`Scalar` backend,
+    /// empty pool).
     pub fn new() -> Self {
         Graph::with_workspace(Workspace::new())
     }
@@ -166,11 +167,6 @@ impl Graph {
     /// Buffer-pool counters of this graph's workspace.
     pub fn pool_stats(&self) -> PoolStats {
         self.ws.pool_stats()
-    }
-
-    /// Name of the backend this graph's kernels dispatch through.
-    pub fn backend_name(&self) -> &'static str {
-        self.ws.backend().name()
     }
 
     /// Number of nodes recorded on the tape so far.
@@ -841,19 +837,24 @@ fn row_log_softmax_at(row: &[f32], t: usize) -> f32 {
     row[t] - max - log_sum
 }
 
-/// Adds `delta` into the gradient slot of `n` (moving it in when the slot is
-/// empty), reclaiming the buffer when the target does not track gradients.
+/// Adds the gradient that `delta` computes into the slot of `n` (moving it
+/// in when the slot is empty).
+///
+/// This is backward's one dead-gradient rule: `delta` runs only when `n`
+/// requires a gradient, so no op ever computes a delta for an input that
+/// would throw it away (`constant · W` skips the `dA` product, `X ·
+/// constant` the `dB` one).
 fn accumulate(
     nodes: &[NodeData],
     grads: &mut [Option<Matrix>],
     ws: &mut Workspace,
     n: Node,
-    delta: Matrix,
+    delta: impl FnOnce(&mut Workspace) -> Matrix,
 ) {
     if !nodes[n.0].requires_grad {
-        ws.reclaim(delta);
         return;
     }
+    let delta = delta(ws);
     match &mut grads[n.0] {
         Some(g) => {
             ws.backend().add_scaled(g, &delta, 1.0);
@@ -876,43 +877,45 @@ fn apply_backward(
     id: usize,
     grad: &Matrix,
 ) {
+    let y = &nodes[id].value;
     match &nodes[id].op {
         Op::Leaf | Op::Detach(_) => {}
         Op::MatMul(a, b) => {
-            let (a, b) = (*a, *b);
-            let mut da = ws.alloc_uninit(grad.rows(), nodes[b.0].value.rows());
-            ws.backend().matmul_nt(grad, &nodes[b.0].value, &mut da);
-            let mut db = ws.alloc_zeros(nodes[a.0].value.cols(), grad.cols());
-            ws.backend().matmul_tn(&nodes[a.0].value, grad, &mut db);
-            accumulate(nodes, grads, ws, a, da);
-            accumulate(nodes, grads, ws, b, db);
+            let (av, bv) = (&nodes[a.0].value, &nodes[b.0].value);
+            accumulate(nodes, grads, ws, *a, |ws| {
+                let mut da = ws.alloc_uninit(grad.rows(), bv.rows());
+                ws.backend().matmul_nt(grad, bv, &mut da);
+                da
+            });
+            accumulate(nodes, grads, ws, *b, |ws| {
+                let mut db = ws.alloc_zeros(av.cols(), grad.cols());
+                ws.backend().matmul_tn(av, grad, &mut db);
+                db
+            });
         }
         Op::Add(a, b) => {
-            let (a, b) = (*a, *b);
-            let da = ws.alloc_copy(grad);
-            accumulate(nodes, grads, ws, a, da);
-            let db = ws.alloc_copy(grad);
-            accumulate(nodes, grads, ws, b, db);
+            accumulate(nodes, grads, ws, *a, |ws| ws.alloc_copy(grad));
+            accumulate(nodes, grads, ws, *b, |ws| ws.alloc_copy(grad));
         }
         Op::Sub(a, b) => {
-            let (a, b) = (*a, *b);
-            let da = ws.alloc_copy(grad);
-            accumulate(nodes, grads, ws, a, da);
-            let db = pooled_map(ws, grad, |v| -v);
-            accumulate(nodes, grads, ws, b, db);
+            accumulate(nodes, grads, ws, *a, |ws| ws.alloc_copy(grad));
+            accumulate(nodes, grads, ws, *b, |ws| pooled_map(ws, grad, |v| -v));
         }
         Op::Mul(a, b) => {
-            let (a, b) = (*a, *b);
-            let da = pooled_zip(ws, grad, &nodes[b.0].value, |g, x| g * x);
-            let db = pooled_zip(ws, grad, &nodes[a.0].value, |g, x| g * x);
-            accumulate(nodes, grads, ws, a, da);
-            accumulate(nodes, grads, ws, b, db);
+            let (av, bv) = (&nodes[a.0].value, &nodes[b.0].value);
+            accumulate(nodes, grads, ws, *a, |ws| {
+                pooled_zip(ws, grad, bv, |g, x| g * x)
+            });
+            accumulate(nodes, grads, ws, *b, |ws| {
+                pooled_zip(ws, grad, av, |g, x| g * x)
+            });
         }
         Op::Div(a, b) => {
-            let (a, b) = (*a, *b);
-            let da = pooled_zip(ws, grad, &nodes[b.0].value, |g, den| g / den);
-            let db = {
-                let (av, bv) = (&nodes[a.0].value, &nodes[b.0].value);
+            let (av, bv) = (&nodes[a.0].value, &nodes[b.0].value);
+            accumulate(nodes, grads, ws, *a, |ws| {
+                pooled_zip(ws, grad, bv, |g, den| g / den)
+            });
+            accumulate(nodes, grads, ws, *b, |ws| {
                 let mut out = ws.alloc_uninit(grad.rows(), grad.cols());
                 for (((o, &g), &x), &den) in out
                     .iter_mut()
@@ -924,75 +927,66 @@ fn apply_backward(
                     *o = -num / (den * den);
                 }
                 out
-            };
-            accumulate(nodes, grads, ws, a, da);
-            accumulate(nodes, grads, ws, b, db);
+            });
         }
         Op::AddRow(a, row) => {
-            let (a, row) = (*a, *row);
-            let da = ws.alloc_copy(grad);
-            accumulate(nodes, grads, ws, a, da);
-            let mut drow = ws.alloc_zeros(1, grad.cols());
-            for r in 0..grad.rows() {
-                for (o, &v) in drow.row_mut(0).iter_mut().zip(grad.row(r)) {
-                    *o += v;
+            accumulate(nodes, grads, ws, *a, |ws| ws.alloc_copy(grad));
+            accumulate(nodes, grads, ws, *row, |ws| {
+                let mut drow = ws.alloc_zeros(1, grad.cols());
+                for r in 0..grad.rows() {
+                    for (o, &v) in drow.row_mut(0).iter_mut().zip(grad.row(r)) {
+                        *o += v;
+                    }
                 }
-            }
-            accumulate(nodes, grads, ws, row, drow);
+                drow
+            });
         }
         Op::AddCol(a, col) => {
-            let (a, col) = (*a, *col);
-            let da = ws.alloc_copy(grad);
-            accumulate(nodes, grads, ws, a, da);
-            let mut dcol = ws.alloc_uninit(grad.rows(), 1);
-            for r in 0..grad.rows() {
-                let s: f32 = grad.row(r).iter().sum();
-                dcol.set(r, 0, s);
-            }
-            accumulate(nodes, grads, ws, col, dcol);
+            accumulate(nodes, grads, ws, *a, |ws| ws.alloc_copy(grad));
+            accumulate(nodes, grads, ws, *col, |ws| {
+                let mut dcol = ws.alloc_uninit(grad.rows(), 1);
+                for r in 0..grad.rows() {
+                    let s: f32 = grad.row(r).iter().sum();
+                    dcol.set(r, 0, s);
+                }
+                dcol
+            });
         }
         Op::Scale(a, s) => {
-            let (a, s) = (*a, *s);
-            let da = pooled_map(ws, grad, |v| v * s);
-            accumulate(nodes, grads, ws, a, da);
+            let s = *s;
+            accumulate(nodes, grads, ws, *a, |ws| pooled_map(ws, grad, |v| v * s));
         }
         Op::AddScalar(a, _) => {
-            let a = *a;
-            let da = ws.alloc_copy(grad);
-            accumulate(nodes, grads, ws, a, da);
+            accumulate(nodes, grads, ws, *a, |ws| ws.alloc_copy(grad));
         }
         Op::Relu(a) => {
-            let a = *a;
-            let da = pooled_zip(ws, grad, &nodes[a.0].value, |g, x| {
-                g * if x > 0.0 { 1.0 } else { 0.0 }
+            let x = &nodes[a.0].value;
+            accumulate(nodes, grads, ws, *a, |ws| {
+                pooled_zip(ws, grad, x, |g, v| g * if v > 0.0 { 1.0 } else { 0.0 })
             });
-            accumulate(nodes, grads, ws, a, da);
         }
         Op::Tanh(a) => {
-            let a = *a;
-            let da = pooled_zip(ws, grad, &nodes[id].value, |g, t| g * (1.0 - t * t));
-            accumulate(nodes, grads, ws, a, da);
+            accumulate(nodes, grads, ws, *a, |ws| {
+                pooled_zip(ws, grad, y, |g, t| g * (1.0 - t * t))
+            });
         }
         Op::Exp(a) => {
-            let a = *a;
-            let da = pooled_zip(ws, grad, &nodes[id].value, |g, y| g * y);
-            accumulate(nodes, grads, ws, a, da);
+            accumulate(nodes, grads, ws, *a, |ws| {
+                pooled_zip(ws, grad, y, |g, e| g * e)
+            });
         }
         Op::Log(a) => {
-            let a = *a;
-            let da = pooled_zip(ws, grad, &nodes[a.0].value, |g, x| g / x.max(1e-12));
-            accumulate(nodes, grads, ws, a, da);
+            let x = &nodes[a.0].value;
+            accumulate(nodes, grads, ws, *a, |ws| {
+                pooled_zip(ws, grad, x, |g, v| g / v.max(1e-12))
+            });
         }
         Op::Transpose(a) => {
-            let a = *a;
-            let da = pooled_transpose(ws, grad);
-            accumulate(nodes, grads, ws, a, da);
+            accumulate(nodes, grads, ws, *a, |ws| pooled_transpose(ws, grad));
         }
         Op::RowL2Normalize(a) => {
-            let a = *a;
-            let d = {
-                let x = &nodes[a.0].value;
-                let y = &nodes[id].value;
+            let x = &nodes[a.0].value;
+            accumulate(nodes, grads, ws, *a, |ws| {
                 let mut d = ws.alloc_uninit(x.rows(), x.cols());
                 for r in 0..x.rows() {
                     let norm: f32 = x.row(r).iter().map(|v| v * v).sum::<f32>().sqrt();
@@ -1013,15 +1007,12 @@ fn apply_backward(
                     }
                 }
                 d
-            };
-            accumulate(nodes, grads, ws, a, d);
+            });
         }
         Op::LayerNorm(a) => {
-            let a = *a;
             // With y = (x − μ)/σ: dx = (g − mean(g) − y·mean(g⊙y)) / σ.
-            let d = {
-                let x = &nodes[a.0].value;
-                let y = &nodes[id].value;
+            let x = &nodes[a.0].value;
+            accumulate(nodes, grads, ws, *a, |ws| {
                 let mut d = ws.alloc_uninit(x.rows(), x.cols());
                 for r in 0..x.rows() {
                     let n = x.cols() as f32;
@@ -1047,13 +1038,11 @@ fn apply_backward(
                     }
                 }
                 d
-            };
-            accumulate(nodes, grads, ws, a, d);
+            });
         }
         Op::RowSumSq(a) => {
-            let a = *a;
-            let d = {
-                let x = &nodes[a.0].value;
+            let x = &nodes[a.0].value;
+            accumulate(nodes, grads, ws, *a, |ws| {
                 let mut d = ws.alloc_uninit(x.rows(), x.cols());
                 for r in 0..x.rows() {
                     let g = grad.get(r, 0);
@@ -1062,120 +1051,119 @@ fn apply_backward(
                     }
                 }
                 d
-            };
-            accumulate(nodes, grads, ws, a, d);
+            });
         }
         Op::GatherRows(a, indices) => {
-            let a = *a;
-            let mut d = ws.alloc_zeros(nodes[a.0].value.rows(), grad.cols());
-            for (i, &idx) in indices.iter().enumerate() {
-                for (o, &v) in d.row_mut(idx).iter_mut().zip(grad.row(i)) {
-                    *o += v;
-                }
-            }
-            accumulate(nodes, grads, ws, a, d);
-        }
-        Op::ConcatRows(a, b) => {
-            let (a, b) = (*a, *b);
-            let ra = nodes[a.0].value.rows();
-            let cols = grad.cols();
-            let mut da = ws.alloc_uninit(ra, cols);
-            da.as_mut_slice()
-                .copy_from_slice(&grad.as_slice()[..ra * cols]);
-            let mut db = ws.alloc_uninit(grad.rows() - ra, cols);
-            db.as_mut_slice()
-                .copy_from_slice(&grad.as_slice()[ra * cols..]);
-            accumulate(nodes, grads, ws, a, da);
-            accumulate(nodes, grads, ws, b, db);
-        }
-        Op::ConcatCols(a, b) => {
-            let (a, b) = (*a, *b);
-            let ca = nodes[a.0].value.cols();
-            let mut da = ws.alloc_uninit(grad.rows(), ca);
-            let mut db = ws.alloc_uninit(grad.rows(), grad.cols() - ca);
-            for r in 0..grad.rows() {
-                da.row_mut(r).copy_from_slice(&grad.row(r)[..ca]);
-                db.row_mut(r).copy_from_slice(&grad.row(r)[ca..]);
-            }
-            accumulate(nodes, grads, ws, a, da);
-            accumulate(nodes, grads, ws, b, db);
-        }
-        Op::GroupMeanRows(a, assignments, k) => {
-            let a = *a;
-            let mut counts = vec![0usize; *k];
-            for &g in assignments {
-                counts[g] += 1;
-            }
-            let x_rows = nodes[a.0].value.rows();
-            let mut d = ws.alloc_zeros(x_rows, grad.cols());
-            for (r, &g) in assignments.iter().enumerate() {
-                let inv = 1.0 / counts[g] as f32;
-                for (o, &v) in d.row_mut(r).iter_mut().zip(grad.row(g)) {
-                    *o += v * inv;
-                }
-            }
-            accumulate(nodes, grads, ws, a, d);
-        }
-        Op::RowwiseDot(a, b) => {
-            let (a, b) = (*a, *b);
-            let (da, db) = {
-                let (av, bv) = (&nodes[a.0].value, &nodes[b.0].value);
-                let mut da = ws.alloc_uninit(av.rows(), av.cols());
-                let mut db = ws.alloc_uninit(bv.rows(), bv.cols());
-                for r in 0..av.rows() {
-                    let g = grad.get(r, 0);
-                    for c in 0..av.cols() {
-                        da.set(r, c, g * bv.get(r, c));
-                        db.set(r, c, g * av.get(r, c));
+            let rows = nodes[a.0].value.rows();
+            accumulate(nodes, grads, ws, *a, |ws| {
+                let mut d = ws.alloc_zeros(rows, grad.cols());
+                for (i, &idx) in indices.iter().enumerate() {
+                    for (o, &v) in d.row_mut(idx).iter_mut().zip(grad.row(i)) {
+                        *o += v;
                     }
                 }
-                (da, db)
+                d
+            });
+        }
+        Op::ConcatRows(a, b) => {
+            let (ra, cols) = (nodes[a.0].value.rows(), grad.cols());
+            let (head, tail) = grad.as_slice().split_at(ra * cols);
+            accumulate(nodes, grads, ws, *a, |ws| {
+                let mut da = ws.alloc_uninit(ra, cols);
+                da.as_mut_slice().copy_from_slice(head);
+                da
+            });
+            accumulate(nodes, grads, ws, *b, |ws| {
+                let mut db = ws.alloc_uninit(grad.rows() - ra, cols);
+                db.as_mut_slice().copy_from_slice(tail);
+                db
+            });
+        }
+        Op::ConcatCols(a, b) => {
+            let ca = nodes[a.0].value.cols();
+            accumulate(nodes, grads, ws, *a, |ws| {
+                let mut da = ws.alloc_uninit(grad.rows(), ca);
+                for r in 0..grad.rows() {
+                    da.row_mut(r).copy_from_slice(&grad.row(r)[..ca]);
+                }
+                da
+            });
+            accumulate(nodes, grads, ws, *b, |ws| {
+                let mut db = ws.alloc_uninit(grad.rows(), grad.cols() - ca);
+                for r in 0..grad.rows() {
+                    db.row_mut(r).copy_from_slice(&grad.row(r)[ca..]);
+                }
+                db
+            });
+        }
+        Op::GroupMeanRows(a, assignments, k) => {
+            let rows = nodes[a.0].value.rows();
+            accumulate(nodes, grads, ws, *a, |ws| {
+                let mut counts = vec![0usize; *k];
+                for &g in assignments {
+                    counts[g] += 1;
+                }
+                let mut d = ws.alloc_zeros(rows, grad.cols());
+                for (r, &g) in assignments.iter().enumerate() {
+                    let inv = 1.0 / counts[g] as f32;
+                    for (o, &v) in d.row_mut(r).iter_mut().zip(grad.row(g)) {
+                        *o += v * inv;
+                    }
+                }
+                d
+            });
+        }
+        Op::RowwiseDot(a, b) => {
+            let (av, bv) = (&nodes[a.0].value, &nodes[b.0].value);
+            // d(a⊙b summed per row)/da = g·b, and symmetrically for b.
+            let scaled_rows = |ws: &mut Workspace, other: &Matrix| {
+                let mut d = ws.alloc_uninit(other.rows(), other.cols());
+                for r in 0..other.rows() {
+                    let g = grad.get(r, 0);
+                    for c in 0..other.cols() {
+                        d.set(r, c, g * other.get(r, c));
+                    }
+                }
+                d
             };
-            accumulate(nodes, grads, ws, a, da);
-            accumulate(nodes, grads, ws, b, db);
+            accumulate(nodes, grads, ws, *a, |ws| scaled_rows(ws, bv));
+            accumulate(nodes, grads, ws, *b, |ws| scaled_rows(ws, av));
         }
         Op::SumAll(a) => {
-            let a = *a;
+            let (r, c) = nodes[a.0].value.shape();
             let s = grad.get(0, 0);
-            let shape = nodes[a.0].value.shape();
-            let d = ws.alloc_full(shape.0, shape.1, s);
-            accumulate(nodes, grads, ws, a, d);
+            accumulate(nodes, grads, ws, *a, |ws| ws.alloc_full(r, c, s));
         }
         Op::MeanAll(a) => {
-            let a = *a;
-            let shape = nodes[a.0].value.shape();
-            let n = (shape.0 * shape.1).max(1) as f32;
-            let s = grad.get(0, 0) / n;
-            let d = ws.alloc_full(shape.0, shape.1, s);
-            accumulate(nodes, grads, ws, a, d);
+            let (r, c) = nodes[a.0].value.shape();
+            let s = grad.get(0, 0) / (r * c).max(1) as f32;
+            accumulate(nodes, grads, ws, *a, |ws| ws.alloc_full(r, c, s));
         }
         Op::CrossEntropy(logits, targets) => {
-            let logits = *logits;
-            let mut d = {
-                // analyze:allow(no-expect) -- forward always caches the
-                // softmax in aux for CrossEntropy nodes.
-                let soft = nodes[id].aux.as_ref().expect("softmax cached in forward");
-                ws.alloc_copy(soft)
-            };
-            let g = grad.get(0, 0) / targets.len().max(1) as f32;
-            for (r, &t) in targets.iter().enumerate() {
-                let v = d.get(r, t) - 1.0;
-                d.set(r, t, v);
-            }
-            for v in d.iter_mut() {
-                *v *= g;
-            }
-            accumulate(nodes, grads, ws, logits, d);
+            // analyze:allow(no-expect) -- forward always caches the
+            // softmax in aux for CrossEntropy nodes.
+            let soft = nodes[id].aux.as_ref().expect("softmax cached in forward");
+            accumulate(nodes, grads, ws, *logits, |ws| {
+                let mut d = ws.alloc_copy(soft);
+                let g = grad.get(0, 0) / targets.len().max(1) as f32;
+                for (r, &t) in targets.iter().enumerate() {
+                    let v = d.get(r, t) - 1.0;
+                    d.set(r, t, v);
+                }
+                for v in d.iter_mut() {
+                    *v *= g;
+                }
+                d
+            });
         }
         Op::CrossEntropySoft(logits, targets) => {
-            let logits = *logits;
-            let g = grad.get(0, 0) / targets.rows().max(1) as f32;
-            // Per-row gradient: (sum_k t_k) * softmax - t. For probability
-            // rows the row sum is 1 and this reduces to softmax - t.
-            let mut d = {
-                // analyze:allow(no-expect) -- forward always caches the
-                // softmax in aux for CrossEntropySoft nodes.
-                let soft = nodes[id].aux.as_ref().expect("softmax cached in forward");
+            // analyze:allow(no-expect) -- forward always caches the
+            // softmax in aux for CrossEntropySoft nodes.
+            let soft = nodes[id].aux.as_ref().expect("softmax cached in forward");
+            accumulate(nodes, grads, ws, *logits, |ws| {
+                let g = grad.get(0, 0) / targets.rows().max(1) as f32;
+                // Per-row gradient: (sum_k t_k) * softmax - t. For probability
+                // rows the row sum is 1 and this reduces to softmax - t.
                 let mut d = ws.alloc_uninit(soft.rows(), soft.cols());
                 for r in 0..soft.rows() {
                     let t_sum: f32 = targets.row(r).iter().sum();
@@ -1183,33 +1171,34 @@ fn apply_backward(
                         d.set(r, c, t_sum * soft.get(r, c) - targets.get(r, c));
                     }
                 }
+                for v in d.iter_mut() {
+                    *v *= g;
+                }
                 d
-            };
-            for v in d.iter_mut() {
-                *v *= g;
-            }
-            accumulate(nodes, grads, ws, logits, d);
+            });
         }
         Op::Im2Col(a, shape, kernel, stride) => {
-            let (a, shape, kernel, stride) = (*a, *shape, *kernel, *stride);
             let rows = nodes[a.0].value.rows();
-            let d = crate::conv::col2im_matrix(grad, rows, shape, kernel, stride);
-            accumulate(nodes, grads, ws, a, d);
+            accumulate(nodes, grads, ws, *a, |_| {
+                crate::conv::col2im_matrix(grad, rows, *shape, *kernel, *stride)
+            });
         }
         Op::Reshape(a) => {
-            let a = *a;
             let (r, c) = nodes[a.0].value.shape();
-            let mut d = ws.alloc_uninit(r, c);
-            d.as_mut_slice().copy_from_slice(grad.as_slice());
-            accumulate(nodes, grads, ws, a, d);
+            accumulate(nodes, grads, ws, *a, |ws| {
+                let mut d = ws.alloc_uninit(r, c);
+                d.as_mut_slice().copy_from_slice(grad.as_slice());
+                d
+            });
         }
         Op::MaskDiagonal(a, _) => {
-            let a = *a;
-            let mut d = ws.alloc_copy(grad);
-            for i in 0..d.rows() {
-                d.set(i, i, 0.0);
-            }
-            accumulate(nodes, grads, ws, a, d);
+            accumulate(nodes, grads, ws, *a, |ws| {
+                let mut d = ws.alloc_copy(grad);
+                for i in 0..d.rows() {
+                    d.set(i, i, 0.0);
+                }
+                d
+            });
         }
     }
 }

@@ -18,11 +18,11 @@
 //!   fused cross-entropies) and the prototype machinery (grouped row means,
 //!   gathers/concats). Tapes recycle their buffers across steps through a
 //!   [`pool::StepArena`].
-//! - [`backend`] — the pluggable execution seam: every dense kernel
-//!   dispatches through a [`backend::Backend`] ([`backend::Scalar`] is the
-//!   bit-exact reference, [`backend::Blocked`] the cache-tiled, row-parallel
-//!   fast path), selected once per run via
-//!   [`backend::set_global_backend`].
+//! - [`backend`] — the execution seam: every dense kernel dispatches
+//!   through a [`backend::Backend`]. [`backend::Scalar`], the one
+//!   implementation, is bit-identical to the original `Matrix` loops; its
+//!   `matmul_nt` (the `dA` of backward) runs sixteen output columns per
+//!   register tile without changing any output's summation order.
 //! - [`pool`] — [`pool::BufferPool`] / [`pool::Workspace`] /
 //!   [`pool::StepArena`]: size-keyed buffer recycling so a local update of
 //!   E epochs reuses one arena instead of allocating fresh tapes per step.

@@ -18,7 +18,7 @@
 //! arena tests assert a ≥5× hit:miss ratio, and the local-update loops
 //! report the counters through the `arena` telemetry span.
 
-use crate::backend::{global_backend, Backend};
+use crate::backend::{Backend, Scalar};
 use crate::{Graph, Matrix};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -114,13 +114,12 @@ impl Default for Workspace {
 }
 
 impl Workspace {
-    /// A workspace on the process-global backend (see
-    /// [`crate::backend::global_backend`]).
+    /// A workspace on the [`Scalar`] backend.
     pub fn new() -> Self {
-        Workspace::with_backend(global_backend())
+        Workspace::with_backend(Arc::new(Scalar))
     }
 
-    /// A workspace on an explicit backend, independent of the global choice.
+    /// A workspace on an explicit backend.
     pub fn with_backend(backend: Arc<dyn Backend>) -> Self {
         Workspace {
             backend,
@@ -195,8 +194,8 @@ pub struct StepArena {
 }
 
 impl StepArena {
-    /// An arena whose first [`StepArena::take`] builds a graph on the
-    /// global backend.
+    /// An arena whose first [`StepArena::take`] builds a graph on a fresh
+    /// [`Workspace`].
     pub fn new() -> Self {
         StepArena { slot: None }
     }

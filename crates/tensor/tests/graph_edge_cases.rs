@@ -1,7 +1,10 @@
 //! Edge-case tests for the autograd tape: shape-mismatch panics, degenerate
 //! inputs, and ops whose unit coverage in the module tests is indirect.
 
-use calibre_tensor::{Graph, Matrix};
+use calibre_tensor::backend::{Backend, Scalar};
+use calibre_tensor::{rng, Graph, Matrix, Node, Workspace};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 #[test]
 #[should_panic(expected = "matmul shape mismatch")]
@@ -169,4 +172,89 @@ fn backward_through_deep_chain_stays_finite() {
     g.backward(loss);
     let grad = g.grad(x).unwrap();
     assert!(grad.all_finite());
+}
+
+/// `Scalar` with a call counter on each of backward's two products.
+#[derive(Debug, Default)]
+struct CountingBackend {
+    nt: AtomicUsize,
+    tn: AtomicUsize,
+}
+
+impl Backend for CountingBackend {
+    fn name(&self) -> &'static str {
+        "counting"
+    }
+
+    fn matmul(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
+        Scalar.matmul(a, b, out);
+    }
+
+    fn matmul_nt(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
+        self.nt.fetch_add(1, Ordering::Relaxed);
+        Scalar.matmul_nt(a, b, out);
+    }
+
+    fn matmul_tn(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
+        self.tn.fetch_add(1, Ordering::Relaxed);
+        Scalar.matmul_tn(a, b, out);
+    }
+}
+
+/// Builds `mean(tanh(a · b))` on a counting workspace, with each operand a
+/// leaf or a constant, and runs backward. Returns the `(matmul_nt,
+/// matmul_tn)` call counts and the gradients of `a` and `b`.
+fn matmul_backward(a_leaf: bool, b_leaf: bool) -> ((usize, usize), Option<Matrix>, Option<Matrix>) {
+    let mut r = rng::seeded(21);
+    let a = rng::normal_matrix(&mut r, 5, 7, 1.0);
+    let b = rng::normal_matrix(&mut r, 7, 3, 1.0);
+    let backend = Arc::new(CountingBackend::default());
+    let mut g = Graph::with_workspace(Workspace::with_backend(backend.clone()));
+    let insert = |g: &mut Graph, m: Matrix, leaf: bool| -> Node {
+        if leaf {
+            g.leaf(m)
+        } else {
+            g.constant(m)
+        }
+    };
+    let an = insert(&mut g, a, a_leaf);
+    let bn = insert(&mut g, b, b_leaf);
+    let y = g.matmul(an, bn);
+    let t = g.tanh(y);
+    let loss = g.mean_all(t);
+    g.backward(loss);
+    let calls = (
+        backend.nt.load(Ordering::Relaxed),
+        backend.tn.load(Ordering::Relaxed),
+    );
+    (calls, g.grad(an).cloned(), g.grad(bn).cloned())
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn backward_skips_the_product_of_a_constant_input() {
+    let (both, both_da, both_db) = matmul_backward(true, true);
+    assert_eq!(both, (1, 1), "leaf · leaf needs dA and dB");
+    let (both_da, both_db) = (both_da.unwrap(), both_db.unwrap());
+
+    let (calls, da, db) = matmul_backward(false, true);
+    assert_eq!(
+        calls,
+        (0, 1),
+        "constant · leaf: matmul_tn once, matmul_nt never"
+    );
+    assert!(da.is_none());
+    assert_eq!(bits(&db.unwrap()), bits(&both_db));
+
+    let (calls, da, db) = matmul_backward(true, false);
+    assert_eq!(
+        calls,
+        (1, 0),
+        "leaf · constant: matmul_nt once, matmul_tn never"
+    );
+    assert!(db.is_none());
+    assert_eq!(bits(&da.unwrap()), bits(&both_da));
 }

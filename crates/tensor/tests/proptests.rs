@@ -1,16 +1,54 @@
 //! Property-based tests for the matrix algebra and autograd invariants.
 
-use calibre_tensor::backend::{Backend, Blocked, Scalar};
+use calibre_tensor::backend::{Backend, Scalar};
 use calibre_tensor::gradcheck::check_gradient;
 use calibre_tensor::nn::{gradients, Activation, Binding, Mlp, Module};
-use calibre_tensor::{Graph, Matrix, Workspace};
+use calibre_tensor::{Graph, Matrix};
 use proptest::prelude::*;
-use std::sync::Arc;
+use rand::Rng;
 
 /// Strategy producing a matrix with bounded entries.
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(-3.0f32..3.0, rows * cols)
         .prop_map(move |data| Matrix::from_vec(rows, cols, data))
+}
+
+/// Output widths on both sides of `Scalar::matmul_nt`'s 16-column
+/// register tile.
+const NT_WIDTHS: [usize; 6] = [1, 15, 16, 17, 33, 96];
+
+/// Entries that make a summation order or a skipped term visible.
+const SPECIALS: [f32; 5] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+
+/// `(a, b)` operands of `a · bᵀ`: 1–3 rows, a reduction length of 1–100,
+/// an output width from [`NT_WIDTHS`], and a per-case share (0–34%) of
+/// entries drawn from [`SPECIALS`]; the rest are finite in [-3, 3).
+fn nt_operands() -> impl Strategy<Value = (Matrix, Matrix)> {
+    (
+        1usize..=3,
+        1usize..=100,
+        0..NT_WIDTHS.len(),
+        0u32..35,
+        any::<u64>(),
+    )
+        .prop_map(|(m, k, width, special_pct, seed)| {
+            let mut r = calibre_tensor::rng::seeded(seed);
+            let mut entries = |len: usize| -> Vec<f32> {
+                (0..len)
+                    .map(|_| {
+                        if r.gen_range(0u32..100) < special_pct {
+                            SPECIALS[r.gen_range(0..SPECIALS.len())]
+                        } else {
+                            r.gen_range(-3.0f32..3.0)
+                        }
+                    })
+                    .collect()
+            };
+            let n = NT_WIDTHS[width];
+            let a = Matrix::from_vec(m, k, entries(m * k));
+            let b = Matrix::from_vec(n, k, entries(n * k));
+            (a, b)
+        })
 }
 
 proptest! {
@@ -160,77 +198,6 @@ proptest! {
     }
 
     #[test]
-    fn scalar_and_blocked_matmul_agree(a in matrix(33, 48), b in matrix(48, 21)) {
-        // Shapes deliberately larger than (and not a multiple of) the tile
-        // size, so the Blocked kernel exercises both full and ragged tiles.
-        let mut s = Matrix::zeros(33, 21);
-        let mut bl = Matrix::zeros(33, 21);
-        Scalar.matmul(&a, &b, &mut s);
-        Blocked.matmul(&a, &b, &mut bl);
-        for (x, y) in s.iter().zip(bl.iter()) {
-            prop_assert!((x - y).abs() <= 1e-4 * (1.0 + x.abs()), "matmul: {x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn scalar_and_blocked_transposed_matmuls_agree(
-        a in matrix(19, 40),
-        b in matrix(23, 40),
-        c in matrix(19, 23),
-    ) {
-        // A·Bᵀ (dA of matmul backward) through both backends.
-        let mut s_nt = Matrix::zeros(19, 23);
-        let mut b_nt = Matrix::zeros(19, 23);
-        Scalar.matmul_nt(&a, &b, &mut s_nt);
-        Blocked.matmul_nt(&a, &b, &mut b_nt);
-        for (x, y) in s_nt.iter().zip(b_nt.iter()) {
-            prop_assert!((x - y).abs() <= 1e-4 * (1.0 + x.abs()), "nt: {x} vs {y}");
-        }
-        // Aᵀ·C (dB of matmul backward) through both backends.
-        let mut s_tn = Matrix::zeros(40, 23);
-        let mut b_tn = Matrix::zeros(40, 23);
-        Scalar.matmul_tn(&a, &c, &mut s_tn);
-        Blocked.matmul_tn(&a, &c, &mut b_tn);
-        for (x, y) in s_tn.iter().zip(b_tn.iter()) {
-            prop_assert!((x - y).abs() <= 1e-4 * (1.0 + x.abs()), "tn: {x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn scalar_and_blocked_backward_gradients_agree(x in matrix(6, 16)) {
-        // The same contrastive-shaped graph built on a Scalar workspace and
-        // a Blocked workspace must produce matching gradients for the input
-        // leaf and every parameter.
-        let grad_under = |backend: Arc<dyn Backend>| {
-            let mut r = calibre_tensor::rng::seeded(11);
-            let mlp = Mlp::new(&[16, 24, 8], Activation::Relu, &mut r);
-            let mut g = Graph::with_workspace(Workspace::with_backend(backend));
-            let xn = g.leaf_from(&x);
-            let mut binding = Binding::new();
-            let out = mlp.forward(&mut g, xn, &mut binding);
-            let n = g.row_l2_normalize(out);
-            let nt = g.transpose(n);
-            let sims = g.matmul(n, nt);
-            let masked = g.mask_diagonal(sims, -1e9);
-            let loss = g.cross_entropy(masked, &[1, 2, 3, 4, 5, 0]);
-            g.backward(loss);
-            let input_grad = g.grad(xn).unwrap().clone();
-            (input_grad, gradients(&g, &binding))
-        };
-        let (sg, sp) = grad_under(Arc::new(Scalar));
-        let (bg, bp) = grad_under(Arc::new(Blocked));
-        for (x1, y1) in sg.iter().zip(bg.iter()) {
-            prop_assert!((x1 - y1).abs() <= 1e-4 * (1.0 + x1.abs()), "input grad: {x1} vs {y1}");
-        }
-        prop_assert_eq!(sp.len(), bp.len());
-        for (pa, pb) in sp.iter().zip(bp.iter()) {
-            for (x1, y1) in pa.iter().zip(pb.iter()) {
-                prop_assert!((x1 - y1).abs() <= 1e-4 * (1.0 + x1.abs()), "param grad: {x1} vs {y1}");
-            }
-        }
-    }
-
-    #[test]
     fn group_mean_rows_average_of_members(data in matrix(8, 2), assign in prop::collection::vec(0usize..3, 8)) {
         let mut g = Graph::new();
         let xn = g.constant(data.clone());
@@ -245,6 +212,28 @@ proptest! {
                     prop_assert!((g.value(c).get(k, col) - avg).abs() < 1e-4);
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn scalar_matmul_nt_is_bit_identical_to_the_per_element_dot((a, b) in nt_operands()) {
+        // Every output must be `acc = +0.0; acc += a[i][k]·b[j][k]` for k
+        // ascending, bit for bit: no zero skip (0·inf is NaN) and no split
+        // accumulators (they round differently). Stale output contents
+        // must all be overwritten. Rust leaves the sign and payload of a
+        // NaN result unspecified (the per-element dot itself yields
+        // different NaN bits in debug and release builds), so a NaN output
+        // must be NaN on both sides and every other output equal in bits.
+        let want = a.matmul_transpose(&b);
+        let mut got = Matrix::full(a.rows(), b.rows(), 7.0);
+        Scalar.matmul_nt(&a, &b, &mut got);
+        for (idx, (x, y)) in got.iter().zip(want.iter()).enumerate() {
+            let same = if y.is_nan() { x.is_nan() } else { x.to_bits() == y.to_bits() };
+            prop_assert!(same, "output {} of {:?}: {} vs {}", idx, got.shape(), x, y);
         }
     }
 }
