@@ -69,11 +69,15 @@ fn bench_matmul(c: &mut Criterion) {
 /// The five products of one `train_calibre` SimCLR step, batch 32 per view
 /// on the 64 → 96 → 32 encoder and 32 → 32 → 16 projector, plus the 64×64
 /// similarity matrix of NT-Xent. Each layer `(m, k, n)` runs its forward
-/// `x(m×k) · W(k×n)` as `matmul_train_m{m}_k{k}_n{n}` and its `dA`,
-/// `grad(m×n) · Wᵀ`, as `matmul_nt_train_m{m}_k{n}_n{k}` (id dims are the
-/// output rows, the reduction length and the output columns). Operands are
-/// dense, so neither kernel skips a term; `m·k·n` multiply-adds over the
-/// mean time gives GMAC/s.
+/// `x(m×k) · W(k×n)` as `matmul_train_m{m}_k{k}_n{n}`, its `dA`,
+/// `grad(m×n) · Wᵀ`, as `matmul_nt_train_m{m}_k{n}_n{k}` and its `dW`,
+/// `xᵀ · grad`, as `matmul_tn_train_m{k}_k{m}_n{n}` (id dims are the
+/// output rows, the reduction length and the output columns); `m·k·n`
+/// multiply-adds over the mean time gives GMAC/s. Those operands are dense
+/// and the same every iteration. The `_relu` twins of the forward and `dW`
+/// take `x` from [`RELU_ROTATION`] ReLU outputs (about half zeros) in
+/// turn, as training's hidden layers do, so a branch on zero entries
+/// cannot learn one pattern.
 fn bench_train_shapes(c: &mut Criterion) {
     const LAYERS: [(usize, usize, usize); 5] = [
         (32, 64, 96),
@@ -87,11 +91,22 @@ fn bench_train_shapes(c: &mut Criterion) {
         let x = rng::normal_matrix(&mut r, m, k, 1.0);
         let w = rng::normal_matrix(&mut r, k, n, 1.0);
         let grad = rng::normal_matrix(&mut r, m, n, 1.0);
+        let relu: Vec<Matrix> = (0..RELU_ROTATION)
+            .map(|_| rng::normal_matrix(&mut r, m, k, 1.0).map(|v| v.max(0.0)))
+            .collect();
         let mut y = Matrix::zeros(m, n);
         c.bench_function(&format!("matmul_train_m{m}_k{k}_n{n}"), |bench| {
             bench.iter(|| {
                 y.as_mut_slice().fill(0.0);
                 Scalar.matmul(&x, &w, &mut y);
+                black_box(y.get(0, 0))
+            })
+        });
+        let mut turn = relu.iter().cycle();
+        c.bench_function(&format!("matmul_train_relu_m{m}_k{k}_n{n}"), |bench| {
+            bench.iter(|| {
+                y.as_mut_slice().fill(0.0);
+                Scalar.matmul(turn.next().unwrap_or(&x), &w, &mut y);
                 black_box(y.get(0, 0))
             })
         });
@@ -102,8 +117,28 @@ fn bench_train_shapes(c: &mut Criterion) {
                 black_box(da.get(0, 0))
             })
         });
+        let mut dw = Matrix::zeros(k, n);
+        c.bench_function(&format!("matmul_tn_train_m{k}_k{m}_n{n}"), |bench| {
+            bench.iter(|| {
+                dw.as_mut_slice().fill(0.0);
+                Scalar.matmul_tn(&x, &grad, &mut dw);
+                black_box(dw.get(0, 0))
+            })
+        });
+        let mut turn = relu.iter().cycle();
+        c.bench_function(&format!("matmul_tn_train_relu_m{k}_k{m}_n{n}"), |bench| {
+            bench.iter(|| {
+                dw.as_mut_slice().fill(0.0);
+                Scalar.matmul_tn(turn.next().unwrap_or(&x), &grad, &mut dw);
+                black_box(dw.get(0, 0))
+            })
+        });
     }
 }
+
+/// How many ReLU-output matrices the `_relu` microbenchmarks rotate
+/// through.
+const RELU_ROTATION: usize = 8;
 
 fn bench_mlp_backward(c: &mut Criterion) {
     let mut r = rng::seeded(1);

@@ -2,7 +2,7 @@
 
 use calibre::{calibre_loss, divergence_rate, CalibreConfig};
 use calibre_ssl::{SimClr, SslConfig, SslGraph, SslMethod, TwoViewBatch};
-use calibre_tensor::gradcheck::check_gradient;
+use calibre_tensor::gradcheck::{check_gradient, GradCheckReport};
 use calibre_tensor::nn::{gradients, Binding};
 use calibre_tensor::{rng, Graph, Matrix, Node};
 use proptest::prelude::*;
@@ -133,22 +133,14 @@ fn calibre_regularizers(
 
 /// Gradchecks `calibre_regularizers` under `config` on a view-o batch that
 /// shares z_e's clusters, so the pseudo-labels stay put under the checker's
-/// perturbations. Returns the largest deviation from finite differences
-/// over the largest analytic gradient entry, and that entry.
-fn check_regularizers(seed: u64, config: &CalibreConfig) -> (f32, f32) {
+/// perturbations.
+fn check_regularizers(seed: u64, config: &CalibreConfig) -> GradCheckReport {
     let z_e = three_clusters(seed, 0.2);
     let x = three_clusters(seed + 1, 0.2);
     let p = rng::normal_matrix(&mut rng::seeded(seed + 2), 4, 3, 0.5);
-    let build = |g: &mut Graph, xn: Node| calibre_regularizers(g, xn, &z_e, &p, config);
-    let report = check_gradient(&x, 1e-2, build);
-    let mut g = Graph::new();
-    let xn = g.leaf(x);
-    let loss = build(&mut g, xn);
-    g.backward(loss);
-    let scale = g
-        .grad(xn)
-        .map_or(0.0, |d| d.iter().fold(0.0f32, |m, v| m.max(v.abs())));
-    (report.max_abs_err / scale, scale)
+    check_gradient(&x, 1e-2, |g, xn| {
+        calibre_regularizers(g, xn, &z_e, &p, config)
+    })
 }
 
 proptest! {
@@ -157,8 +149,8 @@ proptest! {
     #[test]
     fn ln_pull_gradient_matches_finite_differences(seed in 0u64..1_000) {
         let config = CalibreConfig { alpha: 1.0, num_prototypes: 3, ..CalibreConfig::ablation(true, false) };
-        let (err, scale) = check_regularizers(seed, &config);
-        prop_assert!(scale > 1e-3 && err < 1e-2, "deviation {err} of gradient scale {scale}");
+        let report = check_regularizers(seed, &config);
+        prop_assert!(report.max_grad > 1e-3 && report.passes(1e-2), "{report:?}");
     }
 
     #[test]
@@ -169,15 +161,15 @@ proptest! {
             ln_contrastive: true,
             ..CalibreConfig::ablation(true, false)
         };
-        let (err, scale) = check_regularizers(seed, &config);
-        prop_assert!(scale > 1e-3 && err < 1e-2, "deviation {err} of gradient scale {scale}");
+        let report = check_regularizers(seed, &config);
+        prop_assert!(report.max_grad > 1e-3 && report.passes(1e-2), "{report:?}");
     }
 
     #[test]
     fn lp_gradient_matches_finite_differences(seed in 0u64..1_000) {
         let config = CalibreConfig { alpha: 1.0, num_prototypes: 3, ..CalibreConfig::ablation(false, true) };
-        let (err, scale) = check_regularizers(seed, &config);
-        prop_assert!(scale > 1e-3 && err < 1e-2, "deviation {err} of gradient scale {scale}");
+        let report = check_regularizers(seed, &config);
+        prop_assert!(report.max_grad > 1e-3 && report.passes(1e-2), "{report:?}");
     }
 }
 

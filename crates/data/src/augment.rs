@@ -65,19 +65,56 @@ impl AugmentConfig {
         }
     }
 
-    /// Applies the observation-side perturbations in place.
+    /// Applies the observation-side perturbations in place. All of their
+    /// random numbers are drawn before the first is applied.
     pub fn perturb<R: Rng + ?Sized>(&self, obs: &mut [f32], rng: &mut R) {
+        self.draw(obs.len(), rng).apply(obs);
+    }
+
+    /// Draws the random numbers that perturb one observation of `len`
+    /// coordinates: the gain, then per coordinate the noise and the mask
+    /// draw. No draw depends on the observation, so a batch can take every
+    /// view's draws first and render all views in one pass.
+    pub(crate) fn draw<R: Rng + ?Sized>(&self, len: usize, rng: &mut R) -> Perturbation {
         let gain = if self.gain_jitter > 0.0 {
             1.0 + rng.gen_range(-self.gain_jitter..self.gain_jitter)
         } else {
             1.0
         };
-        for v in obs.iter_mut() {
-            *v *= gain;
+        let mut noise = Vec::with_capacity(len);
+        let mut mask = Vec::with_capacity(len);
+        for _ in 0..len {
             if self.noise_std > 0.0 {
-                *v += self.noise_std * normal(rng);
+                noise.push(self.noise_std * normal(rng));
             }
-            if self.mask_prob > 0.0 && rng.gen::<f32>() < self.mask_prob {
+            if self.mask_prob > 0.0 {
+                mask.push(rng.gen::<f32>() < self.mask_prob);
+            }
+        }
+        Perturbation { gain, noise, mask }
+    }
+}
+
+/// The drawn perturbation of one observation ([`AugmentConfig::draw`]).
+#[derive(Debug)]
+pub(crate) struct Perturbation {
+    gain: f32,
+    /// Additive noise per coordinate; empty when noise is off.
+    noise: Vec<f32>,
+    /// Whether each coordinate is zeroed; empty when masking is off.
+    mask: Vec<bool>,
+}
+
+impl Perturbation {
+    /// Perturbs `obs` in place: per coordinate the gain, the noise, then the
+    /// mask.
+    pub(crate) fn apply(&self, obs: &mut [f32]) {
+        for (i, v) in obs.iter_mut().enumerate() {
+            *v *= self.gain;
+            if let Some(&n) = self.noise.get(i) {
+                *v += n;
+            }
+            if self.mask.get(i) == Some(&true) {
                 *v = 0.0;
             }
         }

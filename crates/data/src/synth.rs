@@ -175,11 +175,7 @@ impl SynthVision {
 
     /// Renders the canonical (deterministic) observation of a sample.
     pub fn render(&self, sample: &Sample) -> Vec<f32> {
-        let mut latent = Vec::with_capacity(self.spec.semantic_dim + self.spec.nuisance_dim);
-        latent.extend_from_slice(&sample.semantic);
-        latent.extend_from_slice(&sample.nuisance);
-        let x = Matrix::from_vec(1, latent.len(), latent);
-        self.renderer.infer(&x).into_vec()
+        self.render_batch(std::iter::once(sample)).into_vec()
     }
 
     /// Renders a stochastic augmented view of a sample: the nuisance latent
@@ -191,17 +187,8 @@ impl SynthVision {
         aug: &AugmentConfig,
         rng_: &mut R,
     ) -> Vec<f32> {
-        let rho = aug.nuisance_keep.clamp(0.0, 1.0);
-        let fresh_scale = (1.0 - rho * rho).sqrt();
-        let mut latent = Vec::with_capacity(self.spec.semantic_dim + self.spec.nuisance_dim);
-        latent.extend_from_slice(&sample.semantic);
-        for &u in &sample.nuisance {
-            latent.push(rho * u + fresh_scale * rng::normal(rng_));
-        }
-        let x = Matrix::from_vec(1, latent.len(), latent);
-        let mut obs = self.renderer.infer(&x).into_vec();
-        aug.perturb(&mut obs, rng_);
-        obs
+        self.render_views(std::iter::once(sample), aug, rng_)
+            .into_vec()
     }
 
     /// Renders a batch of canonical observations as an `(N, obs_dim)` matrix.
@@ -209,17 +196,21 @@ impl SynthVision {
     where
         I: IntoIterator<Item = &'a Sample>,
     {
-        let rows: Vec<Vec<f32>> = samples.into_iter().map(|s| self.render(s)).collect();
-        if rows.is_empty() {
-            Matrix::zeros(0, self.spec.obs_dim)
-        } else {
-            Matrix::from_rows(&rows)
+        let mut latent = Vec::new();
+        let mut rows = 0;
+        for sample in samples {
+            latent.extend_from_slice(&sample.semantic);
+            latent.extend_from_slice(&sample.nuisance);
+            rows += 1;
         }
+        self.render_latents(rows, latent)
     }
 
     /// Renders two independent augmented views for every sample — the
     /// dual-view input of every SSL objective (`I_e`, `I_o` in Algorithm 1 of
-    /// the paper). Returns `(view_e, view_o)`, each `(N, obs_dim)`.
+    /// the paper). Returns `(view_e, view_o)`, each `(N, obs_dim)`: every
+    /// sample's `view_e` first, then every `view_o`, each drawn as
+    /// [`SynthVision::render_view`] draws it.
     pub fn render_two_views<'a, I, R>(
         &self,
         samples: I,
@@ -231,21 +222,50 @@ impl SynthVision {
         R: Rng + ?Sized,
     {
         let samples: Vec<&Sample> = samples.into_iter().collect();
-        if samples.is_empty() {
-            return (
-                Matrix::zeros(0, self.spec.obs_dim),
-                Matrix::zeros(0, self.spec.obs_dim),
-            );
+        let n = samples.len();
+        let views = self.render_views(samples.iter().chain(&samples).copied(), aug, rng_);
+        let obs_dim = self.spec.obs_dim;
+        let mut view_e = views.into_vec();
+        let view_o = view_e.split_off(n * obs_dim);
+        (
+            Matrix::from_vec(n, obs_dim, view_e),
+            Matrix::from_vec(n, obs_dim, view_o),
+        )
+    }
+
+    /// Renders one augmented view per sample, one row each. Every view takes
+    /// its random numbers in turn (its nuisance resample, then its
+    /// perturbation); none depends on a rendered observation, so all of
+    /// them are drawn first and every row is rendered in one renderer pass.
+    fn render_views<'a, I, R>(&self, samples: I, aug: &AugmentConfig, rng_: &mut R) -> Matrix
+    where
+        I: IntoIterator<Item = &'a Sample>,
+        R: Rng + ?Sized,
+    {
+        let rho = aug.nuisance_keep.clamp(0.0, 1.0);
+        let fresh_scale = (1.0 - rho * rho).sqrt();
+        let mut latent = Vec::new();
+        let mut perturbations = Vec::new();
+        for sample in samples {
+            latent.extend_from_slice(&sample.semantic);
+            for &u in &sample.nuisance {
+                latent.push(rho * u + fresh_scale * rng::normal(rng_));
+            }
+            perturbations.push(aug.draw(self.spec.obs_dim, rng_));
         }
-        let a: Vec<Vec<f32>> = samples
-            .iter()
-            .map(|s| self.render_view(s, aug, rng_))
-            .collect();
-        let b: Vec<Vec<f32>> = samples
-            .iter()
-            .map(|s| self.render_view(s, aug, rng_))
-            .collect();
-        (Matrix::from_rows(&a), Matrix::from_rows(&b))
+        let mut obs = self.render_latents(perturbations.len(), latent);
+        let rows = obs.as_mut_slice().chunks_exact_mut(self.spec.obs_dim);
+        for (row, perturbation) in rows.zip(&perturbations) {
+            perturbation.apply(row);
+        }
+        obs
+    }
+
+    /// Runs the renderer on `rows` latent rows `[z ; u]` laid out back to
+    /// back.
+    fn render_latents(&self, rows: usize, latent: Vec<f32>) -> Matrix {
+        let width = self.spec.semantic_dim + self.spec.nuisance_dim;
+        self.renderer.infer(&Matrix::from_vec(rows, width, latent))
     }
 }
 

@@ -5,6 +5,7 @@ use calibre_data::{
 };
 use calibre_tensor::rng::seeded;
 use proptest::prelude::*;
+use rand::Rng;
 
 fn any_non_iid() -> impl Strategy<Value = NonIid> {
     prop_oneof![
@@ -121,5 +122,60 @@ proptest! {
         );
         let hist = fed.global_label_histogram();
         prop_assert_eq!(hist.iter().sum::<usize>(), 5 * 30);
+    }
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn two_views_in_one_pass_match_a_loop_of_render_view_bit_for_bit() {
+    // The batched renderer draws every view's numbers in render_view's
+    // order and renders all rows at once; each row, and the RNG state it
+    // leaves, must be what rendering the views one by one gives.
+    let generator = SynthVision::new(SynthVisionSpec::cifar10());
+    for aug in [
+        AugmentConfig::default(),
+        AugmentConfig::none(),
+        AugmentConfig::strong(),
+    ] {
+        for n in [1usize, 2, 32] {
+            let mut r = seeded(n as u64);
+            let samples: Vec<Sample> = (0..n).map(|i| generator.sample(i % 10, &mut r)).collect();
+            let mut batched = seeded(40 + n as u64);
+            let (view_e, view_o) = generator.render_two_views(samples.iter(), &aug, &mut batched);
+            let mut one_by_one = seeded(40 + n as u64);
+            for (row, sample) in samples.iter().chain(&samples).enumerate() {
+                let want = generator.render_view(sample, &aug, &mut one_by_one);
+                let got = if row < n {
+                    view_e.row(row)
+                } else {
+                    view_o.row(row - n)
+                };
+                assert_eq!(bits(got), bits(&want), "{aug:?}, batch {n}, view {row}");
+            }
+            assert_eq!(
+                batched.gen::<u64>(),
+                one_by_one.gen::<u64>(),
+                "{aug:?}, batch {n}: the next draw differs"
+            );
+        }
+    }
+}
+
+#[test]
+fn render_batch_rows_match_render_bit_for_bit() {
+    let generator = SynthVision::new(SynthVisionSpec::cifar100());
+    let mut r = seeded(9);
+    let samples: Vec<Sample> = (0..33).map(|i| generator.sample(i % 100, &mut r)).collect();
+    let batch = generator.render_batch(samples.iter());
+    assert_eq!(batch.shape(), (33, 64));
+    for (row, sample) in samples.iter().enumerate() {
+        assert_eq!(
+            bits(batch.row(row)),
+            bits(&generator.render(sample)),
+            "row {row}"
+        );
     }
 }

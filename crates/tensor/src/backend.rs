@@ -86,7 +86,9 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
 /// The backend every [`crate::pool::Workspace::new`] uses. Per output
 /// element each kernel runs the same IEEE operation sequence as the
 /// original `Matrix` kernels, so training under it is bit-identical to
-/// pre-backend training.
+/// pre-backend training. The three matmuls run sixteen output columns side
+/// by side in registers; only the schedule differs from the original
+/// loops, never an output's terms or their order.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Scalar;
 
@@ -96,22 +98,7 @@ impl Backend for Scalar {
     }
 
     fn matmul(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        // i-k-j loop order keeps the inner loop streaming over contiguous
-        // rows of `b` and `out`; skipping zero a_ik terms is exact
-        // (x + 0·b == x in f32 for finite b).
-        for i in 0..a.rows() {
-            let a_row = a.row(i);
-            let out_row = out.row_mut(i);
-            for (k, &a_ik) in a_row.iter().enumerate() {
-                if a_ik == 0.0 {
-                    continue;
-                }
-                let b_row = b.row(k);
-                for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a_ik * bv;
-                }
-            }
-        }
+        PACKED.with_borrow_mut(|packed| matmul_rows(a.as_slice(), b, out, &mut packed.panels));
     }
 
     fn matmul_nt(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
@@ -120,85 +107,205 @@ impl Backend for Scalar {
         // zero skip (0·inf is NaN) and one accumulator, so every output is
         // bit-identical to it, ±0 and ±inf included; a NaN output stays
         // NaN (Rust leaves NaN sign and payload unspecified). Only the
-        // schedule changes: the first `n - n % NT_TILE` columns run NT_TILE
-        // dot products side by side, reading a packed transpose of `b` so
-        // the k-th terms of all of them are one contiguous load; the
-        // remaining columns run the plain dot.
+        // schedule changes: TILE dot products run side by side, reading
+        // `b` packed into column panels so the k-th terms of all of them
+        // are one contiguous load.
         let (inner, n) = (a.cols(), b.rows());
-        let tiled = n - n % NT_TILE;
-        NT_PANELS.with_borrow_mut(|panels| {
-            pack_nt_panels(b, tiled, panels);
-            let (panels, _) = panels.as_chunks::<NT_TILE>();
-            for i in 0..a.rows() {
+        PACKED.with_borrow_mut(|packed| {
+            pack_panels(0..n, inner, |k, j| b.get(j, k), &mut packed.panels);
+            let panel = |t: usize| {
+                let panel = packed.panels.get(t * inner..(t + 1) * inner);
+                panel.unwrap_or_default().iter()
+            };
+            for (i, out_row) in out.as_mut_slice().chunks_exact_mut(n.max(1)).enumerate() {
                 let a_row = a.row(i);
-                let (out_tiles, out_tail) = out.row_mut(i).as_chunks_mut::<NT_TILE>();
+                let (out_tiles, out_tail) = out_row.as_chunks_mut::<TILE>();
                 for (t, out_tile) in out_tiles.iter_mut().enumerate() {
-                    let panel = panels.get(t * inner..(t + 1) * inner).unwrap_or_default();
-                    let mut acc = [0.0f32; NT_TILE];
-                    for (&x, b_k) in a_row.iter().zip(panel) {
-                        for (s, &y) in acc.iter_mut().zip(b_k) {
-                            *s += x * y;
-                        }
-                    }
+                    let mut acc = [0.0f32; TILE];
+                    tile::<false>(&mut acc, a_row, panel(t));
                     *out_tile = acc;
                 }
-                for (o, j) in out_tail.iter_mut().zip(tiled..n) {
-                    let mut acc = 0.0;
-                    for (&x, &y) in a_row.iter().zip(b.row(j)) {
-                        acc += x * y;
-                    }
-                    *o = acc;
-                }
+                out_tail.fill(0.0);
+                tail_tile::<false>(out_tail, a_row, panel(out_tiles.len()));
             }
         });
     }
 
     fn matmul_tn(&self, a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        // Per out element this accumulates a[k][i]·b[k][j] in increasing-k
-        // order with the same zero skip as `a.transpose().matmul(b)`, so the
-        // result is bit-identical to the transpose-then-matmul path while
-        // touching `a` row-major.
-        for k in 0..a.rows() {
-            let a_row = a.row(k);
-            let b_row = b.row(k);
-            for (i, &aki) in a_row.iter().enumerate() {
-                if aki == 0.0 {
-                    continue;
-                }
-                for (o, &bv) in out.row_mut(i).iter_mut().zip(b_row.iter()) {
-                    *o += aki * bv;
-                }
+        // `aᵀ · b` is `matmul` on the transpose of `a`, packed so that each
+        // output row reads its left operand as one contiguous run; every
+        // output still sums its terms for k ascending.
+        PACKED.with_borrow_mut(|packed| {
+            let Packed { lhs, panels } = packed;
+            pack_transpose(a, lhs);
+            matmul_rows(lhs, b, out, panels);
+        });
+    }
+}
+
+/// Output columns per register tile of the three matmul kernels: sixteen
+/// independent accumulators hide the add latency a single running sum is
+/// bound by.
+const TILE: usize = 16;
+
+/// Per-thread packed operands of the matmul kernels. They grow to the
+/// largest operands the thread has seen and are reused from then on, so
+/// the training loop's steady state allocates nothing.
+struct Packed {
+    /// The transpose of `matmul_tn`'s left operand.
+    lhs: Vec<f32>,
+    /// Zero-padded column panels of a right operand: all of `bᵀ` for
+    /// `matmul_nt`, the last `n % TILE` columns of `b` for the others.
+    panels: Vec<[f32; TILE]>,
+}
+
+thread_local! {
+    static PACKED: RefCell<Packed> = const {
+        RefCell::new(Packed {
+            lhs: Vec::new(),
+            panels: Vec::new(),
+        })
+    };
+}
+
+/// Adds `x_row[k] · b_k` into the TILE accumulators for every k in
+/// ascending order, `b_k` being the k-th item of `b`: the one inner loop
+/// of all three matmuls. With `ZERO_TEST`, terms whose left factor is zero
+/// are skipped.
+#[inline]
+fn tile<'a, const ZERO_TEST: bool>(
+    acc: &mut [f32; TILE],
+    x_row: &[f32],
+    b: impl Iterator<Item = &'a [f32; TILE]>,
+) {
+    for (&x, b_k) in x_row.iter().zip(b) {
+        if ZERO_TEST && x == 0.0 {
+            continue;
+        }
+        for (s, &y) in acc.iter_mut().zip(b_k) {
+            *s += x * y;
+        }
+    }
+}
+
+/// `out += lhs · b`, where `lhs` holds `out.rows()` rows of `b.rows()`
+/// entries, row-major: the body of [`Scalar::matmul`] and
+/// [`Scalar::matmul_tn`]. `panels` is scratch for the last `n % TILE`
+/// columns of `b`.
+///
+/// The original loop (i-k-j, an axpy per row of `b`) skipped every term
+/// whose left factor is zero. Skipping `0·y` leaves a running sum `s` as it
+/// is unless `0·y` is NaN (`y` infinite or NaN) or `s` is `-0.0` (then
+/// `s + 0.0` is `+0.0`). A sum holds `-0.0` only while it still holds a
+/// `-0.0` from `out`, because an exact cancellation rounds to `+0.0`. So
+/// the skip is exact, and [`axpy_tiles`] drops its zero test, unless `lhs`
+/// has a zero and `b` a non-finite entry or `out` a `-0.0`. Dropping it
+/// matters: on ReLU outputs (about half zeros) the test is an
+/// unpredictable branch per (row, k).
+fn matmul_rows(lhs: &[f32], b: &Matrix, out: &mut Matrix, panels: &mut Vec<[f32; TILE]>) {
+    let (inner, n) = b.shape();
+    pack_panels(n - n % TILE..n, inner, |k, j| b.get(k, j), panels);
+    let zero_terms_matter = lhs.contains(&0.0)
+        && (any_entry(b, |v| !v.is_finite())
+            || any_entry(out, |v| v.to_bits() == (-0.0f32).to_bits()));
+    if zero_terms_matter {
+        axpy_tiles::<true>(lhs, b, panels, out);
+    } else {
+        axpy_tiles::<false>(lhs, b, panels, out);
+    }
+}
+
+/// Whether `pred` holds for some entry of `m`. A fold rather than
+/// `Iterator::any`: without the early exit the scan vectorizes, and it
+/// runs in full on every training product.
+fn any_entry(m: &Matrix, pred: impl Fn(f32) -> bool) -> bool {
+    m.iter().fold(false, |hit, &v| hit | pred(v))
+}
+
+/// The tiles of [`matmul_rows`]: per output row, each full tile of
+/// [`TILE`] columns loads its outputs into registers, runs [`tile`] down
+/// the matching columns of `b` and stores them back; the last `n % TILE`
+/// columns run [`tail_tile`] on the zero-padded `tail` panel.
+fn axpy_tiles<const ZERO_TEST: bool>(
+    lhs: &[f32],
+    b: &Matrix,
+    tail: &[[f32; TILE]],
+    out: &mut Matrix,
+) {
+    let (inner, n) = b.shape();
+    if inner == 0 || n == 0 {
+        return;
+    }
+    for (x_row, out_row) in lhs
+        .chunks_exact(inner)
+        .zip(out.as_mut_slice().chunks_exact_mut(n))
+    {
+        let (out_tiles, out_tail) = out_row.as_chunks_mut::<TILE>();
+        for (t, out_tile) in out_tiles.iter_mut().enumerate() {
+            let b_tile = b
+                .as_slice()
+                .chunks_exact(n)
+                .filter_map(|b_row| b_row.as_chunks::<TILE>().0.get(t));
+            let mut acc = *out_tile;
+            tile::<ZERO_TEST>(&mut acc, x_row, b_tile);
+            *out_tile = acc;
+        }
+        tail_tile::<ZERO_TEST>(out_tail, x_row, tail.iter());
+    }
+}
+
+/// [`tile`] for a row's last `n % TILE` outputs, whose panel is
+/// zero-padded: their sums start from `out_tail` and come back out of the
+/// first lanes, and the padding lanes are dropped.
+fn tail_tile<'a, const ZERO_TEST: bool>(
+    out_tail: &mut [f32],
+    x_row: &[f32],
+    panel: impl Iterator<Item = &'a [f32; TILE]>,
+) {
+    if out_tail.is_empty() {
+        return;
+    }
+    let mut acc = [0.0f32; TILE];
+    for (s, &o) in acc.iter_mut().zip(out_tail.iter()) {
+        *s = o;
+    }
+    tile::<ZERO_TEST>(&mut acc, x_row, panel);
+    for (o, &s) in out_tail.iter_mut().zip(&acc) {
+        *o = s;
+    }
+}
+
+/// Packs output columns `cols` of a product with reduction length `inner`
+/// into zero-padded panels of [`TILE`] columns: panel `t` holds
+/// `term(k, cols.start + t·TILE + l)` at `t·inner + k`, lane `l`, so one
+/// step of the reduction over `k` reads the TILE terms it needs from one
+/// contiguous run.
+fn pack_panels(
+    cols: std::ops::Range<usize>,
+    inner: usize,
+    term: impl Fn(usize, usize) -> f32,
+    panels: &mut Vec<[f32; TILE]>,
+) {
+    panels.clear();
+    panels.resize(cols.len().div_ceil(TILE) * inner, [0.0; TILE]);
+    for (t, panel) in panels.chunks_mut(inner.max(1)).enumerate() {
+        let first = cols.start + t * TILE;
+        for (k, terms) in panel.iter_mut().enumerate() {
+            for (term_kj, j) in terms.iter_mut().zip(first..cols.end) {
+                *term_kj = term(k, j);
             }
         }
     }
 }
 
-/// Output columns per register tile of [`Scalar::matmul_nt`]: sixteen
-/// independent accumulators hide the add latency a single dot product is
-/// bound by.
-const NT_TILE: usize = 16;
-
-thread_local! {
-    /// The packed transpose [`Scalar::matmul_nt`] reads. It grows to the
-    /// largest operand this thread has seen and is reused from then on, so
-    /// the training loop's steady state allocates nothing.
-    static NT_PANELS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Packs the first `tiled` rows of `b` (a multiple of [`NT_TILE`]) into
-/// column panels: panel `t` holds `b[t·NT_TILE + l][k]` at
-/// `(t·inner + k)·NT_TILE + l`, so one step of the reduction over `k` reads
-/// the NT_TILE terms it needs from one contiguous run.
-fn pack_nt_panels(b: &Matrix, tiled: usize, panels: &mut Vec<f32>) {
-    let inner = b.cols();
-    panels.clear();
-    panels.resize(tiled * inner, 0.0);
-    let (rows, _) = panels.as_chunks_mut::<NT_TILE>();
-    for (t, panel) in rows.chunks_mut(inner.max(1)).enumerate() {
-        for (k, terms) in panel.iter_mut().enumerate() {
-            for (l, term) in terms.iter_mut().enumerate() {
-                *term = b.get(t * NT_TILE + l, k);
-            }
+/// Packs `aᵀ` row-major into `at`: `a[k][i]` lands at `i·a.rows() + k`.
+fn pack_transpose(a: &Matrix, at: &mut Vec<f32>) {
+    at.clear();
+    at.resize(a.len(), 0.0);
+    for (i, at_row) in at.chunks_exact_mut(a.rows().max(1)).enumerate() {
+        let column = a.as_slice().iter().skip(i).step_by(a.cols().max(1));
+        for (v, &x) in at_row.iter_mut().zip(column) {
+            *v = x;
         }
     }
 }
@@ -208,16 +315,6 @@ mod tests {
     use super::*;
     use crate::rng;
     use crate::Workspace;
-
-    #[test]
-    fn scalar_matmul_is_bitwise_identical_to_matrix_matmul() {
-        let mut r = rng::seeded(5);
-        let a = rng::normal_matrix(&mut r, 7, 13, 1.0);
-        let b = rng::normal_matrix(&mut r, 13, 9, 1.0);
-        let mut out = Matrix::zeros(7, 9);
-        Scalar.matmul(&a, &b, &mut out);
-        assert_eq!(out, a.matmul(&b));
-    }
 
     #[test]
     fn scalar_tn_matches_transpose_then_matmul_bitwise() {

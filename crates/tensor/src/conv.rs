@@ -221,8 +221,8 @@ impl ConvNet {
 
     /// Inference forward pass on plain matrices.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        let h1 = Activation::Relu.apply_matrix(&self.conv1.infer(x));
-        let h2 = Activation::Relu.apply_matrix(&self.conv2.infer(&h1));
+        let h1 = Activation::Relu.apply_matrix(self.conv1.infer(x));
+        let h2 = Activation::Relu.apply_matrix(self.conv2.infer(&h1));
         self.head.infer(&h2)
     }
 }

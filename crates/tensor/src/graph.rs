@@ -610,16 +610,19 @@ impl Graph {
                 lv.rows(),
                 "one target per logit row required"
             );
-            let soft = pooled_row_softmax(ws, lv);
-            let mut loss = 0.0;
-            for (r, &t) in targets.iter().enumerate() {
+            for &t in targets {
                 assert!(
                     t < lv.cols(),
                     "target {t} out of range for {} classes",
                     lv.cols()
                 );
-                loss -= row_log_softmax_at(lv.row(r), t);
             }
+            let mut loss = 0.0;
+            let soft = pooled_row_softmax(ws, lv, |r, max, log_sum| {
+                if let Some(&t) = targets.get(r) {
+                    loss -= lv.get(r, t) - max - log_sum;
+                }
+            });
             loss /= targets.len().max(1) as f32;
             (ws.alloc_full(1, 1, loss), soft)
         };
@@ -648,16 +651,12 @@ impl Graph {
                 targets.shape(),
                 "soft targets must match logits shape"
             );
-            let soft = pooled_row_softmax(ws, lv);
             let mut loss = 0.0;
-            for r in 0..lv.rows() {
-                let row = lv.row(r);
-                let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-                let log_sum: f32 = row.iter().map(|v| (v - max).exp()).sum::<f32>().ln();
-                for (c, &v) in row.iter().enumerate() {
+            let soft = pooled_row_softmax(ws, lv, |r, max, log_sum| {
+                for (c, &v) in lv.row(r).iter().enumerate() {
                     loss -= targets.get(r, c) * (v - max - log_sum);
                 }
-            }
+            });
             loss /= lv.rows().max(1) as f32;
             (ws.alloc_full(1, 1, loss), soft)
         };
@@ -809,8 +808,16 @@ fn pooled_transpose(ws: &mut Workspace, a: &Matrix) -> Matrix {
 }
 
 /// Pooled row-softmax with the standard max-subtraction stabilization —
-/// value-identical to `Matrix::row_softmax`.
-fn pooled_row_softmax(ws: &mut Workspace, a: &Matrix) -> Matrix {
+/// value-identical to `Matrix::row_softmax`. It hands each row's max and
+/// the log of its exp sum to `row_stats(row, max, log_sum)`, so the fused
+/// cross-entropies build `log_softmax = v - max - log_sum` without a second
+/// pass of `exp`: the sum folds the same values in the same order as
+/// `Matrix::row_log_softmax`'s, so the loss keeps its bits.
+fn pooled_row_softmax(
+    ws: &mut Workspace,
+    a: &Matrix,
+    mut row_stats: impl FnMut(usize, f32, f32),
+) -> Matrix {
     let mut out = ws.alloc_copy(a);
     for r in 0..out.rows() {
         let row = out.row_mut(r);
@@ -820,6 +827,7 @@ fn pooled_row_softmax(ws: &mut Workspace, a: &Matrix) -> Matrix {
             *v = (*v - max).exp();
             sum += *v;
         }
+        row_stats(r, max, sum.ln());
         if sum > 0.0 {
             for v in row.iter_mut() {
                 *v /= sum;
@@ -827,14 +835,6 @@ fn pooled_row_softmax(ws: &mut Workspace, a: &Matrix) -> Matrix {
         }
     }
     out
-}
-
-/// `log_softmax(row)[t]` computed without materializing the full row —
-/// value-identical to `Matrix::row_log_softmax` at column `t`.
-fn row_log_softmax_at(row: &[f32], t: usize) -> f32 {
-    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let log_sum: f32 = row.iter().map(|v| (v - max).exp()).sum::<f32>().ln();
-    row[t] - max - log_sum
 }
 
 /// Adds the gradient that `delta` computes into the slot of `n` (moving it

@@ -21,8 +21,9 @@
 //! - [`backend`] — the execution seam: every dense kernel dispatches
 //!   through a [`backend::Backend`]. [`backend::Scalar`], the one
 //!   implementation, is bit-identical to the original `Matrix` loops; its
-//!   `matmul_nt` (the `dA` of backward) runs sixteen output columns per
-//!   register tile without changing any output's summation order.
+//!   three matmuls (forward, and the `dA` and `dW` of backward) run
+//!   sixteen output columns per register tile without changing any
+//!   output's terms or summation order. [`Matrix::matmul`] runs on it too.
 //! - [`pool`] — [`pool::BufferPool`] / [`pool::Workspace`] /
 //!   [`pool::StepArena`]: size-keyed buffer recycling so a local update of
 //!   E epochs reuses one arena instead of allocating fresh tapes per step.

@@ -7,6 +7,7 @@
 //! this workspace a shape mismatch is always a programming error, never a
 //! runtime condition to recover from.
 
+use crate::backend::{Backend, Scalar};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -252,7 +253,8 @@ impl Matrix {
         (0..self.rows).map(|r| self.get(r, c)).collect()
     }
 
-    /// Matrix product `self * other`.
+    /// Matrix product `self * other`, computed by
+    /// [`Scalar::matmul`](crate::backend::Scalar).
     ///
     /// # Panics
     ///
@@ -264,22 +266,7 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = Matrix::zeros(self.rows, other.cols);
-        // i-k-j loop order keeps the inner loop streaming over contiguous rows
-        // of `other` and `out`, which is the cache-friendly order for
-        // row-major storage.
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = out.row_mut(i);
-            for (k, &a_ik) in a_row.iter().enumerate() {
-                if a_ik == 0.0 {
-                    continue;
-                }
-                let b_row = other.row(k);
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a_ik * b;
-                }
-            }
-        }
+        Scalar.matmul(self, other, &mut out);
         out
     }
 

@@ -35,13 +35,14 @@ impl Activation {
         }
     }
 
-    /// Applies the activation to a plain matrix (inference path).
-    pub fn apply_matrix(self, x: &Matrix) -> Matrix {
+    /// Applies the activation to a plain matrix in place (inference path).
+    pub fn apply_matrix(self, mut x: Matrix) -> Matrix {
         match self {
-            Activation::Relu => x.map(|v| v.max(0.0)),
-            Activation::Tanh => x.map(f32::tanh),
-            Activation::Identity => x.clone(),
+            Activation::Relu => x.iter_mut().for_each(|v| *v = v.max(0.0)),
+            Activation::Tanh => x.iter_mut().for_each(|v| *v = v.tanh()),
+            Activation::Identity => {}
         }
+        x
     }
 }
 
@@ -223,7 +224,13 @@ impl Linear {
 
     /// Inference forward pass on plain matrices (no tape, no gradients).
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        x.matmul(&self.w).add_row_vec(&self.b)
+        let mut y = x.matmul(&self.w);
+        for row in y.as_mut_slice().chunks_exact_mut(self.b.len().max(1)) {
+            for (v, &b) in row.iter_mut().zip(self.b.iter()) {
+                *v += b;
+            }
+        }
+        y
     }
 
     /// Binds `W` and `b` as leaves without running a forward pass. Use with
@@ -392,17 +399,17 @@ impl Mlp {
     /// This is the "frozen encoder" path used during the personalization
     /// stage: features are extracted without ever touching the tape.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
         let last = self.layers.len() - 1;
+        let mut h: Option<Matrix> = None;
         for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.infer(&h);
-            h = if i < last {
-                self.hidden_activation.apply_matrix(&h)
+            let z = layer.infer(h.as_ref().unwrap_or(x));
+            h = Some(if i < last {
+                self.hidden_activation.apply_matrix(z)
             } else {
-                self.output_activation.apply_matrix(&h)
-            };
+                self.output_activation.apply_matrix(z)
+            });
         }
-        h
+        h.unwrap_or_else(|| x.clone())
     }
 }
 

@@ -5,6 +5,7 @@ use calibre_tensor::gradcheck::check_gradient;
 use calibre_tensor::nn::{gradients, Activation, Binding, Mlp, Module};
 use calibre_tensor::{Graph, Matrix};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Strategy producing a matrix with bounded entries.
@@ -13,12 +14,33 @@ fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
         .prop_map(move |data| Matrix::from_vec(rows, cols, data))
 }
 
-/// Output widths on both sides of `Scalar::matmul_nt`'s 16-column
-/// register tile.
+/// Output widths on both sides of the 16-column register tile of the
+/// `Scalar` matmuls.
 const NT_WIDTHS: [usize; 6] = [1, 15, 16, 17, 33, 96];
 
 /// Entries that make a summation order or a skipped term visible.
 const SPECIALS: [f32; 5] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+
+/// `len` entries, each drawn from [`SPECIALS`] with probability
+/// `special_pct`% and otherwise finite in [-3, 3); with `relu`, the finite
+/// ones are clamped at zero the way a ReLU output is, so about half of them
+/// are `+0.0`.
+fn entries(r: &mut StdRng, len: usize, special_pct: u32, relu: bool) -> Vec<f32> {
+    (0..len)
+        .map(|_| {
+            if r.gen_range(0u32..100) < special_pct {
+                SPECIALS[r.gen_range(0..SPECIALS.len())]
+            } else {
+                let v = r.gen_range(-3.0f32..3.0);
+                if relu {
+                    v.max(0.0)
+                } else {
+                    v
+                }
+            }
+        })
+        .collect()
+}
 
 /// `(a, b)` operands of `a · bᵀ`: 1–3 rows, a reduction length of 1–100,
 /// an output width from [`NT_WIDTHS`], and a per-case share (0–34%) of
@@ -33,22 +55,80 @@ fn nt_operands() -> impl Strategy<Value = (Matrix, Matrix)> {
     )
         .prop_map(|(m, k, width, special_pct, seed)| {
             let mut r = calibre_tensor::rng::seeded(seed);
-            let mut entries = |len: usize| -> Vec<f32> {
-                (0..len)
-                    .map(|_| {
-                        if r.gen_range(0u32..100) < special_pct {
-                            SPECIALS[r.gen_range(0..SPECIALS.len())]
-                        } else {
-                            r.gen_range(-3.0f32..3.0)
-                        }
-                    })
-                    .collect()
-            };
             let n = NT_WIDTHS[width];
-            let a = Matrix::from_vec(m, k, entries(m * k));
-            let b = Matrix::from_vec(n, k, entries(n * k));
+            let a = Matrix::from_vec(m, k, entries(&mut r, m * k, special_pct, false));
+            let b = Matrix::from_vec(n, k, entries(&mut r, n * k, special_pct, false));
             (a, b)
         })
+}
+
+/// `(a, b)` operands of `a · b`: 1–3 rows, an inner dimension of 1–100, an
+/// output width from [`NT_WIDTHS`], a ReLU-like `a` in half of the cases,
+/// and a per-case share (0–34%) of entries drawn from [`SPECIALS`] on both
+/// sides. `matmul_tn` takes `aᵀ`.
+fn mm_operands() -> impl Strategy<Value = (Matrix, Matrix)> {
+    (
+        1usize..=3,
+        1usize..=100,
+        0..NT_WIDTHS.len(),
+        0u32..35,
+        any::<bool>(),
+        any::<u64>(),
+    )
+        .prop_map(|(m, k, width, special_pct, relu, seed)| {
+            let mut r = calibre_tensor::rng::seeded(seed);
+            let n = NT_WIDTHS[width];
+            let a = Matrix::from_vec(m, k, entries(&mut r, m * k, special_pct, relu));
+            let b = Matrix::from_vec(k, n, entries(&mut r, k * n, special_pct, false));
+            (a, b)
+        })
+}
+
+/// `out += a · b` by the zero-skipping i-k-j loop `Scalar::matmul` ran
+/// before its register tiles: the reference its outputs must match bit for
+/// bit.
+fn zero_skipping_matmul(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    for i in 0..a.rows() {
+        for (k, &x) in a.row(i).iter().enumerate() {
+            if x == 0.0 {
+                continue;
+            }
+            for (o, &y) in out.row_mut(i).iter_mut().zip(b.row(k)) {
+                *o += x * y;
+            }
+        }
+    }
+}
+
+/// `out += aᵀ · b` by the zero-skipping k-i-j loop `Scalar::matmul_tn` ran
+/// before its register tiles.
+fn zero_skipping_matmul_tn(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    for k in 0..a.rows() {
+        for (i, &x) in a.row(k).iter().enumerate() {
+            if x == 0.0 {
+                continue;
+            }
+            for (o, &y) in out.row_mut(i).iter_mut().zip(b.row(k)) {
+                *o += x * y;
+            }
+        }
+    }
+}
+
+/// Fails on the first output whose bits differ. Rust leaves the sign and
+/// payload of a NaN result unspecified (the per-element dot itself yields
+/// different NaN bits in debug and release builds), so a NaN output must
+/// be NaN on both sides and every other output equal in bits.
+fn assert_same_bits(got: &Matrix, want: &Matrix) {
+    assert_eq!(got.shape(), want.shape());
+    for (idx, (x, y)) in got.iter().zip(want.iter()).enumerate() {
+        let same = if y.is_nan() {
+            x.is_nan()
+        } else {
+            x.to_bits() == y.to_bits()
+        };
+        assert!(same, "output {idx} of {:?}: {x} vs {y}", got.shape());
+    }
 }
 
 proptest! {
@@ -163,10 +243,12 @@ proptest! {
 
     #[test]
     fn composite_gradcheck_on_random_mlp_loss(x in matrix(3, 4)) {
-        // Shift inputs into ReLU's strictly-positive region: finite
-        // differences are invalid at the kink (and the all-zero matrix also
-        // degenerates row normalization).
-        let x = x.map(|v| v + 3.5);
+        // Fold inputs into ReLU's strictly-positive region, at least 0.1
+        // from the kink where finite differences are invalid (the all-zero
+        // matrix would also degenerate row normalization). Folding rather
+        // than shifting keeps the rows pointing different ways, so the
+        // gradient is not so flat that finite-difference noise swamps it.
+        let x = x.map(|v| v.abs() + 0.1);
         let report = check_gradient(&x, 1e-2, |g, xn| {
             let h = g.relu(xn);
             let n = g.row_l2_normalize(h);
@@ -224,16 +306,60 @@ proptest! {
         // Every output must be `acc = +0.0; acc += a[i][k]·b[j][k]` for k
         // ascending, bit for bit: no zero skip (0·inf is NaN) and no split
         // accumulators (they round differently). Stale output contents
-        // must all be overwritten. Rust leaves the sign and payload of a
-        // NaN result unspecified (the per-element dot itself yields
-        // different NaN bits in debug and release builds), so a NaN output
-        // must be NaN on both sides and every other output equal in bits.
+        // must all be overwritten.
         let want = a.matmul_transpose(&b);
         let mut got = Matrix::full(a.rows(), b.rows(), 7.0);
         Scalar.matmul_nt(&a, &b, &mut got);
-        for (idx, (x, y)) in got.iter().zip(want.iter()).enumerate() {
-            let same = if y.is_nan() { x.is_nan() } else { x.to_bits() == y.to_bits() };
-            prop_assert!(same, "output {} of {:?}: {} vs {}", idx, got.shape(), x, y);
-        }
+        assert_same_bits(&got, &want);
     }
+
+    #[test]
+    fn scalar_matmul_is_bit_identical_to_the_zero_skipping_loop((a, b) in mm_operands()) {
+        // The zero skip is exact only for a finite right operand, so a
+        // zero in `a` against an infinity or NaN in `b` must still be
+        // skipped; everywhere else each output must sum the same terms in
+        // the same order.
+        let mut want = Matrix::zeros(a.rows(), b.cols());
+        zero_skipping_matmul(&a, &b, &mut want);
+        let mut got = Matrix::zeros(a.rows(), b.cols());
+        Scalar.matmul(&a, &b, &mut got);
+        assert_same_bits(&got, &want);
+        assert_same_bits(&a.matmul(&b), &want);
+    }
+
+    #[test]
+    fn scalar_matmul_tn_is_bit_identical_to_the_zero_skipping_loop((a, b) in mm_operands()) {
+        let a = a.transpose();
+        let mut want = Matrix::zeros(a.cols(), b.cols());
+        zero_skipping_matmul_tn(&a, &b, &mut want);
+        let mut got = Matrix::zeros(a.cols(), b.cols());
+        Scalar.matmul_tn(&a, &b, &mut got);
+        assert_same_bits(&got, &want);
+    }
+}
+
+#[test]
+fn scalar_matmuls_keep_a_negative_zero_that_only_zero_terms_meet() {
+    // A `-0.0` already in `out` survives the zero-skipping loops where
+    // every term of its sum is skipped, while `-0.0 + 0.0` is `+0.0`; the
+    // kernels must keep it too, 17 columns covering a tile and its tail.
+    let mut a = Matrix::zeros(2, 3);
+    a.set(1, 1, 2.0);
+    let b = Matrix::full(3, 17, 1.5);
+    let mut want = Matrix::full(2, 17, -0.0);
+    zero_skipping_matmul(&a, &b, &mut want);
+    let mut got = Matrix::full(2, 17, -0.0);
+    Scalar.matmul(&a, &b, &mut got);
+    assert_same_bits(&got, &want);
+    assert!(got
+        .row(0)
+        .iter()
+        .all(|v| v.to_bits() == (-0.0f32).to_bits()));
+
+    let at = a.transpose();
+    let mut want = Matrix::full(2, 17, -0.0);
+    zero_skipping_matmul_tn(&at, &b, &mut want);
+    let mut got = Matrix::full(2, 17, -0.0);
+    Scalar.matmul_tn(&at, &b, &mut got);
+    assert_same_bits(&got, &want);
 }
