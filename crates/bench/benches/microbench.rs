@@ -6,7 +6,8 @@ use calibre::{calibre_step, CalibreConfig};
 use calibre_cluster::{kmeans, KMeansConfig};
 use calibre_data::{AugmentConfig, FederatedDataset, NonIid, PartitionConfig, SynthVisionSpec};
 use calibre_embed::{tsne, TsneConfig};
-use calibre_fl::aggregate::{aggregate_robust, Aggregator};
+use calibre_fl::adversary::anomaly_scores;
+use calibre_fl::aggregate::{aggregate_robust, coordinate_median, Aggregator};
 use calibre_fl::proto::{encode_assign_into, frame_checksum, Msg};
 use calibre_ssl::{nt_xent, ssl_step, ssl_step_in, SimClr, SslConfig, SslMethod, TwoViewBatch};
 use calibre_tensor::backend::{Backend, Scalar};
@@ -213,6 +214,29 @@ fn bench_aggregation(c: &mut Criterion) {
             ))
         })
     });
+    // The robust round's median and detection on both sides of cohort
+    // size: the CI attack smoke (8 × 32), ten clients of dim 1 024 and of
+    // the default encoder (9 344), and `cohort_robust` (2 000 × 1 024).
+    let shapes = [
+        (8usize, 32usize, false),
+        (10, 1024, false),
+        (10, 9344, true),
+        (2000, 1024, true),
+    ];
+    for (n, dim, detect) in shapes {
+        let updates: Vec<Vec<f32>> = (0..n).map(|_| rng::normal_vec(&mut r, dim)).collect();
+        let refs: Vec<&[f32]> = updates.iter().map(Vec::as_slice).collect();
+        let weights: Vec<f32> = (0..n).map(|i| 1.0 + (i % 7) as f32).collect();
+        c.bench_function(&format!("coordinate_median_{n}x{dim}"), |bench| {
+            bench.iter(|| black_box(coordinate_median(black_box(&refs), &weights)))
+        });
+        if detect {
+            let ids: Vec<usize> = (0..n).collect();
+            c.bench_function(&format!("anomaly_scores_{n}x{dim}"), |bench| {
+                bench.iter(|| black_box(anomaly_scores(&ids, black_box(&refs))))
+            });
+        }
+    }
 }
 
 /// The wire codec on the 1 MiB frames `serve_tcp` moves every round, next

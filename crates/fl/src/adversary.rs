@@ -427,7 +427,10 @@ impl AnomalyScore {
 /// clients score zero everywhere: there is no population to be anomalous
 /// against.
 ///
-/// Deterministic: pure arithmetic over the inputs, no RNG.
+/// Deterministic: pure arithmetic over the inputs, no RNG. The norm and
+/// dot passes run on the [`crate::parallel`] workers, with every row still
+/// summed in order, so the scores are bit for bit those of one sequential
+/// pass.
 pub fn anomaly_scores(ids: &[usize], updates: &[&[f32]]) -> Vec<AnomalyScore> {
     let n = ids.len().min(updates.len());
     if n < 3 {
@@ -441,19 +444,16 @@ pub fn anomaly_scores(ids: &[usize], updates: &[&[f32]]) -> Vec<AnomalyScore> {
             })
             .collect();
     }
+    let updates = updates.get(..n).unwrap_or(updates);
     let dim = updates.first().map_or(0, |u| u.len());
     // Unweighted coordinate median as the cohort's reference direction.
-    let median = crate::aggregate::column_medians(updates.get(..n).unwrap_or(updates), dim);
+    let median = crate::aggregate::column_medians(updates, dim);
     let med_norm = l2_norm(&median).max(1e-12);
-    let norms: Vec<f32> = updates.iter().take(n).map(|u| l2_norm(u)).collect();
-    let cosines: Vec<f32> = updates
-        .iter()
-        .take(n)
+    let norms: Vec<f32> = row_dots(updates, None).into_iter().map(f32::sqrt).collect();
+    let cosines: Vec<f32> = row_dots(updates, Some(&median))
+        .into_iter()
         .zip(&norms)
-        .map(|(u, &un)| {
-            let dot: f32 = u.iter().zip(&median).map(|(a, b)| a * b).sum();
-            dot / (un.max(1e-12) * med_norm)
-        })
+        .map(|(dot, &un)| dot / (un.max(1e-12) * med_norm))
         .collect();
     let z = |xs: &[f32]| -> (f32, f32) {
         let m = xs.iter().sum::<f32>() / n as f32;
@@ -471,6 +471,83 @@ pub fn anomaly_scores(ids: &[usize], updates: &[&[f32]]) -> Vec<AnomalyScore> {
             cosine_z: (cosine - cm) / cs,
         })
         .collect()
+}
+
+/// Sum terms a [`row_dots`] worker must get before the pass fans out:
+/// below about this many, spawning a thread costs more than it saves.
+const WORKER_TERMS: usize = 1 << 16;
+
+/// For every row, `Σ x·y` over `zip(row, with)`, or over `zip(row, row)`
+/// when `with` is `None`: the squared norm. Each sum runs in zip order
+/// from `-0.0`, where std's `f32` `Sum` starts, so it is bit for bit
+/// `zip(..).map(|(x, y)| x * y).sum()`.
+///
+/// Contiguous row ranges run on the [`crate::parallel`] workers, one per
+/// [`WORKER_TERMS`] terms at most. Within a range, four rows at a time walk
+/// their common length side by side, one accumulator each, so the adds of
+/// different rows overlap; each row then adds its own tail, and the last
+/// `len % 4` rows run alone.
+fn row_dots(rows: &[&[f32]], with: Option<&[f32]>) -> Vec<f32> {
+    let dot = |row: &[f32]| -> f32 {
+        let other = with.unwrap_or(row);
+        row.iter().zip(other).map(|(x, y)| x * y).sum()
+    };
+    let width = rows.iter().map(|r| r.len()).max().unwrap_or(0);
+    let grain = WORKER_TERMS.div_ceil(width.max(1));
+    crate::parallel::parallel_ranges(rows.len(), grain, |range| {
+        let rows = rows.get(range).unwrap_or_default();
+        let mut sums = Vec::with_capacity(rows.len());
+        let mut quads = rows.chunks_exact(4);
+        for quad in quads.by_ref() {
+            if let &[a, b, c, d] = quad {
+                sums.extend(dots4([a, b, c, d], with));
+            }
+        }
+        sums.extend(quads.remainder().iter().map(|row| dot(row)));
+        sums
+    })
+    .concat()
+}
+
+/// [`row_dots`] for four rows: one accumulator per row over the length
+/// they share, then each row's own tail.
+fn dots4(rows: [&[f32]; 4], with: Option<&[f32]>) -> [f32; 4] {
+    let [a, b, c, d] = rows;
+    let (mut s0, mut s1, mut s2, mut s3) = (-0.0f32, -0.0f32, -0.0f32, -0.0f32);
+    match with {
+        None => {
+            for (((&x0, &x1), &x2), &x3) in a.iter().zip(b).zip(c).zip(d) {
+                s0 += x0 * x0;
+                s1 += x1 * x1;
+                s2 += x2 * x2;
+                s3 += x3 * x3;
+            }
+        }
+        Some(m) => {
+            for ((((&x0, &x1), &x2), &x3), &y) in a.iter().zip(b).zip(c).zip(d).zip(m) {
+                s0 += x0 * y;
+                s1 += x1 * y;
+                s2 += x2 * y;
+                s3 += x3 * y;
+            }
+        }
+    }
+    // The zips above stopped at the shortest operand.
+    let common = rows
+        .iter()
+        .map(|row| row.len())
+        .chain(with.map(<[f32]>::len))
+        .min()
+        .unwrap_or(0);
+    let mut sums = [s0, s1, s2, s3];
+    for (sum, row) in sums.iter_mut().zip(rows) {
+        let tail = row.get(common..).unwrap_or_default();
+        let other = with.unwrap_or(row).get(common..).unwrap_or_default();
+        for (&x, &y) in tail.iter().zip(other) {
+            *sum += x * y;
+        }
+    }
+    sums
 }
 
 /// Z-score threshold above which one round counts as a strike.

@@ -24,6 +24,7 @@
 //! [`UpdateSink`] ([`Aggregator::sink`]); the training loops'
 //! [`BufferedRobustSink`] finishes with [`aggregate_robust`].
 
+use std::borrow::Cow;
 use std::ops::Range;
 
 use crate::spec::SpecError;
@@ -61,7 +62,7 @@ fn weighted_average_refs(updates: &[&[f32]], weights: &[f32]) -> Vec<f32> {
             u.len()
         );
         // Infallible: the shape was just asserted against `dim`.
-        let _ = sink.fold(i, u, w);
+        let _ = sink.fold(i, Cow::Borrowed(u), w);
     }
     sink.finish().unwrap_or_default()
 }
@@ -99,6 +100,16 @@ pub enum AggregateError {
         updates: usize,
         /// Number of weights.
         weights: usize,
+    },
+    /// Weight `index` is NaN or infinite. A NaN total would make each
+    /// statistic quietly fall back to another rule (the median to the
+    /// per-coordinate maximum, the average to the uniform mean), and an
+    /// infinite weight makes the average NaN.
+    InvalidWeight {
+        /// Position of the offending weight.
+        index: usize,
+        /// The weight.
+        weight: f32,
     },
     /// The fold weights summed to a non-positive total, so a
     /// deferred-normalization sink cannot recover the uniform-average
@@ -138,6 +149,9 @@ impl std::fmt::Display for AggregateError {
             } => write!(f, "update {index} has length {got}, expected {expected}"),
             AggregateError::WeightCountMismatch { updates, weights } => {
                 write!(f, "{updates} updates but {weights} weights")
+            }
+            AggregateError::InvalidWeight { index, weight } => {
+                write!(f, "weight {index} is {weight}, not finite")
             }
             AggregateError::NonPositiveTotal => {
                 write!(f, "fold weights summed to a non-positive total")
@@ -393,6 +407,9 @@ fn check_shapes(updates: &[&[f32]], weights: &[f32]) -> Result<usize, AggregateE
             weights: weights.len(),
         });
     }
+    if let Some((index, &weight)) = weights.iter().enumerate().find(|(_, w)| !w.is_finite()) {
+        return Err(AggregateError::InvalidWeight { index, weight });
+    }
     let dim = updates.first().map_or(0, |u| u.len());
     for (i, u) in updates.iter().enumerate() {
         if u.len() != dim {
@@ -415,7 +432,7 @@ fn check_shapes(updates: &[&[f32]], weights: &[f32]) -> Result<usize, AggregateE
 ///
 /// # Errors
 ///
-/// Shape errors as in [`aggregate_robust`];
+/// Input errors as in [`aggregate_robust`];
 /// [`AggregateError::InvalidTrimRatio`] when `ratio` is outside `[0, 0.5)`;
 /// [`AggregateError::CohortTooSmall`] when the trims would consume the
 /// whole cohort (e.g. a single-client cohort at any nonzero ratio). Earlier
@@ -465,9 +482,17 @@ pub fn trimmed_mean(
 /// reaches half the total (uniform weights when the total is non-positive).
 /// Tolerates just under half the cohort being arbitrarily corrupted.
 ///
+/// The walk up a column crosses half the total near the unweighted
+/// midpoint unless a few updates carry most of the weight. So each column
+/// is split n/8 ranks past the midpoint with `select_nth_unstable`, and
+/// only the lower part is sorted and walked; the upper part is sorted only
+/// when the walk has not crossed by its end. That is exact: a column's
+/// entries are distinct, so the lower part, sorted, is the full sort's
+/// prefix, and the walk adds the same weights in the same order.
+///
 /// # Errors
 ///
-/// Shape errors as in [`aggregate_robust`].
+/// Input errors as in [`aggregate_robust`].
 pub fn coordinate_median(updates: &[&[f32]], weights: &[f32]) -> Result<Vec<f32>, AggregateError> {
     let dim = check_shapes(updates, weights)?;
     let n = updates.len();
@@ -477,20 +502,27 @@ pub fn coordinate_median(updates: &[&[f32]], weights: &[f32]) -> Result<Vec<f32>
     let uniform = total <= 0.0;
     let full: f32 = if uniform { count_f32(n) } else { total };
     let half = full * 0.5;
+    // The lower part's last rank; `check_shapes` rejects an empty cohort.
+    let split = (n / 2 + n / 8).min(n.saturating_sub(1));
     Ok(map_columns(updates, dim, |column| {
-        column.sort_unstable();
+        column.select_nth_unstable(split);
+        let (lower, upper) = column.split_at_mut(split + 1);
         let mut acc = 0.0f32;
-        for &e in column.iter() {
-            acc += if uniform {
-                1.0
-            } else {
-                entry_weight(e, weights)
-            };
-            if acc >= half {
-                return entry_value(e);
-            }
-        }
-        column.last().map_or(0.0, |&e| entry_value(e))
+        let mut walk = |part: &mut [u64]| {
+            part.sort_unstable();
+            part.iter().find_map(|&e| {
+                acc += if uniform {
+                    1.0
+                } else {
+                    entry_weight(e, weights)
+                };
+                (acc >= half).then_some(entry_value(e))
+            })
+        };
+        walk(lower)
+            .or_else(|| walk(upper))
+            .or_else(|| column.last().map(|&e| entry_value(e)))
+            .unwrap_or(0.0)
     }))
 }
 
@@ -591,14 +623,16 @@ where
 }
 
 /// Fills `block` (column-major, `updates.len()` entries per column) with
-/// the entries of coordinates `coords`, at most [`BLOCK`] of them. The
-/// first column reads one line per update row; the rest of the block
-/// reads those lines again from cache.
+/// the entries of coordinates `coords`, at most [`BLOCK`] of them. Rows run
+/// on the outside, so each update row's line is read once; its entries go
+/// to the same slot of every column.
 fn gather(updates: &[&[f32]], coords: Range<usize>, block: &mut [u64]) {
-    for (d, column) in coords.zip(block.chunks_exact_mut(updates.len())) {
-        // Slots fit the low half: a cohort holds far fewer than 2^32 updates.
-        for ((slot, row), e) in (0u32..).zip(updates).zip(column.iter_mut()) {
-            *e = column_entry(row.get(d).copied().unwrap_or(0.0), slot);
+    // Slots fit the low half: a cohort holds far fewer than 2^32 updates.
+    for (i, (slot, row)) in (0u32..).zip(updates).enumerate() {
+        for (d, column) in coords.clone().zip(block.chunks_exact_mut(updates.len())) {
+            if let Some(e) = column.get_mut(i) {
+                *e = column_entry(row.get(d).copied().unwrap_or(0.0), slot);
+            }
         }
     }
 }
@@ -675,7 +709,7 @@ fn krum_select(updates: &[&[f32]], f: usize, m: usize) -> Result<Vec<usize>, Agg
 ///
 /// # Errors
 ///
-/// Shape errors as in [`aggregate_robust`];
+/// Input errors as in [`aggregate_robust`];
 /// [`AggregateError::CohortTooSmall`] when `n < f + 3` — single-client and
 /// near-empty cohorts cannot support the neighbour statistic.
 pub fn krum(updates: &[&[f32]], weights: &[f32], f: usize) -> Result<Vec<f32>, AggregateError> {
@@ -732,7 +766,7 @@ const WEISZFELD_TOL: f32 = 1e-7;
 ///
 /// # Errors
 ///
-/// Shape errors as in [`aggregate_robust`].
+/// Input errors as in [`aggregate_robust`].
 pub fn geometric_median(updates: &[&[f32]], weights: &[f32]) -> Result<Vec<f32>, AggregateError> {
     let dim = check_shapes(updates, weights)?;
     let n = updates.len();
@@ -786,7 +820,7 @@ pub fn geometric_median(updates: &[&[f32]], weights: &[f32]) -> Result<Vec<f32>,
 ///
 /// # Errors
 ///
-/// Shape errors as in [`aggregate_robust`].
+/// Input errors as in [`aggregate_robust`].
 pub fn norm_bounded_mean(
     updates: &[&[f32]],
     weights: &[f32],
@@ -817,7 +851,7 @@ const CENTERED_CLIP_ITERS: usize = 3;
 ///
 /// # Errors
 ///
-/// Shape errors as in [`aggregate_robust`].
+/// Input errors as in [`aggregate_robust`].
 pub fn centered_clip(
     updates: &[&[f32]],
     weights: &[f32],
@@ -863,7 +897,10 @@ pub fn centered_clip(
 ///
 /// [`AggregateError::Empty`] on an empty cohort (e.g. everything was
 /// rejected by validation), shape/weight-count mismatches,
-/// [`AggregateError::InvalidTrimRatio`] for out-of-range trim ratios, and
+/// [`AggregateError::InvalidWeight`] for a NaN or infinite weight (a
+/// negative finite weight is accepted; a non-positive total falls back to
+/// uniform weights), [`AggregateError::InvalidTrimRatio`] for out-of-range
+/// trim ratios, and
 /// [`AggregateError::CohortTooSmall`] when a robust statistic is undefined
 /// for the cohort size (the caller should take the skipped-round path).
 pub fn aggregate_robust(
@@ -928,15 +965,23 @@ use rand::Rng as _;
 ///   before it reaches [`UpdateSink::fold`].
 /// * **A sink is spent after [`UpdateSink::finish`]:** the accumulator is
 ///   drained, and a second `finish` reports [`AggregateError::Empty`].
+/// * **Each update is held once.** A sink that holds updates keeps an
+///   owned update's buffer ([`Cow::Owned`]) as it is and copies a borrowed
+///   one; a streaming sink only reads it. When [`UpdateSink::keeps`] says
+///   the sink will hold a round's updates, the engine hands it each
+///   reply's own buffer and scores detection on [`UpdateSink::held`]
+///   before `finish`, so no second copy exists.
 ///
 /// # Examples
 ///
 /// ```
+/// use std::borrow::Cow;
+///
 /// use calibre_fl::aggregate::{StreamingWeightedSink, UpdateSink};
 ///
 /// let mut sink = StreamingWeightedSink::new();
-/// sink.fold(0, &[0.0, 2.0], 1.0).unwrap();
-/// sink.fold(1, &[2.0, 4.0], 3.0).unwrap();
+/// sink.fold(0, Cow::Borrowed(&[0.0, 2.0]), 1.0).unwrap();
+/// sink.fold(1, Cow::Owned(vec![2.0, 4.0]), 3.0).unwrap();
 /// assert_eq!(sink.folded(), 2);
 /// assert_eq!(sink.finish().unwrap(), vec![1.5, 3.5]);
 /// ```
@@ -948,7 +993,12 @@ pub trait UpdateSink {
     /// [`AggregateError::LengthMismatch`] when `update` disagrees with the
     /// dimension established by the first fold (the `index` field carries
     /// the fold position).
-    fn fold(&mut self, client: usize, update: &[f32], weight: f32) -> Result<(), AggregateError>;
+    fn fold(
+        &mut self,
+        client: usize,
+        update: Cow<'_, [f32]>,
+        weight: f32,
+    ) -> Result<(), AggregateError>;
 
     /// Number of updates folded so far.
     fn folded(&self) -> usize;
@@ -956,6 +1006,19 @@ pub trait UpdateSink {
     /// Bytes of accumulator state currently held — the quantity the
     /// `cohort` bench asserts stays flat as the cohort grows.
     fn state_bytes(&self) -> usize;
+
+    /// Whether the sink will hold each of its next `folds` updates as
+    /// folded, in fold order, until [`UpdateSink::finish`]. `false` for a
+    /// sink that holds no update, which is the default.
+    fn keeps(&self, _folds: usize) -> bool {
+        false
+    }
+
+    /// Every update folded since the sink was built or last finished, in
+    /// fold order, or `None` when the sink does not hold them all.
+    fn held(&self) -> Option<Vec<&[f32]>> {
+        None
+    }
 
     /// Drains the accumulated state into the aggregate.
     ///
@@ -1004,6 +1067,8 @@ enum WeightedMode {
 /// the weighted [`aggregate_robust`] bit for bit:
 ///
 /// ```
+/// use std::borrow::Cow;
+///
 /// use calibre_fl::aggregate::{aggregate_robust, Aggregator, StreamingWeightedSink, UpdateSink};
 ///
 /// let updates: [&[f32]; 2] = [&[1.0, -2.5], &[0.5, 4.0]];
@@ -1011,7 +1076,7 @@ enum WeightedMode {
 /// let total: f32 = weights.iter().sum();
 /// let mut sink = StreamingWeightedSink::for_cohort(total, updates.len());
 /// for (i, (u, &w)) in updates.iter().zip(weights.iter()).enumerate() {
-///     sink.fold(i, u, w).unwrap();
+///     sink.fold(i, Cow::Borrowed(*u), w).unwrap();
 /// }
 /// let streamed = sink.finish().unwrap();
 /// let reference = aggregate_robust(Aggregator::WeightedAverage, &updates, &weights).unwrap();
@@ -1060,7 +1125,12 @@ impl Default for StreamingWeightedSink {
 }
 
 impl UpdateSink for StreamingWeightedSink {
-    fn fold(&mut self, _client: usize, update: &[f32], weight: f32) -> Result<(), AggregateError> {
+    fn fold(
+        &mut self,
+        _client: usize,
+        update: Cow<'_, [f32]>,
+        weight: f32,
+    ) -> Result<(), AggregateError> {
         if self.folded == 0 && self.acc.is_empty() {
             self.acc = vec![0.0; update.len()];
         }
@@ -1156,12 +1226,14 @@ fn mix64(mut x: u64) -> u64 {
 /// # Examples
 ///
 /// ```
+/// use std::borrow::Cow;
+///
 /// use calibre_fl::aggregate::{HierarchicalSink, UpdateSink};
 ///
 /// let mut sink = HierarchicalSink::new(4, 42);
 /// for client in 0..100usize {
 ///     let v = client as f32;
-///     sink.fold(client, &[v, -v], 1.0).unwrap();
+///     sink.fold(client, Cow::Borrowed(&[v, -v]), 1.0).unwrap();
 /// }
 /// let mean = sink.finish().unwrap();
 /// assert!((mean[0] - 49.5).abs() < 1e-3); // mean of 0..100
@@ -1205,7 +1277,12 @@ impl HierarchicalSink {
 }
 
 impl UpdateSink for HierarchicalSink {
-    fn fold(&mut self, client: usize, update: &[f32], weight: f32) -> Result<(), AggregateError> {
+    fn fold(
+        &mut self,
+        client: usize,
+        update: Cow<'_, [f32]>,
+        weight: f32,
+    ) -> Result<(), AggregateError> {
         let dim = *self.dim.get_or_insert(update.len());
         if update.len() != dim {
             return Err(AggregateError::LengthMismatch {
@@ -1284,6 +1361,12 @@ impl UpdateSink for HierarchicalSink {
 /// holds each accepted update and runs [`aggregate_robust`] once, in fold
 /// order.
 ///
+/// An owned update's buffer is kept as it is, a borrowed one copied. While
+/// the folds fit the capacity nothing is replaced, so
+/// [`UpdateSink::keeps`] holds and [`UpdateSink::held`] lends the updates
+/// back in fold order: the round engine hands over each reply's own buffer
+/// and scores detection on them.
+///
 /// Those statistics need the whole cohort at once — order statistics need
 /// every coordinate's column, Krum compares every pair of updates,
 /// Weiszfeld iterates over all of them — so a constant-memory stream is
@@ -1308,12 +1391,14 @@ impl UpdateSink for HierarchicalSink {
 /// # Examples
 ///
 /// ```
+/// use std::borrow::Cow;
+///
 /// use calibre_fl::aggregate::{krum, Aggregator, BufferedRobustSink, UpdateSink};
 ///
 /// let updates: [&[f32]; 4] = [&[1.0], &[1.1], &[0.9], &[500.0]];
 /// let mut sink = BufferedRobustSink::new(Aggregator::Krum { f: 1 }, 16, 7);
 /// for (i, u) in updates.iter().enumerate() {
-///     sink.fold(i, u, 1.0).unwrap();
+///     sink.fold(i, Cow::Borrowed(*u), 1.0).unwrap();
 /// }
 /// assert_eq!(sink.finish().unwrap(), krum(&updates, &[1.0; 4], 1).unwrap());
 /// ```
@@ -1321,12 +1406,14 @@ impl UpdateSink for HierarchicalSink {
 /// Under capacity the sink is exact:
 ///
 /// ```
+/// use std::borrow::Cow;
+///
 /// use calibre_fl::aggregate::{coordinate_median, Aggregator, BufferedRobustSink, UpdateSink};
 ///
 /// let updates: [&[f32]; 3] = [&[1.0], &[5.0], &[-400.0]];
 /// let mut sink = BufferedRobustSink::new(Aggregator::CoordinateMedian, 16, 7);
 /// for (i, u) in updates.iter().enumerate() {
-///     sink.fold(i, u, 1.0).unwrap();
+///     sink.fold(i, Cow::Borrowed(*u), 1.0).unwrap();
 /// }
 /// let exact = coordinate_median(&updates, &[1.0; 3]).unwrap();
 /// assert_eq!(sink.finish().unwrap(), exact);
@@ -1357,7 +1444,12 @@ impl BufferedRobustSink {
 }
 
 impl UpdateSink for BufferedRobustSink {
-    fn fold(&mut self, _client: usize, update: &[f32], weight: f32) -> Result<(), AggregateError> {
+    fn fold(
+        &mut self,
+        _client: usize,
+        update: Cow<'_, [f32]>,
+        weight: f32,
+    ) -> Result<(), AggregateError> {
         if let Some(first) = self.entries.first() {
             if update.len() != first.len() {
                 return Err(AggregateError::LengthMismatch {
@@ -1368,20 +1460,28 @@ impl UpdateSink for BufferedRobustSink {
             }
         }
         if self.entries.len() < self.capacity {
-            self.entries.push(update.to_vec());
+            self.entries.push(update.into_owned());
             self.weights.push(weight);
         } else {
             // Algorithm R: item k replaces a uniform j ∈ [0, k]; j beyond
             // the capacity means the item is discarded.
             let j = self.rng.gen_range(0..=self.folded);
             if let (Some(slot), Some(wslot)) = (self.entries.get_mut(j), self.weights.get_mut(j)) {
-                slot.clear();
-                slot.extend_from_slice(update);
+                *slot = update.into_owned();
                 *wslot = weight;
             }
         }
         self.folded += 1;
         Ok(())
+    }
+
+    fn keeps(&self, folds: usize) -> bool {
+        self.folded.saturating_add(folds) <= self.capacity
+    }
+
+    fn held(&self) -> Option<Vec<&[f32]>> {
+        (self.entries.len() == self.folded)
+            .then(|| self.entries.iter().map(Vec::as_slice).collect())
     }
 
     fn folded(&self) -> usize {
@@ -1605,6 +1705,51 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_weights_are_typed_errors_for_every_aggregator() {
+        // Unchecked, a NaN weight makes the median return the
+        // per-coordinate maximum, [300, 7], and the average the uniform
+        // mean; an infinite weight makes the average [NaN, NaN].
+        let updates: [&[f32]; 3] = [&[1.0, -5.0], &[2.0, 0.0], &[300.0, 7.0]];
+        for agg in [
+            Aggregator::WeightedAverage,
+            Aggregator::TrimmedMean(0.2),
+            Aggregator::CoordinateMedian,
+            Aggregator::Krum { f: 1 },
+            Aggregator::MultiKrum { f: 1, m: 2 },
+            Aggregator::GeometricMedian,
+            Aggregator::NormBound(10.0),
+            Aggregator::CenteredClip(5.0),
+        ] {
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let got = aggregate_robust(agg, &updates, &[bad, 1.0, 1.0]);
+                assert!(
+                    matches!(
+                        got,
+                        Err(AggregateError::InvalidWeight { index: 0, weight })
+                            if weight.to_bits() == bad.to_bits()
+                    ),
+                    "{agg:?} with weight {bad}: {got:?}"
+                );
+            }
+            // A negative finite weight keeps the non-positive-total
+            // fallback: the statistic is defined, not an error.
+            let negative = aggregate_robust(agg, &updates, &[-4.0, 1.0, 1.0]);
+            assert!(
+                !matches!(negative, Err(AggregateError::InvalidWeight { .. })),
+                "{agg:?}: {negative:?}"
+            );
+        }
+        assert_eq!(
+            AggregateError::InvalidWeight {
+                index: 2,
+                weight: f32::INFINITY
+            }
+            .to_string(),
+            "weight 2 is inf, not finite"
+        );
+    }
+
+    #[test]
     fn aggregator_parse_accepts_the_documented_spellings() {
         assert_eq!(
             Aggregator::parse("weighted").unwrap(),
@@ -1721,7 +1866,7 @@ mod tests {
         let total: f32 = weights.iter().sum();
         let mut sink = StreamingWeightedSink::for_cohort(total, updates.len());
         for (i, (u, &w)) in updates.iter().zip(weights.iter()).enumerate() {
-            sink.fold(i, u, w).unwrap();
+            sink.fold(i, Cow::Borrowed(*u), w).unwrap();
         }
         let streamed = sink.finish().unwrap();
         assert_eq!(streamed.len(), reference.len());
@@ -1744,7 +1889,7 @@ mod tests {
                     .nth(i)
                     .map(|(u, &w)| (*u, w))
                     .unwrap_or((&[], 0.0));
-                sink.fold(i, u, w).unwrap();
+                sink.fold(i, Cow::Borrowed(u), w).unwrap();
             }
             let streamed = sink.finish().unwrap();
             for (s, r) in streamed.iter().zip(reference.iter()) {
@@ -1756,9 +1901,9 @@ mod tests {
     #[test]
     fn streaming_sink_reports_mismatch_and_spent_state() {
         let mut sink = StreamingWeightedSink::new();
-        sink.fold(0, &[1.0, 2.0], 1.0).unwrap();
+        sink.fold(0, Cow::Borrowed(&[1.0, 2.0]), 1.0).unwrap();
         assert!(matches!(
-            sink.fold(1, &[1.0], 1.0),
+            sink.fold(1, Cow::Borrowed(&[1.0]), 1.0),
             Err(AggregateError::LengthMismatch {
                 index: 1,
                 expected: 2,
@@ -1775,7 +1920,7 @@ mod tests {
     #[test]
     fn streaming_sink_rejects_non_positive_total() {
         let mut sink = StreamingWeightedSink::new();
-        sink.fold(0, &[1.0], 0.0).unwrap();
+        sink.fold(0, Cow::Borrowed(&[1.0]), 0.0).unwrap();
         assert!(matches!(
             sink.finish(),
             Err(AggregateError::NonPositiveTotal)
@@ -1788,7 +1933,7 @@ mod tests {
         let weights = [1.0; 5];
         let mut sink = BufferedRobustSink::new(Aggregator::CoordinateMedian, 8, 3);
         for (i, u) in updates.iter().enumerate() {
-            sink.fold(i, u, 1.0).unwrap();
+            sink.fold(i, Cow::Borrowed(*u), 1.0).unwrap();
         }
         assert_eq!(
             sink.finish().unwrap(),
@@ -1797,7 +1942,7 @@ mod tests {
 
         let mut sink = BufferedRobustSink::new(Aggregator::TrimmedMean(0.2), 8, 3);
         for (i, u) in updates.iter().enumerate() {
-            sink.fold(i, u, 1.0).unwrap();
+            sink.fold(i, Cow::Borrowed(*u), 1.0).unwrap();
         }
         assert_eq!(
             sink.finish().unwrap(),
@@ -1811,7 +1956,8 @@ mod tests {
             let mut sink = BufferedRobustSink::new(Aggregator::CoordinateMedian, 16, 9);
             for i in 0..5_000usize {
                 // analyze:allow(lossy-cast) -- test data generation only.
-                sink.fold(i, &[i as f32, -(i as f32)], 1.0).unwrap();
+                sink.fold(i, Cow::Borrowed(&[i as f32, -(i as f32)]), 1.0)
+                    .unwrap();
             }
             let bytes = sink.state_bytes();
             (sink.finish().unwrap(), bytes)
@@ -1838,7 +1984,7 @@ mod tests {
             .collect();
         let weights: Vec<f32> = (0..200).map(|i| 1.0 + (i % 7) as f32).collect();
         for (i, (u, &w)) in updates.iter().zip(weights.iter()).enumerate() {
-            sink.fold(i, u, w).unwrap();
+            sink.fold(i, Cow::Borrowed(u), w).unwrap();
         }
         let hier = sink.finish().unwrap();
         let refs: Vec<&[f32]> = updates.iter().map(Vec::as_slice).collect();
@@ -1876,7 +2022,7 @@ mod tests {
         ] {
             let mut sink = agg.sink(64, 11);
             for (i, u) in updates.iter().enumerate() {
-                sink.fold(i, u, 1.0).unwrap();
+                sink.fold(i, Cow::Borrowed(*u), 1.0).unwrap();
             }
             let streamed = sink.finish().unwrap();
             let reference = aggregate_robust(agg, &updates, &weights).unwrap();
@@ -2001,7 +2147,8 @@ mod tests {
             let mut sink = BufferedRobustSink::new(Aggregator::GeometricMedian, 16, 9);
             for i in 0..3_000usize {
                 // analyze:allow(lossy-cast) -- test data generation only.
-                sink.fold(i, &[i as f32, -(i as f32)], 1.0).unwrap();
+                sink.fold(i, Cow::Borrowed(&[i as f32, -(i as f32)]), 1.0)
+                    .unwrap();
             }
             let bytes = sink.state_bytes();
             (sink.finish().unwrap(), bytes)
@@ -2017,7 +2164,7 @@ mod tests {
     #[test]
     fn krum_sink_surfaces_cohort_too_small_for_skipped_rounds() {
         let mut sink = Aggregator::Krum { f: 1 }.sink(64, 1);
-        sink.fold(0, &[1.0], 1.0).unwrap();
+        sink.fold(0, Cow::Borrowed(&[1.0]), 1.0).unwrap();
         assert!(
             matches!(
                 sink.finish(),

@@ -25,7 +25,9 @@
 //! loops are bit-identical to the historical nominal loop — the
 //! golden-checksum tests pin this through the training entry points.
 
-use crate::adversary::{anomaly_scores, AttackInjector, AttackPlan, ReputationBook};
+use std::borrow::Cow;
+
+use crate::adversary::{anomaly_scores, AnomalyScore, AttackInjector, AttackPlan, ReputationBook};
 use crate::aggregate::{clip_norm, validate_update, Aggregator, UpdateSink};
 use crate::chaos::{ClientFault, FaultInjector, FaultPlan};
 use crate::config::FlConfig;
@@ -93,9 +95,10 @@ pub struct StreamedRound {
     pub skipped: bool,
     /// The aggregate, unless the round was skipped.
     pub aggregated: Option<Vec<f32>>,
-    /// Peak bytes held by the aggregation path (sink state + detection
-    /// buffer + in-flight wave) — the O(model) quantity the `cohort` bench
-    /// pins.
+    /// Peak bytes held by the aggregation path, each byte once: sink
+    /// state, the updates detection keeps itself (only beside a sink that
+    /// does not hold them), and the wave's replies that neither keeps — the
+    /// O(model) quantity the `cohort` bench pins.
     pub peak_state_bytes: usize,
     /// Mean reported loss over accepted clients (0 when none accepted).
     pub mean_loss: f32,
@@ -229,9 +232,10 @@ impl RoundScheduler {
     /// Enables server-side anomaly detection: each executed round scores
     /// the accepted updates ([`anomaly_scores`]), folds them into the
     /// [`ReputationBook`], and quarantined clients stop being drawn by
-    /// [`RoundScheduler::select`]. Detection holds the round's accepted
-    /// updates (O(cohort × model), accounted into `peak_state_bytes`), so
-    /// leave it off for massive-cohort runs.
+    /// [`RoundScheduler::select`]. Detection scores the updates a buffering
+    /// sink holds; beside a sink that does not hold them it keeps the
+    /// round's accepted updates itself (O(cohort × model), accounted into
+    /// `peak_state_bytes`), so leave it off for massive-cohort runs.
     pub fn with_detection(mut self, on: bool) -> Self {
         self.detect = on;
         self
@@ -305,23 +309,19 @@ impl RoundScheduler {
 
     /// Folds one executed round's anomaly scores into the reputation book
     /// and emits a [`calibre_telemetry::Event::Quarantine`] per newly
-    /// quarantined client. `watched` holds the accepted `(id, update)`
-    /// pairs exactly as the aggregator saw them. Skipped rounds still
-    /// observe: detection must not pause while an adversary suppresses
-    /// quorum.
-    fn observe_round(&self, round: usize, watched: &[(usize, Vec<f32>)], recorder: &dyn Recorder) {
-        if watched.is_empty() {
+    /// quarantined client. The scores come from the accepted updates
+    /// exactly as the aggregator saw them. Skipped rounds still observe:
+    /// detection must not pause while an adversary suppresses quorum.
+    fn observe_round(&self, round: usize, scores: &[AnomalyScore], recorder: &dyn Recorder) {
+        if scores.is_empty() {
             return;
         }
-        let ids: Vec<usize> = watched.iter().map(|(id, _)| *id).collect();
-        let updates: Vec<&[f32]> = watched.iter().map(|(_, u)| u.as_slice()).collect();
-        let scores = anomaly_scores(&ids, &updates);
-        let newly = self.reputation.borrow_mut().observe_round(&scores);
+        let newly = self.reputation.borrow_mut().observe_round(scores);
         for client in newly {
             let suspicion = scores
                 .iter()
                 .find(|s| s.client == client)
-                .map_or(0.0, crate::adversary::AnomalyScore::suspicion);
+                .map_or(0.0, AnomalyScore::suspicion);
             recorder.quarantine(round, client, suspicion);
         }
         metrics::gauge_set(
@@ -399,9 +399,12 @@ impl RoundScheduler {
         // thread, per (round, id) — identical on replay.
         let survivors = self.survivors(round, selected, &mut out, recorder);
 
-        // Detection holds the accepted updates for post-round scoring; its
-        // O(cohort × model) bytes count into `peak_state_bytes`.
-        let mut watched: Option<Vec<(usize, Vec<f32>)>> = self.detect.then(Vec::new);
+        // A sink that holds every update of the round gets each reply's own
+        // buffer, and detection scores what it holds. Beside any other sink,
+        // detection keeps the accepted updates itself; their bytes count
+        // into `peak_state_bytes`.
+        let keeps = sink.keeps(survivors.len());
+        let mut watched: Option<Vec<Vec<f32>>> = (self.detect && !keeps).then(Vec::new);
         let mut watched_bytes = 0usize;
         let (mut loss_sum, mut div_sum) = (0.0f32, 0.0f32);
         let mut wire_slot = 0usize;
@@ -416,11 +419,9 @@ impl RoundScheduler {
                 .collect();
             wire_slot += chunk.len();
             let replies = transport.wave(round, &slots, global)?;
-            let wave_bytes: usize = replies
-                .iter()
-                .flatten()
-                .map(|r| std::mem::size_of_val(r.update.as_slice()))
-                .sum();
+            // Bytes of this wave's replies that neither the sink nor
+            // detection keeps: they are held until the wave is folded.
+            let mut loose_bytes = 0usize;
             for ((id, fault), reply) in chunk.iter().copied().zip(replies) {
                 // A reply the transport exhausted its delivery attempts on
                 // is, at the orchestration layer, a dropout.
@@ -429,10 +430,12 @@ impl RoundScheduler {
                     recorder.fault(round, id, 0, "lost", true);
                     continue;
                 };
+                let bytes = std::mem::size_of_val(reply.update.as_slice());
                 let clipped = match self.screen(round, id, fault, &mut reply, global.len()) {
                     Ok(clipped) => clipped,
                     Err(tag) => {
                         out.rejected += 1;
+                        loose_bytes += bytes;
                         recorder.fault(round, id, 0, tag, true);
                         continue;
                     }
@@ -444,21 +447,28 @@ impl RoundScheduler {
                     }
                     _ => {}
                 }
-                // Screening matched the update's length to the global
-                // model, so the fold cannot fail.
-                let _ = sink.fold(id, &reply.update, reply.weight);
                 out.clients.push(id);
                 out.weight_sum += reply.weight;
                 loss_sum += reply.loss;
                 div_sum += reply.divergence;
-                if let Some(watched) = watched.as_mut() {
-                    watched_bytes += std::mem::size_of_val(reply.update.as_slice());
-                    watched.push((id, reply.update));
+                // Screening matched the update's length to the global
+                // model, so the fold cannot fail.
+                if keeps {
+                    let _ = sink.fold(id, Cow::Owned(reply.update), reply.weight);
+                } else {
+                    let _ = sink.fold(id, Cow::Borrowed(&reply.update), reply.weight);
+                    match watched.as_mut() {
+                        Some(watched) => {
+                            watched_bytes += bytes;
+                            watched.push(reply.update);
+                        }
+                        None => loose_bytes += bytes,
+                    }
                 }
             }
             out.peak_state_bytes = out
                 .peak_state_bytes
-                .max(sink.state_bytes() + watched_bytes + wave_bytes);
+                .max(sink.state_bytes() + watched_bytes + loose_bytes);
         }
         out.accepted = out.clients.len();
         if out.accepted > 0 {
@@ -471,9 +481,19 @@ impl RoundScheduler {
             out.mean_divergence = div_sum / n;
         }
 
+        // Detection scores the updates before `finish` drains the sink; the
+        // reputation book and its `quarantine` events still follow the
+        // round's `aggregate` and `round_resilience` events.
+        let scores = self.detect.then(|| {
+            let held = match &watched {
+                Some(watched) => Some(watched.iter().map(Vec::as_slice).collect()),
+                None => sink.held(),
+            };
+            anomaly_scores(&out.clients, &held.unwrap_or_default())
+        });
         let sealed = self.seal_round(round, out, sink, recorder);
-        if let Some(watched) = watched {
-            self.observe_round(round, &watched, recorder);
+        if let Some(scores) = scores {
+            self.observe_round(round, &scores, recorder);
         }
         Ok(sealed)
     }
@@ -590,7 +610,9 @@ impl RoundScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::{aggregate_robust, Aggregator, StreamingWeightedSink};
+    use crate::aggregate::{
+        aggregate_robust, Aggregator, BufferedRobustSink, StreamingWeightedSink,
+    };
     use crate::sampler::SamplerKind;
     use crate::transport::InProcessTransport;
     use calibre_telemetry::{Event, MemoryRecorder, NullRecorder};
@@ -736,7 +758,7 @@ mod tests {
         fn fold(
             &mut self,
             client: usize,
-            update: &[f32],
+            update: Cow<'_, [f32]>,
             weight: f32,
         ) -> Result<(), crate::aggregate::AggregateError> {
             self.clients.push(client);
@@ -1020,6 +1042,100 @@ mod tests {
             .with_detection(true)
             .with_reputation(book.clone());
         assert_eq!(resumed.reputation(), book);
+    }
+
+    #[test]
+    fn detection_scores_the_sinks_buffers_and_holds_each_update_once() {
+        // Every client is drawn every round until quarantined. Clients
+        // 0, 5 and 10 reply NaN and are rejected; client 7 is an extreme
+        // outlier, so its strikes reach quarantine.
+        let (dim, population, bad) = (16, 12, 7);
+        let scheduler = RoundScheduler::sampled(
+            Sampler::new(SamplerKind::Uniform, 9),
+            population,
+            population,
+            5,
+        )
+        .with_policy(RoundPolicy {
+            aggregator: Aggregator::CoordinateMedian,
+            ..RoundPolicy::default()
+        })
+        .with_detection(true);
+        let update_of = |round: usize, id: usize| -> Vec<f32> {
+            match id {
+                _ if id.is_multiple_of(5) => vec![f32::NAN; dim],
+                _ if id == bad => vec![1.0e6; dim],
+                // analyze:allow(lossy-cast) -- toy values in tests.
+                _ => (0..dim)
+                    .map(|d| ((id * dim + d + round) % 23) as f32 * 0.1)
+                    .collect(),
+            }
+        };
+        // analyze:allow(lossy-cast) -- toy weights in tests.
+        let weight_of = |id: usize| 1.0 + (id % 3) as f32;
+        let rec = MemoryRecorder::new();
+        let mut book = ReputationBook::new();
+        for round in 0..scheduler.rounds() {
+            let selected = scheduler.select(round, None);
+            let mut transport =
+                InProcessTransport::new(|round, id, _global: &[f32]| StreamUpdate {
+                    update: update_of(round, id),
+                    weight: weight_of(id),
+                    loss: 0.0,
+                    divergence: 0.0,
+                });
+            let mut sink = Aggregator::CoordinateMedian.sink(selected.len(), 3);
+            let seen = rec.events().len();
+            let out = scheduler
+                .run_round(
+                    round,
+                    &selected,
+                    selected.len(),
+                    &vec![0.0; dim],
+                    sink.as_mut(),
+                    &mut transport,
+                    &rec,
+                )
+                .unwrap();
+            assert_eq!(out.rejected, 3, "round {round}");
+
+            // One wave: the peak is what a buffered sink holding the
+            // accepted updates holds, plus the rejected replies.
+            let accepted: Vec<Vec<f32>> =
+                out.clients.iter().map(|&id| update_of(round, id)).collect();
+            let mut holding =
+                BufferedRobustSink::new(Aggregator::CoordinateMedian, selected.len(), 3);
+            for (&id, u) in out.clients.iter().zip(&accepted) {
+                holding.fold(id, Cow::Borrowed(u), weight_of(id)).unwrap();
+            }
+            let rejected_bytes = out.rejected * dim * std::mem::size_of::<f32>();
+            assert_eq!(
+                out.peak_state_bytes,
+                holding.state_bytes() + rejected_bytes,
+                "round {round}: each held byte counts once"
+            );
+
+            // The book is the accepted updates' scores, in fold order.
+            let refs: Vec<&[f32]> = accepted.iter().map(Vec::as_slice).collect();
+            let newly = book.observe_round(&anomaly_scores(&out.clients, &refs));
+            assert_eq!(scheduler.reputation(), book, "round {round}");
+
+            // `aggregate`, `round_resilience`, then one `quarantine` per
+            // newly quarantined client.
+            let closing: Vec<&str> = rec.events()[seen..]
+                .iter()
+                .filter_map(|e| match e {
+                    Event::Aggregate { .. } => Some("aggregate"),
+                    Event::RoundResilience { .. } => Some("round_resilience"),
+                    Event::Quarantine { .. } => Some("quarantine"),
+                    _ => None,
+                })
+                .collect();
+            let mut want = vec!["aggregate", "round_resilience"];
+            want.extend(newly.iter().map(|_| "quarantine"));
+            assert_eq!(closing, want, "round {round}");
+        }
+        assert!(book.is_quarantined(bad), "the outlier must be quarantined");
     }
 
     #[test]

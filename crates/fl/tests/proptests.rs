@@ -1,5 +1,7 @@
 //! Property-based tests for aggregation, metrics and checkpoint invariants.
 
+use std::borrow::Cow;
+
 use calibre_fl::adversary::anomaly_scores;
 use calibre_fl::aggregate::{
     aggregate_robust, clip_norm, coordinate_median, divergence_weight, geometric_median, krum,
@@ -28,7 +30,7 @@ fn cohort_fold(updates: &[&[f32]], weights: &[f32]) -> Vec<f32> {
     let total: f32 = weights.iter().sum();
     let mut sink = StreamingWeightedSink::for_cohort(total, updates.len());
     for (slot, (u, &w)) in updates.iter().zip(weights.iter()).enumerate() {
-        sink.fold(slot, u, w).unwrap();
+        sink.fold(slot, Cow::Borrowed(*u), w).unwrap();
     }
     sink.finish().unwrap()
 }
@@ -232,7 +234,7 @@ proptest! {
             40 * 40,
         ),
         weights in prop::collection::vec(0.1f32..5.0, 40),
-        zero_weights in any::<bool>(),
+        weighting in 0u8..4,
         ragged in any::<bool>(),
     ) {
         // The column kernel must return exactly what the per-coordinate
@@ -241,11 +243,35 @@ proptest! {
         // most other widths are not a multiple of the gather block, and
         // `dim` 1000 with a larger cohort splits the coordinates over
         // several workers.
-        let owned: Vec<Vec<f32>> = (0..n)
+        let mut owned: Vec<Vec<f32>> = (0..n)
             .map(|i| (0..=dim).map(|j| values[(i * (dim + 1) + j) % values.len()]).collect())
             .collect();
+        // Weightings 2 and 3 put the weighted median's crossing past the
+        // part of each column the median sorts first, so its fallback
+        // runs: one dominant weight on every column's largest value, or
+        // weights that rise with the value.
+        let weights: Vec<f32> = match weighting {
+            0 => weights[..n].to_vec(),
+            1 => vec![0.0; n],
+            2 => {
+                for v in owned[n - 1].iter_mut() {
+                    *v += 8.0;
+                }
+                let rest: f32 = weights[..n - 1].iter().sum();
+                let mut w = weights[..n].to_vec();
+                w[n - 1] = 4.0 * rest + 1.0;
+                w
+            }
+            _ => {
+                for (i, row) in owned.iter_mut().enumerate() {
+                    for v in row.iter_mut() {
+                        *v += 10.0 * i as f32;
+                    }
+                }
+                (0..n).map(|i| ((i + 1) * (i + 1)) as f32).collect()
+            }
+        };
         let updates: Vec<&[f32]> = owned.iter().map(|row| &row[..dim]).collect();
-        let weights: Vec<f32> = if zero_weights { vec![0.0; n] } else { weights[..n].to_vec() };
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
         let median = coordinate_median(&updates, &weights).unwrap();
@@ -272,6 +298,65 @@ proptest! {
             })
             .collect();
         let ids: Vec<usize> = (0..n).map(|i| 7 * i + 1).collect();
+        let got = anomaly_scores(&ids, &rows);
+        let want = sorting_reference::anomaly_scores(&ids, &rows);
+        prop_assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            prop_assert_eq!(g.client, w.client);
+            prop_assert_eq!(g.norm_z.to_bits(), w.norm_z.to_bits(), "norm z of {}", g.client);
+            prop_assert_eq!(g.cosine_z.to_bits(), w.cosine_z.to_bits(), "cosine z of {}", g.client);
+        }
+    }
+
+    #[test]
+    fn anomaly_scores_are_bit_identical_to_the_sequential_passes(
+        n in prop_oneof![
+            0usize..6,
+            Just(7usize),
+            Just(8usize),
+            Just(63usize),
+            Just(64usize),
+            Just(129usize),
+            Just(1000usize),
+        ],
+        dim in prop_oneof![Just(1usize), 2usize..40, Just(1024usize)],
+        zeros_only in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        // The norm and dot passes interleave four rows and give each worker
+        // 2^16 terms (64 rows at dim 1 024), so these cohorts land on both
+        // sides of both. Rows are pool values, all `+0.0`, all `-0.0`,
+        // short (down to empty) or long. In a cohort of only `+0.0`,
+        // `-0.0` and empty rows the mean norm is `+0.0` and an empty row's
+        // is `-0.0`, a sign that a sum started from `+0.0` would lose.
+        use rand::Rng as _;
+        let mut r = rng::seeded(seed);
+        let owned: Vec<Vec<f32>> = (0..n)
+            .map(|_| {
+                let kind: u8 = if zeros_only { r.gen_range(1..4) } else { r.gen_range(0..6) };
+                let len: usize = match kind {
+                    3 if zeros_only => 0,
+                    3 => r.gen_range(0..dim),
+                    4 => dim + r.gen_range(1usize..4),
+                    _ => dim,
+                };
+                (0..len)
+                    .map(|_| match kind {
+                        1 => 0.0,
+                        2 => -0.0,
+                        _ => match r.gen_range(0..5) {
+                            0 => 0.0,
+                            1 => -0.0,
+                            2 => 1.5,
+                            3 => -1.5,
+                            _ => r.gen_range(-4.0f32..4.0),
+                        },
+                    })
+                    .collect()
+            })
+            .collect();
+        let rows: Vec<&[f32]> = owned.iter().map(Vec::as_slice).collect();
+        let ids: Vec<usize> = (0..n).map(|i| 3 * i + 2).collect();
         let got = anomaly_scores(&ids, &rows);
         let want = sorting_reference::anomaly_scores(&ids, &rows);
         prop_assert_eq!(got.len(), want.len());
@@ -327,7 +412,7 @@ proptest! {
         let weights = &weights[..updates.len()];
         let mut canonical_sink = StreamingWeightedSink::new();
         for (slot, (u, &w)) in updates.iter().zip(weights.iter()).enumerate() {
-            canonical_sink.fold(slot, u, w).unwrap();
+            canonical_sink.fold(slot, Cow::Borrowed(u), w).unwrap();
         }
         let canonical = canonical_sink.finish().unwrap();
 
@@ -339,7 +424,7 @@ proptest! {
         }
         let mut shuffled_sink = StreamingWeightedSink::new();
         for (slot, &i) in order.iter().enumerate() {
-            shuffled_sink.fold(slot, &updates[i], weights[i]).unwrap();
+            shuffled_sink.fold(slot, Cow::Borrowed(&updates[i]), weights[i]).unwrap();
         }
         let shuffled = shuffled_sink.finish().unwrap();
         for (a, b) in canonical.iter().zip(shuffled.iter()) {
@@ -678,7 +763,12 @@ struct FoldLog {
 }
 
 impl UpdateSink for FoldLog {
-    fn fold(&mut self, client: usize, update: &[f32], weight: f32) -> Result<(), AggregateError> {
+    fn fold(
+        &mut self,
+        client: usize,
+        update: Cow<'_, [f32]>,
+        weight: f32,
+    ) -> Result<(), AggregateError> {
         self.folds.push((client, update.to_vec()));
         self.inner.fold(client, update, weight)
     }
@@ -826,8 +916,8 @@ mod sorting_reference {
         v.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
-    /// Anomaly scores against a reference median built by sorting every
-    /// zero-filled column.
+    /// Anomaly scores as one sequential pass computed them, against a
+    /// reference median built by sorting every zero-filled column.
     pub fn anomaly_scores(ids: &[usize], updates: &[&[f32]]) -> Vec<AnomalyScore> {
         let n = ids.len().min(updates.len());
         if n < 3 {
