@@ -1,11 +1,10 @@
 //! Workspace-aware determinism & panic-safety analyzer.
 //!
-//! The reproduction's core invariants — bit-identical golden checksums,
-//! replay-identical fault injection, secure-aggregation mask cancellation
-//! — are enforced *dynamically*, which means a diff only breaks them when
-//! a golden test happens to cover the offending path. This crate checks
-//! the static preconditions of those invariants on every file of every
-//! workspace crate, at CI time:
+//! The reproduction's core invariants — bit-identical golden checksums
+//! and replay-identical fault injection — are enforced *dynamically*,
+//! which means a diff only breaks them when a golden test happens to cover
+//! the offending path. This crate checks the static preconditions of those
+//! invariants on every file of every workspace crate, at CI time:
 //!
 //! * no nondeterministic containers or ambient clocks in aggregation and
 //!   training paths (fairness variance, PAPER.md §V, is measured as the

@@ -174,26 +174,14 @@ pub fn train_calibre_encoder(
     config: &CalibreConfig,
     aug: &AugmentConfig,
 ) -> (Mlp, Vec<f32>, Vec<f32>) {
-    train_calibre_encoder_with(fed, fl, kind, config, aug, None)
+    train_calibre_encoder_observed(fed, fl, kind, config, aug, None, &NullRecorder)
 }
 
-/// Like [`train_calibre_encoder`], with an optional observer invoked after
-/// every aggregation with `(round, global_encoder)` — used by the
-/// convergence-tracking bench to evaluate the personalization quality of
-/// intermediate encoders.
-pub fn train_calibre_encoder_with(
-    fed: &FederatedDataset,
-    fl: &FlConfig,
-    kind: SslKind,
-    config: &CalibreConfig,
-    aug: &AugmentConfig,
-    round_observer: Option<RoundObserver<'_>>,
-) -> (Mlp, Vec<f32>, Vec<f32>) {
-    train_calibre_encoder_observed(fed, fl, kind, config, aug, round_observer, &NullRecorder)
-}
-
-/// Like [`train_calibre_encoder_with`], additionally reporting the round
-/// lifecycle to a telemetry [`Recorder`].
+/// Like [`train_calibre_encoder`], additionally reporting the round
+/// lifecycle to a telemetry [`Recorder`] and invoking an optional observer
+/// after every aggregation with `(round, global_encoder)`. The
+/// convergence-tracking bench uses the observer to evaluate the
+/// personalization quality of intermediate encoders.
 ///
 /// Rounds run through [`run_training_round`], so the events are its:
 /// `round_start`, any `attack`/`fault` events, `aggregate`, any

@@ -64,6 +64,6 @@ mod loss;
 pub use framework::{
     calibre_local_update, calibre_local_update_detailed, calibre_step, calibre_step_in,
     run_calibre, run_calibre_observed, train_calibre_encoder, train_calibre_encoder_observed,
-    train_calibre_encoder_with, LocalUpdate,
+    LocalUpdate,
 };
 pub use loss::{calibre_loss, divergence_rate, CalibreConfig, CalibreLoss};

@@ -72,7 +72,6 @@ pub mod pfl_ssl;
 pub mod proto;
 pub mod sampler;
 pub mod scheduler;
-pub mod secure;
 pub mod serve;
 pub mod spec;
 pub mod transport;

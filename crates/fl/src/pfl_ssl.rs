@@ -184,23 +184,12 @@ pub fn train_pfl_ssl_encoder(
     kind: SslKind,
     aug: &AugmentConfig,
 ) -> (calibre_tensor::nn::Mlp, Vec<f32>) {
-    train_pfl_ssl_encoder_with(fed, cfg, kind, aug, None)
+    train_pfl_ssl_encoder_observed(fed, cfg, kind, aug, None, &NullRecorder)
 }
 
-/// Like [`train_pfl_ssl_encoder`], with an optional observer invoked after
-/// every aggregation with `(round, global_encoder)`.
-pub fn train_pfl_ssl_encoder_with(
-    fed: &calibre_data::FederatedDataset,
-    cfg: &FlConfig,
-    kind: SslKind,
-    aug: &AugmentConfig,
-    round_observer: Option<RoundObserver<'_>>,
-) -> (calibre_tensor::nn::Mlp, Vec<f32>) {
-    train_pfl_ssl_encoder_observed(fed, cfg, kind, aug, round_observer, &NullRecorder)
-}
-
-/// Like [`train_pfl_ssl_encoder_with`], additionally reporting the round
-/// lifecycle to a telemetry [`Recorder`].
+/// Like [`train_pfl_ssl_encoder`], additionally reporting the round
+/// lifecycle to a telemetry [`Recorder`] and invoking an optional observer
+/// after every aggregation with `(round, global_encoder)`.
 ///
 /// Per round the recorder sees the events of [`run_training_round`]:
 /// `round_start` with the selection, an `aggregate` event, one
@@ -412,31 +401,6 @@ pub fn run_pfl_ssl_observed(
     let num_classes = fed.generator().num_classes();
     let (encoder, round_losses) =
         train_pfl_ssl_encoder_observed(fed, cfg, kind, aug, None, recorder);
-    let seen = personalize_cohort_observed(&encoder, fed, num_classes, &cfg.probe, recorder);
-    BaselineResult {
-        name: format!("pFL-{}", kind.name()),
-        seen,
-        encoder,
-        round_losses,
-    }
-}
-
-/// Like [`run_pfl_ssl_observed`], checkpointing every round into `store`
-/// and resuming from the newest loadable checkpoint — the crash-safe entry
-/// point. A killed run restarted with the same config and store continues
-/// where it left off (bit-identically for parameter-backed methods like
-/// SimCLR).
-pub fn run_pfl_ssl_resumable(
-    fed: &calibre_data::FederatedDataset,
-    cfg: &FlConfig,
-    kind: SslKind,
-    aug: &AugmentConfig,
-    recorder: &dyn Recorder,
-    store: &CheckpointStore,
-) -> BaselineResult {
-    let num_classes = fed.generator().num_classes();
-    let (encoder, round_losses) =
-        train_pfl_ssl_encoder_resumable(fed, cfg, kind, aug, None, recorder, Some(store));
     let seen = personalize_cohort_observed(&encoder, fed, num_classes, &cfg.probe, recorder);
     BaselineResult {
         name: format!("pFL-{}", kind.name()),

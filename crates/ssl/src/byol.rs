@@ -43,11 +43,6 @@ impl Byol {
     pub fn target_encoder(&self) -> &Mlp {
         &self.target_encoder
     }
-
-    /// Mutable access to the EMA target encoder.
-    pub fn target_encoder_mut(&mut self) -> &mut Mlp {
-        &mut self.target_encoder
-    }
 }
 
 impl Module for Byol {

@@ -172,6 +172,7 @@ impl SslMethod for VicReg {
 mod tests {
     use super::*;
     use crate::method::ssl_step;
+    use calibre_tensor::gradcheck::check_gradient;
     use calibre_tensor::optim::{Sgd, SgdConfig};
     use calibre_tensor::rng::{normal_matrix, seeded};
 
@@ -223,6 +224,24 @@ mod tests {
             last < first,
             "VICReg loss should decrease: {first} -> {last}"
         );
+    }
+
+    #[test]
+    fn variance_and_covariance_gradients_match_finite_differences() {
+        // Features with std ≈ 0.3 keep every column inside the hinge's
+        // active side (1 − std ≈ 0.7), away from its kink at std = 1.
+        let (n, d) = (8, 5);
+        let h = normal_matrix(&mut seeded(5), n, d, 0.3);
+        for (term, pick) in [("variance", 0), ("covariance", 1)] {
+            let report = check_gradient(&h, 1e-2, |g, x| {
+                let (variance, covariance) = variance_covariance_terms(g, x, n, d);
+                [variance, covariance][pick]
+            });
+            assert!(
+                report.max_grad > 1e-3 && report.passes(1e-2),
+                "{term}: {report:?}"
+            );
+        }
     }
 
     #[test]

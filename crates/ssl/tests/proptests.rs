@@ -48,6 +48,21 @@ proptest! {
     }
 
     #[test]
+    fn neg_cosine_gradient_matches_finite_differences((a, b) in views(4, 6)) {
+        // BYOL and SimSiam's objective. As above, prediction and target are
+        // rows of one leaf, so the check covers the gradient through both
+        // row normalizations.
+        let x = a.concat_rows(&b);
+        let build = |g: &mut Graph, xn| {
+            let p = g.gather_rows(xn, &[0, 1, 2, 3]);
+            let t = g.gather_rows(xn, &[4, 5, 6, 7]);
+            neg_cosine(g, p, t)
+        };
+        let report = check_gradient(&x, 1e-2, build);
+        prop_assert!(report.max_grad > 1e-3 && report.passes(1e-2), "{report:?}");
+    }
+
+    #[test]
     fn nt_xent_perfect_alignment_approaches_lower_bound((a, _) in views(8, 8)) {
         // With identical views the positive has maximal similarity; the loss
         // must be below the uniform-distribution level ln(2N-1).

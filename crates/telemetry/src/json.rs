@@ -104,14 +104,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// The key → value map if this is an object.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, JsonValue>> {
-        match self {
-            JsonValue::Object(map) => Some(map),
-            _ => None,
-        }
-    }
 }
 
 struct Parser<'a> {

@@ -174,11 +174,6 @@ pub fn current_depth() -> usize {
     STACK.with(|s| s.borrow().frames.len())
 }
 
-/// Stable id of the current thread as used in [`ClosedSpan::tid`].
-pub fn current_tid() -> u64 {
-    STACK.with(|s| s.borrow().tid)
-}
-
 /// RAII guard for one open span; closing (dropping) it reports the span to
 /// the installed collector. Created by [`span`]. Not `Send`: a span
 /// belongs to the thread that opened it.

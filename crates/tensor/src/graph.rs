@@ -21,7 +21,6 @@
 //! and fused cross-entropies used by contrastive losses, and the
 //! gather/concat/group-mean plumbing used by the prototype regularizers.
 
-use crate::conv::ImageShape;
 use crate::pool::{PoolStats, Workspace};
 use crate::Matrix;
 
@@ -80,10 +79,6 @@ enum Op {
     MaskDiagonal(Node, f32),
     /// Identity forward, but blocks gradient flow (stop-gradient).
     Detach(Node),
-    /// Patch extraction for convolution (see [`Graph::im2col`]).
-    Im2Col(Node, ImageShape, usize, usize),
-    /// Row-major reinterpretation of the data with a new shape.
-    Reshape(Node),
 }
 
 struct NodeData {
@@ -689,44 +684,6 @@ impl Graph {
         self.push(v, Op::MaskDiagonal(a, value), rg, None)
     }
 
-    /// Extracts convolution patches from a batch of channel-last images
-    /// (see [`crate::conv`] for the layout). Input `(N, H·W·C)`, output
-    /// `(N·OH·OW, k·k·C)`; the backward pass scatter-adds patch gradients
-    /// back to their source pixels (col2im).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input width does not match `shape`, the kernel does
-    /// not fit, or the stride is zero.
-    pub fn im2col(&mut self, a: Node, shape: ImageShape, kernel: usize, stride: usize) -> Node {
-        let v = crate::conv::im2col_matrix(&self.nodes[a.0].value, shape, kernel, stride);
-        let rg = self.rg(a);
-        self.push(v, Op::Im2Col(a, shape, kernel, stride), rg, None)
-    }
-
-    /// Reinterprets a node's row-major data with a new `(rows, cols)` shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element count changes.
-    pub fn reshape(&mut self, a: Node, rows: usize, cols: usize) -> Node {
-        let v = {
-            let Graph { nodes, ws, .. } = self;
-            let value = &nodes[a.0].value;
-            assert_eq!(
-                value.len(),
-                rows * cols,
-                "reshape cannot change element count: {} -> {rows}x{cols}",
-                value.len()
-            );
-            let mut out = ws.alloc_uninit(rows, cols);
-            out.as_mut_slice().copy_from_slice(value.as_slice());
-            out
-        };
-        let rg = self.rg(a);
-        self.push(v, Op::Reshape(a), rg, None)
-    }
-
     /// Stop-gradient: forwards the value unchanged, blocks all gradient flow.
     pub fn detach(&mut self, a: Node) -> Node {
         let v = self.copy_value(a);
@@ -1174,20 +1131,6 @@ fn apply_backward(
                 for v in d.iter_mut() {
                     *v *= g;
                 }
-                d
-            });
-        }
-        Op::Im2Col(a, shape, kernel, stride) => {
-            let rows = nodes[a.0].value.rows();
-            accumulate(nodes, grads, ws, *a, |_| {
-                crate::conv::col2im_matrix(grad, rows, *shape, *kernel, *stride)
-            });
-        }
-        Op::Reshape(a) => {
-            let (r, c) = nodes[a.0].value.shape();
-            accumulate(nodes, grads, ws, *a, |ws| {
-                let mut d = ws.alloc_uninit(r, c);
-                d.as_mut_slice().copy_from_slice(grad.as_slice());
                 d
             });
         }

@@ -69,7 +69,6 @@ mod graph;
 mod matrix;
 
 pub mod backend;
-pub mod conv;
 pub mod gradcheck;
 pub mod nn;
 pub mod optim;

@@ -178,20 +178,6 @@ impl Linear {
         }
     }
 
-    /// Creates a layer from explicit weight and bias matrices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` is not a `(1, w.cols())` row vector.
-    pub fn from_parts(w: Matrix, b: Matrix) -> Self {
-        assert_eq!(
-            b.shape(),
-            (1, w.cols()),
-            "bias must be a (1, out) row vector"
-        );
-        Linear { w, b }
-    }
-
     /// Input dimensionality.
     pub fn input_dim(&self) -> usize {
         self.w.rows()

@@ -99,11 +99,6 @@ impl Sgd {
         &self.config
     }
 
-    /// Overrides the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.config.lr = lr;
-    }
-
     /// Applies one update step to `module` given `grads` in parameter order.
     ///
     /// # Panics
@@ -321,214 +316,6 @@ impl Sgd {
     }
 }
 
-/// Configuration for [`Adam`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AdamConfig {
-    /// Learning rate.
-    pub lr: f32,
-    /// First-moment decay (β₁).
-    pub beta1: f32,
-    /// Second-moment decay (β₂).
-    pub beta2: f32,
-    /// Numerical-stability constant.
-    pub epsilon: f32,
-    /// Decoupled weight decay (AdamW-style).
-    pub weight_decay: f32,
-}
-
-impl Default for AdamConfig {
-    fn default() -> Self {
-        AdamConfig {
-            lr: 1e-3,
-            beta1: 0.9,
-            beta2: 0.999,
-            epsilon: 1e-8,
-            weight_decay: 0.0,
-        }
-    }
-}
-
-impl AdamConfig {
-    /// Adam with the given learning rate and standard moment decays.
-    pub fn with_lr(lr: f32) -> Self {
-        AdamConfig {
-            lr,
-            ..AdamConfig::default()
-        }
-    }
-}
-
-/// Adam optimizer (Kingma & Ba, 2015) with optional decoupled weight decay.
-///
-/// Provided as a library alternative to [`Sgd`]; the paper's experiments use
-/// SGD throughout, so the reproduction harness never switches to Adam, but
-/// downstream users tuning the SSL stage commonly prefer it.
-///
-/// # Examples
-///
-/// ```
-/// use calibre_tensor::optim::{Adam, AdamConfig};
-/// use calibre_tensor::nn::{Mlp, Activation, Module};
-/// use calibre_tensor::{Matrix, rng};
-///
-/// let mut r = rng::seeded(0);
-/// let mut mlp = Mlp::new(&[2, 2], Activation::Relu, &mut r);
-/// let mut opt = Adam::new(AdamConfig::with_lr(0.01));
-/// let grads: Vec<Matrix> = mlp.parameters().iter()
-///     .map(|p| Matrix::full(p.rows(), p.cols(), 1.0)).collect();
-/// let before = mlp.to_flat();
-/// opt.step(&mut mlp, &grads);
-/// assert_ne!(mlp.to_flat(), before);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Adam {
-    config: AdamConfig,
-    first_moment: Vec<Matrix>,
-    second_moment: Vec<Matrix>,
-    steps: u32,
-}
-
-impl Adam {
-    /// Creates an optimizer with the given configuration.
-    pub fn new(config: AdamConfig) -> Self {
-        Adam {
-            config,
-            first_moment: Vec::new(),
-            second_moment: Vec::new(),
-            steps: 0,
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &AdamConfig {
-        &self.config
-    }
-
-    /// Applies one update step to `module` given `grads` in parameter order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grads.len()` differs from the module's parameter count or
-    /// any gradient shape mismatches its parameter.
-    pub fn step<M: Module + ?Sized>(&mut self, module: &mut M, grads: &[Matrix]) {
-        let span = calibre_telemetry::span("optimizer_step");
-        span.add_items(grads.len() as u64);
-        let mut params = module.parameters_mut();
-        assert_eq!(
-            params.len(),
-            grads.len(),
-            "gradient count {} does not match parameter count {}",
-            grads.len(),
-            params.len()
-        );
-        if self.first_moment.len() != params.len() {
-            self.first_moment = params
-                .iter()
-                .map(|p| Matrix::zeros(p.rows(), p.cols()))
-                .collect();
-            self.second_moment = self.first_moment.clone();
-            self.steps = 0;
-        }
-        self.steps += 1;
-        let bias1 = 1.0 - self.config.beta1.powi(self.steps as i32);
-        let bias2 = 1.0 - self.config.beta2.powi(self.steps as i32);
-
-        for (i, (p, g)) in params.iter_mut().zip(grads.iter()).enumerate() {
-            assert_eq!(p.shape(), g.shape(), "gradient {i} shape mismatch");
-            let m = &mut self.first_moment[i];
-            let v = &mut self.second_moment[i];
-            for ((pv, &gv), (mv, vv)) in p
-                .iter_mut()
-                .zip(g.iter())
-                .zip(m.iter_mut().zip(v.iter_mut()))
-            {
-                *mv = self.config.beta1 * *mv + (1.0 - self.config.beta1) * gv;
-                *vv = self.config.beta2 * *vv + (1.0 - self.config.beta2) * gv * gv;
-                let m_hat = *mv / bias1;
-                let v_hat = *vv / bias2;
-                let mut update = m_hat / (v_hat.sqrt() + self.config.epsilon);
-                if self.config.weight_decay > 0.0 {
-                    update += self.config.weight_decay * *pv;
-                }
-                *pv -= self.config.lr * update;
-            }
-        }
-    }
-
-    /// Clears moment buffers.
-    pub fn reset(&mut self) {
-        self.first_moment.clear();
-        self.second_moment.clear();
-        self.steps = 0;
-    }
-}
-
-/// A learning-rate schedule, mapping a step index to a multiplier-adjusted
-/// learning rate from a base rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum LrSchedule {
-    /// Constant learning rate.
-    Constant,
-    /// Cosine annealing from the base rate to `min_lr` over `total_steps`
-    /// (clamped at `min_lr` afterwards).
-    Cosine {
-        /// Steps over which the rate anneals.
-        total_steps: usize,
-        /// Final learning rate.
-        min_lr: f32,
-    },
-    /// Multiply by `gamma` every `every` steps.
-    Step {
-        /// Steps between decays.
-        every: usize,
-        /// Decay factor per milestone.
-        gamma: f32,
-    },
-    /// Linear warmup from 0 to the base rate over `steps`, constant after.
-    Warmup {
-        /// Warmup length in steps.
-        steps: usize,
-    },
-}
-
-impl LrSchedule {
-    /// Learning rate at `step` (0-indexed) given the base rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a schedule parameter is degenerate (`total_steps == 0`,
-    /// `every == 0`, or `steps == 0`).
-    pub fn lr_at(&self, step: usize, base_lr: f32) -> f32 {
-        match *self {
-            LrSchedule::Constant => base_lr,
-            LrSchedule::Cosine {
-                total_steps,
-                min_lr,
-            } => {
-                assert!(total_steps > 0, "total_steps must be positive");
-                if step >= total_steps {
-                    return min_lr;
-                }
-                let progress = step as f32 / total_steps as f32;
-                let cos = (std::f32::consts::PI * progress).cos();
-                min_lr + 0.5 * (base_lr - min_lr) * (1.0 + cos)
-            }
-            LrSchedule::Step { every, gamma } => {
-                assert!(every > 0, "every must be positive");
-                base_lr * gamma.powi((step / every) as i32)
-            }
-            LrSchedule::Warmup { steps } => {
-                assert!(steps > 0, "steps must be positive");
-                if step >= steps {
-                    base_lr
-                } else {
-                    base_lr * (step + 1) as f32 / steps as f32
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -647,66 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn cosine_schedule_anneals_monotonically() {
-        let sched = LrSchedule::Cosine {
-            total_steps: 100,
-            min_lr: 0.001,
-        };
-        assert!((sched.lr_at(0, 0.1) - 0.1).abs() < 1e-4);
-        let mut last = f32::INFINITY;
-        for step in 0..120 {
-            let lr = sched.lr_at(step, 0.1);
-            assert!(lr <= last + 1e-7, "cosine must not increase");
-            assert!(lr >= 0.001 - 1e-7);
-            last = lr;
-        }
-        assert!(
-            (sched.lr_at(150, 0.1) - 0.001).abs() < 1e-6,
-            "clamps at min"
-        );
-    }
-
-    #[test]
-    fn step_schedule_decays_at_milestones() {
-        let sched = LrSchedule::Step {
-            every: 10,
-            gamma: 0.5,
-        };
-        assert_eq!(sched.lr_at(0, 1.0), 1.0);
-        assert_eq!(sched.lr_at(9, 1.0), 1.0);
-        assert_eq!(sched.lr_at(10, 1.0), 0.5);
-        assert_eq!(sched.lr_at(25, 1.0), 0.25);
-    }
-
-    #[test]
-    fn warmup_ramps_then_holds() {
-        let sched = LrSchedule::Warmup { steps: 4 };
-        assert!((sched.lr_at(0, 0.8) - 0.2).abs() < 1e-6);
-        assert!((sched.lr_at(3, 0.8) - 0.8).abs() < 1e-6);
-        assert_eq!(sched.lr_at(100, 0.8), 0.8);
-    }
-
-    #[test]
-    fn schedule_drives_sgd_via_set_lr() {
-        let mut m = Mlp::new(&[1, 1], Activation::Identity, &mut rng::seeded(12));
-        let mut opt = Sgd::new(SgdConfig::with_lr(1.0));
-        let sched = LrSchedule::Step {
-            every: 1,
-            gamma: 0.5,
-        };
-        let gr = unit_grads(&m);
-        let start = m.to_flat();
-        for step in 0..3 {
-            opt.set_lr(sched.lr_at(step, 1.0));
-            opt.step(&mut m, &gr);
-        }
-        // Total movement = 1.0 + 0.5 + 0.25.
-        for (s, e) in start.iter().zip(m.to_flat().iter()) {
-            assert!((s - 1.75 - e).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn step_graph_matches_materialized_step_bitwise() {
         // The in-place graph path must be indistinguishable from
         // materializing gradients and calling step — including momentum,
@@ -794,105 +521,5 @@ mod tests {
         let a: Vec<u32> = m_ref.to_flat().iter().map(|v| v.to_bits()).collect();
         let b: Vec<u32> = m_graph.to_flat().iter().map(|v| v.to_bits()).collect();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn adam_first_step_magnitude_is_learning_rate() {
-        // With bias correction, the very first Adam step is ≈ lr·sign(g).
-        let mut r = rng::seeded(6);
-        let mut m = Mlp::new(&[2, 2], Activation::Identity, &mut r);
-        let before = m.to_flat();
-        let mut opt = Adam::new(AdamConfig::with_lr(0.01));
-        let gr = unit_grads(&m);
-        opt.step(&mut m, &gr);
-        for (b, a) in before.iter().zip(m.to_flat().iter()) {
-            assert!(((b - a) - 0.01).abs() < 1e-4, "step {}", b - a);
-        }
-    }
-
-    #[test]
-    fn adam_is_scale_invariant_to_gradient_magnitude() {
-        // Adam normalizes by the second moment: constant gradients of any
-        // size produce (almost) the same step.
-        let mut r = rng::seeded(7);
-        let run = |scale: f32| -> Vec<f32> {
-            let mut m = Mlp::new(&[2, 2], Activation::Identity, &mut rng::seeded(8));
-            let mut opt = Adam::new(AdamConfig::with_lr(0.01));
-            let grads: Vec<Matrix> = m
-                .parameters()
-                .iter()
-                .map(|p| Matrix::full(p.rows(), p.cols(), scale))
-                .collect();
-            for _ in 0..3 {
-                opt.step(&mut m, &grads);
-            }
-            m.to_flat()
-        };
-        let _ = &mut r;
-        let small = run(0.001);
-        let large = run(100.0);
-        for (s, l) in small.iter().zip(large.iter()) {
-            assert!((s - l).abs() < 1e-3, "{s} vs {l}");
-        }
-    }
-
-    #[test]
-    fn adam_converges_on_quadratic() {
-        // Minimize mean((x·w)²) — Adam should drive w toward 0.
-        let mut r = rng::seeded(9);
-        let mut m = Mlp::new(&[3, 1], Activation::Identity, &mut r);
-        let x = rng::normal_matrix(&mut r, 16, 3, 1.0);
-        let mut opt = Adam::new(AdamConfig::with_lr(0.05));
-        let norm_of = |m: &Mlp| m.to_flat().iter().map(|v| v * v).sum::<f32>();
-        let before = norm_of(&m);
-        for _ in 0..200 {
-            let mut g = crate::Graph::new();
-            let xn = g.constant(x.clone());
-            let mut binding = crate::nn::Binding::new();
-            let y = m.forward(&mut g, xn, &mut binding);
-            let sq = g.mul(y, y);
-            let loss = g.mean_all(sq);
-            g.backward(loss);
-            let grads = crate::nn::gradients(&g, &binding);
-            opt.step(&mut m, &grads);
-        }
-        let after = norm_of(&m);
-        assert!(after < before * 0.05, "{before} -> {after}");
-    }
-
-    #[test]
-    fn adam_weight_decay_shrinks_parameters() {
-        let mut m = Mlp::new(&[2, 2], Activation::Identity, &mut rng::seeded(10));
-        let zeros: Vec<Matrix> = m
-            .parameters()
-            .iter()
-            .map(|p| Matrix::zeros(p.rows(), p.cols()))
-            .collect();
-        let before: f32 = m.to_flat().iter().map(|v| v.abs()).sum();
-        let mut opt = Adam::new(AdamConfig {
-            lr: 0.1,
-            weight_decay: 0.5,
-            ..AdamConfig::default()
-        });
-        for _ in 0..5 {
-            opt.step(&mut m, &zeros);
-        }
-        let after: f32 = m.to_flat().iter().map(|v| v.abs()).sum();
-        assert!(after < before, "decay should shrink: {before} -> {after}");
-    }
-
-    #[test]
-    fn adam_reset_restarts_bias_correction() {
-        let mut m = Mlp::new(&[1, 1], Activation::Identity, &mut rng::seeded(11));
-        let mut opt = Adam::new(AdamConfig::with_lr(0.01));
-        let gr = unit_grads(&m);
-        opt.step(&mut m, &gr);
-        opt.reset();
-        let before = m.to_flat();
-        opt.step(&mut m, &gr);
-        // After reset the first-step property holds again.
-        for (b, a) in before.iter().zip(m.to_flat().iter()) {
-            assert!(((b - a) - 0.01).abs() < 1e-4);
-        }
     }
 }

@@ -32,11 +32,6 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R) -> f32 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
-/// Draws one sample from `N(mean, std²)`.
-pub fn normal_with<R: Rng + ?Sized>(rng: &mut R, mean: f32, std: f32) -> f32 {
-    mean + std * normal(rng)
-}
-
 /// Fills a vector with `n` i.i.d. standard normal samples.
 pub fn normal_vec<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<f32> {
     (0..n).map(|_| normal(rng)).collect()

@@ -33,28 +33,6 @@ fn mask_diagonal_rejects_rectangles() {
 }
 
 #[test]
-#[should_panic(expected = "reshape cannot change element count")]
-fn reshape_rejects_size_change() {
-    let mut g = Graph::new();
-    let a = g.constant(Matrix::zeros(2, 3));
-    g.reshape(a, 2, 4);
-}
-
-#[test]
-fn reshape_roundtrip_preserves_gradients() {
-    let mut g = Graph::new();
-    let x = g.leaf(Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]));
-    let flat = g.reshape(x, 1, 4);
-    let back = g.reshape(flat, 2, 2);
-    let sq = g.mul(back, back);
-    let loss = g.sum_all(sq);
-    g.backward(loss);
-    let grad = g.grad(x).unwrap();
-    assert_eq!(grad.row(0), &[2.0, 4.0]);
-    assert_eq!(grad.row(1), &[6.0, 8.0]);
-}
-
-#[test]
 fn exp_log_inverse_roundtrip() {
     let mut g = Graph::new();
     let x = g.constant(Matrix::from_rows(&[vec![0.5, 1.5, 2.5]]));
