@@ -958,7 +958,9 @@ use rand::Rng as _;
 ///   each accepted update at once and checks
 ///   [`crate::scheduler::RoundPolicy::min_quorum`] at the end: a round
 ///   below quorum never calls [`UpdateSink::finish`]. A sink serves one
-///   round; callers build a fresh one every round.
+///   round; callers build a fresh one every round, and may hand it the
+///   previous round's aggregate through [`UpdateSink::adopt`] to
+///   aggregate in without allocating.
 /// * **Callers screen first.** A sink trusts what it is handed: the
 ///   engine rejects a reply whose length differs from the global model's,
 ///   whose weight is non-finite or negative, or whose update is non-finite
@@ -1019,6 +1021,12 @@ pub trait UpdateSink {
     fn held(&self) -> Option<Vec<&[f32]>> {
         None
     }
+
+    /// Offers a spent buffer, such as the previous round's aggregate, for
+    /// the sink to accumulate in. Its contents are ignored: a sink that
+    /// adopts it zeroes it at the first fold, and it counts in
+    /// [`UpdateSink::state_bytes`] from then on. The default drops it.
+    fn adopt(&mut self, _buf: Vec<f32>) {}
 
     /// Drains the accumulated state into the aggregate.
     ///
@@ -1131,8 +1139,11 @@ impl UpdateSink for StreamingWeightedSink {
         update: Cow<'_, [f32]>,
         weight: f32,
     ) -> Result<(), AggregateError> {
-        if self.folded == 0 && self.acc.is_empty() {
-            self.acc = vec![0.0; update.len()];
+        if self.folded == 0 {
+            // A fresh accumulator, or an adopted buffer zeroed in place.
+            self.acc.clear();
+            self.acc.reserve_exact(update.len());
+            self.acc.resize(update.len(), 0.0);
         }
         if update.len() != self.acc.len() {
             return Err(AggregateError::LengthMismatch {
@@ -1167,8 +1178,20 @@ impl UpdateSink for StreamingWeightedSink {
 
     fn state_bytes(&self) -> usize {
         // Capacity, not length: allocated-but-unused slack is still resident
-        // memory the cohort bench's flat-peak assertion must see.
-        self.acc.capacity() * std::mem::size_of::<f32>() + std::mem::size_of::<Self>()
+        // memory the cohort bench's flat-peak assertion must see. An adopted
+        // buffer becomes accumulator state at the first fold.
+        let acc = if self.folded == 0 {
+            0
+        } else {
+            self.acc.capacity()
+        };
+        acc * std::mem::size_of::<f32>() + std::mem::size_of::<Self>()
+    }
+
+    fn adopt(&mut self, buf: Vec<f32>) {
+        if self.folded == 0 {
+            self.acc = buf;
+        }
     }
 
     fn finish(&mut self) -> Result<Vec<f32>, AggregateError> {

@@ -546,15 +546,22 @@ pub struct ServerCheckpoint {
 impl ServerCheckpoint {
     /// Serializes the snapshot, with a trailing integrity checksum.
     pub fn to_text(&self) -> String {
+        ServerCheckpoint::text_of(self.round, &self.model, &self.reputation)
+    }
+
+    /// The text of `ServerCheckpoint { round, model, reputation }`, written
+    /// from borrowed parts: the serve loop checkpoints every round without
+    /// copying its model into a snapshot first.
+    pub fn text_of(round: usize, model: &[f32], reputation: &ReputationBook) -> String {
         let mut out = String::new();
         out.push_str("calibre-server-checkpoint v1\n");
-        let _ = writeln!(out, "round {}", self.round);
-        let _ = write!(out, "model {}", self.model.len());
-        for v in &self.model {
+        let _ = writeln!(out, "round {round}");
+        let _ = write!(out, "model {}", model.len());
+        for v in model {
             let _ = write!(out, " {:08x}", v.to_bits());
         }
         out.push('\n');
-        out.push_str(&self.reputation.to_checkpoint_lines());
+        out.push_str(&reputation.to_checkpoint_lines());
         append_checksum(&mut out);
         out
     }

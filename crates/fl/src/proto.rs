@@ -23,7 +23,11 @@
 //! lanes at a time, vectors are converted in bulk, and each endpoint owns
 //! one frame buffer that serves both directions. [`Msg::write_to`] encodes
 //! into it and writes once; [`Msg::read_from`] reads one whole frame into
-//! it and parses it with [`Msg::decode`], the one frame parser.
+//! it and parses it with [`Msg::decode_into`], the one frame parser.
+//! Model vectors decode into a float buffer the caller supplies
+//! ([`Msg::read_into`]), so an endpoint that hands the same buffer back
+//! every round decodes without allocating; `read_from` and
+//! [`Msg::decode`] pass a fresh one.
 //!
 //! Decoding is total: arbitrary junk, truncated frames, bad versions, bad
 //! tags, and flipped bits all surface as typed [`WireError`]s, never as
@@ -375,7 +379,10 @@ impl Msg {
         }
     }
 
-    fn decode_payload(tag: u8, payload: &[u8]) -> Result<Msg, WireError> {
+    /// Parses one payload. An `Assign` model or `Update` vector is decoded
+    /// into `floats` and moved into the message only once the whole payload
+    /// has parsed, so on any error `floats` keeps its allocation.
+    fn decode_payload(tag: u8, payload: &[u8], floats: &mut Vec<f32>) -> Result<Msg, WireError> {
         let mut c = Cursor::new(payload);
         let msg = match tag {
             tag::HELLO => Msg::Hello {
@@ -390,20 +397,31 @@ impl Msg {
                 churn_prob: c.take_f32()?,
                 churn_seed: c.take_u64()?,
             },
-            tag::ASSIGN => Msg::Assign {
-                round: c.take_u32()?,
-                slot: c.take_u32()?,
-                attempt: c.take_u32()?,
-                model: c.take_vec_f32()?,
-            },
-            tag::UPDATE => Msg::Update {
-                round: c.take_u32()?,
-                slot: c.take_u32()?,
-                client: c.take_u64()?,
-                weight: c.take_f32()?,
-                loss: c.take_f32()?,
-                update: c.take_vec_f32()?,
-            },
+            tag::ASSIGN => {
+                let (round, slot, attempt) = (c.take_u32()?, c.take_u32()?, c.take_u32()?);
+                c.take_vec_f32(floats)?;
+                c.end()?;
+                Msg::Assign {
+                    round,
+                    slot,
+                    attempt,
+                    model: std::mem::take(floats),
+                }
+            }
+            tag::UPDATE => {
+                let (round, slot, client) = (c.take_u32()?, c.take_u32()?, c.take_u64()?);
+                let (weight, loss) = (c.take_f32()?, c.take_f32()?);
+                c.take_vec_f32(floats)?;
+                c.end()?;
+                Msg::Update {
+                    round,
+                    slot,
+                    client,
+                    weight,
+                    loss,
+                    update: std::mem::take(floats),
+                }
+            }
             tag::FINISH => Msg::Finish {
                 rounds: c.take_u32()?,
                 checksum: c.take_u64()?,
@@ -411,10 +429,7 @@ impl Msg {
             tag::BYE => Msg::Bye,
             other => return Err(WireError::BadTag(other)),
         };
-        let left = c.remaining();
-        if left > 0 {
-            return Err(WireError::TrailingBytes(left));
-        }
+        c.end()?;
         Ok(msg)
     }
 
@@ -441,6 +456,20 @@ impl Msg {
     /// oversize length, checksum mismatch, trailing payload bytes —
     /// returns the matching [`WireError`]; this function never panics.
     pub fn decode(buf: &[u8]) -> Result<(Msg, usize), WireError> {
+        Msg::decode_into(buf, &mut Vec::new())
+    }
+
+    /// [`Msg::decode`], with an `Assign` model or `Update` vector decoded
+    /// into `floats`, whatever it held, reusing its capacity. The message
+    /// then owns that buffer and `floats` is left empty; any other message
+    /// leaves `floats` as it was, and on an error it keeps its allocation
+    /// (its contents unspecified). The result is always what
+    /// [`Msg::decode`] returns.
+    ///
+    /// # Errors
+    ///
+    /// As [`Msg::decode`].
+    pub fn decode_into(buf: &[u8], floats: &mut Vec<f32>) -> Result<(Msg, usize), WireError> {
         let (tag, len) = parse_header(buf)?;
         let body_len = HEADER_BYTES + len as usize;
         let total = body_len + CHECKSUM_BYTES;
@@ -456,7 +485,7 @@ impl Msg {
             return Err(WireError::BadChecksum { expected, got });
         }
         let payload = body.get(HEADER_BYTES..).unwrap_or(&[]);
-        let msg = Msg::decode_payload(tag, payload)?;
+        let msg = Msg::decode_payload(tag, payload, floats)?;
         Ok((msg, total))
     }
 
@@ -491,7 +520,23 @@ impl Msg {
     /// is `UnexpectedEof`); the decode errors of [`Msg::decode`] on
     /// malformed frames.
     pub fn read_from<R: Read + ?Sized>(r: &mut R, buf: &mut Vec<u8>) -> Result<Msg, WireError> {
-        match read_frame(r, buf).and_then(|()| Msg::decode(buf)) {
+        Msg::read_into(r, buf, &mut Vec::new())
+    }
+
+    /// [`Msg::read_from`], decoding an `Assign` model or `Update` vector
+    /// into `floats` as [`Msg::decode_into`] does: an endpoint that hands
+    /// the same buffer back every round decodes its vectors without
+    /// allocating.
+    ///
+    /// # Errors
+    ///
+    /// As [`Msg::read_from`].
+    pub fn read_into<R: Read + ?Sized>(
+        r: &mut R,
+        buf: &mut Vec<u8>,
+        floats: &mut Vec<f32>,
+    ) -> Result<Msg, WireError> {
+        match read_frame(r, buf).and_then(|()| Msg::decode_into(buf, floats)) {
             Ok((msg, bytes)) => {
                 metrics::counter_add(
                     "calibre_net_frames_received_total",
@@ -685,8 +730,18 @@ impl<'a> Cursor<'a> {
         Ok(f32::from_bits(self.take_u32()?))
     }
 
-    /// Reads an element count, then that many values in bulk.
-    fn take_vec_f32(&mut self) -> Result<Vec<f32>, WireError> {
+    /// Fails with [`WireError::TrailingBytes`] unless the payload is used up.
+    fn end(&self) -> Result<(), WireError> {
+        match self.remaining() {
+            0 => Ok(()),
+            left => Err(WireError::TrailingBytes(left)),
+        }
+    }
+
+    /// Reads an element count, then that many values in bulk into `out`,
+    /// replacing its contents and reusing its capacity. `out` is untouched
+    /// when the count is truncated or lies.
+    fn take_vec_f32(&mut self, out: &mut Vec<f32>) -> Result<(), WireError> {
         let n = self.take_u32()? as usize;
         // Each element needs 4 payload bytes; an absurd count is caught
         // here before any allocation.
@@ -697,10 +752,14 @@ impl<'a> Cursor<'a> {
             });
         }
         let bytes = self.take(4 * n)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|b| b.try_into().map_or(0.0, f32::from_le_bytes))
-            .collect())
+        out.clear();
+        out.reserve_exact(n);
+        out.extend(
+            bytes
+                .chunks_exact(4)
+                .map(|b| b.try_into().map_or(0.0, f32::from_le_bytes)),
+        );
+        Ok(())
     }
 }
 

@@ -355,6 +355,11 @@ impl RoundScheduler {
     /// `skipped: true` and never calls [`UpdateSink::finish`]. Folds
     /// cannot be undone, so callers build a fresh sink every round.
     ///
+    /// A reply's update buffer goes back to the transport
+    /// ([`Transport::reclaim`]) as soon as the round is done with it: a
+    /// rejected reply at once, a folded one after the fold unless the sink
+    /// or detection keeps it.
+    ///
     /// Telemetry: one `attack` event per attacked selection, one `fault`
     /// event per client outcome the engine decides, in slot order —
     /// `dropout` and `panic` before dispatch, the corruption tag or
@@ -437,6 +442,7 @@ impl RoundScheduler {
                         out.rejected += 1;
                         loose_bytes += bytes;
                         recorder.fault(round, id, 0, tag, true);
+                        transport.reclaim(reply.update);
                         continue;
                     }
                 };
@@ -462,7 +468,10 @@ impl RoundScheduler {
                             watched_bytes += bytes;
                             watched.push(reply.update);
                         }
-                        None => loose_bytes += bytes,
+                        None => {
+                            loose_bytes += bytes;
+                            transport.reclaim(reply.update);
+                        }
                     }
                 }
             }
@@ -1136,6 +1145,137 @@ mod tests {
             assert_eq!(closing, want, "round {round}");
         }
         assert!(book.is_quarantined(bad), "the outlier must be quarantined");
+    }
+
+    /// A transport that keeps every reclaimed buffer alive, so each reply
+    /// of a round has its own address, and records the client and address
+    /// of every reply it returns.
+    struct Recycling<T> {
+        inner: T,
+        replied: Vec<(usize, usize)>,
+        reclaimed: Vec<Vec<f32>>,
+    }
+
+    impl<T: Transport> Transport for Recycling<T> {
+        fn wave(
+            &mut self,
+            round: usize,
+            slots: &[WaveSlot],
+            global: &[f32],
+        ) -> Result<Vec<Option<StreamUpdate>>, TransportError> {
+            let replies = self.inner.wave(round, slots, global)?;
+            for (slot, reply) in slots.iter().zip(&replies) {
+                if let Some(r) = reply {
+                    self.replied.push((slot.client, r.update.as_ptr() as usize));
+                }
+            }
+            Ok(replies)
+        }
+
+        fn finish(&mut self, rounds: usize, checksum: u64) -> Result<(), TransportError> {
+            self.inner.finish(rounds, checksum)
+        }
+
+        fn reclaim(&mut self, update: Vec<f32>) {
+            self.reclaimed.push(update);
+        }
+    }
+
+    #[test]
+    fn replies_the_round_is_done_with_are_reclaimed_exactly_once() {
+        // Twelve clients in waves of four, dim 16: clients 0, 5 and 10
+        // reply NaN and client 3 the wrong length, so four are rejected.
+        let (dim, population) = (16, 12);
+        let update_of = |id: usize| -> Vec<f32> {
+            match id {
+                _ if id.is_multiple_of(5) => vec![f32::NAN; dim],
+                3 => vec![1.0; dim - 1],
+                // analyze:allow(lossy-cast) -- toy values in tests.
+                _ => (0..dim)
+                    .map(|d| ((id * dim + d) % 23) as f32 * 0.1)
+                    .collect(),
+            }
+        };
+        let run = |aggregator: Aggregator, detect: bool, recycle: bool| {
+            let scheduler = RoundScheduler::sampled(
+                Sampler::new(SamplerKind::Uniform, 9),
+                population,
+                population,
+                1,
+            )
+            .with_policy(RoundPolicy {
+                aggregator,
+                ..RoundPolicy::default()
+            })
+            .with_detection(detect);
+            let selected = scheduler.select(0, None);
+            let inner = InProcessTransport::new(|_round, id, _global: &[f32]| StreamUpdate {
+                update: update_of(id),
+                weight: 1.0,
+                loss: 0.0,
+                divergence: 0.0,
+            });
+            let mut recycling = Recycling {
+                inner,
+                replied: Vec::new(),
+                reclaimed: Vec::new(),
+            };
+            // The bare inner transport drops what it is handed back.
+            let transport: &mut dyn Transport = if recycle {
+                &mut recycling
+            } else {
+                &mut recycling.inner
+            };
+            let rec = MemoryRecorder::new();
+            let mut sink = aggregator.sink(selected.len(), 3);
+            let out = scheduler
+                .run_round(
+                    0,
+                    &selected,
+                    4,
+                    &vec![0.0; dim],
+                    sink.as_mut(),
+                    transport,
+                    &rec,
+                )
+                .unwrap();
+            assert_eq!((out.accepted, out.rejected), (8, 4));
+            let reclaimed: Vec<usize> = recycling
+                .reclaimed
+                .iter()
+                .map(|u| u.as_ptr() as usize)
+                .collect();
+            (out, rec.events(), recycling.replied, reclaimed)
+        };
+        let streaming = Aggregator::WeightedAverage;
+        let keeping = Aggregator::CoordinateMedian;
+        for (aggregator, detect) in [(streaming, false), (keeping, false), (streaming, true)] {
+            let (out, events, replied, mut reclaimed) = run(aggregator, detect, true);
+            let (plain, plain_events, ..) = run(aggregator, detect, false);
+            let case = format!("{aggregator:?}, detect {detect}");
+            // Reclaiming changes no event, no figure and no bit.
+            assert_eq!(events, plain_events, "{case}: events");
+            assert_eq!(out.peak_state_bytes, plain.peak_state_bytes, "{case}: peak");
+            let bits = |v: &Option<Vec<f32>>| {
+                v.as_ref()
+                    .map(|u| u.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+            };
+            assert_eq!(bits(&out.aggregated), bits(&plain.aggregated), "{case}");
+
+            // A streaming sink beside no detection keeps nothing, so every
+            // reply comes back once; otherwise only the rejected ones do.
+            let kept_nothing = aggregator == streaming && !detect;
+            let mut want: Vec<usize> = replied
+                .iter()
+                .filter(|(id, _)| kept_nothing || !out.clients.contains(id))
+                .map(|&(_, addr)| addr)
+                .collect();
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(want.len(), if kept_nothing { population } else { 4 });
+            reclaimed.sort_unstable();
+            assert_eq!(reclaimed, want, "{case}: reclaimed buffers");
+        }
     }
 
     #[test]

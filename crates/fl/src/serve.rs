@@ -175,6 +175,10 @@ fn restore_or_init(
 /// both [`run_server`] and [`run_in_process`] execute — the heart of the
 /// cross-transport identity guarantee.
 ///
+/// Each round's aggregate, once applied to the model, is handed to the
+/// next round's sink ([`crate::aggregate::UpdateSink::adopt`]), so a
+/// weighted round accumulates in it instead of a fresh buffer.
+///
 /// # Errors
 ///
 /// Propagates unrecoverable [`TransportError`]s (per-client delivery
@@ -208,6 +212,7 @@ pub fn run_rounds(
         model: Vec::new(),
         checksum: 0,
     };
+    let mut spent = Vec::new();
     for round in start_round..cfg.rounds {
         let selected = scheduler.select(round, None);
         recorder.round_start(round, &selected);
@@ -219,6 +224,7 @@ pub fn run_rounds(
             selected.len().max(1),
             cfg.seed ^ (round as u64).wrapping_mul(0xA24B_AED4_963E_E407),
         );
+        sink.adopt(std::mem::take(&mut spent));
         let streamed = scheduler.run_round(
             round,
             &selected,
@@ -234,6 +240,7 @@ pub fn run_rounds(
             for (m, a) in model.iter_mut().zip(aggregate.iter()) {
                 *m += a;
             }
+            spent = aggregate;
         } else {
             out.skipped_rounds += 1;
         }
@@ -245,13 +252,9 @@ pub fn run_rounds(
             f64::from(streamed.mean_loss),
         );
         if let Some(store) = &store {
-            let ckpt = ServerCheckpoint {
-                round: round + 1,
-                model: model.clone(),
-                reputation: scheduler.reputation(),
-            };
+            let text = ServerCheckpoint::text_of(round + 1, &model, &scheduler.reputation());
             store
-                .save_text(&ckpt.to_text())
+                .save_text(&text)
                 .map_err(|e| TransportError::Protocol(format!("checkpoint save: {e}")))?;
         }
     }
@@ -373,6 +376,23 @@ mod tests {
         );
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(dir.join("server.ckpt.prev"));
+    }
+
+    #[test]
+    fn the_serve_checkpoint_is_the_snapshot_text() {
+        let dir = std::env::temp_dir().join(format!("calibre-serve-text-{}", std::process::id()));
+        let path = dir.join("server.ckpt");
+        let mut cfg = ServeConfig::smoke();
+        cfg.checkpoint = Some(path.clone());
+        let out = run_in_process(&cfg, &NullRecorder).unwrap();
+        let written = std::fs::read_to_string(&path).unwrap();
+        let snapshot = ServerCheckpoint {
+            round: cfg.rounds,
+            model: out.model,
+            reputation: ReputationBook::new(),
+        };
+        assert_eq!(written, snapshot.to_text());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

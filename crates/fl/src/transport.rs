@@ -102,9 +102,10 @@ impl From<WireError> for TransportError {
 ///
 /// A transport delivers one wave of assignments and returns the replies in
 /// slot order; `None` marks a client whose reply could not be obtained
-/// (the orchestrator counts it as dropped). [`Transport::finish`] announces
-/// the end of the run (a broadcast for socket transports, a no-op
-/// in-process).
+/// (the orchestrator counts it as dropped). [`Transport::reclaim`] takes
+/// back an update buffer the orchestrator is done with, and
+/// [`Transport::finish`] announces the end of the run (a broadcast for
+/// socket transports, a no-op in-process).
 pub trait Transport {
     /// Executes one wave: deliver `global` to every slot, collect replies.
     ///
@@ -128,6 +129,11 @@ pub trait Transport {
     ///
     /// Socket transports report a failure to reach any registered client.
     fn finish(&mut self, rounds: usize, checksum: u64) -> Result<(), TransportError>;
+
+    /// Hands back a reply's update buffer once the orchestrator is done
+    /// with it, so a later reply can be decoded into it instead of a fresh
+    /// allocation. The default drops it.
+    fn reclaim(&mut self, _update: Vec<f32>) {}
 }
 
 impl std::fmt::Debug for dyn Transport + '_ {
@@ -393,6 +399,10 @@ pub struct WelcomeInfo {
 /// executes waves by sending `Assign` frames and collecting `Update`
 /// replies, with bounded retries, reconnect handling, and deterministic
 /// wire-fault injection ([`WireInjector`]).
+///
+/// Replies decode into update buffers handed back through
+/// [`Transport::reclaim`]: it keeps at most one spare per slot of its
+/// largest wave, so a steady round allocates no update buffer.
 pub struct SocketTransport {
     listener: Listener,
     conns: BTreeMap<usize, Conn>,
@@ -401,6 +411,10 @@ pub struct SocketTransport {
     wire: Option<WireInjector>,
     /// The one frame buffer every send and receive reuses.
     buf: Vec<u8>,
+    /// Reclaimed update buffers the next replies decode into.
+    spares: Vec<Vec<f32>>,
+    /// Slots in the largest wave so far: the most spares worth keeping.
+    max_wave: usize,
 }
 
 impl std::fmt::Debug for SocketTransport {
@@ -429,6 +443,8 @@ impl SocketTransport {
             net,
             wire,
             buf: Vec::new(),
+            spares: Vec::new(),
+            max_wave: 0,
         }
     }
 
@@ -568,11 +584,27 @@ impl SocketTransport {
     /// (earlier rounds or attempts) are discarded — deduplication by
     /// `(round, slot)` is what makes duplicate deliveries harmless.
     fn read_reply(&mut self, round: usize, slot: WaveSlot) -> Option<StreamUpdate> {
+        let mut floats = self.spares.pop().unwrap_or_default();
+        let reply = self.read_reply_into(round, slot, &mut floats);
+        // A buffer no reply took is kept like a reclaimed one.
+        if floats.capacity() > 0 {
+            self.reclaim(floats);
+        }
+        reply
+    }
+
+    /// [`SocketTransport::read_reply`], decoding updates into `floats`.
+    fn read_reply_into(
+        &mut self,
+        round: usize,
+        slot: WaveSlot,
+        floats: &mut Vec<f32>,
+    ) -> Option<StreamUpdate> {
         // Bound the number of discarded frames per call so a babbling peer
         // cannot stall the wave forever.
         for _ in 0..64 {
             let conn = self.conns.get_mut(&slot.client)?;
-            match Msg::read_from(conn, &mut self.buf) {
+            match Msg::read_into(conn, &mut self.buf, floats) {
                 Ok(Msg::Update {
                     round: r,
                     slot: s,
@@ -592,7 +624,9 @@ impl SocketTransport {
                             divergence: 0.0,
                         });
                     }
-                    // Stale duplicate from an earlier attempt or round.
+                    // Stale duplicate from an earlier attempt or round:
+                    // decode the next frame into its buffer.
+                    *floats = update;
                 }
                 Ok(Msg::Bye) => {
                     self.conns.remove(&slot.client);
@@ -618,6 +652,7 @@ impl Transport for SocketTransport {
         global: &[f32],
     ) -> Result<Vec<Option<StreamUpdate>>, TransportError> {
         let _wave_timer = metrics::start_timer("calibre_net_wave_ms", &[]);
+        self.max_wave = self.max_wave.max(slots.len());
         let mut results: Vec<Option<StreamUpdate>> = slots.iter().map(|_| None).collect();
         for attempt in 0..self.net.max_attempts.max(1) {
             // Pick up reconnects (churned or reset clients) before retrying.
@@ -669,6 +704,12 @@ impl Transport for SocketTransport {
             ));
         }
         Ok(())
+    }
+
+    fn reclaim(&mut self, update: Vec<f32>) {
+        if self.spares.len() < self.max_wave {
+            self.spares.push(update);
+        }
     }
 }
 
@@ -810,7 +851,9 @@ fn connect_and_hello(
 ///
 /// `work` must be a pure function of `(round, global)` — retries and
 /// reconnects recompute, and bit-identity across transports relies on the
-/// recomputed bytes being identical.
+/// recomputed bytes being identical. Every `Assign` decodes into one model
+/// buffer the client keeps for the whole run, so `global` is the same
+/// allocation in every call.
 ///
 /// # Errors
 ///
@@ -827,8 +870,10 @@ where
     F: FnMut(usize, &[f32]) -> StreamUpdate,
 {
     let mut work = work;
-    // The one frame buffer this client's sends and receives reuse.
+    // The one frame buffer this client's sends and receives reuse, and the
+    // model buffer every `Assign` decodes into.
     let mut buf = Vec::new();
+    let mut model = Vec::new();
     let (mut conn, welcome) = connect_and_hello(addr, client, opts, &mut buf)?;
     let churn = crate::chaos::WireFaultPlan {
         churn_prob: welcome.churn_prob,
@@ -845,15 +890,17 @@ where
     };
     let mut idle = 0usize;
     loop {
-        match Msg::read_from(&mut conn, &mut buf) {
+        match Msg::read_into(&mut conn, &mut buf, &mut model) {
             Ok(Msg::Assign {
                 round,
                 slot,
                 attempt: _,
-                model,
+                model: global,
             }) => {
                 idle = 0;
-                let su = work(round as usize, &model);
+                let su = work(round as usize, &global);
+                // The next `Assign` decodes into the same buffer.
+                model = global;
                 let update = Msg::Update {
                     round,
                     slot,
@@ -994,6 +1041,80 @@ mod tests {
         let report = client.join().unwrap().unwrap();
         assert_eq!(report.final_checksum, 99);
         assert_eq!(report.updates_sent, 1);
+    }
+
+    #[test]
+    fn steady_rounds_decode_into_reclaimed_and_kept_buffers() {
+        // Each round's model is shorter than the last, in a smaller
+        // allocator size class, so a fresh buffer would not land on a freed
+        // one's address by chance.
+        let dims = [64usize, 48, 32, 16];
+        let listener = Listener::bind_tcp("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr();
+        let welcome = WelcomeInfo {
+            seed: 7,
+            rounds: dims.len() as u32,
+            dim: 64,
+            population: 2,
+            churn_prob: 0.0,
+            churn_seed: 0,
+        };
+        let mut server = SocketTransport::new(listener, welcome, NetPolicy::default(), None);
+        let slots = [
+            WaveSlot { slot: 0, client: 0 },
+            WaveSlot { slot: 1, client: 1 },
+        ];
+        // Short patience, so a failing server side ends the scope quickly.
+        let opts = ClientOptions {
+            idle_patience: 10,
+            ..ClientOptions::default()
+        };
+        let models_seen = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..2u64)
+                .map(|id| {
+                    let (addr, opts) = (ClientAddr::Tcp(addr.clone()), &opts);
+                    scope.spawn(move || {
+                        let mut seen = Vec::new();
+                        run_client(&addr, id, opts, |round, global| {
+                            seen.push(global.as_ptr() as usize);
+                            StreamUpdate {
+                                update: global.iter().map(|g| g + round as f32).collect(),
+                                weight: 1.0,
+                                loss: 0.0,
+                                divergence: 0.0,
+                            }
+                        })
+                        .unwrap();
+                        seen
+                    })
+                })
+                .collect();
+            server.register().unwrap();
+            let mut handed_back = Vec::new();
+            for (round, &dim) in dims.iter().enumerate() {
+                let global = vec![0.5f32; dim];
+                let replies = server.wave(round, &slots, &global).unwrap();
+                for reply in replies {
+                    let update = reply.unwrap().update;
+                    assert_eq!(update, vec![0.5 + round as f32; dim]);
+                    let at = update.as_ptr() as usize;
+                    if round > 0 {
+                        assert!(handed_back.contains(&at), "round {round}: fresh buffer");
+                    }
+                    handed_back.push(at);
+                    server.reclaim(update);
+                }
+            }
+            server.finish(dims.len(), 1).unwrap();
+            clients
+                .into_iter()
+                .map(|c| c.join().unwrap())
+                .collect::<Vec<_>>()
+        });
+        for seen in models_seen {
+            assert_eq!(seen.len(), dims.len());
+            assert!(seen.iter().all(|&at| at == seen[0]), "{seen:?}");
+        }
     }
 
     #[test]

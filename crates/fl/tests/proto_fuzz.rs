@@ -158,6 +158,111 @@ proptest! {
     }
 }
 
+/// An `Assign` or `Update` frame carrying up to 300 floats.
+fn vector_frame() -> impl Strategy<Value = Vec<u8>> {
+    (
+        any::<bool>(),
+        0u32..1000,
+        any::<u64>(),
+        any::<f32>(),
+        prop::collection::vec(any::<f32>(), 0..300),
+    )
+        .prop_map(|(assign, round, client, weight, floats)| {
+            if assign {
+                Msg::Assign {
+                    round,
+                    slot: 1,
+                    attempt: 2,
+                    model: floats,
+                }
+            } else {
+                Msg::Update {
+                    round,
+                    slot: 1,
+                    client,
+                    weight,
+                    loss: 0.25,
+                    update: floats,
+                }
+            }
+            .encode()
+        })
+}
+
+/// `frame` intact (`how` 0), cut to a strict prefix (1), or with a nonzero
+/// XOR confined to one aligned 8-byte word (2).
+fn damaged(mut frame: Vec<u8>, how: u8, at: usize, mask: u64) -> Vec<u8> {
+    match how {
+        0 => frame,
+        1 => {
+            frame.truncate(at % frame.len());
+            frame
+        }
+        _ => {
+            let start = 8 * (at % frame.len().div_ceil(8));
+            let mask = if mask == 0 { 1 } else { mask };
+            for (b, m) in frame.iter_mut().skip(start).zip(mask.to_le_bytes()) {
+                *b ^= m;
+            }
+            frame
+        }
+    }
+}
+
+/// Whether a reused-buffer decode returned exactly what a fresh one did:
+/// the same message (compared by re-encoding, so NaN payloads compare
+/// bit-exactly) or the same typed error.
+fn same_outcome(reused: &Result<Msg, WireError>, fresh: &Result<Msg, WireError>) -> bool {
+    match (reused, fresh) {
+        (Ok(a), Ok(b)) => a.encode() == b.encode(),
+        (Err(a), Err(b)) => format!("{a:?}") == format!("{b:?}"),
+        _ => false,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Decoding into a buffer that holds junk of any length and spare
+    // capacity returns exactly what a fresh decode returns (`read_into` as
+    // `Msg::read_from`, `decode_into` as `Msg::decode`), and a decoded
+    // vector that fits the buffer's capacity lives in its allocation.
+    #[test]
+    fn decoding_into_a_used_buffer_matches_a_fresh_read(
+        frame in vector_frame(),
+        how in 0u8..3,
+        at in any::<usize>(),
+        mask in any::<u64>(),
+        junk in prop::collection::vec(any::<f32>(), 0..400),
+        spare in 0usize..400,
+    ) {
+        let bytes = damaged(frame, how, at, mask);
+        for socket in [true, false] {
+            let mut floats = junk.clone();
+            floats.reserve_exact(spare);
+            let (at, capacity) = (floats.as_ptr(), floats.capacity());
+            let (reused, fresh) = if socket {
+                let fresh = Msg::read_from(&mut std::io::Cursor::new(&bytes), &mut Vec::new());
+                let reused = BUF.with(|buf| {
+                    let mut cursor = std::io::Cursor::new(&bytes);
+                    Msg::read_into(&mut cursor, &mut buf.borrow_mut(), &mut floats)
+                });
+                (reused, fresh)
+            } else {
+                let decode = |r: Result<(Msg, usize), WireError>| r.map(|(msg, _)| msg);
+                (decode(Msg::decode_into(&bytes, &mut floats)), decode(Msg::decode(&bytes)))
+            };
+            prop_assert!(same_outcome(&reused, &fresh), "{reused:?} vs {fresh:?}");
+            if let Ok(Msg::Assign { model: v, .. } | Msg::Update { update: v, .. }) = &reused {
+                if v.len() <= capacity {
+                    prop_assert_eq!(v.as_ptr(), at, "the vector left the supplied buffer");
+                }
+                prop_assert_eq!(floats.capacity(), 0, "the message owns the buffer");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

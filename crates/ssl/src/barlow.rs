@@ -17,12 +17,45 @@
 use crate::method::{SslGraph, SslMethod, TwoViewBatch};
 use crate::SslConfig;
 use calibre_tensor::nn::{Activation, Binding, Mlp, Module};
-use calibre_tensor::{rng, Matrix};
+use calibre_tensor::{rng, Graph, Matrix, Node};
 
 /// Off-diagonal weight λ of the Barlow Twins loss (the original paper's
 /// 5e-3 is tuned for 8192-d projections; this is the standard re-scaling
 /// for small projectors).
 const LAMBDA: f32 = 0.05;
+
+/// The Barlow Twins objective on two views' `(n, d)` projections:
+/// standardize each feature across the batch, form the cross-correlation
+/// `C = ÂᵀB̂ / n`, and sum `Σᵢ (1 − Cᵢᵢ)² + λ Σ_{i≠j} Cᵢⱼ²`.
+fn barlow_loss(graph: &mut Graph, h_e: Node, h_o: Node, n: usize, d: usize) -> Node {
+    // Standardize each feature dimension across the batch:
+    // transpose → per-row layer norm → transpose.
+    let he_t = graph.transpose(h_e);
+    let he_std_t = graph.layer_norm(he_t);
+    let he_std = graph.transpose(he_std_t);
+    let ho_t = graph.transpose(h_o);
+    let ho_std_t = graph.layer_norm(ho_t);
+    let ho_std = graph.transpose(ho_std_t);
+
+    // Cross-correlation C = (Âᵀ B̂) / N, (d, d).
+    let he_std_t2 = graph.transpose(he_std);
+    let cross = graph.matmul(he_std_t2, ho_std);
+    let c = graph.scale(cross, 1.0 / n as f32);
+
+    // Loss = Σᵢ (1 − Cᵢᵢ)² + λ Σ_{i≠j} Cᵢⱼ².
+    let identity = graph.constant(Matrix::identity(d));
+    let diff = graph.sub(c, identity);
+    let sq = graph.mul(diff, diff);
+    // Off-diagonal part: zero the diagonal of the squared deviations.
+    let off_diag_sq = graph.mask_diagonal(sq, 0.0);
+    let off_sum = graph.sum_all(off_diag_sq);
+    let all_sum = graph.sum_all(sq);
+    // Diagonal sum = total − off-diagonal.
+    let neg_off = graph.scale(off_sum, -1.0);
+    let diag_sum = graph.add(all_sum, neg_off);
+    let weighted_off = graph.scale(off_sum, LAMBDA);
+    graph.add(diag_sum, weighted_off)
+}
 
 /// The Barlow Twins method: encoder + projector trained to make the
 /// cross-correlation of the two views' standardized projections equal to
@@ -102,34 +135,7 @@ impl SslMethod for BarlowTwins {
         let z_o = self.encoder.forward_with(&mut graph, xo, &enc);
         let h_e = self.projector.forward_with(&mut graph, z_e, &proj);
         let h_o = self.projector.forward_with(&mut graph, z_o, &proj);
-
-        // Standardize each feature dimension across the batch:
-        // transpose → per-row layer norm → transpose.
-        let he_t = graph.transpose(h_e);
-        let he_std_t = graph.layer_norm(he_t);
-        let he_std = graph.transpose(he_std_t);
-        let ho_t = graph.transpose(h_o);
-        let ho_std_t = graph.layer_norm(ho_t);
-        let ho_std = graph.transpose(ho_std_t);
-
-        // Cross-correlation C = (Âᵀ B̂) / N, (d, d).
-        let he_std_t2 = graph.transpose(he_std);
-        let cross = graph.matmul(he_std_t2, ho_std);
-        let c = graph.scale(cross, 1.0 / n as f32);
-
-        // Loss = Σᵢ (1 − Cᵢᵢ)² + λ Σ_{i≠j} Cᵢⱼ².
-        let identity = graph.constant(Matrix::identity(d));
-        let diff = graph.sub(c, identity);
-        let sq = graph.mul(diff, diff);
-        // Off-diagonal part: zero the diagonal of the squared deviations.
-        let off_diag_sq = graph.mask_diagonal(sq, 0.0);
-        let off_sum = graph.sum_all(off_diag_sq);
-        let all_sum = graph.sum_all(sq);
-        // Diagonal sum = total − off-diagonal.
-        let neg_off = graph.scale(off_sum, -1.0);
-        let diag_sum = graph.add(all_sum, neg_off);
-        let weighted_off = graph.scale(off_sum, LAMBDA);
-        let ssl_loss = graph.add(diag_sum, weighted_off);
+        let ssl_loss = barlow_loss(&mut graph, h_e, h_o, n, d);
 
         SslGraph {
             graph,
@@ -152,6 +158,7 @@ impl SslMethod for BarlowTwins {
 mod tests {
     use super::*;
     use crate::method::ssl_step;
+    use calibre_tensor::gradcheck::check_gradient;
     use calibre_tensor::optim::{Sgd, SgdConfig};
     use calibre_tensor::rng::{normal_matrix, seeded};
 
@@ -204,6 +211,27 @@ mod tests {
             last < first,
             "Barlow loss should decrease: {first} -> {last}"
         );
+    }
+
+    #[test]
+    fn loss_gradient_matches_finite_differences() {
+        // Two correlated views, so C is neither the identity nor zero.
+        let (n, d) = (8, 4);
+        let e = normal_matrix(&mut seeded(5), n, d, 1.0);
+        let o = e.add(&normal_matrix(&mut seeded(6), n, d, 0.7));
+        for (view, x, other) in [("e", &e, &o), ("o", &o, &e)] {
+            let report = check_gradient(x, 1e-2, |g, x| {
+                let other = g.constant_from(other);
+                match view {
+                    "e" => barlow_loss(g, x, other, n, d),
+                    _ => barlow_loss(g, other, x, n, d),
+                }
+            });
+            assert!(
+                report.max_grad > 1e-3 && report.passes(1e-2),
+                "view {view}: {report:?}"
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,33 @@ use crate::losses::sinkhorn;
 use crate::method::{SslGraph, SslMethod, TwoViewBatch};
 use crate::SslConfig;
 use calibre_tensor::nn::{Activation, Binding, Mlp, Module};
-use calibre_tensor::{rng, Matrix};
+use calibre_tensor::{rng, Graph, Matrix, Node};
+
+/// SwAV's swapped prediction on two views' projections: row-normalize
+/// them, score them against the prototypes, and let each view's scores / τ
+/// predict the *other* view's codes under soft cross-entropy, averaged over
+/// both directions. `codes` maps the two views' score values to their
+/// Sinkhorn codes, which enter as constants: a stop-gradient.
+fn swapped_prediction(
+    graph: &mut Graph,
+    (h_e, h_o): (Node, Node),
+    protos: Node,
+    tau: f32,
+    codes: impl FnOnce(&Matrix, &Matrix) -> (Matrix, Matrix),
+) -> Node {
+    let hn_e = graph.row_l2_normalize(h_e);
+    let hn_o = graph.row_l2_normalize(h_o);
+    let scores_e = graph.matmul(hn_e, protos);
+    let scores_o = graph.matmul(hn_o, protos);
+    let (q_e, q_o) = codes(graph.value(scores_e), graph.value(scores_o));
+
+    let logits_e = graph.scale(scores_e, 1.0 / tau);
+    let logits_o = graph.scale(scores_o, 1.0 / tau);
+    let ce_e = graph.cross_entropy_soft(logits_e, q_o);
+    let ce_o = graph.cross_entropy_soft(logits_o, q_e);
+    let sum = graph.add(ce_e, ce_o);
+    graph.scale(sum, 0.5)
+}
 
 /// The SwAV method: encoder + projector + a learnable prototype bank.
 ///
@@ -115,29 +141,23 @@ impl SslMethod for SwAv {
         let h_e = self.projector.forward_with(&mut graph, z_e, &proj);
         let h_o = self.projector.forward_with(&mut graph, z_o, &proj);
 
-        let hn_e = graph.row_l2_normalize(h_e);
-        let hn_o = graph.row_l2_normalize(h_o);
-        let scores_e = graph.matmul(hn_e, protos);
-        let scores_o = graph.matmul(hn_o, protos);
-
-        // Sinkhorn targets from the *detached* scores of the other view.
-        let q_e = sinkhorn(
-            graph.value(scores_e),
+        // Sinkhorn targets from the *detached* scores of each view.
+        let (epsilon, iterations) = (
             self.config.sinkhorn_epsilon,
             self.config.sinkhorn_iterations,
         );
-        let q_o = sinkhorn(
-            graph.value(scores_o),
-            self.config.sinkhorn_epsilon,
-            self.config.sinkhorn_iterations,
+        let ssl_loss = swapped_prediction(
+            &mut graph,
+            (h_e, h_o),
+            protos,
+            self.config.tau,
+            |s_e, s_o| {
+                (
+                    sinkhorn(s_e, epsilon, iterations),
+                    sinkhorn(s_o, epsilon, iterations),
+                )
+            },
         );
-
-        let logits_e = graph.scale(scores_e, 1.0 / self.config.tau);
-        let logits_o = graph.scale(scores_o, 1.0 / self.config.tau);
-        let ce_e = graph.cross_entropy_soft(logits_e, q_o);
-        let ce_o = graph.cross_entropy_soft(logits_o, q_e);
-        let sum = graph.add(ce_e, ce_o);
-        let ssl_loss = graph.scale(sum, 0.5);
 
         SslGraph {
             graph,
@@ -160,6 +180,7 @@ impl SslMethod for SwAv {
 mod tests {
     use super::*;
     use crate::method::ssl_step;
+    use calibre_tensor::gradcheck::check_gradient;
     use calibre_tensor::optim::{Sgd, SgdConfig};
     use calibre_tensor::rng::{normal_matrix, seeded};
 
@@ -216,6 +237,44 @@ mod tests {
             last = ssl_step(&mut m, &batch, &mut opt);
         }
         assert!(last < first, "SwAV loss should decrease: {first} -> {last}");
+    }
+
+    #[test]
+    fn swapped_prediction_gradient_matches_finite_differences() {
+        // The codes are computed once, from the unperturbed input, and held
+        // constant: SwAV treats them as a stop-gradient.
+        let cfg = SslConfig::for_input(64);
+        let (n, d, k) = (6, 4, 5);
+        let e = normal_matrix(&mut seeded(7), n, d, 1.0);
+        let o = e.add(&normal_matrix(&mut seeded(8), n, d, 0.5));
+        let protos = normal_matrix(&mut seeded(9), d, k, 0.5);
+        let mut g = Graph::new();
+        let [h_e, h_o, p] = [&e, &o, &protos].map(|m| g.constant_from(m));
+        let mut fixed = None;
+        swapped_prediction(&mut g, (h_e, h_o), p, cfg.tau, |s_e, s_o| {
+            let eps = cfg.sinkhorn_epsilon;
+            let codes = (
+                sinkhorn(s_e, eps, cfg.sinkhorn_iterations),
+                sinkhorn(s_o, eps, cfg.sinkhorn_iterations),
+            );
+            fixed = Some(codes.clone());
+            codes
+        });
+        let (q_e, q_o) = fixed.unwrap();
+        let inputs = [("e", &e), ("o", &o), ("prototypes", &protos)];
+        for (at, (name, input)) in inputs.iter().enumerate() {
+            let report = check_gradient(input, 1e-2, |g, x| {
+                let [h_e, h_o, p]: [Node; 3] = std::array::from_fn(|i| match i == at {
+                    true => x,
+                    false => g.constant_from(inputs[i].1),
+                });
+                swapped_prediction(g, (h_e, h_o), p, cfg.tau, |_, _| (q_e.clone(), q_o.clone()))
+            });
+            assert!(
+                report.max_grad > 1e-3 && report.passes(1e-2),
+                "{name}: {report:?}"
+            );
+        }
     }
 
     #[test]
