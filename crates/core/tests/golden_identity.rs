@@ -82,6 +82,41 @@ fn simclr_multi_step_checksum_is_stable() {
 const GOLDEN_CALIBRE: u64 = 0xf693_2ed4_aed3_569c;
 const GOLDEN_SIMCLR: u64 = 0x45bc_4e68_002f_c982;
 
+/// `cfg` defended by the coordinate median with detection on, so every
+/// round seals through the median and scores against the column medians.
+fn median_with_detection(mut cfg: FlConfig) -> FlConfig {
+    cfg.policy.aggregator = calibre_fl::aggregate::Aggregator::CoordinateMedian;
+    cfg.detect = true;
+    cfg
+}
+
+/// Calibre's divergence-aware weights are fractional, so its median walks
+/// each sorted column.
+#[test]
+fn calibre_median_with_detection_checksum_is_stable() {
+    let fed = tiny_fed();
+    let mut cfg = FlConfig::for_input(64);
+    cfg.rounds = 2;
+    cfg.clients_per_round = 3;
+    cfg.local_epochs = 1;
+    cfg.batch_size = 16;
+    let (encoder, losses, _) = train_calibre_encoder(
+        &fed,
+        &median_with_detection(cfg),
+        SslKind::SimClr,
+        &CalibreConfig::default(),
+        &AugmentConfig::default(),
+    );
+    let checksum = flat_checksum(&encoder.to_flat());
+    eprintln!("calibre median+detect checksum: {checksum:#018x} losses {losses:?}");
+    assert_eq!(
+        checksum, GOLDEN_CALIBRE_MEDIAN_DETECT,
+        "Calibre under the median with detection drifted"
+    );
+}
+
+const GOLDEN_CALIBRE_MEDIAN_DETECT: u64 = 0x332c_4d5c_9f88_d566;
+
 #[test]
 fn killed_and_resumed_training_matches_the_uninterrupted_run() {
     // Crash-safe resume must be bit-identical: training 2 rounds, "dying",
@@ -203,6 +238,14 @@ fn fedavg_ft_checksums_are_stable() {
     assert_baseline_golden(&result, GOLDEN_FEDAVG_FT);
 }
 
+/// FedAvg-FT's sample-count weights are integers, so its median selects.
+#[test]
+fn fedavg_ft_median_with_detection_checksums_are_stable() {
+    let cfg = median_with_detection(baseline_cfg());
+    let result = run_fedavg(&baseline_fed(), &cfg, true, &NullRecorder);
+    assert_baseline_golden(&result, GOLDEN_FEDAVG_FT_MEDIAN_DETECT);
+}
+
 #[test]
 fn fedprox_ft_checksums_are_stable() {
     let result = run_fedprox(&baseline_fed(), &baseline_cfg(), 0.1, &NullRecorder);
@@ -322,4 +365,9 @@ const GOLDEN_FEDEMA: [u64; 3] = [
     0x1e15_9726_7efe_3f45,
     0xdc4c_6f67_bc19_47ec,
     0x33e7_8f1f_a702_f39b,
+];
+const GOLDEN_FEDAVG_FT_MEDIAN_DETECT: [u64; 3] = [
+    0xb63d_e891_d151_b7a0,
+    0x93ae_ef5b_4fce_2a0c,
+    0xf0ed_f6fb_1cd7_6e57,
 ];

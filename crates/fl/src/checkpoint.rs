@@ -138,12 +138,17 @@ fn write_tensors(out: &mut String, tensors: &[&Matrix]) {
 }
 
 /// Parses `count` tensor blocks from the line stream.
+///
+/// Counts and shapes come from text no checksum may cover, so nothing is
+/// sized from them: tensors and their data grow as lines arrive, and a
+/// damaged count runs out of lines as a typed error instead of an
+/// allocation failure.
 fn parse_tensors<'a, I: Iterator<Item = &'a str>>(
     lines: &mut I,
     count: usize,
     ctx: &str,
 ) -> Result<Vec<Matrix>, CheckpointError> {
-    let mut tensors = Vec::with_capacity(count);
+    let mut tensors = Vec::new();
     for t in 0..count {
         let shape_line = lines
             .next()
@@ -162,7 +167,12 @@ fn parse_tensors<'a, I: Iterator<Item = &'a str>>(
             .next()
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| CheckpointError::Parse(format!("{ctx} tensor {t}: bad cols")))?;
-        let mut data = Vec::with_capacity(rows * cols);
+        if rows.checked_mul(cols).is_none() {
+            return Err(CheckpointError::Parse(format!(
+                "{ctx} tensor {t}: {rows} x {cols} overflows"
+            )));
+        }
+        let mut data = Vec::new();
         for r in 0..rows {
             let row_line = lines.next().ok_or_else(|| {
                 CheckpointError::Parse(format!("{ctx} tensor {t}: missing row {r}"))
@@ -490,7 +500,7 @@ impl TrainerCheckpoint {
         let n_clients: usize = field(lines.next(), "clients ")?
             .parse()
             .map_err(|e| CheckpointError::Parse(format!("bad client count: {e}")))?;
-        let mut clients = Vec::with_capacity(n_clients);
+        let mut clients = Vec::new();
         for c in 0..n_clients {
             let line = field(lines.next(), "client ")?;
             let mut parts = line.split_whitespace();
@@ -571,7 +581,8 @@ impl ServerCheckpoint {
     /// # Errors
     ///
     /// [`CheckpointError::Parse`] on structural damage,
-    /// [`CheckpointError::Checksum`] on integrity failure.
+    /// [`CheckpointError::Checksum`] on integrity failure,
+    /// [`CheckpointError::NonFinite`] for a NaN or infinite model element.
     pub fn parse(text: &str) -> Result<ServerCheckpoint, CheckpointError> {
         let body = verify_checksum(text)?;
         let mut lines = body.lines();
@@ -602,6 +613,9 @@ impl ServerCheckpoint {
                 "expected {n} model elements, got {}",
                 model.len()
             )));
+        }
+        if let Some(bad) = model.iter().find(|v| !v.is_finite()) {
+            return Err(CheckpointError::NonFinite(format!("model element {bad}")));
         }
         let reputation = ReputationBook::parse_checkpoint_lines(lines.peekable())
             .map_err(CheckpointError::Parse)?;
@@ -773,6 +787,50 @@ mod tests {
         std::fs::write(store.prev_path(), "also garbage").unwrap();
         assert!(store.load_with(parse).is_err());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Counts and shapes in a file that has lost its checksum line size
+    /// nothing: each damaged one is a parse error, so a store falls back to
+    /// its previous generation instead of the process aborting.
+    #[test]
+    fn damaged_counts_are_parse_errors_and_the_store_falls_back() {
+        let huge_count = "calibre-checkpoint v1\ntensors 99999999999999999\n";
+        let huge_shape = "calibre-checkpoint v1\ntensors 1\ntensor 4000000000 4000000000\n1 2\n";
+        let overflowing_shape = format!(
+            "calibre-checkpoint v1\ntensors 1\ntensor {} 2\n",
+            usize::MAX
+        );
+        for text in [huge_count, huge_shape, &overflowing_shape] {
+            assert!(
+                matches!(parse(text), Err(CheckpointError::Parse(_))),
+                "{text:?} must be a parse error"
+            );
+        }
+        let huge_clients =
+            "calibre-trainer-checkpoint v1\nround 0\nlosses 0\nglobal tensors 0\nclients 99999999999999999\n";
+        assert!(matches!(
+            TrainerCheckpoint::parse(huge_clients),
+            Err(CheckpointError::Parse(_))
+        ));
+
+        let dir =
+            std::env::temp_dir().join(format!("calibre-store-{}-{}", std::process::id(), line!()));
+        let store = CheckpointStore::new(dir.join("ckpt.txt"));
+        let good = model(13);
+        store.save_text(&to_string(&good)).unwrap();
+        store.save_text(huge_count).unwrap();
+        let tensors = store.load_with(parse).unwrap();
+        assert_eq!(tensors[0].as_slice(), good.parameters()[0].as_slice());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn server_checkpoint_rejects_non_finite_model_elements() {
+        let text = "calibre-server-checkpoint v1\nround 0\nmodel 2 7fc00000 7f800000\n";
+        assert!(matches!(
+            ServerCheckpoint::parse(text),
+            Err(CheckpointError::NonFinite(_))
+        ));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::borrow::Cow;
 
-use calibre_fl::adversary::anomaly_scores;
+use calibre_fl::adversary::{anomaly_scores, AnomalyScore, ReputationBook};
 use calibre_fl::aggregate::{
     aggregate_robust, clip_norm, coordinate_median, divergence_weight, geometric_median, krum,
     trimmed_mean, AggregateError, Aggregator, StreamingWeightedSink, UpdateSink,
@@ -15,7 +15,7 @@ use calibre_fl::{jain_index, worst_fraction_mean, Stats};
 use calibre_ssl::SslConfig;
 use calibre_tensor::nn::{Activation, Mlp, Module};
 use calibre_tensor::optim::{Sgd, SgdConfig};
-use calibre_tensor::{rng, StepArena};
+use calibre_tensor::{rng, Matrix, StepArena};
 use proptest::prelude::*;
 
 /// The plain weighted average through the aggregation front door.
@@ -125,6 +125,52 @@ proptest! {
         let mut restored = Mlp::new(&[5, hidden, output], Activation::Relu, &mut r);
         checkpoint::restore(&mut restored, &tensors).unwrap();
         prop_assert_eq!(restored.to_flat(), original.to_flat());
+    }
+
+    #[test]
+    fn every_truncated_checkpoint_parses_or_fails_typed(
+        hidden in 1usize..5,
+        clients in 0usize..3,
+        strikes in 0usize..4,
+        seed in 0u64..500,
+    ) {
+        // A torn write can cut a checkpoint anywhere; every prefix must come
+        // back `Ok` or as a typed error, never as a panic or an abort. Both
+        // texts carry a reputation section once a client has struck.
+        let mut r = rng::seeded(seed);
+        let net = |r: &mut rand::rngs::StdRng| -> Vec<Matrix> {
+            Mlp::new(&[3, hidden, 2], Activation::Relu, r)
+                .parameters()
+                .into_iter()
+                .cloned()
+                .collect()
+        };
+        let mut book = ReputationBook::new();
+        for _ in 0..strikes {
+            book.observe_round(&[AnomalyScore { client: 5, norm_z: 4.0, cosine_z: 0.0 }]);
+        }
+        let trainer = checkpoint::TrainerCheckpoint {
+            round: 2,
+            global: net(&mut r),
+            clients: (0..clients).map(|id| (id, net(&mut r))).collect(),
+            round_losses: vec![1.5, 0.75],
+            reputation: book.clone(),
+        };
+        let server = checkpoint::ServerCheckpoint {
+            round: 3,
+            model: trainer.global.iter().flat_map(|m| m.as_slice().to_vec()).collect(),
+            reputation: book,
+        };
+        let trainer_text = trainer.to_text();
+        let server_text = server.to_text();
+        prop_assert!(checkpoint::TrainerCheckpoint::parse(&trainer_text).is_ok());
+        prop_assert_eq!(checkpoint::ServerCheckpoint::parse(&server_text).ok(), Some(server));
+        for cut in 0..trainer_text.len() {
+            let _ = checkpoint::TrainerCheckpoint::parse(&trainer_text[..cut]);
+        }
+        for cut in 0..server_text.len() {
+            let _ = checkpoint::ServerCheckpoint::parse(&server_text[..cut]);
+        }
     }
 
     #[test]
