@@ -7,7 +7,9 @@ use calibre_cluster::{kmeans, KMeansConfig};
 use calibre_data::{AugmentConfig, FederatedDataset, NonIid, PartitionConfig, SynthVisionSpec};
 use calibre_embed::{tsne, TsneConfig};
 use calibre_fl::adversary::anomaly_scores;
-use calibre_fl::aggregate::{aggregate_robust, coordinate_median, Aggregator};
+use calibre_fl::aggregate::{
+    aggregate_robust, coordinate_median, Aggregator, BufferedRobustSink, UpdateSink,
+};
 use calibre_fl::proto::{encode_assign_into, frame_checksum, Msg};
 use calibre_ssl::{nt_xent, ssl_step, ssl_step_in, SimClr, SslConfig, SslMethod, TwoViewBatch};
 use calibre_tensor::backend::{Backend, Scalar};
@@ -15,6 +17,7 @@ use calibre_tensor::nn::{gradients, Binding, Mlp};
 use calibre_tensor::optim::{Sgd, SgdConfig};
 use calibre_tensor::{rng, Graph, Matrix, StepArena};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use std::borrow::Cow;
 use std::hint::black_box;
 
 fn bench_matmul(c: &mut Criterion) {
@@ -237,6 +240,32 @@ fn bench_aggregation(c: &mut Criterion) {
             });
         }
     }
+    // The other side of the median's switch: integral weights select, and
+    // fractional ones (Calibre's divergence-aware weights) sort and walk.
+    // Then `cohort_robust`'s seal: a buffered median sink holding the whole
+    // round computes its aggregate and detection's medians in one pass
+    // (the folds are setup, untimed; dropping the sink is timed).
+    let (n, dim) = (2000usize, 1024usize);
+    let updates: Vec<Vec<f32>> = (0..n).map(|_| rng::normal_vec(&mut r, dim)).collect();
+    let refs: Vec<&[f32]> = updates.iter().map(Vec::as_slice).collect();
+    let fractional: Vec<f32> = (0..n).map(|i| (1 + i % 7) as f32 / 3.0).collect();
+    c.bench_function(
+        &format!("coordinate_median_{n}x{dim}_fractional"),
+        |bench| bench.iter(|| black_box(coordinate_median(black_box(&refs), &fractional))),
+    );
+    c.bench_function(&format!("median_sink_seal_{n}x{dim}"), |bench| {
+        bench.iter_batched(
+            || {
+                let mut sink = BufferedRobustSink::new(Aggregator::CoordinateMedian, n, 0);
+                for (i, u) in refs.iter().enumerate() {
+                    let _ = sink.fold(i, Cow::Borrowed(*u), 1.0 + (i % 7) as f32);
+                }
+                sink
+            },
+            |mut sink| black_box(sink.seal_medians()),
+            BatchSize::LargeInput,
+        )
+    });
 }
 
 /// The wire codec on the 1 MiB frames `serve_tcp` moves every round, next

@@ -432,6 +432,18 @@ impl AnomalyScore {
 /// summed in order, so the scores are bit for bit those of one sequential
 /// pass.
 pub fn anomaly_scores(ids: &[usize], updates: &[&[f32]]) -> Vec<AnomalyScore> {
+    anomaly_scores_against(ids, updates, None)
+}
+
+/// [`anomaly_scores`] with the updates' column medians supplied when the
+/// caller has them already, as a sink that sealed the round in the same
+/// pass does ([`crate::aggregate::UpdateSink::seal_medians`]); `None`
+/// computes them. `medians` must be those of exactly these updates.
+pub(crate) fn anomaly_scores_against(
+    ids: &[usize],
+    updates: &[&[f32]],
+    medians: Option<Vec<f32>>,
+) -> Vec<AnomalyScore> {
     let n = ids.len().min(updates.len());
     if n < 3 {
         return ids
@@ -447,7 +459,7 @@ pub fn anomaly_scores(ids: &[usize], updates: &[&[f32]]) -> Vec<AnomalyScore> {
     let updates = updates.get(..n).unwrap_or(updates);
     let dim = updates.first().map_or(0, |u| u.len());
     // Unweighted coordinate median as the cohort's reference direction.
-    let median = crate::aggregate::column_medians(updates, dim);
+    let median = medians.unwrap_or_else(|| crate::aggregate::column_medians(updates, dim));
     let med_norm = l2_norm(&median).max(1e-12);
     let norms: Vec<f32> = row_dots(updates, None).into_iter().map(f32::sqrt).collect();
     let cosines: Vec<f32> = row_dots(updates, Some(&median))

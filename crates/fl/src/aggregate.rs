@@ -482,48 +482,51 @@ pub fn trimmed_mean(
 /// reaches half the total (uniform weights when the total is non-positive).
 /// Tolerates just under half the cohort being arbitrarily corrupted.
 ///
-/// The walk up a column crosses half the total near the unweighted
-/// midpoint unless a few updates carry most of the weight. So each column
-/// is split n/8 ranks past the midpoint with `select_nth_unstable`, and
-/// only the lower part is sorted and walked; the upper part is sorted only
-/// when the walk has not crossed by its end. That is exact: a column's
-/// entries are distinct, so the lower part, sorted, is the full sort's
-/// prefix, and the walk adds the same weights in the same order.
+/// A column's crossing is found one of two ways, and both stop at the
+/// first sorted entry whose cumulative weight reaches half, so they agree
+/// bit for bit:
+///
+/// * **Weighted selection**, when every partial sum is exact in any
+///   order: uniform weights, or non-negative integer weights (sample
+///   counts) whose total is below 2^24. `select_nth_unstable` splits the
+///   column at n/2; the weight of the lower part says which side holds the
+///   crossing, and the selection goes on in that side alone.
+/// * **The walk**, for any other weights (Calibre's divergence-aware ones
+///   are fractional). The column is split n/8 ranks past the midpoint, and
+///   only the lower part is sorted and walked; the upper part is sorted
+///   only when the walk has not crossed by its end. That is exact: a
+///   column's entries are distinct, so the lower part, sorted, is the full
+///   sort's prefix, and the walk adds the same weights in the same order.
 ///
 /// # Errors
 ///
 /// Input errors as in [`aggregate_robust`].
 pub fn coordinate_median(updates: &[&[f32]], weights: &[f32]) -> Result<Vec<f32>, AggregateError> {
     let dim = check_shapes(updates, weights)?;
-    let n = updates.len();
     let span = calibre_telemetry::span("aggregate");
-    span.add_items(span_count(n));
-    let total: f32 = weights.iter().sum();
-    let uniform = total <= 0.0;
-    let full: f32 = if uniform { count_f32(n) } else { total };
-    let half = full * 0.5;
-    // The lower part's last rank; `check_shapes` rejects an empty cohort.
-    let split = (n / 2 + n / 8).min(n.saturating_sub(1));
+    span.add_items(span_count(updates.len()));
+    let plan = MedianPlan::new(weights);
+    Ok(map_columns(updates, dim, |column| plan.median(column)))
+}
+
+/// [`coordinate_median`] and [`column_medians`] of the same updates from
+/// one gather and one selection per column: the weighted median leaves
+/// each column split at n/2, where [`midpoint`] reads detection's median.
+/// [`BufferedRobustSink`] seals a detected round with it.
+fn median_and_midpoints(
+    updates: &[&[f32]],
+    weights: &[f32],
+) -> Result<(Vec<f32>, Vec<f32>), AggregateError> {
+    let dim = check_shapes(updates, weights)?;
+    let span = calibre_telemetry::span("aggregate");
+    span.add_items(span_count(updates.len()));
+    let plan = MedianPlan::new(weights);
     Ok(map_columns(updates, dim, |column| {
-        column.select_nth_unstable(split);
-        let (lower, upper) = column.split_at_mut(split + 1);
-        let mut acc = 0.0f32;
-        let mut walk = |part: &mut [u64]| {
-            part.sort_unstable();
-            part.iter().find_map(|&e| {
-                acc += if uniform {
-                    1.0
-                } else {
-                    entry_weight(e, weights)
-                };
-                (acc >= half).then_some(entry_value(e))
-            })
-        };
-        walk(lower)
-            .or_else(|| walk(upper))
-            .or_else(|| column.last().map(|&e| entry_value(e)))
-            .unwrap_or(0.0)
-    }))
+        let median = plan.median(column);
+        (median, midpoint(column))
+    })
+    .into_iter()
+    .unzip())
 }
 
 /// Unweighted per-coordinate median of `dim` coordinates — the mean of the
@@ -534,16 +537,186 @@ pub fn coordinate_median(updates: &[&[f32]], weights: &[f32]) -> Result<Vec<f32>
 pub(crate) fn column_medians(updates: &[&[f32]], dim: usize) -> Vec<f32> {
     map_columns(updates, dim, |column| {
         // `map_columns` never passes an empty column, so `n / 2` is in range.
-        let n = column.len();
-        let (lower, mid, _) = column.select_nth_unstable(n / 2);
-        let hi = entry_value(*mid);
-        if n % 2 == 1 {
-            hi
-        } else {
-            // The lower partition holds exactly the n/2 smallest entries.
-            0.5 * (lower.iter().max().map_or(0.0, |&e| entry_value(e)) + hi)
-        }
+        column.select_nth_unstable(column.len() / 2);
+        midpoint(column)
     })
+}
+
+/// The unweighted median of a column split at n/2 — the entry of rank n/2
+/// at `column[n/2]`, the n/2 smaller entries before it in any order: that
+/// entry's value for an odd count, else its mean with the largest entry
+/// before it.
+fn midpoint(column: &[u64]) -> f32 {
+    let n = column.len();
+    let (lower, upper) = column.split_at(n / 2);
+    let hi = upper.first().map_or(0.0, |&e| entry_value(e));
+    if n % 2 == 1 {
+        hi
+    } else {
+        0.5 * (lower.iter().max().map_or(0.0, |&e| entry_value(e)) + hi)
+    }
+}
+
+/// Weighted selection sorts and walks a window this short, as
+/// `select_nth_unstable` sorts a slice this short rather than partition it.
+const SORTED_WINDOW: usize = 16;
+
+/// Every integer up to 2^24 is an `f32`, so sums of non-negative integers
+/// that stay below it are exact, in any order.
+const EXACT_SUMS_BELOW: f32 = 16_777_216.0;
+
+/// How [`coordinate_median`] finds a column's crossing: the first entry, in
+/// sorted order, whose cumulative weight reaches half the total.
+///
+/// Weighted selection adds the weights in another order than the walk, so
+/// it runs only when no order can round: `exact`. Uniform weights count one
+/// each. For non-negative integer weights whose slot-order `f32` total is
+/// below 2^24, every partial sum of that total was exact — a partial sum
+/// rounded to 2^24 or past could only leave the total there — so the true
+/// total is below 2^24, and every sum over any subset in any order is an
+/// integer below it, hence exact. Any other weighting walks: a fractional
+/// weight rounds differently in another order, and one bit of a partial
+/// sum can move the crossing.
+struct MedianPlan<'a> {
+    /// The weights by slot, or `None` when every update counts one (a
+    /// non-positive total).
+    weights: Option<&'a [f32]>,
+    /// The total whose half the crossing reaches: the slot-order weight
+    /// sum, or the cohort size.
+    full: f32,
+    /// Every partial sum is exact in any order, so selection applies.
+    exact: bool,
+}
+
+impl<'a> MedianPlan<'a> {
+    fn new(weights: &'a [f32]) -> Self {
+        let total: f32 = weights.iter().sum();
+        let uniform = total <= 0.0;
+        let full = if uniform {
+            count_f32(weights.len())
+        } else {
+            total
+        };
+        let integral = uniform || weights.iter().all(|&w| w >= 0.0 && w.fract() == 0.0);
+        MedianPlan {
+            weights: (!uniform).then_some(weights),
+            full,
+            exact: integral && full < EXACT_SUMS_BELOW,
+        }
+    }
+
+    /// The weight of the update an entry came from.
+    fn weight(&self, entry: u64) -> f32 {
+        self.weights.map_or(1.0, |w| entry_weight(entry, w))
+    }
+
+    /// The weight of `part`, added in its order.
+    fn mass(&self, part: &[u64]) -> f32 {
+        match self.weights {
+            None => count_f32(part.len()),
+            Some(w) => part.iter().map(|&e| entry_weight(e, w)).sum(),
+        }
+    }
+
+    /// One column's weighted median. Leaves the column split at n/2, as
+    /// [`midpoint`] reads it. `column` is not empty.
+    fn median(&self, column: &mut [u64]) -> f32 {
+        if self.exact {
+            self.select(column)
+        } else {
+            self.walk(column)
+        }
+    }
+
+    /// Sorts `part` and walks it up from the weight `acc` below it, to the
+    /// first entry whose cumulative weight reaches half the total, if any.
+    fn walk_up(&self, part: &mut [u64], acc: &mut f32) -> Option<f32> {
+        let half = self.full * 0.5;
+        part.sort_unstable();
+        part.iter().find_map(|&e| {
+            *acc += self.weight(e);
+            (*acc >= half).then_some(entry_value(e))
+        })
+    }
+
+    /// The sorting walk: split n/8 ranks past the midpoint, sort and walk
+    /// the lower part, and the upper part only if the walk has not crossed.
+    fn walk(&self, column: &mut [u64]) -> f32 {
+        let n = column.len();
+        let split = (n / 2 + n / 8).min(n.saturating_sub(1));
+        column.select_nth_unstable(split);
+        let (lower, upper) = column.split_at_mut(split + 1);
+        let mut acc = 0.0f32;
+        self.walk_up(lower, &mut acc)
+            .or_else(|| self.walk_up(upper, &mut acc))
+            .or_else(|| column.last().map(|&e| entry_value(e)))
+            .unwrap_or(0.0)
+    }
+
+    /// Weighted selection. Each step splits a window of the column at a
+    /// rank with `select_nth_unstable`; the weight below the pivot and the
+    /// pivot's own say whether the crossing is below it, is it, or is above
+    /// it, and the window shrinks to that side. The first split is at n/2,
+    /// and later ones stay on one side of it. A window of at most
+    /// [`SORTED_WINDOW`] entries is sorted and walked from the weight below
+    /// it. Only exact sums (`exact`) make the crossing the walk's.
+    fn select(&self, column: &mut [u64]) -> f32 {
+        let half = self.full * 0.5;
+        // The weight below the window and in it: the crossing is in the
+        // window while `base < half <= base + mass`.
+        let (mut base, mut mass) = (0.0f32, self.full);
+        let mut k = column.len() / 2;
+        let mut window = column;
+        while window.len() > SORTED_WINDOW {
+            window.select_nth_unstable(k);
+            let (lower, rest) = std::mem::take(&mut window).split_at_mut(k);
+            let Some((&mut pivot, upper)) = rest.split_first_mut() else {
+                break;
+            };
+            let weight = self.weight(pivot);
+            // Sum the shorter side; the window's mass gives the other.
+            let (below, above) = if lower.len() <= upper.len() {
+                let below = self.mass(lower);
+                (below, mass - below - weight)
+            } else {
+                let above = self.mass(upper);
+                (mass - above - weight, above)
+            };
+            if base + below >= half {
+                (window, mass) = (lower, below);
+            } else if base + below + weight >= half {
+                return entry_value(pivot);
+            } else {
+                (window, base, mass) = (upper, base + below + weight, above);
+            }
+            k = self.next_rank(window.len(), half - base, mass);
+        }
+        self.walk_up(window, &mut base)
+            .or_else(|| window.last().map(|&e| entry_value(e)))
+            .unwrap_or(0.0)
+    }
+
+    /// Where to split a window of `len` entries next, when the crossing is
+    /// where its cumulative weight reaches `target` of its `mass`. The
+    /// estimate spreads the mass evenly, which is exact for uniform weights.
+    /// Otherwise the split moves away from the nearer end of the window by
+    /// a margin, so the crossing most likely falls in the short part: the
+    /// crossing sits near the previous pivot, at one end.
+    fn next_rank(&self, len: usize, target: f32, mass: f32) -> usize {
+        let last = len.saturating_sub(1);
+        let spread = f64::from(target) * f64::from(count_f32(len)) / f64::from(mass);
+        // analyze:allow(lossy-cast) -- a rank estimate, clamped to the window
+        let estimate = (spread.ceil() as usize).saturating_sub(1).min(last);
+        if self.weights.is_none() {
+            return estimate;
+        }
+        let margin = (len / 16).max(estimate.min(last - estimate) / 2) + 1;
+        if 2 * estimate < last {
+            (estimate + margin).min(last)
+        } else {
+            estimate.saturating_sub(margin)
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -598,14 +771,15 @@ fn entry_weight(entry: u64, weights: &[f32]) -> f32 {
 /// contiguous coordinate ranges run on the [`crate::parallel`] workers,
 /// each with its own scratch, one worker per [`WORKER_ENTRIES`] entries at
 /// most.
-fn map_columns<F>(updates: &[&[f32]], dim: usize, stat: F) -> Vec<f32>
+fn map_columns<T, F>(updates: &[&[f32]], dim: usize, stat: F) -> Vec<T>
 where
-    F: Fn(&mut [u64]) -> f32 + Sync,
+    T: Clone + Default + Send,
+    F: Fn(&mut [u64]) -> T + Sync,
 {
     let n = updates.len();
     if n == 0 {
         // No update, no column: splitting scratch into columns needs n > 0.
-        return vec![0.0; dim];
+        return vec![T::default(); dim];
     }
     let grain = WORKER_ENTRIES.div_ceil(n);
     let columns = crate::parallel::parallel_ranges(dim, grain, |coords| {
@@ -1019,6 +1193,15 @@ pub trait UpdateSink {
     /// Every update folded since the sink was built or last finished, in
     /// fold order, or `None` when the sink does not hold them all.
     fn held(&self) -> Option<Vec<&[f32]>> {
+        None
+    }
+
+    /// Seals the round ahead of [`UpdateSink::finish`] and returns the
+    /// unweighted column medians of [`UpdateSink::held`], when the sink
+    /// computes them in the same pass as the aggregate that `finish` then
+    /// returns. `None`, the default, when it does not: the caller computes
+    /// them itself. A fold after a seal undoes it.
+    fn seal_medians(&mut self) -> Option<Vec<f32>> {
         None
     }
 
@@ -1444,6 +1627,9 @@ impl UpdateSink for HierarchicalSink {
 #[derive(Debug)]
 pub struct BufferedRobustSink {
     aggregator: Aggregator,
+    /// The held updates; after a seal ([`UpdateSink::seal_medians`]), the
+    /// sealed aggregate past them, so `entries.len() > folded` exactly
+    /// when the round is sealed.
     entries: Vec<Vec<f32>>,
     weights: Vec<f32>,
     capacity: usize,
@@ -1473,6 +1659,8 @@ impl UpdateSink for BufferedRobustSink {
         update: Cow<'_, [f32]>,
         weight: f32,
     ) -> Result<(), AggregateError> {
+        // A sealed aggregate does not cover this update: drop it.
+        self.entries.truncate(self.folded);
         if let Some(first) = self.entries.first() {
             if update.len() != first.len() {
                 return Err(AggregateError::LengthMismatch {
@@ -1503,8 +1691,21 @@ impl UpdateSink for BufferedRobustSink {
     }
 
     fn held(&self) -> Option<Vec<&[f32]>> {
-        (self.entries.len() == self.folded)
-            .then(|| self.entries.iter().map(Vec::as_slice).collect())
+        let held = self.entries.get(..self.folded)?;
+        Some(held.iter().map(Vec::as_slice).collect())
+    }
+
+    /// The coordinate median of a round it holds whole, in one column pass
+    /// with the medians.
+    fn seal_medians(&mut self) -> Option<Vec<f32>> {
+        if self.aggregator != Aggregator::CoordinateMedian || self.entries.len() != self.folded {
+            return None;
+        }
+        let refs: Vec<&[f32]> = self.entries.iter().map(Vec::as_slice).collect();
+        let (aggregate, medians) = median_and_midpoints(&refs, &self.weights).ok()?;
+        drop(refs);
+        self.entries.push(aggregate);
+        Some(medians)
     }
 
     fn folded(&self) -> usize {
@@ -1523,9 +1724,12 @@ impl UpdateSink for BufferedRobustSink {
     }
 
     fn finish(&mut self) -> Result<Vec<f32>, AggregateError> {
-        let refs: Vec<&[f32]> = self.entries.iter().map(Vec::as_slice).collect();
-        let out = aggregate_robust(self.aggregator, &refs, &self.weights);
-        drop(refs);
+        let out = if self.entries.len() > self.folded {
+            self.entries.pop().ok_or(AggregateError::Empty)
+        } else {
+            let refs: Vec<&[f32]> = self.entries.iter().map(Vec::as_slice).collect();
+            aggregate_robust(self.aggregator, &refs, &self.weights)
+        };
         self.entries.clear();
         self.weights.clear();
         self.folded = 0;

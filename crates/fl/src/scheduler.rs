@@ -27,7 +27,10 @@
 
 use std::borrow::Cow;
 
-use crate::adversary::{anomaly_scores, AnomalyScore, AttackInjector, AttackPlan, ReputationBook};
+use crate::adversary::{
+    anomaly_scores, anomaly_scores_against, AnomalyScore, AttackInjector, AttackPlan,
+    ReputationBook,
+};
 use crate::aggregate::{clip_norm, validate_update, Aggregator, UpdateSink};
 use crate::chaos::{ClientFault, FaultInjector, FaultPlan};
 use crate::config::FlConfig;
@@ -492,13 +495,21 @@ impl RoundScheduler {
 
         // Detection scores the updates before `finish` drains the sink; the
         // reputation book and its `quarantine` events still follow the
-        // round's `aggregate` and `round_resilience` events.
-        let scores = self.detect.then(|| {
-            let held = match &watched {
-                Some(watched) => Some(watched.iter().map(Vec::as_slice).collect()),
-                None => sink.held(),
-            };
-            anomaly_scores(&out.clients, &held.unwrap_or_default())
+        // round's `aggregate` and `round_resilience` events. A sink that
+        // holds a round about to finish may seal its aggregate in the pass
+        // that gives detection the column medians.
+        let scores = self.detect.then(|| match &watched {
+            Some(watched) => {
+                let held: Vec<&[f32]> = watched.iter().map(Vec::as_slice).collect();
+                anomaly_scores(&out.clients, &held)
+            }
+            None => {
+                let medians = self
+                    .quorate(out.accepted)
+                    .then(|| sink.seal_medians())
+                    .flatten();
+                anomaly_scores_against(&out.clients, &sink.held().unwrap_or_default(), medians)
+            }
         });
         let sealed = self.seal_round(round, out, sink, recorder);
         if let Some(scores) = scores {
@@ -570,6 +581,12 @@ impl RoundScheduler {
             .is_some_and(|max_norm| clip_norm(&mut reply.update, max_norm)))
     }
 
+    /// Whether `accepted` updates meet the quorum: the round finishes its
+    /// sink.
+    fn quorate(&self, accepted: usize) -> bool {
+        accepted >= self.policy.min_quorum.max(1)
+    }
+
     /// Quorum check, telemetry, and metrics that close a round.
     fn seal_round(
         &self,
@@ -578,7 +595,7 @@ impl RoundScheduler {
         sink: &mut dyn UpdateSink,
         recorder: &dyn Recorder,
     ) -> StreamedRound {
-        if out.accepted >= self.policy.min_quorum.max(1) {
+        if self.quorate(out.accepted) {
             out.aggregated = sink.finish().ok();
         }
         out.skipped = out.aggregated.is_none();
@@ -1145,6 +1162,123 @@ mod tests {
             assert_eq!(closing, want, "round {round}");
         }
         assert!(book.is_quarantined(bad), "the outlier must be quarantined");
+    }
+
+    /// A buffered sink that never seals, so detection computes the column
+    /// medians itself: the path every other sink takes.
+    struct Unsealed(BufferedRobustSink);
+
+    impl UpdateSink for Unsealed {
+        fn fold(
+            &mut self,
+            client: usize,
+            update: Cow<'_, [f32]>,
+            weight: f32,
+        ) -> Result<(), crate::aggregate::AggregateError> {
+            self.0.fold(client, update, weight)
+        }
+
+        fn folded(&self) -> usize {
+            self.0.folded()
+        }
+
+        fn state_bytes(&self) -> usize {
+            self.0.state_bytes()
+        }
+
+        fn keeps(&self, folds: usize) -> bool {
+            self.0.keeps(folds)
+        }
+
+        fn held(&self) -> Option<Vec<&[f32]>> {
+            self.0.held()
+        }
+
+        fn finish(&mut self) -> Result<Vec<f32>, crate::aggregate::AggregateError> {
+            self.0.finish()
+        }
+    }
+
+    #[test]
+    fn a_sealed_median_round_reads_as_an_unsealed_one() {
+        // A median sink holding the round seals its aggregate and
+        // detection's medians in one pass. Forty clients put the cohort
+        // past the selection's sorted window; integer weights select,
+        // fractional ones walk, and a quorum of 64 skips every round, so
+        // nothing is sealed. Events, bytes, aggregates and the book must
+        // match a sink that never seals.
+        let (dim, population) = (24, 40);
+        // analyze:allow(lossy-cast) -- toy values and weights in tests.
+        let update_of = |round: usize, id: usize| -> Vec<f32> {
+            (0..dim)
+                .map(|d| ((id * 7 + d * 3 + round) % 29) as f32 * 0.25 - 2.0)
+                .map(|v| if id % 9 == 4 { -40.0 * v } else { v })
+                .collect()
+        };
+        // Weights `(1 + id % 7) / divisor`: integers, then thirds.
+        for (divisor, min_quorum) in [(1.0f32, 1usize), (3.0, 1), (1.0, 64)] {
+            // analyze:allow(lossy-cast) -- toy weights in tests.
+            let weight_of = |id: usize| (1 + id % 7) as f32 / divisor;
+            let run = |seal: bool| {
+                let scheduler = RoundScheduler::sampled(
+                    Sampler::new(SamplerKind::Uniform, 4),
+                    population,
+                    population,
+                    4,
+                )
+                .with_policy(RoundPolicy {
+                    aggregator: Aggregator::CoordinateMedian,
+                    min_quorum,
+                    ..RoundPolicy::default()
+                })
+                .with_detection(true);
+                let rec = MemoryRecorder::new();
+                let mut rounds = Vec::new();
+                for round in 0..scheduler.rounds() {
+                    let selected = scheduler.select(round, None);
+                    let mut transport =
+                        InProcessTransport::new(|round, id, _global: &[f32]| StreamUpdate {
+                            update: update_of(round, id),
+                            weight: weight_of(id),
+                            loss: 0.0,
+                            divergence: 0.0,
+                        });
+                    let buffered =
+                        BufferedRobustSink::new(Aggregator::CoordinateMedian, selected.len(), 3);
+                    let mut sink: Box<dyn UpdateSink> = if seal {
+                        Box::new(buffered)
+                    } else {
+                        Box::new(Unsealed(buffered))
+                    };
+                    let out = scheduler
+                        .run_round(
+                            round,
+                            &selected,
+                            selected.len(),
+                            &vec![0.0; dim],
+                            sink.as_mut(),
+                            &mut transport,
+                            &rec,
+                        )
+                        .unwrap();
+                    let bits: Option<Vec<u32>> = out
+                        .aggregated
+                        .as_ref()
+                        .map(|a| a.iter().map(|v| v.to_bits()).collect());
+                    rounds.push((out.accepted, out.skipped, out.peak_state_bytes, bits));
+                }
+                (rounds, rec.events(), scheduler.reputation())
+            };
+            let (sealed, unsealed) = (run(true), run(false));
+            assert_eq!(sealed.0, unsealed.0, "quorum {min_quorum}: rounds");
+            assert_eq!(sealed.1, unsealed.1, "quorum {min_quorum}: events");
+            assert_eq!(sealed.2, unsealed.2, "quorum {min_quorum}: reputation");
+            // Quarantine shrinks later cohorts, but not below the window.
+            assert!(sealed
+                .0
+                .iter()
+                .all(|r| r.0 > 16 && r.1 == (min_quorum > r.0)));
+        }
     }
 
     /// A transport that keeps every reclaimed buffer alive, so each reply

@@ -5,7 +5,8 @@ use std::borrow::Cow;
 use calibre_fl::adversary::{anomaly_scores, AnomalyScore, ReputationBook};
 use calibre_fl::aggregate::{
     aggregate_robust, clip_norm, coordinate_median, divergence_weight, geometric_median, krum,
-    trimmed_mean, AggregateError, Aggregator, StreamingWeightedSink, UpdateSink,
+    trimmed_mean, AggregateError, Aggregator, BufferedRobustSink, StreamingWeightedSink,
+    UpdateSink,
 };
 use calibre_fl::chaos::{FaultInjector, FaultPlan};
 use calibre_fl::checkpoint;
@@ -280,7 +281,7 @@ proptest! {
             40 * 40,
         ),
         weights in prop::collection::vec(0.1f32..5.0, 40),
-        weighting in 0u8..4,
+        weighting in 0u8..8,
         ragged in any::<bool>(),
     ) {
         // The column kernel must return exactly what the per-coordinate
@@ -292,10 +293,21 @@ proptest! {
         let mut owned: Vec<Vec<f32>> = (0..n)
             .map(|i| (0..=dim).map(|j| values[(i * (dim + 1) + j) % values.len()]).collect())
             .collect();
-        // Weightings 2 and 3 put the weighted median's crossing past the
-        // part of each column the median sorts first, so its fallback
-        // runs: one dominant weight on every column's largest value, or
-        // weights that rise with the value.
+        let rise_with_the_slot = |owned: &mut Vec<Vec<f32>>| {
+            for (i, row) in owned.iter_mut().enumerate() {
+                for v in row.iter_mut() {
+                    *v += 10.0 * i as f32;
+                }
+            }
+        };
+        // The median selects where every partial sum is exact in any
+        // order (uniform weights, non-negative integers with a total below
+        // 2^24) and walks each sorted column otherwise: weightings 0 and 2
+        // walk, 1, 3, 4 and 5 select, 6 and 7 walk again. Weightings 2 and
+        // 3 put the crossing past the part of each column the walk sorts
+        // first, so its fallback runs: one dominant weight on every
+        // column's largest value, or weights that rise with the value.
+        let small: Vec<f32> = weights[..n].iter().map(|w| (w * 1.6).floor()).collect();
         let weights: Vec<f32> = match weighting {
             0 => weights[..n].to_vec(),
             1 => vec![0.0; n],
@@ -308,13 +320,30 @@ proptest! {
                 w[n - 1] = 4.0 * rest + 1.0;
                 w
             }
-            _ => {
-                for (i, row) in owned.iter_mut().enumerate() {
-                    for v in row.iter_mut() {
-                        *v += 10.0 * i as f32;
-                    }
-                }
+            3 => {
+                rise_with_the_slot(&mut owned);
                 (0..n).map(|i| ((i + 1) * (i + 1)) as f32).collect()
+            }
+            // Random integers 0..=7, zeros included.
+            4 => small,
+            // Integers whose total sits just below 2^24.
+            5 => {
+                let base = ((EXACT - 1) as usize - 8 * n) / n;
+                small.iter().map(|w| (base as f32) + w).collect()
+            }
+            // A slot-order total that rounds to exactly 2^24 from 2^24 + 1,
+            // with the column's lower half weighing exactly half of it: a
+            // selection that summed the upper half and took the lower
+            // half's weight from the rounded total would stop one entry
+            // late.
+            6 => {
+                rise_with_the_slot(&mut owned);
+                at_the_exactness_bound(n)
+            }
+            // Integers whose total is past 2^24, so partial sums round.
+            _ => {
+                let base = (2 * EXACT as usize) / n;
+                small.iter().map(|w| (base as f32) + w).collect()
             }
         };
         let updates: Vec<&[f32]> = owned.iter().map(|row| &row[..dim]).collect();
@@ -323,6 +352,25 @@ proptest! {
         let median = coordinate_median(&updates, &weights).unwrap();
         let want = sorting_reference::coordinate_median(&updates, &weights);
         prop_assert_eq!(bits(&median), bits(&want));
+
+        // A median sink holding the round seals the same aggregate and
+        // detection's reference medians in one pass; scored against them,
+        // the round reads as the sorting reference scores it.
+        let mut sink = BufferedRobustSink::new(Aggregator::CoordinateMedian, n, 0);
+        for (i, (u, &w)) in updates.iter().zip(&weights).enumerate() {
+            sink.fold(i, Cow::Borrowed(*u), w).unwrap();
+        }
+        let medians = sink.seal_medians().unwrap();
+        prop_assert_eq!(bits(&medians), bits(&sorting_reference::column_medians(&updates)));
+        let ids: Vec<usize> = (0..n).map(|i| 7 * i + 1).collect();
+        let fused = sorting_reference::anomaly_scores_against(&ids, &updates, &medians);
+        let scored = sorting_reference::anomaly_scores(&ids, &updates);
+        for (g, w) in fused.iter().zip(&scored) {
+            prop_assert_eq!(g.norm_z.to_bits(), w.norm_z.to_bits(), "fused norm z of {}", g.client);
+            prop_assert_eq!(g.cosine_z.to_bits(), w.cosine_z.to_bits(), "fused cosine z of {}", g.client);
+        }
+        prop_assert_eq!(sink.held().map(|held| held.len()), Some(n));
+        prop_assert_eq!(bits(&sink.finish().unwrap()), bits(&want));
         for ratio in [0.0f32, 0.1, 0.3] {
             let want = sorting_reference::trimmed_mean(&updates, &weights, ratio);
             match (trimmed_mean(&updates, &weights, ratio), want) {
@@ -343,7 +391,6 @@ proptest! {
                 _ => &row[..dim],
             })
             .collect();
-        let ids: Vec<usize> = (0..n).map(|i| 7 * i + 1).collect();
         let got = anomaly_scores(&ids, &rows);
         let want = sorting_reference::anomaly_scores(&ids, &rows);
         prop_assert_eq!(got.len(), want.len());
@@ -895,6 +942,70 @@ fn sample_count_weights_preserve_ratios() {
     }
 }
 
+/// The median selects only where every partial sum is exact in any order.
+/// Two weightings round where a selection would not: integers whose
+/// slot-order total rounds to exactly 2^24, and the same weights halved,
+/// half-integers whose total rounds to 2^23. Both must walk. Even cohorts
+/// past the sorted window make a selection sum the upper half and take the
+/// lower half's weight from the rounded total, one short, so it would stop
+/// one slot late.
+#[test]
+fn the_median_walks_wherever_a_sum_can_round() {
+    for n in [18usize, 40] {
+        let rows: Vec<Vec<f32>> = (0..n)
+            .map(|i| {
+                (0..5)
+                    .map(|j| 10.0 * i as f32 + j as f32 * 0.25 - 0.5)
+                    .collect()
+            })
+            .collect();
+        let updates: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
+        let integers = at_the_exactness_bound(n);
+        let halves: Vec<f32> = integers.iter().map(|w| w * 0.5).collect();
+        for weights in [integers, halves] {
+            let median = coordinate_median(&updates, &weights).unwrap();
+            assert_eq!(
+                median,
+                sorting_reference::coordinate_median(&updates, &weights)
+            );
+            assert_eq!(
+                median,
+                rows[n / 2 - 1],
+                "n {n}: the crossing is slot n/2 - 1"
+            );
+        }
+    }
+}
+
+/// 2^24: below it every sum of non-negative integer weights is exact.
+const EXACT: u32 = 1 << 24;
+
+/// `n` integer weights whose slot-order `f32` total rounds from 2^24 + 1
+/// to 2^24 on its last add, and whose first `n / 2` weigh exactly 2^23,
+/// half that total: with values rising by slot, every column's median is
+/// the value of slot `n / 2 - 1`. Fewer than five slots get weights that
+/// merely sum past 2^24.
+fn at_the_exactness_bound(n: usize) -> Vec<f32> {
+    let half = EXACT / 2;
+    let k = n / 2;
+    let rest = n.saturating_sub(k + 1);
+    if n < 5 {
+        let mut w = vec![(EXACT - 1) as f32, 2.0, 1.0, 1.0];
+        w.truncate(n.max(1));
+        if n == 1 {
+            w[0] = EXACT as f32;
+        }
+        return w;
+    }
+    // Lower half: 2^23 exactly. The pivot slot weighs one; the rest bring
+    // the slot-order sum to 2^24 - 1 before a last weight of two.
+    let mut w = vec![1.0f32; n];
+    w[0] = (half - (k as u32 - 1)) as f32;
+    w[k + 1] = (half - 2 - (rest as u32 - 2)) as f32;
+    w[n - 1] = 2.0;
+    w
+}
+
 /// The per-coordinate sorting loops the aggregation column kernel replaced,
 /// kept as bit-for-bit references for it.
 mod sorting_reference {
@@ -962,9 +1073,40 @@ mod sorting_reference {
         v.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
+    /// The unweighted median of every zero-filled column, by sorting it:
+    /// the mean of the two middle values for an even count.
+    pub fn column_medians(updates: &[&[f32]]) -> Vec<f32> {
+        let n = updates.len();
+        let dim = updates.first().map_or(0, |u| u.len());
+        let mut col = Vec::with_capacity(n);
+        (0..dim)
+            .map(|d| {
+                col.clear();
+                col.extend(updates.iter().map(|u| u.get(d).copied().unwrap_or(0.0)));
+                col.sort_unstable_by(|a, b| a.total_cmp(b));
+                let hi = col[n / 2];
+                if n % 2 == 1 {
+                    hi
+                } else {
+                    0.5 * (col[n / 2 - 1] + hi)
+                }
+            })
+            .collect()
+    }
+
     /// Anomaly scores as one sequential pass computed them, against a
     /// reference median built by sorting every zero-filled column.
     pub fn anomaly_scores(ids: &[usize], updates: &[&[f32]]) -> Vec<AnomalyScore> {
+        let n = ids.len().min(updates.len());
+        anomaly_scores_against(ids, updates, &column_medians(&updates[..n]))
+    }
+
+    /// [`anomaly_scores`] against a given reference median.
+    pub fn anomaly_scores_against(
+        ids: &[usize],
+        updates: &[&[f32]],
+        median: &[f32],
+    ) -> Vec<AnomalyScore> {
         let n = ids.len().min(updates.len());
         if n < 3 {
             return ids
@@ -977,33 +1119,14 @@ mod sorting_reference {
                 })
                 .collect();
         }
-        let dim = updates.first().map_or(0, |u| u.len());
-        let mut median = vec![0.0f32; dim];
-        let mut col = Vec::with_capacity(n);
-        for (d, m) in median.iter_mut().enumerate() {
-            col.clear();
-            col.extend(
-                updates
-                    .iter()
-                    .take(n)
-                    .map(|u| u.get(d).copied().unwrap_or(0.0)),
-            );
-            col.sort_unstable_by(|a, b| a.total_cmp(b));
-            let hi = col[n / 2];
-            *m = if n % 2 == 1 {
-                hi
-            } else {
-                0.5 * (col[n / 2 - 1] + hi)
-            };
-        }
-        let med_norm = l2_norm(&median).max(1e-12);
+        let med_norm = l2_norm(median).max(1e-12);
         let norms: Vec<f32> = updates.iter().take(n).map(|u| l2_norm(u)).collect();
         let cosines: Vec<f32> = updates
             .iter()
             .take(n)
             .zip(&norms)
             .map(|(u, &un)| {
-                let dot: f32 = u.iter().zip(&median).map(|(a, b)| a * b).sum();
+                let dot: f32 = u.iter().zip(median).map(|(a, b)| a * b).sum();
                 dot / (un.max(1e-12) * med_norm)
             })
             .collect();

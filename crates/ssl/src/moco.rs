@@ -4,8 +4,49 @@
 use crate::method::{SslGraph, SslMethod, TwoViewBatch};
 use crate::SslConfig;
 use calibre_tensor::nn::{ema_update, Activation, Binding, Mlp, Module};
-use calibre_tensor::{rng, Matrix};
+use calibre_tensor::{rng, Graph, Matrix, Node};
 use std::collections::VecDeque;
+
+/// MoCo's symmetric InfoNCE on two views' normalized queries: each
+/// query's logit 0 is its dot with the *other* view's aligned key (the
+/// positive), and its negatives are the queued keys, or every key of the
+/// batch while the queue is empty; logits / τ under cross-entropy toward
+/// column 0, averaged over both directions. The keys and the queue come
+/// from the EMA networks and enter as constants.
+fn info_nce(
+    graph: &mut Graph,
+    (q_e, q_o): (Node, Node),
+    (k_e, k_o): (&Matrix, &Matrix),
+    queue: &Matrix,
+    tau: f32,
+) -> Node {
+    let n = k_e.rows();
+    let build_logits = |graph: &mut Graph, q, keys: &Matrix| {
+        // Positive logit: rowwise dot with the aligned key.
+        let keys_node = graph.constant_from(keys);
+        let l_pos = graph.rowwise_dot(q, keys_node);
+        if queue.is_empty() {
+            // Fall back to in-batch negatives: q × all keysᵀ with the
+            // positive in column 0 handled below via concat ordering.
+            let keys_t = graph.constant(keys.transpose());
+            let l_all = graph.matmul(q, keys_t);
+            let cat = graph.concat_cols(l_pos, l_all);
+            graph.scale(cat, 1.0 / tau)
+        } else {
+            let queue_t = graph.constant(queue.transpose());
+            let l_neg = graph.matmul(q, queue_t);
+            let cat = graph.concat_cols(l_pos, l_neg);
+            graph.scale(cat, 1.0 / tau)
+        }
+    };
+    let logits_e = build_logits(graph, q_e, k_o);
+    let logits_o = build_logits(graph, q_o, k_e);
+    let targets = vec![0usize; n];
+    let ce_e = graph.cross_entropy(logits_e, &targets);
+    let ce_o = graph.cross_entropy(logits_o, &targets);
+    let sum = graph.add(ce_e, ce_o);
+    graph.scale(sum, 0.5)
+}
 
 /// The MoCoV2 method: query encoder/projector (trainable), key
 /// encoder/projector (EMA), and a FIFO queue of negative keys.
@@ -99,7 +140,6 @@ impl SslMethod for MoCoV2 {
         mut graph: calibre_tensor::Graph,
     ) -> SslGraph {
         let _span = calibre_telemetry::span("moco_forward");
-        let n = batch.len();
         let mut binding = Binding::new();
         let enc = self.encoder.bind(&mut graph, &mut binding);
         let proj = self.projector.bind(&mut graph, &mut binding);
@@ -126,31 +166,13 @@ impl SslMethod for MoCoV2 {
         let queue = self.queue_matrix();
         let q_e = graph.row_l2_normalize(h_e);
         let q_o = graph.row_l2_normalize(h_o);
-        let build_logits = |graph: &mut calibre_tensor::Graph, q, keys: &Matrix| {
-            // Positive logit: rowwise dot with the aligned key.
-            let keys_node = graph.constant_from(keys);
-            let l_pos = graph.rowwise_dot(q, keys_node);
-            if queue.is_empty() {
-                // Fall back to in-batch negatives: q × all keysᵀ with the
-                // positive in column 0 handled below via concat ordering.
-                let keys_t = graph.constant(keys.transpose());
-                let l_all = graph.matmul(q, keys_t);
-                let cat = graph.concat_cols(l_pos, l_all);
-                graph.scale(cat, 1.0 / self.config.tau)
-            } else {
-                let queue_t = graph.constant(queue.transpose());
-                let l_neg = graph.matmul(q, queue_t);
-                let cat = graph.concat_cols(l_pos, l_neg);
-                graph.scale(cat, 1.0 / self.config.tau)
-            }
-        };
-        let logits_e = build_logits(&mut graph, q_e, &k_o);
-        let logits_o = build_logits(&mut graph, q_o, &k_e);
-        let targets = vec![0usize; n];
-        let ce_e = graph.cross_entropy(logits_e, &targets);
-        let ce_o = graph.cross_entropy(logits_o, &targets);
-        let sum = graph.add(ce_e, ce_o);
-        let ssl_loss = graph.scale(sum, 0.5);
+        let ssl_loss = info_nce(
+            &mut graph,
+            (q_e, q_o),
+            (&k_e, &k_o),
+            &queue,
+            self.config.tau,
+        );
 
         SslGraph {
             graph,
@@ -180,6 +202,7 @@ impl SslMethod for MoCoV2 {
 mod tests {
     use super::*;
     use crate::method::ssl_step;
+    use calibre_tensor::gradcheck::check_gradient;
     use calibre_tensor::optim::{Sgd, SgdConfig};
     use calibre_tensor::rng::{normal_matrix, seeded};
 
@@ -240,6 +263,41 @@ mod tests {
             late < chance,
             "late loss {late} should beat chance {chance}"
         );
+    }
+
+    #[test]
+    fn info_nce_gradient_matches_finite_differences() {
+        // Both views' queries, against in-batch negatives (empty queue)
+        // and against a queue of keys; keys and queue are constants.
+        let cfg = SslConfig::for_input(64);
+        let (n, d) = (6, 4);
+        let e = normal_matrix(&mut seeded(11), n, d, 1.0);
+        let o = e.add(&normal_matrix(&mut seeded(12), n, d, 0.5));
+        let k_e = e
+            .add(&normal_matrix(&mut seeded(13), n, d, 0.3))
+            .row_l2_normalized();
+        let k_o = o
+            .add(&normal_matrix(&mut seeded(14), n, d, 0.3))
+            .row_l2_normalized();
+        let queued = normal_matrix(&mut seeded(15), 5, d, 1.0).row_l2_normalized();
+        for queue in [Matrix::zeros(0, d), queued] {
+            for (view, x, other) in [("e", &e, &o), ("o", &o, &e)] {
+                let report = check_gradient(x, 1e-2, |g, x| {
+                    let other = g.constant_from(other);
+                    let (q_x, q_other) = (g.row_l2_normalize(x), g.row_l2_normalize(other));
+                    let queries = match view {
+                        "e" => (q_x, q_other),
+                        _ => (q_other, q_x),
+                    };
+                    info_nce(g, queries, (&k_e, &k_o), &queue, cfg.tau)
+                });
+                assert!(
+                    report.max_grad > 1e-3 && report.passes(1e-2),
+                    "view {view}, {} queued: {report:?}",
+                    queue.rows()
+                );
+            }
+        }
     }
 
     #[test]

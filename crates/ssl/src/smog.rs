@@ -12,7 +12,31 @@ use crate::method::{SslGraph, SslMethod, TwoViewBatch};
 use crate::SslConfig;
 use calibre_cluster::{assign_to_centroids, kmeans, KMeansConfig};
 use calibre_tensor::nn::{Activation, Binding, Mlp, Module};
-use calibre_tensor::{rng, Matrix};
+use calibre_tensor::{rng, Graph, Matrix, Node};
+
+/// SMoG's loss on two views' normalized projections: each view's scores
+/// against the group centers / τ classify it into the group the *other*
+/// view was assigned to, under cross-entropy, averaged over both
+/// directions. Groups and assignments enter as constants: neither is
+/// learned by gradient.
+fn grouping_loss(
+    graph: &mut Graph,
+    (hn_e, hn_o): (Node, Node),
+    groups: &Matrix,
+    (assign_e, assign_o): (&[usize], &[usize]),
+    tau: f32,
+) -> Node {
+    let groups_t = graph.constant(groups.transpose());
+    let logits_o = graph.matmul(hn_o, groups_t);
+    let logits_o = graph.scale(logits_o, 1.0 / tau);
+    let groups_t2 = graph.constant(groups.transpose());
+    let logits_e = graph.matmul(hn_e, groups_t2);
+    let logits_e = graph.scale(logits_e, 1.0 / tau);
+    let ce_o = graph.cross_entropy(logits_o, assign_e);
+    let ce_e = graph.cross_entropy(logits_e, assign_o);
+    let sum = graph.add(ce_e, ce_o);
+    graph.scale(sum, 0.5)
+}
 
 /// The SMoG method: encoder + projector with momentum-updated group centers.
 #[derive(Debug, Clone)]
@@ -108,20 +132,16 @@ impl SslMethod for Smog {
         let hn_e = graph.row_l2_normalize(h_e);
         let hn_o = graph.row_l2_normalize(h_o);
 
-        // Assignments from view e's (detached) features, classification from
-        // view o's logits against the group bank — and symmetrically.
+        // Assignments from each view's (detached) features.
         let assign_e = assign_to_centroids(graph.value(hn_e), &self.groups);
         let assign_o = assign_to_centroids(graph.value(hn_o), &self.groups);
-        let groups_t = graph.constant(self.groups.transpose());
-        let logits_o = graph.matmul(hn_o, groups_t);
-        let logits_o = graph.scale(logits_o, 1.0 / self.config.tau);
-        let groups_t2 = graph.constant(self.groups.transpose());
-        let logits_e = graph.matmul(hn_e, groups_t2);
-        let logits_e = graph.scale(logits_e, 1.0 / self.config.tau);
-        let ce_o = graph.cross_entropy(logits_o, &assign_e);
-        let ce_e = graph.cross_entropy(logits_e, &assign_o);
-        let sum = graph.add(ce_e, ce_o);
-        let ssl_loss = graph.scale(sum, 0.5);
+        let ssl_loss = grouping_loss(
+            &mut graph,
+            (hn_e, hn_o),
+            &self.groups,
+            (&assign_e, &assign_o),
+            self.config.tau,
+        );
 
         // Post-step needs the normalized features and their assignments to
         // momentum-update the groups.
@@ -208,6 +228,7 @@ impl SslMethod for Smog {
 mod tests {
     use super::*;
     use crate::method::ssl_step;
+    use calibre_tensor::gradcheck::check_gradient;
     use calibre_tensor::optim::{Sgd, SgdConfig};
     use calibre_tensor::rng::{normal_matrix, seeded};
 
@@ -222,6 +243,34 @@ mod tests {
         let m = Smog::new(SslConfig::for_input(64));
         for norm in m.groups().row_norms() {
             assert!((norm - 1.0).abs() < 1e-5);
+        }
+    }
+
+    #[test]
+    fn grouping_loss_gradient_matches_finite_differences() {
+        // The assignments are computed once, from the unperturbed views,
+        // and held constant, as the method detaches them.
+        let cfg = SslConfig::for_input(64);
+        let (n, d, k) = (8, 4, 3);
+        let e = normal_matrix(&mut seeded(21), n, d, 1.0);
+        let o = e.add(&normal_matrix(&mut seeded(22), n, d, 0.5));
+        let groups = normal_matrix(&mut seeded(23), k, d, 1.0).row_l2_normalized();
+        let assign = |x: &Matrix| assign_to_centroids(&x.row_l2_normalized(), &groups);
+        let (assign_e, assign_o) = (assign(&e), assign(&o));
+        for (view, x, other) in [("e", &e, &o), ("o", &o, &e)] {
+            let report = check_gradient(x, 1e-2, |g, x| {
+                let other = g.constant_from(other);
+                let (hn_x, hn_other) = (g.row_l2_normalize(x), g.row_l2_normalize(other));
+                let views = match view {
+                    "e" => (hn_x, hn_other),
+                    _ => (hn_other, hn_x),
+                };
+                grouping_loss(g, views, &groups, (&assign_e, &assign_o), cfg.tau)
+            });
+            assert!(
+                report.max_grad > 1e-3 && report.passes(1e-2),
+                "view {view}: {report:?}"
+            );
         }
     }
 
