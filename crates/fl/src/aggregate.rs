@@ -557,8 +557,9 @@ fn midpoint(column: &[u64]) -> f32 {
     }
 }
 
-/// Weighted selection sorts and walks a window this short, as
-/// `select_nth_unstable` sorts a slice this short rather than partition it.
+/// Weighted selection sorts and walks a window this short: sorting a few
+/// entries costs less than another selection, a weight sum and a rank
+/// estimate (EXPERIMENTS.md, "Robust round in one column pass").
 const SORTED_WINDOW: usize = 16;
 
 /// Every integer up to 2^24 is an `f32`, so sums of non-negative integers

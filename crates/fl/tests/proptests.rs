@@ -135,8 +135,8 @@ proptest! {
         strikes in 0usize..4,
         seed in 0u64..500,
     ) {
-        // A torn write can cut a checkpoint anywhere; every prefix must come
-        // back `Ok` or as a typed error, never as a panic or an abort. Both
+        // A damaged file can end anywhere; every prefix must come back
+        // `Ok` or as a typed error, never as a panic or an abort. Both
         // texts carry a reputation section once a client has struck.
         let mut r = rng::seeded(seed);
         let net = |r: &mut rand::rngs::StdRng| -> Vec<Matrix> {
