@@ -1148,6 +1148,10 @@ use rand::Rng as _;
 ///   the sink will hold a round's updates, the engine hands it each
 ///   reply's own buffer and scores detection on [`UpdateSink::held`]
 ///   before `finish`, so no second copy exists.
+/// * **Held buffers go back.** Once `finish` no longer needs them, or the
+///   round missed its quorum, [`UpdateSink::release`] gives the held
+///   buffers back, and the engine returns them to the transport for the
+///   next round's replies.
 ///
 /// # Examples
 ///
@@ -1204,6 +1208,14 @@ pub trait UpdateSink {
     /// them itself. A fold after a seal undoes it.
     fn seal_medians(&mut self) -> Option<Vec<f32>> {
         None
+    }
+
+    /// Gives back the buffers of the updates the sink holds, in no
+    /// particular order, and leaves it empty: what [`UpdateSink::finish`]
+    /// left behind, or every held update of a round that will not finish.
+    /// The default, for a sink that holds none, gives back nothing.
+    fn release(&mut self) -> Vec<Vec<f32>> {
+        Vec::new()
     }
 
     /// Offers a spent buffer, such as the previous round's aggregate, for
@@ -1572,7 +1584,8 @@ impl UpdateSink for HierarchicalSink {
 /// the folds fit the capacity nothing is replaced, so
 /// [`UpdateSink::keeps`] holds and [`UpdateSink::held`] lends the updates
 /// back in fold order: the round engine hands over each reply's own buffer
-/// and scores detection on them.
+/// and scores detection on them. `finish` leaves the buffers in the sink,
+/// and [`UpdateSink::release`] gives them back.
 ///
 /// Those statistics need the whole cohort at once — order statistics need
 /// every coordinate's column, Krum compares every pair of updates,
@@ -1629,8 +1642,10 @@ impl UpdateSink for HierarchicalSink {
 pub struct BufferedRobustSink {
     aggregator: Aggregator,
     /// The held updates; after a seal ([`UpdateSink::seal_medians`]), the
-    /// sealed aggregate past them, so `entries.len() > folded` exactly
-    /// when the round is sealed.
+    /// sealed aggregate past them, so with `folded > 0`,
+    /// `entries.len() > folded` exactly when the round is sealed. After
+    /// `finish` (`folded == 0`), the spent buffers until
+    /// [`UpdateSink::release`] or the next fold.
     entries: Vec<Vec<f32>>,
     weights: Vec<f32>,
     capacity: usize,
@@ -1724,14 +1739,22 @@ impl UpdateSink for BufferedRobustSink {
             + std::mem::size_of::<Self>()
     }
 
+    fn release(&mut self) -> Vec<Vec<f32>> {
+        self.weights.clear();
+        self.folded = 0;
+        std::mem::take(&mut self.entries)
+    }
+
     fn finish(&mut self) -> Result<Vec<f32>, AggregateError> {
+        if self.folded == 0 {
+            return Err(AggregateError::Empty);
+        }
         let out = if self.entries.len() > self.folded {
             self.entries.pop().ok_or(AggregateError::Empty)
         } else {
             let refs: Vec<&[f32]> = self.entries.iter().map(Vec::as_slice).collect();
             aggregate_robust(self.aggregator, &refs, &self.weights)
         };
-        self.entries.clear();
         self.weights.clear();
         self.folded = 0;
         out

@@ -358,10 +358,12 @@ impl RoundScheduler {
     /// `skipped: true` and never calls [`UpdateSink::finish`]. Folds
     /// cannot be undone, so callers build a fresh sink every round.
     ///
-    /// A reply's update buffer goes back to the transport
-    /// ([`Transport::reclaim`]) as soon as the round is done with it: a
-    /// rejected reply at once, a folded one after the fold unless the sink
-    /// or detection keeps it.
+    /// Every reply's update buffer goes back to the transport exactly once
+    /// ([`Transport::reclaim`]), as soon as the round is done with it: a
+    /// rejected reply at once, a folded one after the fold, or, when the
+    /// sink or detection keeps it, once the round is sealed. A keeping sink
+    /// gives its buffers back through [`UpdateSink::release`], after
+    /// `finish` or in a round that missed its quorum.
     ///
     /// Telemetry: one `attack` event per attacked selection, one `fault`
     /// event per client outcome the engine decides, in slot order —
@@ -514,6 +516,10 @@ impl RoundScheduler {
         let sealed = self.seal_round(round, out, sink, recorder);
         if let Some(scores) = scores {
             self.observe_round(round, &scores, recorder);
+        }
+        let kept = if keeps { sink.release() } else { Vec::new() };
+        for update in kept.into_iter().chain(watched.into_iter().flatten()) {
+            transport.reclaim(update);
         }
         Ok(sealed)
     }
@@ -1330,7 +1336,7 @@ mod tests {
                     .collect(),
             }
         };
-        let run = |aggregator: Aggregator, detect: bool, recycle: bool| {
+        let run = |aggregator: Aggregator, detect: bool, min_quorum: usize, recycle: bool| {
             let scheduler = RoundScheduler::sampled(
                 Sampler::new(SamplerKind::Uniform, 9),
                 population,
@@ -1339,6 +1345,7 @@ mod tests {
             )
             .with_policy(RoundPolicy {
                 aggregator,
+                min_quorum,
                 ..RoundPolicy::default()
             })
             .with_detection(detect);
@@ -1374,6 +1381,7 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!((out.accepted, out.rejected), (8, 4));
+            assert_eq!(out.skipped, min_quorum > 8);
             let reclaimed: Vec<usize> = recycling
                 .reclaimed
                 .iter()
@@ -1383,32 +1391,35 @@ mod tests {
         };
         let streaming = Aggregator::WeightedAverage;
         let keeping = Aggregator::CoordinateMedian;
-        for (aggregator, detect) in [(streaming, false), (keeping, false), (streaming, true)] {
-            let (out, events, replied, mut reclaimed) = run(aggregator, detect, true);
-            let (plain, plain_events, ..) = run(aggregator, detect, false);
-            let case = format!("{aggregator:?}, detect {detect}");
-            // Reclaiming changes no event, no figure and no bit.
-            assert_eq!(events, plain_events, "{case}: events");
-            assert_eq!(out.peak_state_bytes, plain.peak_state_bytes, "{case}: peak");
-            let bits = |v: &Option<Vec<f32>>| {
-                v.as_ref()
-                    .map(|u| u.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
-            };
-            assert_eq!(bits(&out.aggregated), bits(&plain.aggregated), "{case}");
+        for (aggregator, detect) in [
+            (streaming, false),
+            (keeping, false),
+            (streaming, true),
+            (keeping, true),
+        ] {
+            // A quorum of 64 skips the round: nothing is finished.
+            for min_quorum in [1, 64] {
+                let (out, events, replied, mut reclaimed) =
+                    run(aggregator, detect, min_quorum, true);
+                let (plain, plain_events, ..) = run(aggregator, detect, min_quorum, false);
+                let case = format!("{aggregator:?}, detect {detect}, quorum {min_quorum}");
+                // Reclaiming changes no event, no figure and no bit.
+                assert_eq!(events, plain_events, "{case}: events");
+                assert_eq!(out.peak_state_bytes, plain.peak_state_bytes, "{case}: peak");
+                let bits = |v: &Option<Vec<f32>>| {
+                    v.as_ref()
+                        .map(|u| u.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+                };
+                assert_eq!(bits(&out.aggregated), bits(&plain.aggregated), "{case}");
 
-            // A streaming sink beside no detection keeps nothing, so every
-            // reply comes back once; otherwise only the rejected ones do.
-            let kept_nothing = aggregator == streaming && !detect;
-            let mut want: Vec<usize> = replied
-                .iter()
-                .filter(|(id, _)| kept_nothing || !out.clients.contains(id))
-                .map(|&(_, addr)| addr)
-                .collect();
-            want.sort_unstable();
-            want.dedup();
-            assert_eq!(want.len(), if kept_nothing { population } else { 4 });
-            reclaimed.sort_unstable();
-            assert_eq!(reclaimed, want, "{case}: reclaimed buffers");
+                // Every reply comes back exactly once, whoever kept it.
+                let mut want: Vec<usize> = replied.iter().map(|&(_, addr)| addr).collect();
+                want.sort_unstable();
+                want.dedup();
+                assert_eq!(want.len(), population, "{case}: distinct replies");
+                reclaimed.sort_unstable();
+                assert_eq!(reclaimed, want, "{case}: reclaimed buffers");
+            }
         }
     }
 

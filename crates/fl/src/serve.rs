@@ -7,7 +7,8 @@
 //! entries differ **only** in the transport they plug in:
 //!
 //! * [`run_in_process`] — an [`InProcessTransport`] over the deterministic
-//!   simulated workload ([`sim_update`]);
+//!   simulated workload ([`sim_update_into`], writing each update into a
+//!   buffer an earlier round's reply was handed back in);
 //! * [`run_server`] — a [`SocketTransport`] speaking [`crate::proto`]
 //!   frames to real `calibre-client` processes.
 //!
@@ -27,7 +28,7 @@ use crate::proto::model_checksum;
 use crate::sampler::{Sampler, SamplerKind};
 use crate::scheduler::{RoundPolicy, RoundScheduler};
 use crate::transport::{
-    InProcessTransport, Listener, NetPolicy, SocketTransport, StreamUpdate, Transport,
+    ClientWork, InProcessTransport, Listener, NetPolicy, SocketTransport, StreamUpdate, Transport,
     TransportError, WelcomeInfo,
 };
 use calibre_tensor::rng;
@@ -133,14 +134,30 @@ pub fn sim_init(seed: u64, dim: usize) -> Vec<f32> {
 /// reordered delivery changes the final checksum — the identity test
 /// detects transport bugs, not just RNG agreement.
 pub fn sim_update(seed: u64, round: usize, client: usize, global: &[f32]) -> StreamUpdate {
+    sim_update_into(seed, round, client, global, Vec::new())
+}
+
+/// [`sim_update`], writing the update into `spare` whatever it holds: the
+/// same bits, in `spare`'s allocation when it has room for `global`.
+pub fn sim_update_into(
+    seed: u64,
+    round: usize,
+    client: usize,
+    global: &[f32],
+    spare: Vec<f32>,
+) -> StreamUpdate {
     let mixed = seed
         .wrapping_add((round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .wrapping_add((client as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
     let mut r = rng::seeded(mixed);
-    let update: Vec<f32> = global
-        .iter()
-        .map(|g| -0.1 * g + 0.05 * (r.gen::<f32>() - 0.5))
-        .collect();
+    let mut update = spare;
+    update.clear();
+    update.reserve_exact(global.len());
+    update.extend(
+        global
+            .iter()
+            .map(|g| -0.1 * g + 0.05 * (r.gen::<f32>() - 0.5)),
+    );
     let loss = if update.is_empty() {
         0.0
     } else {
@@ -279,11 +296,24 @@ pub fn run_in_process(
     cfg: &ServeConfig,
     recorder: &dyn Recorder,
 ) -> Result<ServeOutcome, TransportError> {
-    let seed = cfg.seed;
-    let mut transport = InProcessTransport::new(move |round, client, global: &[f32]| {
-        sim_update(seed, round, client, global)
-    });
+    let mut transport = InProcessTransport::with_work(SimClients { seed: cfg.seed });
     run_rounds(cfg, &mut transport, recorder)
+}
+
+/// The simulated population as in-process client work: each update is
+/// written into the buffer the transport hands it.
+struct SimClients {
+    seed: u64,
+}
+
+impl ClientWork for SimClients {
+    fn reply(&self, round: usize, client: usize, global: &[f32], spare: Vec<f32>) -> StreamUpdate {
+        sim_update_into(self.seed, round, client, global, spare)
+    }
+
+    fn fills(&self) -> bool {
+        true
+    }
 }
 
 /// The `Welcome` a server derives from its config (public so the bins and
@@ -334,7 +364,133 @@ pub fn sim_client_work(seed: u64, client: usize) -> impl FnMut(usize, &[f32]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::Aggregator;
     use calibre_telemetry::NullRecorder;
+
+    #[test]
+    fn the_filling_sim_update_matches_sim_update_bit_for_bit() {
+        let bits = |r: &StreamUpdate| {
+            let update: Vec<u32> = r.update.iter().map(|v| v.to_bits()).collect();
+            (
+                update,
+                r.weight.to_bits(),
+                r.loss.to_bits(),
+                r.divergence.to_bits(),
+            )
+        };
+        let global = sim_init(5, 40);
+        let junk = |len: usize, cap: usize| {
+            let mut v = Vec::with_capacity(cap);
+            v.resize(len, f32::NAN);
+            v
+        };
+        for (round, client) in [(0, 0), (3, 11), (7, 20_000)] {
+            let want = bits(&sim_update(9, round, client, &global));
+            // Empty, short, long and exactly-fitting spares, junk-filled.
+            for spare in [
+                Vec::new(),
+                junk(7, 7),
+                junk(64, 96),
+                junk(40, 40),
+                junk(0, 40),
+            ] {
+                let fits = spare.capacity() >= global.len();
+                let at = spare.as_ptr();
+                let got = sim_update_into(9, round, client, &global, spare);
+                assert_eq!(bits(&got), want, "round {round}, client {client}");
+                assert_eq!(
+                    got.update.as_ptr() == at,
+                    fits,
+                    "a spare that fits is reused"
+                );
+            }
+        }
+    }
+
+    /// The simulated population, recording each slot's round, the address
+    /// and capacity of the spare it is handed, and its reply's address.
+    struct Recorded<'a> {
+        seed: u64,
+        slots: &'a std::sync::Mutex<Vec<(usize, usize, usize, usize)>>,
+    }
+
+    impl ClientWork for Recorded<'_> {
+        fn reply(
+            &self,
+            round: usize,
+            client: usize,
+            global: &[f32],
+            spare: Vec<f32>,
+        ) -> StreamUpdate {
+            let (at, capacity) = (spare.as_ptr() as usize, spare.capacity());
+            let reply = sim_update_into(self.seed, round, client, global, spare);
+            let replied = reply.update.as_ptr() as usize;
+            self.slots
+                .lock()
+                .unwrap()
+                .push((round, at, capacity, replied));
+            reply
+        }
+
+        fn fills(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn in_process_rounds_write_replies_into_the_last_rounds_buffers() {
+        // Waves of two over a cohort of three: a streaming sink gives each
+        // reply back after its fold, a keeping sink or detection after the
+        // round. Either way every slot after round 0 is handed a spare that
+        // fits, and its reply lands in that allocation, one of the last
+        // round's replies. A spare is held from its reclaim to its hand-out,
+        // so an equal address is the same allocation. The model keeps its
+        // bits.
+        for (aggregator, detect) in [
+            (Aggregator::WeightedAverage, false),
+            (Aggregator::WeightedAverage, true),
+            (Aggregator::CoordinateMedian, false),
+            (Aggregator::CoordinateMedian, true),
+        ] {
+            let mut cfg = ServeConfig::smoke();
+            cfg.rounds = 5;
+            cfg.policy.aggregator = aggregator;
+            cfg.detect = detect;
+            let case = format!("{aggregator:?}, detect {detect}");
+            let recorded = std::sync::Mutex::new(Vec::new());
+            let mut transport = InProcessTransport::with_work(Recorded {
+                seed: cfg.seed,
+                slots: &recorded,
+            });
+            let out = run_rounds(&cfg, &mut transport, &NullRecorder).unwrap();
+            assert_eq!(
+                out.checksum,
+                run_in_process(&cfg, &NullRecorder).unwrap().checksum,
+                "{case}"
+            );
+            let seed = cfg.seed;
+            let mut allocating = InProcessTransport::new(move |round, client, global: &[f32]| {
+                sim_update(seed, round, client, global)
+            });
+            let fresh = run_rounds(&cfg, &mut allocating, &NullRecorder).unwrap();
+            assert_eq!(out.checksum, fresh.checksum, "{case}");
+
+            let slots = recorded.into_inner().unwrap();
+            let replies_in = |round: usize| -> Vec<usize> {
+                slots.iter().filter(|s| s.0 == round).map(|s| s.3).collect()
+            };
+            for round in 1..cfg.rounds {
+                let last = replies_in(round - 1);
+                let these: Vec<_> = slots.iter().filter(|s| s.0 == round).collect();
+                assert_eq!(these.len(), cfg.cohort, "{case}, round {round}");
+                for &&(_, at, capacity, replied) in &these {
+                    assert!(capacity >= cfg.dim, "{case}, round {round}: no spare");
+                    assert_eq!(replied, at, "{case}, round {round}: not filled in place");
+                    assert!(last.contains(&at), "{case}, round {round}: a new buffer");
+                }
+            }
+        }
+    }
 
     #[test]
     fn in_process_serve_is_replay_identical() {

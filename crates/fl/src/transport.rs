@@ -38,7 +38,7 @@ use std::time::Duration;
 use calibre_telemetry::metrics;
 
 use crate::chaos::{WireFault, WireInjector};
-use crate::parallel::parallel_map;
+use crate::parallel::parallel_map_owned;
 use crate::proto::{self, Msg, WireError};
 
 /// One client's reply to a round assignment: the update vector plus the
@@ -131,7 +131,7 @@ pub trait Transport {
     fn finish(&mut self, rounds: usize, checksum: u64) -> Result<(), TransportError>;
 
     /// Hands back a reply's update buffer once the orchestrator is done
-    /// with it, so a later reply can be decoded into it instead of a fresh
+    /// with it, so a later reply can be written into it instead of a fresh
     /// allocation. The default drops it.
     fn reclaim(&mut self, _update: Vec<f32>) {}
 }
@@ -142,20 +142,78 @@ impl std::fmt::Debug for dyn Transport + '_ {
     }
 }
 
+/// Counts the replies a transport hands back in each round. The most that
+/// one round has taken bounds the reclaimed buffers worth keeping: a round
+/// like it reuses every one.
+#[derive(Debug, Default)]
+struct ReplyCount {
+    round: usize,
+    this_round: usize,
+    most: usize,
+}
+
+impl ReplyCount {
+    /// Counts `replies` more replies handed back in `round`.
+    fn add(&mut self, round: usize, replies: usize) {
+        if round != self.round {
+            self.round = round;
+            self.this_round = 0;
+        }
+        self.this_round += replies;
+        self.most = self.most.max(self.this_round);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // In-process transport: the historical execution path behind the seam.
 // ---------------------------------------------------------------------------
 
-/// Runs client work on the in-process worker pool — the historical
-/// execution path, now behind the [`Transport`] seam. `work` must be a pure
-/// function of `(round, client, global)`; it runs with the wave's
-/// parallelism and replies are returned in slot order.
+/// The work an [`InProcessTransport`] runs for each slot of a wave. It must
+/// be a pure function of `(round, client, global)`.
 ///
-/// A client whose `work` panics costs exactly its own slot: the panic is
+/// Every `Fn(round, client, global) -> StreamUpdate + Sync` closure is
+/// client work that allocates its own update.
+pub trait ClientWork: Sync {
+    /// `client`'s reply in `round` to `global`. `spare` is a buffer an
+    /// earlier reply was handed back in, or an empty one.
+    fn reply(&self, round: usize, client: usize, global: &[f32], spare: Vec<f32>) -> StreamUpdate;
+
+    /// Whether [`ClientWork::reply`] writes its update into `spare`; only
+    /// then does the transport keep the buffers handed back to it. The
+    /// default is `false`: the work allocates its own updates.
+    fn fills(&self) -> bool {
+        false
+    }
+}
+
+impl<F> ClientWork for F
+where
+    F: Fn(usize, usize, &[f32]) -> StreamUpdate + Sync,
+{
+    fn reply(&self, round: usize, client: usize, global: &[f32], _spare: Vec<f32>) -> StreamUpdate {
+        self(round, client, global)
+    }
+}
+
+/// Runs client work on the in-process worker pool — the historical
+/// execution path, now behind the [`Transport`] seam. The work runs with
+/// the wave's parallelism and replies are returned in slot order.
+///
+/// When the work [fills](ClientWork::fills) the buffer it is handed, the
+/// transport keeps the update buffers given back through
+/// [`Transport::reclaim`], at most as many as one round has taken replies,
+/// and hands one to each slot on the calling thread before the wave fans
+/// out, so a steady run allocates no update buffer. Work that allocates its
+/// own updates is handed empty buffers, and the transport keeps none.
+///
+/// A client whose work panics costs exactly its own slot: the panic is
 /// caught inside the worker and the slot's reply is `None`, which the
 /// engine reports as a `lost` client.
-pub struct InProcessTransport<F> {
-    work: F,
+pub struct InProcessTransport<W> {
+    work: W,
+    /// Reclaimed update buffers the next replies are written into.
+    spares: Vec<Vec<f32>>,
+    replies: ReplyCount,
 }
 
 impl<F> InProcessTransport<F>
@@ -164,39 +222,63 @@ where
 {
     /// Wraps a pure client-work function.
     pub fn new(work: F) -> Self {
-        InProcessTransport { work }
+        Self::with_work(work)
     }
 }
 
-impl<F> std::fmt::Debug for InProcessTransport<F> {
+impl<W: ClientWork> InProcessTransport<W> {
+    /// Wraps any [`ClientWork`], such as work that fills the buffers it is
+    /// handed.
+    pub fn with_work(work: W) -> Self {
+        InProcessTransport {
+            work,
+            spares: Vec::new(),
+            replies: ReplyCount::default(),
+        }
+    }
+}
+
+impl<W> std::fmt::Debug for InProcessTransport<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InProcessTransport").finish_non_exhaustive()
+        f.debug_struct("InProcessTransport")
+            .field("spares", &self.spares.len())
+            .finish_non_exhaustive()
     }
 }
 
-impl<F> Transport for InProcessTransport<F>
-where
-    F: Fn(usize, usize, &[f32]) -> StreamUpdate + Sync,
-{
+impl<W: ClientWork> Transport for InProcessTransport<W> {
     fn wave(
         &mut self,
         round: usize,
         slots: &[WaveSlot],
         global: &[f32],
     ) -> Result<Vec<Option<StreamUpdate>>, TransportError> {
+        let jobs: Vec<(usize, Vec<f32>)> = slots
+            .iter()
+            .map(|s| (s.client, self.spares.pop().unwrap_or_default()))
+            .collect();
         let work = &self.work;
-        Ok(parallel_map(slots, |s| {
-            // AssertUnwindSafe: `work` is `Fn + Sync` and `global` is
-            // borrowed read-only, so an unwind leaves no state torn.
+        let replies = parallel_map_owned(jobs, |(client, spare)| {
+            // AssertUnwindSafe: `work` is `Sync` and called by shared
+            // reference, `global` is borrowed read-only and `spare` is the
+            // slot's own, so an unwind leaves no state torn.
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                work(round, s.client, global)
+                work.reply(round, client, global, spare)
             }))
             .ok()
-        }))
+        });
+        self.replies.add(round, replies.iter().flatten().count());
+        Ok(replies)
     }
 
     fn finish(&mut self, _rounds: usize, _checksum: u64) -> Result<(), TransportError> {
         Ok(())
+    }
+
+    fn reclaim(&mut self, update: Vec<f32>) {
+        if self.work.fills() && self.spares.len() < self.replies.most {
+            self.spares.push(update);
+        }
     }
 }
 
@@ -401,8 +483,8 @@ pub struct WelcomeInfo {
 /// wire-fault injection ([`WireInjector`]).
 ///
 /// Replies decode into update buffers handed back through
-/// [`Transport::reclaim`]: it keeps at most one spare per slot of its
-/// largest wave, so a steady round allocates no update buffer.
+/// [`Transport::reclaim`]: it keeps at most as many spares as one round has
+/// taken replies, so a steady round allocates no update buffer.
 pub struct SocketTransport {
     listener: Listener,
     conns: BTreeMap<usize, Conn>,
@@ -413,8 +495,7 @@ pub struct SocketTransport {
     buf: Vec<u8>,
     /// Reclaimed update buffers the next replies decode into.
     spares: Vec<Vec<f32>>,
-    /// Slots in the largest wave so far: the most spares worth keeping.
-    max_wave: usize,
+    replies: ReplyCount,
 }
 
 impl std::fmt::Debug for SocketTransport {
@@ -444,7 +525,7 @@ impl SocketTransport {
             wire,
             buf: Vec::new(),
             spares: Vec::new(),
-            max_wave: 0,
+            replies: ReplyCount::default(),
         }
     }
 
@@ -652,7 +733,6 @@ impl Transport for SocketTransport {
         global: &[f32],
     ) -> Result<Vec<Option<StreamUpdate>>, TransportError> {
         let _wave_timer = metrics::start_timer("calibre_net_wave_ms", &[]);
-        self.max_wave = self.max_wave.max(slots.len());
         let mut results: Vec<Option<StreamUpdate>> = slots.iter().map(|_| None).collect();
         for attempt in 0..self.net.max_attempts.max(1) {
             // Pick up reconnects (churned or reset clients) before retrying.
@@ -683,6 +763,7 @@ impl Transport for SocketTransport {
                 }
             }
         }
+        self.replies.add(round, results.iter().flatten().count());
         Ok(results)
     }
 
@@ -707,7 +788,7 @@ impl Transport for SocketTransport {
     }
 
     fn reclaim(&mut self, update: Vec<f32>) {
-        if self.spares.len() < self.max_wave {
+        if self.spares.len() < self.replies.most {
             self.spares.push(update);
         }
     }
