@@ -20,8 +20,10 @@
 //! `*.tmp` file, is fsynced, and is then renamed over the target, so a
 //! crash mid-write leaves either the old checkpoint or the new one — never
 //! a torn file. The trailing `checksum` line catches the remaining hazards
-//! (torn *reads*, bit rot, manual edits); [`parse`] verifies it when
-//! present and rejects any non-finite parameter value outright.
+//! (torn *reads*, bit rot, manual edits): the trainer and server snapshot
+//! parsers require it, [`parse`] verifies it when present (plain tensor
+//! files written before it was introduced still load), and every parser
+//! rejects a non-finite parameter value outright.
 //!
 //! [`CheckpointStore`] adds one more layer: a `current` / `.prev` rotation
 //! where loading falls back to the previous good checkpoint when the
@@ -102,17 +104,16 @@ fn append_checksum(out: &mut String) {
     let _ = writeln!(out, "checksum {h:016x}");
 }
 
-/// Strips and verifies an optional trailing `checksum` line, returning the
-/// body the remaining parser should see. Files written before the checksum
-/// was introduced (no such line) pass through unchanged.
-fn verify_checksum(text: &str) -> Result<&str, CheckpointError> {
+/// Strips and verifies the trailing `checksum` line, returning the body the
+/// remaining parser should see, or `None` when the text has no such line.
+fn verify_checksum(text: &str) -> Result<Option<&str>, CheckpointError> {
     let Some(pos) = text.rfind("\nchecksum ") else {
-        return Ok(text);
+        return Ok(None);
     };
     let line = text[pos + 1..].trim_end();
     // Only treat it as a checksum if it really is the final line.
     if text[pos + 1..].trim_end_matches('\n') != line {
-        return Ok(text);
+        return Ok(None);
     }
     let hex = line.strip_prefix("checksum ").unwrap_or_default();
     let expected = u64::from_str_radix(hex, 16)
@@ -122,7 +123,14 @@ fn verify_checksum(text: &str) -> Result<&str, CheckpointError> {
     if got != expected {
         return Err(CheckpointError::Checksum { expected, got });
     }
-    Ok(body)
+    Ok(Some(body))
+}
+
+/// [`verify_checksum`] for a format written with its checksum line since
+/// it was introduced: text without one is torn or was never a snapshot.
+fn require_checksum(text: &str) -> Result<&str, CheckpointError> {
+    verify_checksum(text)?
+        .ok_or_else(|| CheckpointError::Parse("missing trailing checksum line".into()))
 }
 
 /// Writes a `tensor`-block sequence (shape header + row lines per matrix).
@@ -214,7 +222,9 @@ pub fn to_string<M: Module + ?Sized>(module: &M) -> String {
 /// Parses checkpoint text into parameter matrices.
 ///
 /// A trailing `checksum` line, when present, is verified against the body
-/// before any tensor is accepted; non-finite values are rejected.
+/// before any tensor is accepted; files written before the checksum was
+/// introduced (no such line) parse unverified. Non-finite values are
+/// rejected.
 ///
 /// # Errors
 ///
@@ -222,7 +232,7 @@ pub fn to_string<M: Module + ?Sized>(module: &M) -> String {
 /// [`CheckpointError::Checksum`] on an integrity mismatch, and
 /// [`CheckpointError::NonFinite`] when a value is NaN or infinite.
 pub fn parse(text: &str) -> Result<Vec<Matrix>, CheckpointError> {
-    let body = verify_checksum(text)?;
+    let body = verify_checksum(text)?.unwrap_or(text);
     let mut lines = body.lines();
     let header = lines.next().unwrap_or_default();
     if header != "calibre-checkpoint v1" {
@@ -455,17 +465,18 @@ impl TrainerCheckpoint {
         out
     }
 
-    /// Parses a snapshot, verifying the checksum when present.
+    /// Parses a snapshot, verifying its trailing checksum line.
     ///
     /// # Errors
     ///
-    /// Structural, checksum, or non-finite errors as for [`parse`].
+    /// Structural, checksum, or non-finite errors as for [`parse`], and
+    /// [`CheckpointError::Parse`] when the checksum line is missing.
     pub fn parse(text: &str) -> Result<TrainerCheckpoint, CheckpointError> {
         fn field<'a>(line: Option<&'a str>, key: &str) -> Result<&'a str, CheckpointError> {
             line.and_then(|l| l.strip_prefix(key))
                 .ok_or_else(|| CheckpointError::Parse(format!("missing/bad {key:?} line")))
         }
-        let body = verify_checksum(text)?;
+        let body = require_checksum(text)?;
         let mut lines = body.lines();
         let header = lines.next().unwrap_or_default();
         if header != "calibre-trainer-checkpoint v1" {
@@ -576,15 +587,15 @@ impl ServerCheckpoint {
         out
     }
 
-    /// Parses a snapshot, verifying the checksum when present.
+    /// Parses a snapshot, verifying its trailing checksum line.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Parse`] on structural damage,
-    /// [`CheckpointError::Checksum`] on integrity failure,
+    /// [`CheckpointError::Parse`] on structural damage or a missing
+    /// checksum line, [`CheckpointError::Checksum`] on integrity failure,
     /// [`CheckpointError::NonFinite`] for a NaN or infinite model element.
     pub fn parse(text: &str) -> Result<ServerCheckpoint, CheckpointError> {
-        let body = verify_checksum(text)?;
+        let body = require_checksum(text)?;
         let mut lines = body.lines();
         let header = lines.next().unwrap_or_default();
         if header != "calibre-server-checkpoint v1" {
@@ -806,10 +817,12 @@ mod tests {
                 "{text:?} must be a parse error"
             );
         }
-        let huge_clients =
-            "calibre-trainer-checkpoint v1\nround 0\nlosses 0\nglobal tensors 0\nclients 99999999999999999\n";
+        let mut huge_clients = String::from(
+            "calibre-trainer-checkpoint v1\nround 0\nlosses 0\nglobal tensors 0\nclients 99999999999999999\n",
+        );
+        append_checksum(&mut huge_clients);
         assert!(matches!(
-            TrainerCheckpoint::parse(huge_clients),
+            TrainerCheckpoint::parse(&huge_clients),
             Err(CheckpointError::Parse(_))
         ));
 
@@ -826,11 +839,37 @@ mod tests {
 
     #[test]
     fn server_checkpoint_rejects_non_finite_model_elements() {
-        let text = "calibre-server-checkpoint v1\nround 0\nmodel 2 7fc00000 7f800000\n";
+        let mut text =
+            String::from("calibre-server-checkpoint v1\nround 0\nmodel 2 7fc00000 7f800000\n");
+        append_checksum(&mut text);
         assert!(matches!(
-            ServerCheckpoint::parse(text),
+            ServerCheckpoint::parse(&text),
             Err(CheckpointError::NonFinite(_))
         ));
+    }
+
+    /// A server checkpoint cut inside its model line has lost its checksum
+    /// line: it is a parse error, never a model with a wrong last element,
+    /// so a store falls back to its previous generation.
+    #[test]
+    fn a_torn_server_checkpoint_is_a_parse_error_and_the_store_falls_back() {
+        let good = ServerCheckpoint {
+            round: 2,
+            model: vec![1.5, 2.5],
+            reputation: ReputationBook::new(),
+        };
+        let torn = "calibre-server-checkpoint v1\nround 3\nmodel 2 3fc00000 402";
+        assert!(matches!(
+            ServerCheckpoint::parse(torn),
+            Err(CheckpointError::Parse(_))
+        ));
+        let dir =
+            std::env::temp_dir().join(format!("calibre-store-{}-{}", std::process::id(), line!()));
+        let store = CheckpointStore::new(dir.join("server.ckpt"));
+        store.save_text(&good.to_text()).unwrap();
+        store.save_text(torn).unwrap();
+        assert_eq!(store.load_with(ServerCheckpoint::parse).unwrap(), good);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -136,7 +136,8 @@ proptest! {
         seed in 0u64..500,
     ) {
         // A damaged file can end anywhere; every prefix must come back
-        // `Ok` or as a typed error, never as a panic or an abort. Both
+        // `Ok` or as a typed error, never as a panic or an abort, and a cut
+        // before the checksum line's last digit must be an error. Both
         // texts carry a reputation section once a client has struck.
         let mut r = rng::seeded(seed);
         let net = |r: &mut rand::rngs::StdRng| -> Vec<Matrix> {
@@ -166,11 +167,14 @@ proptest! {
         let server_text = server.to_text();
         prop_assert!(checkpoint::TrainerCheckpoint::parse(&trainer_text).is_ok());
         prop_assert_eq!(checkpoint::ServerCheckpoint::parse(&server_text).ok(), Some(server));
+        // Both texts end in a newline after the checksum's last digit.
         for cut in 0..trainer_text.len() {
-            let _ = checkpoint::TrainerCheckpoint::parse(&trainer_text[..cut]);
+            let parsed = checkpoint::TrainerCheckpoint::parse(&trainer_text[..cut]);
+            prop_assert_eq!(parsed.is_ok(), cut + 1 == trainer_text.len(), "trainer cut at {}", cut);
         }
         for cut in 0..server_text.len() {
-            let _ = checkpoint::ServerCheckpoint::parse(&server_text[..cut]);
+            let parsed = checkpoint::ServerCheckpoint::parse(&server_text[..cut]);
+            prop_assert_eq!(parsed.is_ok(), cut + 1 == server_text.len(), "server cut at {}", cut);
         }
     }
 
