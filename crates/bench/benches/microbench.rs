@@ -12,6 +12,7 @@ use calibre_fl::aggregate::{
 };
 use calibre_fl::proto::{encode_assign_into, frame_checksum, Msg};
 use calibre_ssl::{nt_xent, ssl_step, ssl_step_in, SimClr, SslConfig, SslMethod, TwoViewBatch};
+use calibre_telemetry::{span, ProfileCollector};
 use calibre_tensor::backend::{Backend, Scalar};
 use calibre_tensor::nn::{gradients, Binding, Mlp};
 use calibre_tensor::optim::{Sgd, SgdConfig};
@@ -19,6 +20,7 @@ use calibre_tensor::{rng, Graph, Matrix, StepArena};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::borrow::Cow;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_matmul(c: &mut Criterion) {
     let mut r = rng::seeded(0);
@@ -193,6 +195,43 @@ fn bench_nt_xent(c: &mut Criterion) {
             black_box(out)
         })
     });
+}
+
+/// The tape's per-node floor: forward and backward through a chain of 1×1
+/// nodes whose kernels cost next to nothing, on a recycled tape. The chain
+/// has 61 nodes: two leaves, 29 `matmul` + `tanh` pairs and a sum. It runs
+/// with spans off, then with a profiler collecting every `matmul` and
+/// `backward` span.
+fn bench_tape_overhead(c: &mut Criterion) {
+    let x = Matrix::from_vec(1, 1, vec![0.5]);
+    let w = Matrix::from_vec(1, 1, vec![0.9]);
+    let step = |arena: &mut StepArena| {
+        let mut g = arena.take();
+        let xn = g.leaf_from(&x);
+        let wn = g.leaf_from(&w);
+        let mut h = xn;
+        for _ in 0..29 {
+            let z = g.matmul(h, wn);
+            h = g.tanh(z);
+        }
+        let loss = g.sum_all(h);
+        g.backward(loss);
+        let nodes = g.len();
+        let grad = g.grad(wn).map(|m| m.get(0, 0));
+        arena.put(g);
+        (nodes, grad)
+    };
+    assert_eq!(step(&mut StepArena::new()).0, 61);
+    c.bench_function("tape_1x1_61_nodes", |bench| {
+        let mut arena = StepArena::new();
+        bench.iter(|| black_box(step(&mut arena)))
+    });
+    span::install_collector(Arc::new(ProfileCollector::new()));
+    c.bench_function("tape_1x1_61_nodes_collected", |bench| {
+        let mut arena = StepArena::new();
+        bench.iter(|| black_box(step(&mut arena)))
+    });
+    span::uninstall_collector();
 }
 
 fn bench_kmeans(c: &mut Criterion) {
@@ -451,7 +490,8 @@ fn config() -> Criterion {
 criterion_group! {
     name = kernels;
     config = config();
-    targets = bench_matmul, bench_train_shapes, bench_mlp_backward, bench_nt_xent, bench_kmeans,
+    targets = bench_matmul, bench_train_shapes, bench_mlp_backward, bench_nt_xent,
+        bench_tape_overhead, bench_kmeans,
         bench_aggregation, bench_wire, bench_ssl_step, bench_calibre_step,
         bench_federated_round, bench_encoder_inference, bench_tsne,
         bench_render_two_views
