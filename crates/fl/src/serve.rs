@@ -152,6 +152,8 @@ pub fn sim_update_into(
     let mut r = rng::seeded(mixed);
     let mut update = spare;
     update.clear();
+    // A fresh buffer gets exactly `global.len()`, as `collect` gave it:
+    // buffering sinks count capacity in `state_bytes`.
     update.reserve_exact(global.len());
     update.extend(
         global

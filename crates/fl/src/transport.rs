@@ -240,9 +240,7 @@ impl<W: ClientWork> InProcessTransport<W> {
 
 impl<W> std::fmt::Debug for InProcessTransport<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InProcessTransport")
-            .field("spares", &self.spares.len())
-            .finish_non_exhaustive()
+        f.debug_struct("InProcessTransport").finish_non_exhaustive()
     }
 }
 
