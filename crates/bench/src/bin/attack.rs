@@ -226,7 +226,13 @@ fn run_cell(
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = parse_args(&args).unwrap_or_else(|e| panic!("argument error: {e}"));
+    let parsed = match parse_args(&args) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("argument error: {e}");
+            std::process::exit(2);
+        }
+    };
 
     let mut fractions = vec![0.0f32, 0.1, 0.3];
     let mut only_defenses: Option<Vec<String>> = None;

@@ -26,7 +26,13 @@ use calibre_fl::transport::{run_client, ClientAddr, ClientOptions};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = parse_args(&args).unwrap_or_else(|e| panic!("bad arguments: {e}"));
+    let parsed = match parse_args(&args) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("argument error: {e}");
+            std::process::exit(2);
+        }
+    };
 
     let mut addr = "127.0.0.1:7461".to_string();
     let mut uds: Option<String> = None;
@@ -40,7 +46,10 @@ fn main() {
             "client" => single = Some(value.parse().expect("--client")),
             "clients" => clients = value.parse().expect("--clients"),
             "seed" => seed = value.parse().expect("--seed"),
-            _ => panic!("unknown flag --{key}"),
+            _ => {
+                eprintln!("unknown flag --{key}");
+                std::process::exit(2);
+            }
         }
     }
 

@@ -43,7 +43,13 @@ use calibre_fl::Listener;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = parse_args(&args).unwrap_or_else(|e| panic!("bad arguments: {e}"));
+    let parsed = match parse_args(&args) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("argument error: {e}");
+            std::process::exit(2);
+        }
+    };
 
     let mut cfg = ServeConfig::smoke();
     let mut smoke = false;
@@ -85,7 +91,8 @@ fn main() {
             }
             _ => {
                 if !obs_args.accept(key, value) {
-                    panic!("unknown flag --{key}");
+                    eprintln!("unknown flag --{key}");
+                    std::process::exit(2);
                 }
             }
         }

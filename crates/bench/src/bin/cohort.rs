@@ -181,8 +181,15 @@ fn main() {
         seed: 7,
         smoke,
     };
+    let parsed = match parse_args(&argv) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("argument error: {e}");
+            std::process::exit(2);
+        }
+    };
     let mut obs_args = ObsArgs::default();
-    for (key, value) in parse_args(&argv).unwrap_or_else(|e| panic!("argument error: {e}")) {
+    for (key, value) in parsed {
         if obs_args.accept(&key, &value) {
             continue;
         }

@@ -374,8 +374,11 @@ impl Aggregator {
 
 /// Whether every coordinate of an update is finite. The validation gate the
 /// round engine applies before letting an update near the aggregator.
+///
+/// It reads every coordinate, with no early exit: the fold has no branch,
+/// so it runs as vector compares, and an update is almost always finite.
 pub fn validate_update(update: &[f32]) -> bool {
-    update.iter().all(|v| v.is_finite())
+    update.iter().fold(true, |finite, v| finite & v.is_finite())
 }
 
 /// Clips `update` in place to L2 norm at most `max_norm`; returns `true`
@@ -728,8 +731,8 @@ impl<'a> MedianPlan<'a> {
 /// each update row.
 const BLOCK: usize = 16;
 
-/// Column entries a worker must get before the kernel fans out: below
-/// about this many, spawning a thread costs more than it saves.
+/// Column entries a claimed block must hold before the kernel fans out:
+/// below about this many, a thread costs more than it saves.
 const WORKER_ENTRIES: usize = 1 << 13;
 
 /// Sign bit of an `f32`'s bit pattern.
@@ -769,9 +772,9 @@ fn entry_weight(entry: u64, weights: &[f32]) -> f32 {
 /// shorter than `dim` reads as zero past its end. Coordinates are gathered
 /// [`BLOCK`] at a time into a column-major scratch buffer, so each update
 /// row is read a cache line at a time rather than once per coordinate, and
-/// contiguous coordinate ranges run on the [`crate::parallel`] workers,
-/// each with its own scratch, one worker per [`WORKER_ENTRIES`] entries at
-/// most.
+/// the [`crate::parallel`] workers claim contiguous coordinate ranges of at
+/// least [`WORKER_ENTRIES`] entries, each worker gathering into one scratch
+/// buffer of its own for every range it claims.
 fn map_columns<T, F>(updates: &[&[f32]], dim: usize, stat: F) -> Vec<T>
 where
     T: Clone + Default + Send,
@@ -783,17 +786,21 @@ where
         return vec![T::default(); dim];
     }
     let grain = WORKER_ENTRIES.div_ceil(n);
-    let columns = crate::parallel::parallel_ranges(dim, grain, |coords| {
-        let mut out = Vec::with_capacity(coords.len());
-        let mut scratch = vec![0u64; BLOCK * n];
-        for lo in coords.clone().step_by(BLOCK) {
-            let width = BLOCK.min(coords.end - lo);
-            let block = scratch.get_mut(..width * n).unwrap_or_default();
-            gather(updates, lo..lo + width, block);
-            out.extend(block.chunks_exact_mut(n).map(&stat));
-        }
-        out
-    });
+    let columns = crate::parallel::parallel_ranges(
+        dim,
+        grain,
+        || vec![0u64; BLOCK * n],
+        |scratch, coords| {
+            let mut out = Vec::with_capacity(coords.len());
+            for lo in coords.clone().step_by(BLOCK) {
+                let width = BLOCK.min(coords.end - lo);
+                let block = scratch.get_mut(..width * n).unwrap_or_default();
+                gather(updates, lo..lo + width, block);
+                out.extend(block.chunks_exact_mut(n).map(&stat));
+            }
+            out
+        },
+    );
     columns.concat()
 }
 
@@ -1864,6 +1871,22 @@ mod tests {
         assert!(!validate_update(&[f32::INFINITY]));
         assert!(!validate_update(&[f32::NEG_INFINITY, 2.0]));
         assert!(validate_update(&[]));
+    }
+
+    #[test]
+    fn validate_update_agrees_with_all_finite_at_every_index() {
+        for len in 0..=67usize {
+            let clean: Vec<f32> = (0..len).map(|i| i as f32 * 0.5 - 7.0).collect();
+            assert!(validate_update(&clean), "len {len}");
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                for at in 0..len {
+                    let mut update = clean.clone();
+                    update[at] = bad;
+                    let want = update.iter().all(|v| v.is_finite());
+                    assert_eq!(validate_update(&update), want, "{bad} at {at} of {len}");
+                }
+            }
+        }
     }
 
     #[test]

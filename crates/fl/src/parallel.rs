@@ -4,28 +4,39 @@
 //! Within a federated round the selected clients are independent, so their
 //! local updates run on `std::thread` scoped threads. The helpers preserve
 //! input order in their output, which the aggregation code relies on. The
-//! robust aggregators' column kernel (`crate::aggregate`) fans coordinate
-//! ranges out over the same workers through `parallel_ranges`; it runs at
-//! seal and between rounds, when no client work is in flight.
+//! robust aggregators' column kernel (`crate::aggregate`) and detection's
+//! row sums (`crate::adversary`) fan blocks of coordinates or rows out over
+//! the same workers through `parallel_ranges`; they run at seal and between
+//! rounds, when no client work is in flight.
 //!
-//! # Chunking and load imbalance
+//! # Claiming and load imbalance
 //!
-//! Work is split into *contiguous chunks* of `ceil(items / threads)` items,
-//! one chunk per thread. `threads` is `available_parallelism` (resolved
-//! once per process), capped so that chunks average at least a grain of
-//! items: one client, or enough coordinates to pay for a thread spawn. This
-//! costs nothing in coordination — no work queue, no atomics on the hot
-//! path — but it load-balances poorly when per-item cost is skewed: a
-//! thread whose chunk holds the slowest clients (e.g. the ones with the
-//! largest local datasets) finishes last while the others sit idle. That
-//! tradeoff is acceptable here because a round's selected clients have
-//! similar sample budgets by construction; if a future workload breaks
-//! that assumption (say, clients with order-of-magnitude different data
-//! sizes), switch to work stealing or size-sorted round-robin assignment
-//! before tuning anything else. The training loops' `client_update` events
-//! carry each client's wall-clock, measured inside the worker
-//! ([`crate::pfl_ssl::run_training_round`]), which is exactly what is needed
-//! to diagnose such skew.
+//! Every fan-out runs on up to `available_parallelism` workers (resolved
+//! once per process): the calling thread and one scoped thread for each
+//! other worker. Each worker keeps claiming the next unclaimed item, under
+//! one short lock, until none is left. A worker that drew cheap items
+//! therefore takes more of them, and the fan-out ends about when its
+//! costliest item does, not when the unluckiest fixed share does. A round's
+//! clients differ in cost (local data sizes, a host that deschedules one
+//! thread), so clients are claimed one at a time; a lock per client is
+//! nothing beside a local update. Column and row work is claimed in blocks,
+//! a few per worker and none below a grain worth a thread, and each worker
+//! builds its scratch once, on its first claim, not once per block.
+//!
+//! The caller claims the first item before the other workers start, and
+//! then works like any of them instead of waiting. With one worker (a
+//! process pinned to one CPU) every fan-out runs on the calling thread
+//! alone, in input order. Each item of [`parallel_map_owned`] runs inside a
+//! `client` span opened by the worker that claimed it: a spawned worker's
+//! land on its own tid, and the caller's nest under its open `round` span.
+//! The training loops' `client_update` events carry each client's
+//! wall-clock, measured inside the worker
+//! ([`crate::pfl_ssl::run_training_round`]), which is what is needed to
+//! diagnose skew.
+//!
+//! Results come back in input order. The first panic in a worker stops
+//! further claims; items already running finish, and the panic resumes on
+//! the caller with its original payload.
 //!
 //! # Workspaces are per worker
 //!
@@ -34,16 +45,26 @@
 //! buffer pool — recycled tape storage never crosses threads and needs no
 //! locking.
 
+use std::any::Any;
+use std::iter::Enumerate;
 use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::OnceLock;
+
+use parking_lot::Mutex;
+
+/// Blocks [`parallel_ranges`] cuts per worker at most: enough that a worker
+/// the host slows leaves part of its share to the others, few enough that
+/// the claims cost nothing beside a block's work.
+const BLOCKS_PER_WORKER: usize = 4;
 
 /// Maps `f` over `items` in parallel, preserving order.
 ///
 /// The closure receives the item by reference and must be `Sync`; results
-/// are collected in input order. Uses up to `available_parallelism` threads
-/// (capped by the item count); falls back to sequential execution for a
-/// single item.
+/// are collected in input order. Uses up to `available_parallelism` workers
+/// (capped by the item count), the calling thread among them; a single
+/// item runs on the calling thread alone.
 ///
 /// # Examples
 ///
@@ -66,91 +87,135 @@ where
 /// persistent state (SSL networks, optimizers, queues) must move into its
 /// update closure and back out through the result.
 ///
-/// Items are cut into the module's contiguous chunks, one scoped thread per
-/// chunk, with a `client` span around each item (opened inside the worker,
-/// so parallel clients land on distinct tids), and results in input order.
-/// Runs sequentially below two items or two threads. A panic in `f`
-/// propagates to the caller with its original payload.
+/// Workers claim one item at a time, as the module docs describe, and run
+/// it inside a `client` span opened by the claiming worker. A panic in `f`
+/// stops further claims and resumes on the caller with its original
+/// payload.
 pub fn parallel_map_owned<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let ranges = worker_ranges(items.len(), 1);
-    let mut rest = items.into_iter();
-    let chunks: Vec<Vec<T>> = ranges
-        .into_iter()
-        .map(|range| rest.by_ref().take(range.len()).collect())
-        .collect();
-    let results = spawn_each(chunks, |chunk| {
-        chunk
-            .into_iter()
-            .map(|item| {
-                let _span = calibre_telemetry::span("client");
-                f(item)
-            })
-            .collect::<Vec<R>>()
-    });
-    results.into_iter().flatten().collect()
+    claim_each(
+        items,
+        || (),
+        |(), item| {
+            let _span = calibre_telemetry::span("client");
+            f(item)
+        },
+    )
 }
 
-/// Runs `f` on each contiguous chunk of `0..len`, in at most `len / grain`
-/// chunks — each on its own scoped thread, inline when there is only one —
-/// and returns the results in range order. Server-side work (the
-/// aggregation column kernel) runs here while no client work is in flight,
-/// so it opens no `client` span.
-pub(crate) fn parallel_ranges<R, F>(len: usize, grain: usize, f: F) -> Vec<R>
+/// Cuts `0..len` into contiguous blocks and runs `f` on each, returning the
+/// results in range order. There are at most `len / grain` blocks (at least
+/// one) and at most [`BLOCKS_PER_WORKER`] per worker. A worker builds its
+/// scratch with `scratch` once, on its first claim, and hands it to `f` for
+/// every block it claims. Server-side work (the aggregation column kernel,
+/// detection's row sums) runs here while no client work is in flight, so it
+/// opens no `client` span.
+pub(crate) fn parallel_ranges<S, R, I, F>(len: usize, grain: usize, scratch: I, f: F) -> Vec<R>
 where
     R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, Range<usize>) -> R + Sync,
 {
-    spawn_each(worker_ranges(len, grain), f)
-}
-
-/// The one chunking rule of every fan-out here: `0..len` cut into
-/// contiguous ranges of `ceil(len / threads)`, where `threads` is the
-/// worker count capped by `len / grain` (and at least one).
-fn worker_ranges(len: usize, grain: usize) -> Vec<Range<usize>> {
-    let threads = workers().min(len / grain.max(1)).max(1);
-    let size = len.div_ceil(threads).max(1);
-    (0..len)
+    let blocks = (len / grain.max(1)).clamp(1, workers() * BLOCKS_PER_WORKER);
+    let size = len.div_ceil(blocks).max(1);
+    let ranges = (0..len)
         .step_by(size)
         .map(|start| start..len.min(start + size))
-        .collect()
+        .collect();
+    claim_each(ranges, scratch, f)
 }
 
-/// Calls `f` on every chunk, one scoped thread per chunk (inline for a
-/// single chunk), and collects the results in chunk order. A worker's panic
-/// resumes on the caller with its original payload.
-fn spawn_each<C, R, F>(chunks: Vec<C>, f: F) -> Vec<R>
+/// The one fan-out of this module. The caller claims the first item, starts
+/// `workers() - 1` scoped threads (fewer for fewer items), and then every
+/// worker, the caller included, runs `f` on its claim and claims again
+/// until no item is left. Each worker builds its scratch on its first
+/// claim. Results come back in input order; the first panic stops further
+/// claims and resumes on the caller with its original payload.
+fn claim_each<T, S, R, I, F>(items: Vec<T>, scratch: I, f: F) -> Vec<R>
 where
-    C: Send,
+    T: Send,
     R: Send,
-    F: Fn(C) -> R + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, T) -> R + Sync,
 {
-    if chunks.len() <= 1 {
-        return chunks.into_iter().map(f).collect();
-    }
-    std::thread::scope(|scope| {
-        let f = &f;
-        let workers: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| scope.spawn(move || f(chunk)))
+    let spawned = workers().min(items.len()).saturating_sub(1);
+    let queue = Mutex::new(Queue {
+        items: items.into_iter().enumerate(),
+        panic: None,
+    });
+    let claim = || queue.lock().claim();
+    let work = |first: Option<(usize, T)>| {
+        let mut done = Vec::new();
+        // AssertUnwindSafe: an unwind leaves `done` short, but the payload
+        // stops every claim and resumes on the caller, so no result of this
+        // fan-out is returned.
+        let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut state = None;
+            let mut next = first;
+            while let Some((index, item)) = next {
+                done.push((index, f(state.get_or_insert_with(&scratch), item)));
+                next = claim();
+            }
+        }));
+        if let Err(payload) = ran {
+            queue.lock().stop(payload);
+        }
+        done
+    };
+    let first = claim();
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (0..spawned)
+            .map(|_| scope.spawn(|| work(claim())))
             .collect();
-        workers
-            .into_iter()
-            .map(|worker| {
-                worker
+        let mut done = work(first);
+        for helper in helpers {
+            done.extend(
+                helper
                     .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
-    })
+                    .unwrap_or_else(|payload| panic::resume_unwind(payload)),
+            );
+        }
+        done
+    });
+    if let Some(payload) = queue.into_inner().panic {
+        panic::resume_unwind(payload);
+    }
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
-/// Worker threads per fan-out: `available_parallelism`, resolved once per
-/// process because on Linux every query re-reads the cgroup quota files.
+/// What the workers of one fan-out share: the unclaimed items, numbered in
+/// input order, and the first panic's payload, which ends all claiming.
+struct Queue<T> {
+    items: Enumerate<std::vec::IntoIter<T>>,
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl<T> Queue<T> {
+    /// The next unclaimed item, or `None` once none is left or a worker
+    /// has panicked.
+    fn claim(&mut self) -> Option<(usize, T)> {
+        if self.panic.is_some() {
+            return None;
+        }
+        self.items.next()
+    }
+
+    /// Records a worker's panic; the first payload is the one kept.
+    fn stop(&mut self, payload: Box<dyn Any + Send>) {
+        if self.panic.is_none() {
+            self.panic = Some(payload);
+        }
+    }
+}
+
+/// Workers per fan-out, the calling thread included: `available_parallelism`,
+/// resolved once per process because on Linux every query re-reads the
+/// cgroup quota files.
 fn workers() -> usize {
     static WORKERS: OnceLock<usize> = OnceLock::new();
     *WORKERS.get_or_init(|| {
@@ -163,7 +228,18 @@ fn workers() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::thread;
+
+    /// A panic payload only these tests raise, so a resumed panic can be
+    /// told apart from any other.
+    #[derive(Debug, PartialEq)]
+    struct Boom(usize);
+
+    /// Busy work in proportion to `units` that the optimizer cannot drop.
+    fn spin(units: usize) -> usize {
+        (0..units).fold(0, |acc, k| std::hint::black_box(acc ^ k))
+    }
 
     #[test]
     fn owned_variant_preserves_order_and_moves_items() {
@@ -195,14 +271,115 @@ mod tests {
     }
 
     #[test]
+    fn skewed_items_come_back_in_order_and_each_runs_once() {
+        for n in 0..=40usize {
+            let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let items: Vec<String> = (0..n).map(|i| i.to_string()).collect();
+            let out = parallel_map_owned(items, |s| {
+                let i: usize = s.parse().unwrap_or(usize::MAX);
+                if let Some(count) = runs.get(i) {
+                    count.fetch_add(1, Ordering::SeqCst);
+                }
+                // Item i costs in proportion to i², so the last items
+                // dominate and a fixed split would leave a worker idle.
+                spin(i * i * 100);
+                format!("x{s}")
+            });
+            let want: Vec<String> = (0..n).map(|i| format!("x{i}")).collect();
+            assert_eq!(out, want, "{n} items");
+            let counts: Vec<usize> = runs.iter().map(|c| c.load(Ordering::SeqCst)).collect();
+            assert_eq!(counts, vec![1; n], "{n} items");
+        }
+    }
+
+    #[test]
+    fn a_panic_in_the_callers_first_item_resumes_with_its_payload() {
+        let caller = thread::current().id();
+        let items: Vec<usize> = (0..8).collect();
+        let payload = panic::catch_unwind(|| {
+            parallel_map(&items, |&i| {
+                if i == 0 {
+                    assert_eq!(thread::current().id(), caller, "the caller claims first");
+                    panic::panic_any(Boom(0));
+                }
+                spin(1000);
+                i
+            })
+        })
+        .expect_err("the panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<Boom>(), Some(&Boom(0)));
+    }
+
+    #[test]
+    fn a_panic_in_a_workers_last_item_resumes_with_its_payload() {
+        let caller = thread::current().id();
+        let last_started = AtomicBool::new(false);
+        let items: Vec<usize> = (0..8).collect();
+        let payload = panic::catch_unwind(AssertUnwindSafe(|| {
+            parallel_map(&items, |&i| {
+                if i == 0 && workers() > 1 {
+                    // Hold the caller on its first item, so another worker
+                    // must claim the last one.
+                    while !last_started.load(Ordering::SeqCst) {
+                        thread::yield_now();
+                    }
+                }
+                if i == 7 {
+                    last_started.store(true, Ordering::SeqCst);
+                    if workers() > 1 {
+                        assert_ne!(thread::current().id(), caller, "a worker claims last");
+                    }
+                    panic::panic_any(Boom(7));
+                }
+                i
+            })
+        }))
+        .expect_err("the panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<Boom>(), Some(&Boom(7)));
+    }
+
+    #[test]
     fn ranges_cover_every_index_once_in_order() {
         for len in [0usize, 1, 2, 3, 17, 1024] {
             for grain in [1usize, 2, 5, 2000] {
-                let ranges = parallel_ranges(len, grain, |r| r);
+                let ranges = parallel_ranges(len, grain, || (), |(), r| r);
                 assert!(ranges.iter().all(|r| !r.is_empty()), "{ranges:?}");
                 assert!(ranges.len() <= (len / grain).max(1), "{ranges:?}");
                 let covered: Vec<usize> = ranges.into_iter().flatten().collect();
                 assert_eq!(covered, (0..len).collect::<Vec<_>>());
+            }
+        }
+    }
+
+    #[test]
+    fn ranges_with_worker_scratch_match_a_one_thread_map() {
+        let value = |i: usize| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 7;
+        for len in [0usize, 1, 7, 64, 1000, 4099] {
+            for grain in [1usize, 3, 64, 5000] {
+                let built = AtomicUsize::new(0);
+                let blocks = parallel_ranges(
+                    len,
+                    grain,
+                    || {
+                        built.fetch_add(1, Ordering::SeqCst);
+                        Vec::new()
+                    },
+                    |scratch: &mut Vec<u64>, range| {
+                        // Whatever an earlier block left behind is
+                        // overwritten, as the column kernel's gather does.
+                        scratch.clear();
+                        scratch.extend(range.map(value));
+                        scratch.clone()
+                    },
+                );
+                let want: Vec<u64> = (0..len).map(value).collect();
+                assert_eq!(blocks.concat(), want, "len {len}, grain {grain}");
+                let built = built.load(Ordering::SeqCst);
+                assert!(built <= workers(), "{built} scratches for {len}/{grain}");
+                assert!(
+                    built >= 1 || len == 0,
+                    "{built} scratches for {len}/{grain}"
+                );
             }
         }
     }

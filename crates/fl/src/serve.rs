@@ -400,11 +400,13 @@ mod tests {
                 let at = spare.as_ptr();
                 let got = sim_update_into(9, round, client, &global, spare);
                 assert_eq!(bits(&got), want, "round {round}, client {client}");
-                assert_eq!(
-                    got.update.as_ptr() == at,
-                    fits,
-                    "a spare that fits is reused"
-                );
+                if fits {
+                    assert_eq!(got.update.as_ptr(), at, "a spare that fits is reused");
+                } else {
+                    // The allocator may grow a short spare in place, so its
+                    // address proves nothing; its capacity must be exact.
+                    assert_eq!(got.update.capacity(), global.len(), "a short spare");
+                }
             }
         }
     }
