@@ -22,7 +22,7 @@
 
 use calibre::{run_calibre_observed, CalibreConfig};
 use calibre_bench::obs::ObsArgs;
-use calibre_bench::{build_dataset, parse_args, DatasetId, Scale, Setting};
+use calibre_bench::{build_dataset, parse_args_or_exit, DatasetId, Scale, Setting};
 use calibre_data::AugmentConfig;
 use calibre_fl::{jain_index, worst_fraction_mean};
 use calibre_ssl::SslKind;
@@ -30,13 +30,7 @@ use std::io::Write;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match parse_args(&args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("argument error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let parsed = parse_args_or_exit(&args);
     let mut scale = Scale::Default;
     let mut dataset = DatasetId::Stl10;
     let mut seed = 7u64;

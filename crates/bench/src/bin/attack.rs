@@ -40,7 +40,7 @@
 //! `results/attack.csv`.
 
 use calibre_bench::obs::ObsArgs;
-use calibre_bench::parse_args;
+use calibre_bench::parse_args_or_exit;
 use calibre_fl::aggregate::Aggregator;
 use calibre_fl::sampler::{Sampler, SamplerKind};
 use calibre_fl::{
@@ -226,13 +226,7 @@ fn run_cell(
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match parse_args(&args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("argument error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let parsed = parse_args_or_exit(&args);
 
     let mut fractions = vec![0.0f32, 0.1, 0.3];
     let mut only_defenses: Option<Vec<String>> = None;

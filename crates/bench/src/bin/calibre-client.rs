@@ -20,19 +20,13 @@
 
 use std::thread;
 
-use calibre_bench::parse_args;
+use calibre_bench::parse_args_or_exit;
 use calibre_fl::serve::{sim_client_work, ServeConfig};
 use calibre_fl::transport::{run_client, ClientAddr, ClientOptions};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match parse_args(&args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("argument error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let parsed = parse_args_or_exit(&args);
 
     let mut addr = "127.0.0.1:7461".to_string();
     let mut uds: Option<String> = None;

@@ -36,20 +36,14 @@
 //!   `--metrics-snapshot`, `--telemetry`, …).
 
 use calibre_bench::obs::ObsArgs;
-use calibre_bench::parse_args;
+use calibre_bench::parse_args_or_exit;
 use calibre_fl::chaos::parse_combined_spec;
 use calibre_fl::serve::{run_in_process, run_server, ServeConfig};
 use calibre_fl::Listener;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match parse_args(&args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("argument error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let parsed = parse_args_or_exit(&args);
 
     let mut cfg = ServeConfig::smoke();
     let mut smoke = false;

@@ -31,7 +31,7 @@
 //! a file.
 
 use calibre_bench::obs::ObsArgs;
-use calibre_bench::parse_args;
+use calibre_bench::parse_args_or_exit;
 use calibre_fl::aggregate::{Aggregator, HierarchicalSink, UpdateSink};
 use calibre_fl::sampler::{Sampler, SamplerKind};
 use calibre_fl::scheduler::RoundScheduler;
@@ -181,13 +181,7 @@ fn main() {
         seed: 7,
         smoke,
     };
-    let parsed = match parse_args(&argv) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("argument error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let parsed = parse_args_or_exit(&argv);
     let mut obs_args = ObsArgs::default();
     for (key, value) in parsed {
         if obs_args.accept(&key, &value) {

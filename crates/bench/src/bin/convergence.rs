@@ -28,7 +28,7 @@
 
 use calibre::{train_calibre_encoder_observed, CalibreConfig};
 use calibre_bench::obs::ObsArgs;
-use calibre_bench::{build_dataset, parse_args, DatasetId, Scale, Setting};
+use calibre_bench::{build_dataset, parse_args_or_exit, DatasetId, Scale, Setting};
 use calibre_data::AugmentConfig;
 use calibre_fl::personalize_cohort;
 use calibre_fl::pfl_ssl::train_pfl_ssl_encoder_observed;
@@ -37,13 +37,7 @@ use std::io::Write;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match parse_args(&args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("argument error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let parsed = parse_args_or_exit(&args);
     let mut scale = Scale::Default;
     let mut every = 5usize;
     let mut seed = 7u64;

@@ -3,7 +3,9 @@
 //! a tuning tool for the reproduction itself.
 
 use calibre_bench::obs::ObsArgs;
-use calibre_bench::{build_dataset, parse_args, run_method, DatasetId, MethodId, Scale, Setting};
+use calibre_bench::{
+    build_dataset, parse_args_or_exit, run_method, DatasetId, MethodId, Scale, Setting,
+};
 use calibre_cluster::silhouette_score;
 use calibre_fl::personalize_cohort;
 use calibre_ssl::SslKind;
@@ -24,7 +26,7 @@ fn main() {
         Some(other) => panic!("bad scale {other}"),
     };
     let mut fl_overrides = ObsArgs::default();
-    for (key, value) in parse_args(flags).unwrap_or_else(|e| panic!("argument error: {e}")) {
+    for (key, value) in parse_args_or_exit(flags) {
         if !fl_overrides.accept(&key, &value) {
             eprintln!("unknown flag --{key}");
             std::process::exit(2);

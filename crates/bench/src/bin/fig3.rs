@@ -21,7 +21,7 @@
 use calibre_bench::obs::ObsArgs;
 use calibre_bench::report::{print_table, write_csv, Row};
 use calibre_bench::{
-    build_dataset, parse_args, run_method_observed, DatasetId, MethodId, Scale, Setting,
+    build_dataset, parse_args_or_exit, run_method_observed, DatasetId, MethodId, Scale, Setting,
 };
 use calibre_fl::Stats;
 
@@ -49,13 +49,7 @@ fn average_stats(per_repeat: &[Stats]) -> Stats {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match parse_args(&args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("argument error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let parsed = parse_args_or_exit(&args);
     let mut scale = Scale::Default;
     let mut datasets: Vec<DatasetId> = DatasetId::ALL.to_vec();
     let mut settings: Vec<Setting> = Setting::ALL.to_vec();

@@ -18,19 +18,13 @@
 use calibre_bench::obs::ObsArgs;
 use calibre_bench::report::{write_csv, Row};
 use calibre_bench::{
-    build_dataset, parse_args, run_method_observed, DatasetId, MethodId, Scale, Setting,
+    build_dataset, parse_args_or_exit, run_method_observed, DatasetId, MethodId, Scale, Setting,
 };
 use calibre_ssl::SslKind;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match parse_args(&args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("argument error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let parsed = parse_args_or_exit(&args);
     let mut scale = Scale::Default;
     let mut seed = 7u64;
     let mut obs_args = ObsArgs::default();

@@ -17,7 +17,7 @@
 
 use calibre_bench::obs::ObsArgs;
 use calibre_bench::{
-    build_dataset, parse_args, run_method_observed, DatasetId, MethodId, Scale, Setting,
+    build_dataset, parse_args_or_exit, run_method_observed, DatasetId, MethodId, Scale, Setting,
 };
 use calibre_cluster::{nmi, purity, silhouette_score};
 use calibre_data::FederatedDataset;
@@ -204,13 +204,7 @@ fn per_client_panels(
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match parse_args(&args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("argument error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let parsed = parse_args_or_exit(&args);
     let mut scale = Scale::Default;
     let mut experiment = "all".to_string();
     let mut seed = 7u64;

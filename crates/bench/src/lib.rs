@@ -63,6 +63,15 @@ pub fn parse_args(args: &[String]) -> Result<Vec<(String, String)>, String> {
     Ok(out)
 }
 
+/// [`parse_args`] for a binary's `main`: an argument error is printed on
+/// stderr and the process exits 2 instead of panicking.
+pub fn parse_args_or_exit(args: &[String]) -> Vec<(String, String)> {
+    parse_args(args).unwrap_or_else(|e| {
+        eprintln!("argument error: {e}");
+        std::process::exit(2)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,10 +20,17 @@ fn exits_2(exe: &str, args: &[&str]) {
 #[test]
 fn help_and_unknown_flags_exit_2_without_a_panic() {
     for exe in [
+        env!("CARGO_BIN_EXE_ablations"),
         env!("CARGO_BIN_EXE_attack"),
-        env!("CARGO_BIN_EXE_cohort"),
-        env!("CARGO_BIN_EXE_calibre-serve"),
         env!("CARGO_BIN_EXE_calibre-client"),
+        env!("CARGO_BIN_EXE_calibre-serve"),
+        env!("CARGO_BIN_EXE_cohort"),
+        env!("CARGO_BIN_EXE_convergence"),
+        env!("CARGO_BIN_EXE_diag"),
+        env!("CARGO_BIN_EXE_fig3"),
+        env!("CARGO_BIN_EXE_fig4"),
+        env!("CARGO_BIN_EXE_table1"),
+        env!("CARGO_BIN_EXE_tsne"),
     ] {
         exits_2(exe, &["--help"]);
         exits_2(exe, &["--bogus", "1"]);

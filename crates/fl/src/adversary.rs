@@ -485,8 +485,8 @@ pub(crate) fn anomaly_scores_against(
         .collect()
 }
 
-/// Sum terms a claimed [`row_dots`] block must hold before the pass fans
-/// out: below about this many, a thread costs more than it saves.
+/// Sum terms a [`row_dots`] worker must get before the pass fans out:
+/// below about this many, spawning a thread costs more than it saves.
 const WORKER_TERMS: usize = 1 << 16;
 
 /// For every row, `Σ x·y` over `zip(row, with)`, or over `zip(row, row)`
@@ -494,8 +494,8 @@ const WORKER_TERMS: usize = 1 << 16;
 /// from `-0.0`, where std's `f32` `Sum` starts, so it is bit for bit
 /// `zip(..).map(|(x, y)| x * y).sum()`.
 ///
-/// The [`crate::parallel`] workers claim contiguous row ranges of at least
-/// [`WORKER_TERMS`] terms. Within a range, four rows at a time walk
+/// Contiguous row ranges run on the [`crate::parallel`] workers, one per
+/// [`WORKER_TERMS`] terms at most. Within a range, four rows at a time walk
 /// their common length side by side, one accumulator each, so the adds of
 /// different rows overlap; each row then adds its own tail, and the last
 /// `len % 4` rows run alone.
@@ -506,23 +506,18 @@ fn row_dots(rows: &[&[f32]], with: Option<&[f32]>) -> Vec<f32> {
     };
     let width = rows.iter().map(|r| r.len()).max().unwrap_or(0);
     let grain = WORKER_TERMS.div_ceil(width.max(1));
-    crate::parallel::parallel_ranges(
-        rows.len(),
-        grain,
-        || (),
-        |(), range| {
-            let rows = rows.get(range).unwrap_or_default();
-            let mut sums = Vec::with_capacity(rows.len());
-            let mut quads = rows.chunks_exact(4);
-            for quad in quads.by_ref() {
-                if let &[a, b, c, d] = quad {
-                    sums.extend(dots4([a, b, c, d], with));
-                }
+    crate::parallel::parallel_ranges(rows.len(), grain, |range| {
+        let rows = rows.get(range).unwrap_or_default();
+        let mut sums = Vec::with_capacity(rows.len());
+        let mut quads = rows.chunks_exact(4);
+        for quad in quads.by_ref() {
+            if let &[a, b, c, d] = quad {
+                sums.extend(dots4([a, b, c, d], with));
             }
-            sums.extend(quads.remainder().iter().map(|row| dot(row)));
-            sums
-        },
-    )
+        }
+        sums.extend(quads.remainder().iter().map(|row| dot(row)));
+        sums
+    })
     .concat()
 }
 

@@ -731,8 +731,8 @@ impl<'a> MedianPlan<'a> {
 /// each update row.
 const BLOCK: usize = 16;
 
-/// Column entries a claimed block must hold before the kernel fans out:
-/// below about this many, a thread costs more than it saves.
+/// Column entries a worker must get before the kernel fans out: below
+/// about this many, spawning a thread costs more than it saves.
 const WORKER_ENTRIES: usize = 1 << 13;
 
 /// Sign bit of an `f32`'s bit pattern.
@@ -772,9 +772,9 @@ fn entry_weight(entry: u64, weights: &[f32]) -> f32 {
 /// shorter than `dim` reads as zero past its end. Coordinates are gathered
 /// [`BLOCK`] at a time into a column-major scratch buffer, so each update
 /// row is read a cache line at a time rather than once per coordinate, and
-/// the [`crate::parallel`] workers claim contiguous coordinate ranges of at
-/// least [`WORKER_ENTRIES`] entries, each worker gathering into one scratch
-/// buffer of its own for every range it claims.
+/// contiguous coordinate ranges run on the [`crate::parallel`] workers,
+/// each with its own scratch, one worker per [`WORKER_ENTRIES`] entries at
+/// most.
 fn map_columns<T, F>(updates: &[&[f32]], dim: usize, stat: F) -> Vec<T>
 where
     T: Clone + Default + Send,
@@ -786,21 +786,17 @@ where
         return vec![T::default(); dim];
     }
     let grain = WORKER_ENTRIES.div_ceil(n);
-    let columns = crate::parallel::parallel_ranges(
-        dim,
-        grain,
-        || vec![0u64; BLOCK * n],
-        |scratch, coords| {
-            let mut out = Vec::with_capacity(coords.len());
-            for lo in coords.clone().step_by(BLOCK) {
-                let width = BLOCK.min(coords.end - lo);
-                let block = scratch.get_mut(..width * n).unwrap_or_default();
-                gather(updates, lo..lo + width, block);
-                out.extend(block.chunks_exact_mut(n).map(&stat));
-            }
-            out
-        },
-    );
+    let columns = crate::parallel::parallel_ranges(dim, grain, |coords| {
+        let mut out = Vec::with_capacity(coords.len());
+        let mut scratch = vec![0u64; BLOCK * n];
+        for lo in coords.clone().step_by(BLOCK) {
+            let width = BLOCK.min(coords.end - lo);
+            let block = scratch.get_mut(..width * n).unwrap_or_default();
+            gather(updates, lo..lo + width, block);
+            out.extend(block.chunks_exact_mut(n).map(&stat));
+        }
+        out
+    });
     columns.concat()
 }
 

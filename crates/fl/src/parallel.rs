@@ -15,13 +15,14 @@
 //! once per process): the calling thread and one scoped thread for each
 //! other worker. Each worker keeps claiming the next unclaimed item, under
 //! one short lock, until none is left. A worker that drew cheap items
-//! therefore takes more of them, and the fan-out ends about when its
-//! costliest item does, not when the unluckiest fixed share does. A round's
-//! clients differ in cost (local data sizes, a host that deschedules one
-//! thread), so clients are claimed one at a time; a lock per client is
-//! nothing beside a local update. Column and row work is claimed in blocks,
-//! a few per worker and none below a grain worth a thread, and each worker
-//! builds its scratch once, on its first claim, not once per block.
+//! therefore takes more of them, and no worker idles while an item is
+//! unclaimed. A round's clients differ in cost (local data sizes, a host
+//! that deschedules one thread), so clients are claimed one at a time; a
+//! lock per client is nothing beside a local update. Column and row blocks
+//! cost about the same each (an O(n) select per column, rows of one
+//! width), so that work is cut into one contiguous block per worker, none
+//! below a grain worth a thread, and a block that allocates its own
+//! scratch allocates it once per worker.
 //!
 //! The caller claims the first item before the other workers start, and
 //! then works like any of them instead of waiting. With one worker (a
@@ -53,11 +54,6 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::OnceLock;
 
 use parking_lot::Mutex;
-
-/// Blocks [`parallel_ranges`] cuts per worker at most: enough that a worker
-/// the host slows leaves part of its share to the others, few enough that
-/// the claims cost nothing beside a block's work.
-const BLOCKS_PER_WORKER: usize = 4;
 
 /// Maps `f` over `items` in parallel, preserving order.
 ///
@@ -97,50 +93,42 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    claim_each(
-        items,
-        || (),
-        |(), item| {
-            let _span = calibre_telemetry::span("client");
-            f(item)
-        },
-    )
+    claim_each(items, |item| {
+        let _span = calibre_telemetry::span("client");
+        f(item)
+    })
 }
 
-/// Cuts `0..len` into contiguous blocks and runs `f` on each, returning the
-/// results in range order. There are at most `len / grain` blocks (at least
-/// one) and at most [`BLOCKS_PER_WORKER`] per worker. A worker builds its
-/// scratch with `scratch` once, on its first claim, and hands it to `f` for
-/// every block it claims. Server-side work (the aggregation column kernel,
+/// Cuts `0..len` into contiguous blocks, one per worker and at most
+/// `len / grain` (at least one), and runs `f` on each, returning the
+/// results in range order. Server-side work (the aggregation column kernel,
 /// detection's row sums) runs here while no client work is in flight, so it
 /// opens no `client` span.
-pub(crate) fn parallel_ranges<S, R, I, F>(len: usize, grain: usize, scratch: I, f: F) -> Vec<R>
+pub(crate) fn parallel_ranges<R, F>(len: usize, grain: usize, f: F) -> Vec<R>
 where
     R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, Range<usize>) -> R + Sync,
+    F: Fn(Range<usize>) -> R + Sync,
 {
-    let blocks = (len / grain.max(1)).clamp(1, workers() * BLOCKS_PER_WORKER);
+    let blocks = workers().min(len / grain.max(1)).max(1);
     let size = len.div_ceil(blocks).max(1);
     let ranges = (0..len)
         .step_by(size)
         .map(|start| start..len.min(start + size))
         .collect();
-    claim_each(ranges, scratch, f)
+    claim_each(ranges, f)
 }
 
 /// The one fan-out of this module. The caller claims the first item, starts
 /// `workers() - 1` scoped threads (fewer for fewer items), and then every
 /// worker, the caller included, runs `f` on its claim and claims again
-/// until no item is left. Each worker builds its scratch on its first
-/// claim. Results come back in input order; the first panic stops further
-/// claims and resumes on the caller with its original payload.
-fn claim_each<T, S, R, I, F>(items: Vec<T>, scratch: I, f: F) -> Vec<R>
+/// until no item is left. Results come back in input order; the first
+/// panic stops further claims and resumes on the caller with its original
+/// payload.
+fn claim_each<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, T) -> R + Sync,
+    F: Fn(T) -> R + Sync,
 {
     let spawned = workers().min(items.len()).saturating_sub(1);
     let queue = Mutex::new(Queue {
@@ -154,10 +142,9 @@ where
         // stops every claim and resumes on the caller, so no result of this
         // fan-out is returned.
         let ran = panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut state = None;
             let mut next = first;
             while let Some((index, item)) = next {
-                done.push((index, f(state.get_or_insert_with(&scratch), item)));
+                done.push((index, f(item)));
                 next = claim();
             }
         }));
@@ -342,44 +329,14 @@ mod tests {
     fn ranges_cover_every_index_once_in_order() {
         for len in [0usize, 1, 2, 3, 17, 1024] {
             for grain in [1usize, 2, 5, 2000] {
-                let ranges = parallel_ranges(len, grain, || (), |(), r| r);
+                let ranges = parallel_ranges(len, grain, |r| r);
                 assert!(ranges.iter().all(|r| !r.is_empty()), "{ranges:?}");
                 assert!(ranges.len() <= (len / grain).max(1), "{ranges:?}");
+                // One block per worker at most: a block's own scratch is
+                // then one scratch per worker.
+                assert!(ranges.len() <= workers(), "{ranges:?}");
                 let covered: Vec<usize> = ranges.into_iter().flatten().collect();
                 assert_eq!(covered, (0..len).collect::<Vec<_>>());
-            }
-        }
-    }
-
-    #[test]
-    fn ranges_with_worker_scratch_match_a_one_thread_map() {
-        let value = |i: usize| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 7;
-        for len in [0usize, 1, 7, 64, 1000, 4099] {
-            for grain in [1usize, 3, 64, 5000] {
-                let built = AtomicUsize::new(0);
-                let blocks = parallel_ranges(
-                    len,
-                    grain,
-                    || {
-                        built.fetch_add(1, Ordering::SeqCst);
-                        Vec::new()
-                    },
-                    |scratch: &mut Vec<u64>, range| {
-                        // Whatever an earlier block left behind is
-                        // overwritten, as the column kernel's gather does.
-                        scratch.clear();
-                        scratch.extend(range.map(value));
-                        scratch.clone()
-                    },
-                );
-                let want: Vec<u64> = (0..len).map(value).collect();
-                assert_eq!(blocks.concat(), want, "len {len}, grain {grain}");
-                let built = built.load(Ordering::SeqCst);
-                assert!(built <= workers(), "{built} scratches for {len}/{grain}");
-                assert!(
-                    built >= 1 || len == 0,
-                    "{built} scratches for {len}/{grain}"
-                );
             }
         }
     }
