@@ -8,7 +8,7 @@ use calibre_data::{AugmentConfig, FederatedDataset, NonIid, PartitionConfig, Syn
 use calibre_embed::{tsne, TsneConfig};
 use calibre_fl::adversary::anomaly_scores;
 use calibre_fl::aggregate::{
-    aggregate_robust, coordinate_median, Aggregator, BufferedRobustSink, UpdateSink,
+    aggregate_robust, coordinate_median, median_and_midpoints, Aggregator,
 };
 use calibre_fl::proto::{encode_assign_into, frame_checksum, Msg};
 use calibre_ssl::{nt_xent, ssl_step, ssl_step_in, SimClr, SslConfig, SslMethod, TwoViewBatch};
@@ -18,7 +18,6 @@ use calibre_tensor::nn::{gradients, Binding, Mlp};
 use calibre_tensor::optim::{Sgd, SgdConfig};
 use calibre_tensor::{rng, Graph, Matrix, StepArena};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use std::borrow::Cow;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -281,9 +280,8 @@ fn bench_aggregation(c: &mut Criterion) {
     }
     // The other side of the median's switch: integral weights select, and
     // fractional ones (Calibre's divergence-aware weights) sort and walk.
-    // Then `cohort_robust`'s seal: a buffered median sink holding the whole
-    // round computes its aggregate and detection's medians in one pass
-    // (the folds are setup, untimed; dropping the sink is timed).
+    // Then `cohort_robust`'s seal: a held median round's aggregate and
+    // detection's medians in one pass.
     let (n, dim) = (2000usize, 1024usize);
     let updates: Vec<Vec<f32>> = (0..n).map(|_| rng::normal_vec(&mut r, dim)).collect();
     let refs: Vec<&[f32]> = updates.iter().map(Vec::as_slice).collect();
@@ -292,18 +290,9 @@ fn bench_aggregation(c: &mut Criterion) {
         &format!("coordinate_median_{n}x{dim}_fractional"),
         |bench| bench.iter(|| black_box(coordinate_median(black_box(&refs), &fractional))),
     );
+    let integral: Vec<f32> = (0..n).map(|i| 1.0 + (i % 7) as f32).collect();
     c.bench_function(&format!("median_sink_seal_{n}x{dim}"), |bench| {
-        bench.iter_batched(
-            || {
-                let mut sink = BufferedRobustSink::new(Aggregator::CoordinateMedian, n, 0);
-                for (i, u) in refs.iter().enumerate() {
-                    let _ = sink.fold(i, Cow::Borrowed(*u), 1.0 + (i % 7) as f32);
-                }
-                sink
-            },
-            |mut sink| black_box(sink.seal_medians()),
-            BatchSize::LargeInput,
-        )
+        bench.iter(|| black_box(median_and_midpoints(black_box(&refs), &integral)))
     });
 }
 

@@ -41,10 +41,11 @@
 
 use calibre_bench::obs::ObsArgs;
 use calibre_bench::parse_args_or_exit;
-use calibre_fl::aggregate::Aggregator;
+use calibre_fl::aggregate::{Aggregator, StreamingWeightedSink};
 use calibre_fl::sampler::{Sampler, SamplerKind};
 use calibre_fl::{
-    jain_index, worst_fraction_mean, AttackPlan, InProcessTransport, RoundScheduler, StreamUpdate,
+    jain_index, worst_fraction_mean, AttackPlan, Fold, InProcessTransport, RoundScheduler,
+    StreamUpdate,
 };
 use std::io::Write;
 
@@ -164,10 +165,15 @@ fn run_cell(
     let mut skipped = 0usize;
     for round in 0..rounds {
         let selected = scheduler.select(round, None);
-        let mut sink = defense.sink(
-            selected.len().max(1),
-            seed ^ (round as u64).wrapping_mul(0xA24B_AED4_963E_E407),
-        );
+        let mut weighted = StreamingWeightedSink::new();
+        let fold = if defense == Aggregator::WeightedAverage {
+            Fold::Stream(&mut weighted)
+        } else {
+            Fold::Hold {
+                capacity: selected.len(),
+                seed: seed ^ (round as u64).wrapping_mul(0xA24B_AED4_963E_E407),
+            }
+        };
         let mut transport = InProcessTransport::new(|_round, client, model: &[f32]| StreamUpdate {
             update: targets[client]
                 .iter()
@@ -179,15 +185,7 @@ fn run_cell(
             divergence: 0.0,
         });
         let out = scheduler
-            .run_round(
-                round,
-                &selected,
-                16,
-                &w,
-                sink.as_mut(),
-                &mut transport,
-                recorder,
-            )
+            .run_round(round, &selected, 16, &w, fold, &mut transport, recorder)
             .expect("the in-process transport cannot fail");
         if let Some(agg) = out.aggregated {
             for (wi, gi) in w.iter_mut().zip(agg) {

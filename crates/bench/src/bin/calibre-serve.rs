@@ -36,7 +36,7 @@
 //!   `--metrics-snapshot`, `--telemetry`, …).
 
 use calibre_bench::obs::ObsArgs;
-use calibre_bench::parse_args_or_exit;
+use calibre_bench::{exit_bad_value, parse_args_or_exit};
 use calibre_fl::chaos::parse_combined_spec;
 use calibre_fl::serve::{run_in_process, run_server, ServeConfig};
 use calibre_fl::Listener;
@@ -69,19 +69,19 @@ fn main() {
                 cfg.net.register_patience = value.parse().expect("--register-patience-ms");
             }
             "chaos" => {
-                let (client, wire) = parse_combined_spec(value)
-                    .unwrap_or_else(|e| panic!("bad --chaos spec {value:?}: {e}"));
+                let (client, wire) =
+                    parse_combined_spec(value).unwrap_or_else(|e| exit_bad_value(key, value, e));
                 cfg.chaos = client;
                 cfg.wire = wire;
             }
             "attack" => {
                 cfg.attack = calibre_fl::AttackPlan::parse(value)
-                    .unwrap_or_else(|e| panic!("bad --attack spec {value:?}: {e}"));
+                    .unwrap_or_else(|e| exit_bad_value(key, value, e));
             }
             "detect" => cfg.detect = value == "true",
             "aggregator" => {
                 cfg.policy.aggregator = calibre_fl::aggregate::Aggregator::parse_spec(value)
-                    .unwrap_or_else(|e| panic!("bad --aggregator spec {value:?}: {e}"));
+                    .unwrap_or_else(|e| exit_bad_value(key, value, e));
             }
             _ => {
                 if !obs_args.accept(key, value) {

@@ -20,10 +20,14 @@
 //!        [--metrics-addr host:port] [--metrics-snapshot out.prom]
 //! ```
 //!
+//! `--groups N` folds into a hierarchical weighted sink, so it takes no
+//! `--aggregator` but `weighted`. With a robust `--aggregator`, the engine
+//! holds each round in a reservoir of `4 × --wave` updates.
+//!
 //! `--smoke` runs a reduced sweep and asserts the committed peak-memory
 //! bound — the CI step that keeps the sink-fed path honest — plus a
-//! reservoir-sink gate that holds the *corrected* accounting (sample
-//! buffer included) to a shape-derived bound. `--mega` runs a single
+//! reservoir gate that holds the *corrected* accounting (sample buffer
+//! included) to a shape-derived bound. `--mega` runs a single
 //! non-gating 1M-client round (one point, no committed bound — it exists
 //! to record the million-client peak-memory row in `EXPERIMENTS.md`).
 //! `--metrics-addr` serves `/metrics` and `/status` live while the sweep
@@ -31,10 +35,10 @@
 //! a file.
 
 use calibre_bench::obs::ObsArgs;
-use calibre_bench::parse_args_or_exit;
-use calibre_fl::aggregate::{Aggregator, HierarchicalSink, UpdateSink};
+use calibre_bench::{exit_argument_error, parse_args_or_exit};
+use calibre_fl::aggregate::{Aggregator, HierarchicalSink, StreamingWeightedSink, UpdateSink};
 use calibre_fl::sampler::{Sampler, SamplerKind};
-use calibre_fl::scheduler::RoundScheduler;
+use calibre_fl::scheduler::{Fold, RoundPolicy, RoundScheduler};
 use calibre_fl::transport::{InProcessTransport, StreamUpdate};
 use calibre_telemetry::metrics;
 use std::time::Instant;
@@ -84,10 +88,10 @@ fn simulated_update(round: usize, client: usize, global: &[f32]) -> StreamUpdate
     }
 }
 
-/// Smoke-only gate for the *corrected* reservoir accounting: the sink's
-/// retained sample buffer is real aggregation state, so `state_bytes` now
-/// counts its capacity. The peak must stay flat across cohort sizes and
-/// under a bound derived purely from the sink shape — `capacity` retained
+/// Smoke-only gate for the *corrected* reservoir accounting: the hold's
+/// retained sample buffer is real aggregation state, so the peak counts
+/// its capacity. The peak must stay flat across cohort sizes and under a
+/// bound derived purely from the reservoir's shape — `capacity` retained
 /// samples plus their spine, the weight buffer, one in-flight wave, and
 /// fixed headroom for struct overhead. A cohort-sized term appearing here
 /// means the reservoir started scaling with the cohort again.
@@ -106,16 +110,22 @@ fn reservoir_gate(sweep: &SweepConfig) {
             cohort * 2,
             cohort,
             1,
-        );
+        )
+        .with_policy(RoundPolicy {
+            aggregator: Aggregator::TrimmedMean(0.1),
+            ..RoundPolicy::default()
+        });
         let selected = scheduler.select(0, None);
-        let mut sink = Aggregator::TrimmedMean(0.1).sink(capacity, sweep.seed);
         let out = scheduler
             .run_round(
                 0,
                 &selected,
                 sweep.wave,
                 &vec![0.0; sweep.dim],
-                sink.as_mut(),
+                Fold::Hold {
+                    capacity,
+                    seed: sweep.seed,
+                },
                 &mut InProcessTransport::new(simulated_update),
                 &calibre_telemetry::NullRecorder,
             )
@@ -211,6 +221,15 @@ fn main() {
         }
     }
 
+    if let Some(agg) = obs_args
+        .aggregator
+        .filter(|&a| sweep.groups > 0 && a != Aggregator::WeightedAverage)
+    {
+        exit_argument_error(format!(
+            "--groups folds into a hierarchical weighted sink; --aggregator {} needs --groups 0",
+            agg.name()
+        ));
+    }
     let obs = obs_args.clone().build();
     println!(
         "== cohort scaling sweep: dim {}, wave {}, {} rounds/point, sampler {}, groups {} ==",
@@ -257,12 +276,20 @@ fn main() {
         let started = Instant::now();
         for round in 0..scheduler.rounds() {
             let selected = scheduler.select(round, None);
-            let mut sink: Box<dyn UpdateSink + Send> = if sweep.groups > 0 {
+            let mut sink: Box<dyn UpdateSink> = if sweep.groups > 0 {
                 Box::new(HierarchicalSink::new(sweep.groups, sweep.seed))
+            } else {
+                Box::new(StreamingWeightedSink::new())
+            };
+            let fold = if policy.aggregator == Aggregator::WeightedAverage {
+                Fold::Stream(sink.as_mut())
             } else {
                 // Reservoir capacity for the robust variants: bounded, far
                 // below the cohort.
-                policy.aggregator.sink(sweep.wave * 4, sweep.seed)
+                Fold::Hold {
+                    capacity: sweep.wave * 4,
+                    seed: sweep.seed,
+                }
             };
             let out = scheduler
                 .run_round(
@@ -270,7 +297,7 @@ fn main() {
                     &selected,
                     sweep.wave,
                     &global,
-                    sink.as_mut(),
+                    fold,
                     &mut clients,
                     obs.recorder(),
                 )

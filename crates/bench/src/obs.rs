@@ -51,6 +51,7 @@
 //! obs.finish(); // flushes, uninstalls the span collector, writes outputs
 //! ```
 
+use crate::exit_bad_value;
 use calibre_telemetry::export::{http_get, MetricsServer};
 use calibre_telemetry::{
     install_collector, uninstall_collector, Fanout, JsonlSink, MetricsHub, NullRecorder,
@@ -94,10 +95,10 @@ impl ObsArgs {
     /// or resilience flag; returns `false` (leaving `self` untouched)
     /// otherwise.
     ///
-    /// # Panics
-    ///
-    /// Panics if `--chaos` carries an unparsable spec, `--min-quorum` is not
-    /// an integer, or `--aggregator` names an unknown statistic.
+    /// A bad value — an unparsable `--chaos` or `--attack` spec, a
+    /// `--detect` other than `true` or `false`, a `--min-quorum` that is
+    /// not an integer, an unknown `--aggregator` — is printed on stderr
+    /// and the process exits 2 ([`crate::exit_bad_value`]).
     pub fn accept(&mut self, key: &str, value: &str) -> bool {
         match key {
             "telemetry" => self.telemetry = Some(value.to_string()),
@@ -107,27 +108,31 @@ impl ObsArgs {
             "metrics-snapshot" => self.metrics_snapshot = Some(value.to_string()),
             "chaos" => {
                 let plan = calibre_fl::FaultPlan::parse(value)
-                    .unwrap_or_else(|e| panic!("bad --chaos spec {value:?}: {e}"));
+                    .unwrap_or_else(|e| exit_bad_value(key, value, e));
                 self.chaos = Some(plan);
             }
             "attack" => {
                 let plan = calibre_fl::AttackPlan::parse(value)
-                    .unwrap_or_else(|e| panic!("bad --attack spec {value:?}: {e}"));
+                    .unwrap_or_else(|e| exit_bad_value(key, value, e));
                 self.attack = Some(plan);
             }
             "detect" => {
                 self.detect = Some(
                     value
                         .parse()
-                        .expect("--detect must be \"true\" or \"false\""),
+                        .unwrap_or_else(|e| exit_bad_value(key, value, e)),
                 );
             }
             "min-quorum" => {
-                self.min_quorum = Some(value.parse().expect("--min-quorum must be an integer"));
+                self.min_quorum = Some(
+                    value
+                        .parse()
+                        .unwrap_or_else(|e| exit_bad_value(key, value, e)),
+                );
             }
             "aggregator" => {
                 let agg = calibre_fl::aggregate::Aggregator::parse_spec(value)
-                    .unwrap_or_else(|e| panic!("bad --aggregator spec {value:?}: {e}"));
+                    .unwrap_or_else(|e| exit_bad_value(key, value, e));
                 self.aggregator = Some(agg);
             }
             _ => return false,

@@ -36,3 +36,32 @@ fn help_and_unknown_flags_exit_2_without_a_panic() {
         exits_2(exe, &["--bogus", "1"]);
     }
 }
+
+#[test]
+fn bad_spec_values_exit_2_without_a_panic() {
+    // Every binary whose flags go through `ObsArgs::accept`.
+    for exe in [
+        env!("CARGO_BIN_EXE_ablations"),
+        env!("CARGO_BIN_EXE_attack"),
+        env!("CARGO_BIN_EXE_calibre-serve"),
+        env!("CARGO_BIN_EXE_cohort"),
+        env!("CARGO_BIN_EXE_convergence"),
+        env!("CARGO_BIN_EXE_diag"),
+        env!("CARGO_BIN_EXE_fig3"),
+        env!("CARGO_BIN_EXE_fig4"),
+        env!("CARGO_BIN_EXE_table1"),
+        env!("CARGO_BIN_EXE_tsne"),
+    ] {
+        exits_2(exe, &["--chaos", "bogus=1"]);
+        exits_2(exe, &["--aggregator", "bogus"]);
+    }
+    // `calibre-serve` parses its own specs.
+    let serve = env!("CARGO_BIN_EXE_calibre-serve");
+    exits_2(serve, &["--attack", "bogus=1"]);
+    exits_2(serve, &["--smoke", "true", "--chaos", "net-bogus=1"]);
+    let cohort = env!("CARGO_BIN_EXE_cohort");
+    exits_2(cohort, &["--min-quorum", "x"]);
+    // A hierarchical sink folds a weighted average; it cannot run a
+    // robust aggregator.
+    exits_2(cohort, &["--groups", "4", "--aggregator", "median"]);
+}

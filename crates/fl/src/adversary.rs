@@ -436,9 +436,10 @@ pub fn anomaly_scores(ids: &[usize], updates: &[&[f32]]) -> Vec<AnomalyScore> {
 }
 
 /// [`anomaly_scores`] with the updates' column medians supplied when the
-/// caller has them already, as a sink that sealed the round in the same
-/// pass does ([`crate::aggregate::UpdateSink::seal_medians`]); `None`
-/// computes them. `medians` must be those of exactly these updates.
+/// caller has them already, as the round engine does when it seals a held
+/// median round in the same pass
+/// ([`crate::aggregate::median_and_midpoints`]); `None` computes them.
+/// `medians` must be those of exactly these updates.
 pub(crate) fn anomaly_scores_against(
     ids: &[usize],
     updates: &[&[f32]],

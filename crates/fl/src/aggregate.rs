@@ -20,11 +20,12 @@
 //!    corruptions (sign flips) that validation cannot see.
 //!
 //! [`aggregate_robust`] is the one aggregation front door: a typed error,
-//! never a panic. The round engine folds each accepted update into an
-//! [`UpdateSink`] ([`Aggregator::sink`]); the training loops'
-//! [`BufferedRobustSink`] finishes with [`aggregate_robust`].
+//! never a panic. The round engine
+//! ([`crate::scheduler::RoundScheduler::run_round`]) either streams each
+//! accepted update into an [`UpdateSink`], or holds the round's updates and
+//! seals them with [`aggregate_robust`], or with [`median_and_midpoints`]
+//! when detection also scores a median round.
 
-use std::borrow::Cow;
 use std::ops::Range;
 
 use crate::spec::SpecError;
@@ -62,7 +63,7 @@ fn weighted_average_refs(updates: &[&[f32]], weights: &[f32]) -> Vec<f32> {
             u.len()
         );
         // Infallible: the shape was just asserted against `dim`.
-        let _ = sink.fold(i, Cow::Borrowed(u), w);
+        let _ = sink.fold(i, u, w);
     }
     sink.finish().unwrap_or_default()
 }
@@ -512,11 +513,30 @@ pub fn coordinate_median(updates: &[&[f32]], weights: &[f32]) -> Result<Vec<f32>
     Ok(map_columns(updates, dim, |column| plan.median(column)))
 }
 
-/// [`coordinate_median`] and [`column_medians`] of the same updates from
-/// one gather and one selection per column: the weighted median leaves
-/// each column split at n/2, where [`midpoint`] reads detection's median.
-/// [`BufferedRobustSink`] seals a detected round with it.
-fn median_and_midpoints(
+/// [`coordinate_median`] and the unweighted column medians that detection
+/// scores against ([`crate::adversary::anomaly_scores`]) of the same
+/// updates, from one gather and one selection per column: the weighted
+/// median leaves each column split at n/2, where the unweighted median is
+/// read. The round engine seals a held median round that detection scores
+/// with it.
+///
+/// # Errors
+///
+/// Input errors as in [`aggregate_robust`].
+///
+/// # Examples
+///
+/// ```
+/// use calibre_fl::aggregate::{coordinate_median, median_and_midpoints};
+///
+/// let updates: [&[f32]; 4] = [&[1.0, -2.0], &[5.0, 0.5], &[-400.0, 3.0], &[2.0, 9.0]];
+/// let weights = [1.0, 3.0, 1.0, 1.0];
+/// let (median, midpoints) = median_and_midpoints(&updates, &weights).unwrap();
+/// assert_eq!(median, coordinate_median(&updates, &weights).unwrap());
+/// // Unweighted, an even column's median is its middle pair's mean.
+/// assert_eq!(midpoints, vec![1.5, 1.75]);
+/// ```
+pub fn median_and_midpoints(
     updates: &[&[f32]],
     weights: &[f32],
 ) -> Result<(Vec<f32>, Vec<f32>), AggregateError> {
@@ -1121,8 +1141,10 @@ use rand::Rng as _;
 
 /// A streaming accumulator that client updates are folded into the moment
 /// they finish, instead of being collected into an O(cohort × model) `Vec`
-/// first. This is the aggregation substrate of the round engine
-/// ([`crate::scheduler::RoundScheduler::run_round`]; `DESIGN.md` §11).
+/// first: the streaming side of the round engine
+/// ([`crate::scheduler::Fold::Stream`]; `DESIGN.md` §11). A sink only
+/// reads each update. A statistic that needs the whole round at once runs
+/// over the updates the engine holds ([`crate::scheduler::Fold::Hold`]).
 ///
 /// # Contract
 ///
@@ -1145,27 +1167,15 @@ use rand::Rng as _;
 ///   before it reaches [`UpdateSink::fold`].
 /// * **A sink is spent after [`UpdateSink::finish`]:** the accumulator is
 ///   drained, and a second `finish` reports [`AggregateError::Empty`].
-/// * **Each update is held once.** A sink that holds updates keeps an
-///   owned update's buffer ([`Cow::Owned`]) as it is and copies a borrowed
-///   one; a streaming sink only reads it. When [`UpdateSink::keeps`] says
-///   the sink will hold a round's updates, the engine hands it each
-///   reply's own buffer and scores detection on [`UpdateSink::held`]
-///   before `finish`, so no second copy exists.
-/// * **Held buffers go back.** Once `finish` no longer needs them, or the
-///   round missed its quorum, [`UpdateSink::release`] gives the held
-///   buffers back, and the engine returns them to the transport for the
-///   next round's replies.
 ///
 /// # Examples
 ///
 /// ```
-/// use std::borrow::Cow;
-///
 /// use calibre_fl::aggregate::{StreamingWeightedSink, UpdateSink};
 ///
 /// let mut sink = StreamingWeightedSink::new();
-/// sink.fold(0, Cow::Borrowed(&[0.0, 2.0]), 1.0).unwrap();
-/// sink.fold(1, Cow::Owned(vec![2.0, 4.0]), 3.0).unwrap();
+/// sink.fold(0, &[0.0, 2.0], 1.0).unwrap();
+/// sink.fold(1, &[2.0, 4.0], 3.0).unwrap();
 /// assert_eq!(sink.folded(), 2);
 /// assert_eq!(sink.finish().unwrap(), vec![1.5, 3.5]);
 /// ```
@@ -1177,12 +1187,7 @@ pub trait UpdateSink {
     /// [`AggregateError::LengthMismatch`] when `update` disagrees with the
     /// dimension established by the first fold (the `index` field carries
     /// the fold position).
-    fn fold(
-        &mut self,
-        client: usize,
-        update: Cow<'_, [f32]>,
-        weight: f32,
-    ) -> Result<(), AggregateError>;
+    fn fold(&mut self, client: usize, update: &[f32], weight: f32) -> Result<(), AggregateError>;
 
     /// Number of updates folded so far.
     fn folded(&self) -> usize;
@@ -1190,36 +1195,6 @@ pub trait UpdateSink {
     /// Bytes of accumulator state currently held — the quantity the
     /// `cohort` bench asserts stays flat as the cohort grows.
     fn state_bytes(&self) -> usize;
-
-    /// Whether the sink will hold each of its next `folds` updates as
-    /// folded, in fold order, until [`UpdateSink::finish`]. `false` for a
-    /// sink that holds no update, which is the default.
-    fn keeps(&self, _folds: usize) -> bool {
-        false
-    }
-
-    /// Every update folded since the sink was built or last finished, in
-    /// fold order, or `None` when the sink does not hold them all.
-    fn held(&self) -> Option<Vec<&[f32]>> {
-        None
-    }
-
-    /// Seals the round ahead of [`UpdateSink::finish`] and returns the
-    /// unweighted column medians of [`UpdateSink::held`], when the sink
-    /// computes them in the same pass as the aggregate that `finish` then
-    /// returns. `None`, the default, when it does not: the caller computes
-    /// them itself. A fold after a seal undoes it.
-    fn seal_medians(&mut self) -> Option<Vec<f32>> {
-        None
-    }
-
-    /// Gives back the buffers of the updates the sink holds, in no
-    /// particular order, and leaves it empty: what [`UpdateSink::finish`]
-    /// left behind, or every held update of a round that will not finish.
-    /// The default, for a sink that holds none, gives back nothing.
-    fn release(&mut self) -> Vec<Vec<f32>> {
-        Vec::new()
-    }
 
     /// Offers a spent buffer, such as the previous round's aggregate, for
     /// the sink to accumulate in. Its contents are ignored: a sink that
@@ -1274,8 +1249,6 @@ enum WeightedMode {
 /// the weighted [`aggregate_robust`] bit for bit:
 ///
 /// ```
-/// use std::borrow::Cow;
-///
 /// use calibre_fl::aggregate::{aggregate_robust, Aggregator, StreamingWeightedSink, UpdateSink};
 ///
 /// let updates: [&[f32]; 2] = [&[1.0, -2.5], &[0.5, 4.0]];
@@ -1283,7 +1256,7 @@ enum WeightedMode {
 /// let total: f32 = weights.iter().sum();
 /// let mut sink = StreamingWeightedSink::for_cohort(total, updates.len());
 /// for (i, (u, &w)) in updates.iter().zip(weights.iter()).enumerate() {
-///     sink.fold(i, Cow::Borrowed(*u), w).unwrap();
+///     sink.fold(i, u, w).unwrap();
 /// }
 /// let streamed = sink.finish().unwrap();
 /// let reference = aggregate_robust(Aggregator::WeightedAverage, &updates, &weights).unwrap();
@@ -1332,12 +1305,7 @@ impl Default for StreamingWeightedSink {
 }
 
 impl UpdateSink for StreamingWeightedSink {
-    fn fold(
-        &mut self,
-        _client: usize,
-        update: Cow<'_, [f32]>,
-        weight: f32,
-    ) -> Result<(), AggregateError> {
+    fn fold(&mut self, _client: usize, update: &[f32], weight: f32) -> Result<(), AggregateError> {
         if self.folded == 0 {
             // A fresh accumulator, or an adopted buffer zeroed in place.
             self.acc.clear();
@@ -1448,14 +1416,12 @@ fn mix64(mut x: u64) -> u64 {
 /// # Examples
 ///
 /// ```
-/// use std::borrow::Cow;
-///
 /// use calibre_fl::aggregate::{HierarchicalSink, UpdateSink};
 ///
 /// let mut sink = HierarchicalSink::new(4, 42);
 /// for client in 0..100usize {
 ///     let v = client as f32;
-///     sink.fold(client, Cow::Borrowed(&[v, -v]), 1.0).unwrap();
+///     sink.fold(client, &[v, -v], 1.0).unwrap();
 /// }
 /// let mean = sink.finish().unwrap();
 /// assert!((mean[0] - 49.5).abs() < 1e-3); // mean of 0..100
@@ -1499,12 +1465,7 @@ impl HierarchicalSink {
 }
 
 impl UpdateSink for HierarchicalSink {
-    fn fold(
-        &mut self,
-        client: usize,
-        update: Cow<'_, [f32]>,
-        weight: f32,
-    ) -> Result<(), AggregateError> {
+    fn fold(&mut self, client: usize, update: &[f32], weight: f32) -> Result<(), AggregateError> {
         let dim = *self.dim.get_or_insert(update.len());
         if update.len() != dim {
             return Err(AggregateError::LengthMismatch {
@@ -1573,168 +1534,82 @@ impl UpdateSink for HierarchicalSink {
     }
 }
 
-/// Memory-bounded [`UpdateSink`] for every robust aggregator: the order
-/// statistics ([`Aggregator::TrimmedMean`], [`Aggregator::CoordinateMedian`])
-/// and the defense-grade ones (Krum family, geometric median, norm
-/// bounding, centered clipping).
+/// The updates a round holds for its seal: each accepted reply's own
+/// buffer and its weight, in the order the engine keeps them
+/// ([`crate::scheduler::Fold::Hold`], and every round detection scores).
 ///
-/// With `capacity` equal to the cohort it also serves the training loops
-/// ([`crate::pfl_ssl::run_training_round`]) for every [`Aggregator`]: it
-/// holds each accepted update and runs [`aggregate_robust`] once, in fold
-/// order.
+/// The robust statistics need the whole round at once — order statistics
+/// need every coordinate's column, Krum compares every pair of updates,
+/// Weiszfeld iterates over all of them — so no constant-memory stream
+/// computes them (`DESIGN.md` §11). The hold keeps at most `capacity`
+/// updates and samples the round uniformly past that (Vitter's algorithm
+/// R, driven by a seeded rng):
 ///
-/// An owned update's buffer is kept as it is, a borrowed one copied. While
-/// the folds fit the capacity nothing is replaced, so
-/// [`UpdateSink::keeps`] holds and [`UpdateSink::held`] lends the updates
-/// back in fold order: the round engine hands over each reply's own buffer
-/// and scores detection on them. `finish` leaves the buffers in the sink,
-/// and [`UpdateSink::release`] gives them back.
+/// * rounds up to `capacity` are held whole, so their statistic is exact;
+/// * past it, the statistic runs over a uniform sample of the round, in
+///   O(capacity × model) state whatever the cohort.
 ///
-/// Those statistics need the whole cohort at once — order statistics need
-/// every coordinate's column, Krum compares every pair of updates,
-/// Weiszfeld iterates over all of them — so a constant-memory stream is
-/// impossible (`DESIGN.md` §11). Instead the sink keeps a uniform reservoir
-/// of at most `capacity` updates (Vitter's algorithm R, driven by a seeded
-/// rng) and finishes with the exact [`aggregate_robust`] statistic over the
-/// reservoir in fold order:
-///
-/// * cohorts up to `capacity` are **exact** — every update is retained;
-/// * beyond that the statistic is computed over a uniform sample of the
-///   stream, with state bounded by O(capacity × model) regardless of
-///   cohort size.
-///
-/// # Determinism
-///
-/// Replacement choices depend only on `(seed, fold order)`; replaying the
-/// same fold sequence reproduces the reservoir — and the aggregate — bit
-/// for bit. Permutations change which updates survive past `capacity`, so
-/// unlike the weighted sink there is no permutation-tolerance guarantee
-/// beyond it.
-///
-/// # Examples
-///
-/// ```
-/// use std::borrow::Cow;
-///
-/// use calibre_fl::aggregate::{krum, Aggregator, BufferedRobustSink, UpdateSink};
-///
-/// let updates: [&[f32]; 4] = [&[1.0], &[1.1], &[0.9], &[500.0]];
-/// let mut sink = BufferedRobustSink::new(Aggregator::Krum { f: 1 }, 16, 7);
-/// for (i, u) in updates.iter().enumerate() {
-///     sink.fold(i, Cow::Borrowed(*u), 1.0).unwrap();
-/// }
-/// assert_eq!(sink.finish().unwrap(), krum(&updates, &[1.0; 4], 1).unwrap());
-/// ```
-///
-/// Under capacity the sink is exact:
-///
-/// ```
-/// use std::borrow::Cow;
-///
-/// use calibre_fl::aggregate::{coordinate_median, Aggregator, BufferedRobustSink, UpdateSink};
-///
-/// let updates: [&[f32]; 3] = [&[1.0], &[5.0], &[-400.0]];
-/// let mut sink = BufferedRobustSink::new(Aggregator::CoordinateMedian, 16, 7);
-/// for (i, u) in updates.iter().enumerate() {
-///     sink.fold(i, Cow::Borrowed(*u), 1.0).unwrap();
-/// }
-/// let exact = coordinate_median(&updates, &[1.0; 3]).unwrap();
-/// assert_eq!(sink.finish().unwrap(), exact);
-/// ```
+/// Replacement choices depend only on `(seed, keep order)`, so replaying a
+/// round reproduces the reservoir, and its aggregate, bit for bit.
 #[derive(Debug)]
-pub struct BufferedRobustSink {
-    aggregator: Aggregator,
-    /// The held updates; after a seal ([`UpdateSink::seal_medians`]), the
-    /// sealed aggregate past them, so with `folded > 0`,
-    /// `entries.len() > folded` exactly when the round is sealed. After
-    /// `finish` (`folded == 0`), the spent buffers until
-    /// [`UpdateSink::release`] or the next fold.
+pub(crate) struct Hold {
     entries: Vec<Vec<f32>>,
     weights: Vec<f32>,
     capacity: usize,
     rng: StdRng,
-    folded: usize,
+    /// Updates offered so far, held or not.
+    offered: usize,
 }
 
-impl BufferedRobustSink {
-    /// A sink finishing with `aggregator` over at most `capacity` buffered
-    /// updates; `seed` drives the deterministic reservoir replacement.
-    pub fn new(aggregator: Aggregator, capacity: usize, seed: u64) -> Self {
-        BufferedRobustSink {
-            aggregator,
+impl Hold {
+    /// A hold of at most `capacity` updates (at least one); `seed` drives
+    /// the reservoir's replacement choices.
+    pub(crate) fn new(capacity: usize, seed: u64) -> Self {
+        Hold {
             entries: Vec::new(),
             weights: Vec::new(),
             capacity: capacity.max(1),
             rng: calibre_tensor::rng::seeded(seed ^ 0x5EED_5EED_5EED_5EED),
-            folded: 0,
+            offered: 0,
         }
     }
-}
 
-impl UpdateSink for BufferedRobustSink {
-    fn fold(
-        &mut self,
-        _client: usize,
-        update: Cow<'_, [f32]>,
-        weight: f32,
-    ) -> Result<(), AggregateError> {
-        // A sealed aggregate does not cover this update: drop it.
-        self.entries.truncate(self.folded);
-        if let Some(first) = self.entries.first() {
-            if update.len() != first.len() {
-                return Err(AggregateError::LengthMismatch {
-                    index: self.folded,
-                    expected: first.len(),
-                    got: update.len(),
-                });
-            }
-        }
+    /// Holds `update` with its weight, and returns the buffer the round no
+    /// longer needs: none under capacity; past it, `update` itself when the
+    /// reservoir passes over it, else the update it displaces.
+    pub(crate) fn keep(&mut self, update: Vec<f32>, weight: f32) -> Option<Vec<f32>> {
+        let offered = self.offered;
+        self.offered += 1;
         if self.entries.len() < self.capacity {
-            self.entries.push(update.into_owned());
+            self.entries.push(update);
             self.weights.push(weight);
-        } else {
-            // Algorithm R: item k replaces a uniform j ∈ [0, k]; j beyond
-            // the capacity means the item is discarded.
-            let j = self.rng.gen_range(0..=self.folded);
-            if let (Some(slot), Some(wslot)) = (self.entries.get_mut(j), self.weights.get_mut(j)) {
-                *slot = update.into_owned();
-                *wslot = weight;
-            }
-        }
-        self.folded += 1;
-        Ok(())
-    }
-
-    fn keeps(&self, folds: usize) -> bool {
-        self.folded.saturating_add(folds) <= self.capacity
-    }
-
-    fn held(&self) -> Option<Vec<&[f32]>> {
-        let held = self.entries.get(..self.folded)?;
-        Some(held.iter().map(Vec::as_slice).collect())
-    }
-
-    /// The coordinate median of a round it holds whole, in one column pass
-    /// with the medians.
-    fn seal_medians(&mut self) -> Option<Vec<f32>> {
-        if self.aggregator != Aggregator::CoordinateMedian || self.entries.len() != self.folded {
             return None;
         }
-        let refs: Vec<&[f32]> = self.entries.iter().map(Vec::as_slice).collect();
-        let (aggregate, medians) = median_and_midpoints(&refs, &self.weights).ok()?;
-        drop(refs);
-        self.entries.push(aggregate);
-        Some(medians)
+        // Algorithm R: item k replaces a uniform j ∈ [0, k]; j beyond the
+        // capacity means the item is passed over.
+        let j = self.rng.gen_range(0..=offered);
+        match (self.entries.get_mut(j), self.weights.get_mut(j)) {
+            (Some(slot), Some(wslot)) => {
+                *wslot = weight;
+                Some(std::mem::replace(slot, update))
+            }
+            _ => Some(update),
+        }
     }
 
-    fn folded(&self) -> usize {
-        self.folded
+    /// The held updates, in reservoir order.
+    pub(crate) fn updates(&self) -> Vec<&[f32]> {
+        self.entries.iter().map(Vec::as_slice).collect()
     }
 
-    fn state_bytes(&self) -> usize {
-        // Count allocated capacity — the sample buffer's resident footprint —
-        // including the spine of the `Vec<Vec<f32>>` itself, which the
-        // cohort bench's peak assertion must see.
+    /// The held updates' weights, in the order of [`Hold::updates`].
+    pub(crate) fn weights(&self) -> &[f32] {
+        &self.weights
+    }
+
+    /// Bytes held: each buffer's capacity, the spine holding them, the
+    /// weights and the hold itself.
+    pub(crate) fn state_bytes(&self) -> usize {
         let held: usize = self.entries.iter().map(Vec::capacity).sum();
         let spine = self.entries.capacity() * std::mem::size_of::<Vec<f32>>();
         (held + self.weights.capacity()) * std::mem::size_of::<f32>()
@@ -1742,48 +1617,9 @@ impl UpdateSink for BufferedRobustSink {
             + std::mem::size_of::<Self>()
     }
 
-    fn release(&mut self) -> Vec<Vec<f32>> {
-        self.weights.clear();
-        self.folded = 0;
-        std::mem::take(&mut self.entries)
-    }
-
-    fn finish(&mut self) -> Result<Vec<f32>, AggregateError> {
-        if self.folded == 0 {
-            return Err(AggregateError::Empty);
-        }
-        let out = if self.entries.len() > self.folded {
-            self.entries.pop().ok_or(AggregateError::Empty)
-        } else {
-            let refs: Vec<&[f32]> = self.entries.iter().map(Vec::as_slice).collect();
-            aggregate_robust(self.aggregator, &refs, &self.weights)
-        };
-        self.weights.clear();
-        self.folded = 0;
-        out
-    }
-}
-
-impl Aggregator {
-    /// Builds the streaming [`UpdateSink`] mirroring this aggregator.
-    ///
-    /// Every robust variant gets a [`BufferedRobustSink`], exact up to
-    /// `capacity` folded updates, with `seed` driving its reservoir's
-    /// deterministic replacement choices; the weighted variant ignores both
-    /// and holds exactly O(model) state.
-    pub fn sink(self, capacity: usize, seed: u64) -> Box<dyn UpdateSink + Send> {
-        match self {
-            Aggregator::WeightedAverage => Box::new(StreamingWeightedSink::new()),
-            Aggregator::TrimmedMean(_)
-            | Aggregator::CoordinateMedian
-            | Aggregator::Krum { .. }
-            | Aggregator::MultiKrum { .. }
-            | Aggregator::GeometricMedian
-            | Aggregator::NormBound(_)
-            | Aggregator::CenteredClip(_) => {
-                Box::new(BufferedRobustSink::new(self, capacity, seed))
-            }
-        }
+    /// The held buffers, to go back to the transport.
+    pub(crate) fn into_buffers(self) -> Vec<Vec<f32>> {
+        self.entries
     }
 }
 
@@ -2136,7 +1972,7 @@ mod tests {
         let total: f32 = weights.iter().sum();
         let mut sink = StreamingWeightedSink::for_cohort(total, updates.len());
         for (i, (u, &w)) in updates.iter().zip(weights.iter()).enumerate() {
-            sink.fold(i, Cow::Borrowed(*u), w).unwrap();
+            sink.fold(i, u, w).unwrap();
         }
         let streamed = sink.finish().unwrap();
         assert_eq!(streamed.len(), reference.len());
@@ -2159,7 +1995,7 @@ mod tests {
                     .nth(i)
                     .map(|(u, &w)| (*u, w))
                     .unwrap_or((&[], 0.0));
-                sink.fold(i, Cow::Borrowed(u), w).unwrap();
+                sink.fold(i, u, w).unwrap();
             }
             let streamed = sink.finish().unwrap();
             for (s, r) in streamed.iter().zip(reference.iter()) {
@@ -2171,9 +2007,9 @@ mod tests {
     #[test]
     fn streaming_sink_reports_mismatch_and_spent_state() {
         let mut sink = StreamingWeightedSink::new();
-        sink.fold(0, Cow::Borrowed(&[1.0, 2.0]), 1.0).unwrap();
+        sink.fold(0, &[1.0, 2.0], 1.0).unwrap();
         assert!(matches!(
-            sink.fold(1, Cow::Borrowed(&[1.0]), 1.0),
+            sink.fold(1, &[1.0], 1.0),
             Err(AggregateError::LengthMismatch {
                 index: 1,
                 expected: 2,
@@ -2190,57 +2026,76 @@ mod tests {
     #[test]
     fn streaming_sink_rejects_non_positive_total() {
         let mut sink = StreamingWeightedSink::new();
-        sink.fold(0, Cow::Borrowed(&[1.0]), 0.0).unwrap();
+        sink.fold(0, &[1.0], 0.0).unwrap();
         assert!(matches!(
             sink.finish(),
             Err(AggregateError::NonPositiveTotal)
         ));
     }
 
+    /// `updates` offered to a hold of `capacity` seeded with `seed`, in
+    /// order, and the buffers it gave back.
+    fn hold_of(updates: &[&[f32]], capacity: usize, seed: u64) -> (Hold, usize) {
+        let mut hold = Hold::new(capacity, seed);
+        let given_back = updates
+            .iter()
+            .filter_map(|u| hold.keep(u.to_vec(), 1.0))
+            .count();
+        (hold, given_back)
+    }
+
     #[test]
     fn reservoir_sink_is_exact_under_capacity() {
         let updates: [&[f32]; 5] = [&[1.0], &[2.0], &[3.0], &[100.0], &[-50.0]];
         let weights = [1.0; 5];
-        let mut sink = BufferedRobustSink::new(Aggregator::CoordinateMedian, 8, 3);
-        for (i, u) in updates.iter().enumerate() {
-            sink.fold(i, Cow::Borrowed(*u), 1.0).unwrap();
-        }
+        let (hold, given_back) = hold_of(&updates, 8, 3);
+        assert_eq!(given_back, 0, "under capacity every update is held");
+        let seal = |aggregator| aggregate_robust(aggregator, &hold.updates(), hold.weights());
         assert_eq!(
-            sink.finish().unwrap(),
+            seal(Aggregator::CoordinateMedian).unwrap(),
             coordinate_median(&updates, &weights).unwrap()
         );
-
-        let mut sink = BufferedRobustSink::new(Aggregator::TrimmedMean(0.2), 8, 3);
-        for (i, u) in updates.iter().enumerate() {
-            sink.fold(i, Cow::Borrowed(*u), 1.0).unwrap();
-        }
         assert_eq!(
-            sink.finish().unwrap(),
+            seal(Aggregator::TrimmedMean(0.2)).unwrap(),
             trimmed_mean(&updates, &weights, 0.2).unwrap()
         );
     }
 
     #[test]
     fn reservoir_sink_is_bounded_and_replay_identical() {
-        let run = || {
-            let mut sink = BufferedRobustSink::new(Aggregator::CoordinateMedian, 16, 9);
-            for i in 0..5_000usize {
+        for (aggregator, offered) in [
+            (Aggregator::CoordinateMedian, 5_000usize),
+            (Aggregator::GeometricMedian, 3_000),
+        ] {
+            let rows: Vec<Vec<f32>> = (0..offered)
                 // analyze:allow(lossy-cast) -- test data generation only.
-                sink.fold(i, Cow::Borrowed(&[i as f32, -(i as f32)]), 1.0)
-                    .unwrap();
-            }
-            let bytes = sink.state_bytes();
-            (sink.finish().unwrap(), bytes)
-        };
-        let (a, bytes_a) = run();
-        let (b, bytes_b) = run();
-        assert_eq!(a, b, "same seed + fold order replays bit-identically");
-        assert_eq!(bytes_a, bytes_b);
-        let flat_bytes = 5_000 * 2 * std::mem::size_of::<f32>();
-        assert!(
-            bytes_a < flat_bytes / 10,
-            "reservoir must stay far below the O(cohort) collection ({bytes_a} vs {flat_bytes})"
-        );
+                .map(|i| vec![i as f32, -(i as f32)])
+                .collect();
+            let refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
+            let run = || {
+                let (hold, given_back) = hold_of(&refs, 16, 9);
+                assert_eq!(
+                    given_back,
+                    offered - 16,
+                    "{aggregator:?}: one buffer back per update past capacity"
+                );
+                let aggregate = aggregate_robust(aggregator, &hold.updates(), hold.weights());
+                (aggregate.unwrap(), hold.state_bytes())
+            };
+            let (a, bytes_a) = run();
+            let (b, bytes_b) = run();
+            assert_eq!(
+                a, b,
+                "{aggregator:?}: same seed + keep order replays bit-identically"
+            );
+            assert_eq!(bytes_a, bytes_b);
+            let flat_bytes = offered * 2 * std::mem::size_of::<f32>();
+            assert!(
+                bytes_a < flat_bytes / 10,
+                "{aggregator:?}: the reservoir must stay far below the O(cohort) collection \
+                 ({bytes_a} vs {flat_bytes})"
+            );
+        }
     }
 
     #[test]
@@ -2254,7 +2109,7 @@ mod tests {
             .collect();
         let weights: Vec<f32> = (0..200).map(|i| 1.0 + (i % 7) as f32).collect();
         for (i, (u, &w)) in updates.iter().zip(weights.iter()).enumerate() {
-            sink.fold(i, Cow::Borrowed(u), w).unwrap();
+            sink.fold(i, u, w).unwrap();
         }
         let hier = sink.finish().unwrap();
         let refs: Vec<&[f32]> = updates.iter().map(Vec::as_slice).collect();
@@ -2274,32 +2129,6 @@ mod tests {
         // The seeded hash must actually spread clients across groups.
         let used: std::collections::BTreeSet<usize> = assignment.iter().copied().collect();
         assert!(used.len() > 1, "all clients hashed to one group");
-    }
-
-    #[test]
-    fn aggregator_sink_factory_mirrors_the_enum() {
-        let updates: [&[f32]; 4] = [&[1.0, 8.0], &[2.0, -4.0], &[3.0, 0.5], &[400.0, 1.0]];
-        let weights = [1.0; 4];
-        for agg in [
-            Aggregator::WeightedAverage,
-            Aggregator::TrimmedMean(0.25),
-            Aggregator::CoordinateMedian,
-            Aggregator::Krum { f: 1 },
-            Aggregator::MultiKrum { f: 1, m: 2 },
-            Aggregator::GeometricMedian,
-            Aggregator::NormBound(10.0),
-            Aggregator::CenteredClip(5.0),
-        ] {
-            let mut sink = agg.sink(64, 11);
-            for (i, u) in updates.iter().enumerate() {
-                sink.fold(i, Cow::Borrowed(*u), 1.0).unwrap();
-            }
-            let streamed = sink.finish().unwrap();
-            let reference = aggregate_robust(agg, &updates, &weights).unwrap();
-            for (s, r) in streamed.iter().zip(reference.iter()) {
-                assert!((s - r).abs() < 1e-5, "{agg:?}: {s} vs {r}");
-            }
-        }
     }
 
     #[test]
@@ -2409,38 +2238,5 @@ mod tests {
         assert!(norm <= 3.0 * 2.0 + 1e-4, "center ran away: {out:?}");
         // And honest clients must still pull it toward their mean.
         assert!(out[0] > 0.5, "honest signal lost: {out:?}");
-    }
-
-    #[test]
-    fn buffered_robust_sink_is_bounded_and_replay_identical() {
-        let run = || {
-            let mut sink = BufferedRobustSink::new(Aggregator::GeometricMedian, 16, 9);
-            for i in 0..3_000usize {
-                // analyze:allow(lossy-cast) -- test data generation only.
-                sink.fold(i, Cow::Borrowed(&[i as f32, -(i as f32)]), 1.0)
-                    .unwrap();
-            }
-            let bytes = sink.state_bytes();
-            (sink.finish().unwrap(), bytes)
-        };
-        let (a, bytes_a) = run();
-        let (b, bytes_b) = run();
-        assert_eq!(a, b, "same seed + fold order replays bit-identically");
-        assert_eq!(bytes_a, bytes_b);
-        let flat_bytes = 3_000 * 2 * std::mem::size_of::<f32>();
-        assert!(bytes_a < flat_bytes / 10, "reservoir grew: {bytes_a}");
-    }
-
-    #[test]
-    fn krum_sink_surfaces_cohort_too_small_for_skipped_rounds() {
-        let mut sink = Aggregator::Krum { f: 1 }.sink(64, 1);
-        sink.fold(0, Cow::Borrowed(&[1.0]), 1.0).unwrap();
-        assert!(
-            matches!(
-                sink.finish(),
-                Err(AggregateError::CohortTooSmall { needed: 4, got: 1 })
-            ),
-            "single-client cohort must take the typed skipped-round path"
-        );
     }
 }

@@ -77,13 +77,13 @@ pub mod spec;
 pub mod transport;
 
 pub use adversary::{AttackInjector, AttackKind, AttackPlan, ReputationBook};
-pub use aggregate::{BufferedRobustSink, HierarchicalSink, StreamingWeightedSink, UpdateSink};
+pub use aggregate::{HierarchicalSink, StreamingWeightedSink, UpdateSink};
 pub use chaos::{FaultInjector, FaultPlan, WireFaultPlan, WireInjector};
 pub use config::FlConfig;
 pub use metrics::{jain_index, pearson, worst_fraction_mean, ConfusionMatrix, Stats};
 pub use personalize::{personalize_cohort, personalize_cohort_observed, PersonalizationOutcome};
 pub use sampler::{Sampler, SamplerKind};
-pub use scheduler::{RoundPolicy, RoundScheduler, StreamedRound};
+pub use scheduler::{Fold, RoundPolicy, RoundScheduler, StreamedRound};
 pub use spec::SpecError;
 pub use transport::{
     ClientAddr, ClientOptions, InProcessTransport, Listener, SocketTransport, StreamUpdate,

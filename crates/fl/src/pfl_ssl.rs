@@ -9,13 +9,12 @@
 //! crate swaps in a calibrated local update and a divergence-aware
 //! aggregation).
 
-use crate::aggregate::BufferedRobustSink;
 use crate::baselines::{client_round_seed, local_sgd, BaselineResult};
 use crate::checkpoint::{self, CheckpointStore, TrainerCheckpoint};
 use crate::comm::{CommReport, BYTES_PER_PARAM};
 use crate::config::FlConfig;
 use crate::personalize::personalize_cohort_observed;
-use crate::scheduler::{RoundScheduler, StreamedRound};
+use crate::scheduler::{Fold, RoundScheduler, StreamedRound};
 use crate::transport::{InProcessTransport, StreamUpdate};
 use calibre_data::batch::batches;
 use calibre_data::{AugmentConfig, ClientData, SynthVision};
@@ -59,7 +58,8 @@ pub fn ssl_local_update<R: Rng + ?Sized>(
         let mut epoch_loss = 0.0;
         let mut seen = 0;
         for batch in batches(pool.len(), batch_size, true, rng_) {
-            let samples = batch.iter().map(|&i| pool[i]);
+            // `batches` draws indices below `pool.len()`, so none is skipped.
+            let samples = batch.iter().filter_map(|&i| pool.get(i).copied());
             let (view_e, view_o) = generator.render_two_views(samples, aug, rng_);
             epoch_loss += ssl_step_in(
                 method,
@@ -94,10 +94,11 @@ pub type RoundObserver<'a> = &'a mut dyn FnMut(usize, &calibre_tensor::nn::Mlp);
 /// its reply is accepted. A client whose `work` panics loses its state (the
 /// next round rebuilds it); a client dropped before dispatch keeps it.
 ///
-/// Accepted updates fold into a [`BufferedRobustSink`] sized to the cohort,
-/// so the policy's aggregator runs once over every accepted update in fold
-/// order through [`crate::aggregate::aggregate_robust`] — for the weighted
-/// average, the arithmetic the golden checksums pin.
+/// The engine holds the accepted updates in a hold sized to the cohort
+/// ([`Fold::Hold`]), so the policy's aggregator runs once over every
+/// accepted update in slot order through
+/// [`crate::aggregate::aggregate_robust`] — for the weighted average, the
+/// arithmetic the golden checksums pin.
 ///
 /// Events: `round_start`, the engine's `attack`, `fault`, `aggregate` and
 /// `round_resilience` events, one `client_update` per accepted client in
@@ -122,9 +123,6 @@ where
     recorder.round_start(round, selected);
     let cohort = selected.len();
     let shared = Mutex::new((states, BTreeMap::new()));
-    // Capacity = cohort: every accepted update is held, so the reservoir
-    // never samples and its seed is inert.
-    let mut sink = BufferedRobustSink::new(scheduler.policy().aggregator, cohort, 0);
     let mut transport = InProcessTransport::new(|_round, id, global: &[f32]| {
         let state = shared.lock().0.get_mut(id).and_then(Option::take);
         let start = Instant::now(); // analyze:allow(wallclock) -- telemetry only
@@ -137,14 +135,20 @@ where
         shared.1.insert(id, (wall, losses, reply.divergence));
         reply
     });
-    // The in-process transport never fails.
+    // Capacity = cohort: every accepted update is held, so the reservoir
+    // never samples and its seed is inert. The in-process transport never
+    // fails.
+    let fold = Fold::Hold {
+        capacity: cohort,
+        seed: 0,
+    };
     let mut out = scheduler
         .run_round(
             round,
             selected,
             cohort,
             global,
-            &mut sink,
+            fold,
             &mut transport,
             recorder,
         )
@@ -231,12 +235,12 @@ fn restore_from_checkpoint(
         return 0;
     }
     for (id, tensors) in &ckpt.clients {
-        if *id >= states.len() {
+        let Some(state) = states.get_mut(*id) else {
             continue;
-        }
+        };
         let mut method = fresh_method(cfg, kind, *id);
         if checkpoint::restore(method.as_mut(), tensors).is_ok() {
-            states[*id] = Some(method);
+            *state = Some(method);
         }
     }
     let start = ckpt.round.min(total_rounds);

@@ -8,13 +8,16 @@
 //!
 //! [`RoundScheduler::run_round`] is the one round engine. Client work runs
 //! wherever a [`Transport`] puts it (in-process workers or remote
-//! clients), and each accepted update is folded into an [`UpdateSink`] the
-//! moment its wave returns, so aggregation state is the sink's: O(model)
-//! for a streaming sink, O(groups × model) for a
-//! [`crate::aggregate::HierarchicalSink`], O(capacity × model) for a
-//! reservoir. The training loops run on it through
-//! [`crate::pfl_ssl::run_training_round`], the serve engine through
-//! [`crate::serve::run_rounds`]. See `DESIGN.md` §11 for the scaling model.
+//! clients). The caller says how the round aggregates ([`Fold`]): each
+//! accepted update streams into an [`UpdateSink`] the moment its wave
+//! returns, in O(model) state for a weighted sink or O(groups × model) for
+//! a [`crate::aggregate::HierarchicalSink`]; or the engine holds the
+//! accepted replies' own buffers, at most a reservoir's capacity of them,
+//! and seals them with the policy's aggregator. Detection scores every
+//! accepted update, so a round it scores is held whole. The training loops
+//! run on the engine through [`crate::pfl_ssl::run_training_round`], the
+//! serve engine through [`crate::serve::run_rounds`]. See `DESIGN.md` §11
+//! for the scaling model.
 //!
 //! # Determinism
 //!
@@ -25,13 +28,13 @@
 //! loops are bit-identical to the historical nominal loop — the
 //! golden-checksum tests pin this through the training entry points.
 
-use std::borrow::Cow;
-
 use crate::adversary::{
-    anomaly_scores, anomaly_scores_against, AnomalyScore, AttackInjector, AttackPlan,
-    ReputationBook,
+    anomaly_scores_against, AnomalyScore, AttackInjector, AttackPlan, ReputationBook,
 };
-use crate::aggregate::{clip_norm, validate_update, Aggregator, UpdateSink};
+use crate::aggregate::{
+    aggregate_robust, clip_norm, median_and_midpoints, validate_update, Aggregator, Hold,
+    UpdateSink,
+};
 use crate::chaos::{ClientFault, FaultInjector, FaultPlan};
 use crate::config::FlConfig;
 use crate::sampler::Sampler;
@@ -58,6 +61,34 @@ impl Default for RoundPolicy {
             min_quorum: 1,
             aggregator: Aggregator::WeightedAverage,
             clip_norm: None,
+        }
+    }
+}
+
+/// How [`RoundScheduler::run_round`] aggregates a round's accepted updates.
+pub enum Fold<'a> {
+    /// Fold each accepted update into the sink as its wave returns; the
+    /// sink's [`UpdateSink::finish`] is the round's aggregate.
+    Stream(&'a mut dyn UpdateSink),
+    /// Hold each accepted reply's own buffer, and seal the round with the
+    /// policy's aggregator ([`aggregate_robust`]). Past `capacity` updates
+    /// a seeded reservoir samples the round uniformly, unless detection
+    /// scores it: then every accepted update is held.
+    Hold {
+        /// The most updates held (at least one).
+        capacity: usize,
+        /// Seeds the reservoir's replacement choices.
+        seed: u64,
+    },
+}
+
+impl std::fmt::Debug for Fold<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Fold::Stream(sink) => write!(f, "Stream({} folded)", sink.folded()),
+            Fold::Hold { capacity, seed } => {
+                write!(f, "Hold {{ capacity: {capacity}, seed: {seed} }}")
+            }
         }
     }
 }
@@ -98,10 +129,11 @@ pub struct StreamedRound {
     pub skipped: bool,
     /// The aggregate, unless the round was skipped.
     pub aggregated: Option<Vec<f32>>,
-    /// Peak bytes held by the aggregation path, each byte once: sink
-    /// state, the updates detection keeps itself (only beside a sink that
-    /// does not hold them), and the wave's replies that neither keeps — the
-    /// O(model) quantity the `cohort` bench pins.
+    /// Peak bytes held by the aggregation path, each byte once, after each
+    /// wave: the sink's state, the engine's hold (the held replies, their
+    /// spine and weights), and the wave's replies the round does not hold
+    /// — the O(model) quantity the `cohort` bench pins for a streamed
+    /// round.
     pub peak_state_bytes: usize,
     /// Mean reported loss over accepted clients (0 when none accepted).
     pub mean_loss: f32,
@@ -132,7 +164,7 @@ pub struct StreamedRound {
 /// ```
 /// use calibre_fl::aggregate::StreamingWeightedSink;
 /// use calibre_fl::sampler::{Sampler, SamplerKind};
-/// use calibre_fl::scheduler::RoundScheduler;
+/// use calibre_fl::scheduler::{Fold, RoundScheduler};
 /// use calibre_fl::transport::{InProcessTransport, StreamUpdate};
 /// use calibre_telemetry::NullRecorder;
 ///
@@ -151,7 +183,7 @@ pub struct StreamedRound {
 /// });
 /// let mut sink = StreamingWeightedSink::new();
 /// let out = scheduler
-///     .run_round(0, &selected, 8, &global, &mut sink, &mut transport, &NullRecorder)
+///     .run_round(0, &selected, 8, &global, Fold::Stream(&mut sink), &mut transport, &NullRecorder)
 ///     .unwrap();
 /// assert_eq!(out.accepted, 32);
 /// assert!(!out.skipped);
@@ -233,12 +265,13 @@ impl RoundScheduler {
     }
 
     /// Enables server-side anomaly detection: each executed round scores
-    /// the accepted updates ([`anomaly_scores`]), folds them into the
-    /// [`ReputationBook`], and quarantined clients stop being drawn by
-    /// [`RoundScheduler::select`]. Detection scores the updates a buffering
-    /// sink holds; beside a sink that does not hold them it keeps the
-    /// round's accepted updates itself (O(cohort × model), accounted into
-    /// `peak_state_bytes`), so leave it off for massive-cohort runs.
+    /// the accepted updates ([`crate::adversary::anomaly_scores`]), folds
+    /// them into the [`ReputationBook`], and quarantined clients stop being
+    /// drawn by [`RoundScheduler::select`]. Detection scores every accepted
+    /// update, so the engine holds a detected round whole, beside a
+    /// streaming sink too, and a held round's reservoir never samples:
+    /// O(cohort × model), accounted into `peak_state_bytes`. Leave it off
+    /// for massive-cohort runs.
     pub fn with_detection(mut self, on: bool) -> Self {
         self.detect = on;
         self
@@ -334,14 +367,15 @@ impl RoundScheduler {
         );
     }
 
-    /// Executes one round through a [`Transport`], folding each accepted
-    /// update into `sink` as its wave returns. Client work runs wherever
-    /// the transport puts it — in-process workers
+    /// Executes one round through a [`Transport`], aggregating the
+    /// accepted updates as `fold` says: streamed into a sink as each wave
+    /// returns, or held and sealed with the policy's aggregator. Client
+    /// work runs wherever the transport puts it — in-process workers
     /// ([`crate::transport::InProcessTransport`]) or remote
     /// `calibre-client` processes ([`crate::transport::SocketTransport`]) —
-    /// at most `wave` clients in flight at once, and replies are folded in
-    /// selection-slot order with the client id as [`UpdateSink::fold`]'s
-    /// `client` argument.
+    /// at most `wave` clients in flight at once, and replies are folded or
+    /// held in selection-slot order, a streamed one with the client id as
+    /// [`UpdateSink::fold`]'s `client` argument.
     ///
     /// Chaos composes with sampling. Dropouts and injected mid-update
     /// panics remove the client before dispatch (there are no retries: a
@@ -355,15 +389,17 @@ impl RoundScheduler {
     ///
     /// The quorum gate is checked at the end: a round with fewer than
     /// [`RoundPolicy::min_quorum`] accepted updates reports
-    /// `skipped: true` and never calls [`UpdateSink::finish`]. Folds
-    /// cannot be undone, so callers build a fresh sink every round.
+    /// `skipped: true` and is not aggregated. Folds cannot be undone, so
+    /// callers build a fresh sink every round. A held median round that
+    /// detection scores and that meets its quorum seals in one pass per
+    /// column ([`median_and_midpoints`]), which gives detection its column
+    /// medians too.
     ///
     /// Every reply's update buffer goes back to the transport exactly once
     /// ([`Transport::reclaim`]), as soon as the round is done with it: a
-    /// rejected reply at once, a folded one after the fold, or, when the
-    /// sink or detection keeps it, once the round is sealed. A keeping sink
-    /// gives its buffers back through [`UpdateSink::release`], after
-    /// `finish` or in a round that missed its quorum.
+    /// rejected reply, or one the reservoir passes over or displaces, at
+    /// once; a streamed one after its fold; a held one after the seal,
+    /// whether or not the round met its quorum.
     ///
     /// Telemetry: one `attack` event per attacked selection, one `fault`
     /// event per client outcome the engine decides, in slot order —
@@ -394,7 +430,7 @@ impl RoundScheduler {
         selected: &[usize],
         wave: usize,
         global: &[f32],
-        sink: &mut dyn UpdateSink,
+        fold: Fold<'_>,
         transport: &mut dyn Transport,
         recorder: &dyn Recorder,
     ) -> Result<StreamedRound, TransportError> {
@@ -409,13 +445,15 @@ impl RoundScheduler {
         // thread, per (round, id) — identical on replay.
         let survivors = self.survivors(round, selected, &mut out, recorder);
 
-        // A sink that holds every update of the round gets each reply's own
-        // buffer, and detection scores what it holds. Beside any other sink,
-        // detection keeps the accepted updates itself; their bytes count
-        // into `peak_state_bytes`.
-        let keeps = sink.keeps(survivors.len());
-        let mut watched: Option<Vec<Vec<f32>>> = (self.detect && !keeps).then(Vec::new);
-        let mut watched_bytes = 0usize;
+        // Detection scores every accepted update, so a round it scores is
+        // held whole, beside a streaming sink too.
+        let (mut sink, mut hold) = match fold {
+            Fold::Stream(sink) => (Some(sink), self.detect.then(|| Hold::new(usize::MAX, 0))),
+            Fold::Hold { capacity, seed } => {
+                let capacity = if self.detect { usize::MAX } else { capacity };
+                (None, Some(Hold::new(capacity, seed)))
+            }
+        };
         let (mut loss_sum, mut div_sum) = (0.0f32, 0.0f32);
         let mut wire_slot = 0usize;
         for chunk in survivors.chunks(wave) {
@@ -429,8 +467,8 @@ impl RoundScheduler {
                 .collect();
             wire_slot += chunk.len();
             let replies = transport.wave(round, &slots, global)?;
-            // Bytes of this wave's replies that neither the sink nor
-            // detection keeps: they are held until the wave is folded.
+            // Bytes of this wave's replies the round does not hold: they
+            // are held until the wave loop is done with them.
             let mut loose_bytes = 0usize;
             for ((id, fault), reply) in chunk.iter().copied().zip(replies) {
                 // A reply the transport exhausted its delivery attempts on
@@ -440,49 +478,45 @@ impl RoundScheduler {
                     recorder.fault(round, id, 0, "lost", true);
                     continue;
                 };
-                let bytes = std::mem::size_of_val(reply.update.as_slice());
-                let clipped = match self.screen(round, id, fault, &mut reply, global.len()) {
-                    Ok(clipped) => clipped,
+                let spent = match self.screen(round, id, fault, &mut reply, global.len()) {
                     Err(tag) => {
                         out.rejected += 1;
-                        loose_bytes += bytes;
                         recorder.fault(round, id, 0, tag, true);
-                        transport.reclaim(reply.update);
-                        continue;
+                        Some(reply.update)
+                    }
+                    Ok(clipped) => {
+                        match fault {
+                            Some(ClientFault::Straggle) => {
+                                recorder.fault(round, id, 0, "straggle", false);
+                            }
+                            Some(ClientFault::Corrupt(kind)) => {
+                                recorder.fault(round, id, 0, kind.kind_tag(), clipped);
+                            }
+                            _ => {}
+                        }
+                        out.clients.push(id);
+                        out.weight_sum += reply.weight;
+                        loss_sum += reply.loss;
+                        div_sum += reply.divergence;
+                        // Screening matched the update's length to the
+                        // global model, so the fold cannot fail.
+                        if let Some(sink) = sink.as_mut() {
+                            let _ = sink.fold(id, &reply.update, reply.weight);
+                        }
+                        match hold.as_mut() {
+                            Some(hold) => hold.keep(reply.update, reply.weight),
+                            None => Some(reply.update),
+                        }
                     }
                 };
-                match fault {
-                    Some(ClientFault::Straggle) => recorder.fault(round, id, 0, "straggle", false),
-                    Some(ClientFault::Corrupt(kind)) => {
-                        recorder.fault(round, id, 0, kind.kind_tag(), clipped);
-                    }
-                    _ => {}
-                }
-                out.clients.push(id);
-                out.weight_sum += reply.weight;
-                loss_sum += reply.loss;
-                div_sum += reply.divergence;
-                // Screening matched the update's length to the global
-                // model, so the fold cannot fail.
-                if keeps {
-                    let _ = sink.fold(id, Cow::Owned(reply.update), reply.weight);
-                } else {
-                    let _ = sink.fold(id, Cow::Borrowed(&reply.update), reply.weight);
-                    match watched.as_mut() {
-                        Some(watched) => {
-                            watched_bytes += bytes;
-                            watched.push(reply.update);
-                        }
-                        None => {
-                            loose_bytes += bytes;
-                            transport.reclaim(reply.update);
-                        }
-                    }
+                if let Some(update) = spent {
+                    loose_bytes += std::mem::size_of_val(update.as_slice());
+                    transport.reclaim(update);
                 }
             }
-            out.peak_state_bytes = out
-                .peak_state_bytes
-                .max(sink.state_bytes() + watched_bytes + loose_bytes);
+            let kept_bytes = sink.as_ref().map_or(0, |sink| sink.state_bytes())
+                + hold.as_ref().map_or(0, Hold::state_bytes);
+            out.peak_state_bytes = out.peak_state_bytes.max(kept_bytes + loose_bytes);
         }
         out.accepted = out.clients.len();
         if out.accepted > 0 {
@@ -495,33 +529,50 @@ impl RoundScheduler {
             out.mean_divergence = div_sum / n;
         }
 
-        // Detection scores the updates before `finish` drains the sink; the
-        // reputation book and its `quarantine` events still follow the
-        // round's `aggregate` and `round_resilience` events. A sink that
-        // holds a round about to finish may seal its aggregate in the pass
-        // that gives detection the column medians.
-        let scores = self.detect.then(|| match &watched {
-            Some(watched) => {
-                let held: Vec<&[f32]> = watched.iter().map(Vec::as_slice).collect();
-                anomaly_scores(&out.clients, &held)
-            }
-            None => {
-                let medians = self
-                    .quorate(out.accepted)
-                    .then(|| sink.seal_medians())
-                    .flatten();
-                anomaly_scores_against(&out.clients, &sink.held().unwrap_or_default(), medians)
-            }
-        });
-        let sealed = self.seal_round(round, out, sink, recorder);
+        // The reputation book and its `quarantine` events follow the
+        // round's `aggregate` and `round_resilience` events.
+        let (aggregated, scores) = self.seal(&out.clients, sink, hold.as_ref(), out.accepted);
+        let sealed = self.seal_round(round, out, aggregated, recorder);
         if let Some(scores) = scores {
             self.observe_round(round, &scores, recorder);
         }
-        let kept = if keeps { sink.release() } else { Vec::new() };
-        for update in kept.into_iter().chain(watched.into_iter().flatten()) {
+        for update in hold.map(Hold::into_buffers).unwrap_or_default() {
             transport.reclaim(update);
         }
         Ok(sealed)
+    }
+
+    /// The round's aggregate, when `accepted` meets the quorum, and the
+    /// accepted updates' anomaly scores, when detection is on. A held
+    /// median round that detection scores and that meets its quorum
+    /// computes both in one pass per column.
+    fn seal(
+        &self,
+        clients: &[usize],
+        sink: Option<&mut dyn UpdateSink>,
+        hold: Option<&Hold>,
+        accepted: usize,
+    ) -> (Option<Vec<f32>>, Option<Vec<AnomalyScore>>) {
+        let quorate = accepted >= self.policy.min_quorum.max(1);
+        let updates = hold.map(Hold::updates).unwrap_or_default();
+        let weights = hold.map(Hold::weights).unwrap_or_default();
+        let fused = self.detect
+            && quorate
+            && sink.is_none()
+            && self.policy.aggregator == Aggregator::CoordinateMedian;
+        let (aggregated, medians) = if fused {
+            median_and_midpoints(&updates, weights).ok().unzip()
+        } else {
+            let aggregated = quorate.then(|| match sink {
+                Some(sink) => sink.finish(),
+                None => aggregate_robust(self.policy.aggregator, &updates, weights),
+            });
+            (aggregated.and_then(Result::ok), None)
+        };
+        let scores = self
+            .detect
+            .then(|| anomaly_scores_against(clients, &updates, medians));
+        (aggregated, scores)
     }
 
     /// Applies the round's up-front chaos decisions: dropouts and injected
@@ -587,23 +638,15 @@ impl RoundScheduler {
             .is_some_and(|max_norm| clip_norm(&mut reply.update, max_norm)))
     }
 
-    /// Whether `accepted` updates meet the quorum: the round finishes its
-    /// sink.
-    fn quorate(&self, accepted: usize) -> bool {
-        accepted >= self.policy.min_quorum.max(1)
-    }
-
-    /// Quorum check, telemetry, and metrics that close a round.
+    /// The round's aggregate, telemetry, and metrics that close a round.
     fn seal_round(
         &self,
         round: usize,
         mut out: StreamedRound,
-        sink: &mut dyn UpdateSink,
+        aggregated: Option<Vec<f32>>,
         recorder: &dyn Recorder,
     ) -> StreamedRound {
-        if self.quorate(out.accepted) {
-            out.aggregated = sink.finish().ok();
-        }
+        out.aggregated = aggregated;
         out.skipped = out.aggregated.is_none();
         recorder.aggregate(round, out.accepted, out.weight_sum);
         if out.dropped > 0 || out.rejected > 0 || out.skipped {
@@ -642,9 +685,8 @@ impl RoundScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::{
-        aggregate_robust, Aggregator, BufferedRobustSink, StreamingWeightedSink,
-    };
+    use crate::adversary::anomaly_scores;
+    use crate::aggregate::{coordinate_median, AggregateError, StreamingWeightedSink};
     use crate::sampler::SamplerKind;
     use crate::transport::InProcessTransport;
     use calibre_telemetry::{Event, MemoryRecorder, NullRecorder};
@@ -681,7 +723,7 @@ mod tests {
                 selected,
                 wave,
                 &vec![0.0; dim],
-                &mut sink,
+                Fold::Stream(&mut sink),
                 &mut transport,
                 recorder,
             )
@@ -768,7 +810,7 @@ mod tests {
                 &selected,
                 4,
                 &[0.0; 2],
-                &mut sink,
+                Fold::Stream(&mut sink),
                 &mut transport,
                 &NullRecorder,
             )
@@ -790,9 +832,9 @@ mod tests {
         fn fold(
             &mut self,
             client: usize,
-            update: Cow<'_, [f32]>,
+            update: &[f32],
             weight: f32,
-        ) -> Result<(), crate::aggregate::AggregateError> {
+        ) -> Result<(), AggregateError> {
             self.clients.push(client);
             self.inner.fold(client, update, weight)
         }
@@ -805,7 +847,7 @@ mod tests {
             self.inner.state_bytes()
         }
 
-        fn finish(&mut self) -> Result<Vec<f32>, crate::aggregate::AggregateError> {
+        fn finish(&mut self) -> Result<Vec<f32>, AggregateError> {
             self.inner.finish()
         }
     }
@@ -846,7 +888,7 @@ mod tests {
                 &selected,
                 4,
                 &[0.0; 2],
-                &mut sink,
+                Fold::Stream(&mut sink),
                 &mut transport,
                 &NullRecorder,
             )
@@ -917,7 +959,7 @@ mod tests {
                     &selected,
                     8,
                     &[0.0; 4],
-                    &mut sink,
+                    Fold::Stream(&mut sink),
                     &mut transport,
                     &NullRecorder,
                 )
@@ -1077,6 +1119,71 @@ mod tests {
     }
 
     #[test]
+    fn held_rounds_finish_with_the_policys_aggregator() {
+        // Four clients, each replying its row of `updates`: a held round's
+        // aggregate is the policy's aggregator over them, and a Krum round
+        // of one client, too small for the statistic, is skipped.
+        let updates: [&[f32]; 4] = [&[1.0, 8.0], &[2.0, -4.0], &[3.0, 0.5], &[400.0, 1.0]];
+        let weights = [1.0; 4];
+        let held_round = |aggregator: Aggregator, population: usize| {
+            let scheduler = RoundScheduler::sampled(
+                Sampler::new(SamplerKind::Uniform, 9),
+                population,
+                population,
+                1,
+            )
+            .with_policy(RoundPolicy {
+                aggregator,
+                ..RoundPolicy::default()
+            });
+            let selected = scheduler.select(0, None);
+            let mut transport =
+                InProcessTransport::new(|_round, id, _global: &[f32]| StreamUpdate {
+                    update: updates[id].to_vec(),
+                    weight: 1.0,
+                    loss: 0.0,
+                    divergence: 0.0,
+                });
+            let fold = Fold::Hold {
+                capacity: 64,
+                seed: 11,
+            };
+            scheduler
+                .run_round(
+                    0,
+                    &selected,
+                    4,
+                    &[0.0; 2],
+                    fold,
+                    &mut transport,
+                    &NullRecorder,
+                )
+                .unwrap()
+        };
+        for agg in [
+            Aggregator::WeightedAverage,
+            Aggregator::TrimmedMean(0.25),
+            Aggregator::CoordinateMedian,
+            Aggregator::Krum { f: 1 },
+            Aggregator::MultiKrum { f: 1, m: 2 },
+            Aggregator::GeometricMedian,
+            Aggregator::NormBound(10.0),
+            Aggregator::CenteredClip(5.0),
+        ] {
+            let streamed = held_round(agg, updates.len()).aggregated.unwrap();
+            let reference = aggregate_robust(agg, &updates, &weights).unwrap();
+            for (s, r) in streamed.iter().zip(reference.iter()) {
+                assert!((s - r).abs() < 1e-5, "{agg:?}: {s} vs {r}");
+            }
+        }
+        let out = held_round(Aggregator::Krum { f: 1 }, 1);
+        assert!(
+            out.skipped && out.aggregated.is_none(),
+            "single-client cohort must take the typed skipped-round path"
+        );
+    }
+
+    #[test]
     fn detection_scores_the_sinks_buffers_and_holds_each_update_once() {
         // Every client is drawn every round until quarantined. Clients
         // 0, 5 and 10 reply NaN and are rejected; client 7 is an extreme
@@ -1116,7 +1223,10 @@ mod tests {
                     loss: 0.0,
                     divergence: 0.0,
                 });
-            let mut sink = Aggregator::CoordinateMedian.sink(selected.len(), 3);
+            let fold = Fold::Hold {
+                capacity: selected.len(),
+                seed: 3,
+            };
             let seen = rec.events().len();
             let out = scheduler
                 .run_round(
@@ -1124,21 +1234,20 @@ mod tests {
                     &selected,
                     selected.len(),
                     &vec![0.0; dim],
-                    sink.as_mut(),
+                    fold,
                     &mut transport,
                     &rec,
                 )
                 .unwrap();
             assert_eq!(out.rejected, 3, "round {round}");
 
-            // One wave: the peak is what a buffered sink holding the
-            // accepted updates holds, plus the rejected replies.
+            // One wave: the peak is what a hold of the accepted updates
+            // holds, plus the rejected replies.
             let accepted: Vec<Vec<f32>> =
                 out.clients.iter().map(|&id| update_of(round, id)).collect();
-            let mut holding =
-                BufferedRobustSink::new(Aggregator::CoordinateMedian, selected.len(), 3);
+            let mut holding = Hold::new(selected.len(), 3);
             for (&id, u) in out.clients.iter().zip(&accepted) {
-                holding.fold(id, Cow::Borrowed(u), weight_of(id)).unwrap();
+                assert!(holding.keep(u.clone(), weight_of(id)).is_none());
             }
             let rejected_bytes = out.rejected * dim * std::mem::size_of::<f32>();
             assert_eq!(
@@ -1170,49 +1279,50 @@ mod tests {
         assert!(book.is_quarantined(bad), "the outlier must be quarantined");
     }
 
-    /// A buffered sink that never seals, so detection computes the column
-    /// medians itself: the path every other sink takes.
-    struct Unsealed(BufferedRobustSink);
+    /// A sink that copies each update and finishes with their coordinate
+    /// median, so detection beside it computes the column medians itself.
+    /// It reports no state: a round's peak is the engine's hold alone, as
+    /// in a held round.
+    #[derive(Default)]
+    struct MedianAtFinish {
+        updates: Vec<Vec<f32>>,
+        weights: Vec<f32>,
+    }
 
-    impl UpdateSink for Unsealed {
+    impl UpdateSink for MedianAtFinish {
         fn fold(
             &mut self,
-            client: usize,
-            update: Cow<'_, [f32]>,
+            _client: usize,
+            update: &[f32],
             weight: f32,
-        ) -> Result<(), crate::aggregate::AggregateError> {
-            self.0.fold(client, update, weight)
+        ) -> Result<(), AggregateError> {
+            self.updates.push(update.to_vec());
+            self.weights.push(weight);
+            Ok(())
         }
 
         fn folded(&self) -> usize {
-            self.0.folded()
+            self.updates.len()
         }
 
         fn state_bytes(&self) -> usize {
-            self.0.state_bytes()
+            0
         }
 
-        fn keeps(&self, folds: usize) -> bool {
-            self.0.keeps(folds)
-        }
-
-        fn held(&self) -> Option<Vec<&[f32]>> {
-            self.0.held()
-        }
-
-        fn finish(&mut self) -> Result<Vec<f32>, crate::aggregate::AggregateError> {
-            self.0.finish()
+        fn finish(&mut self) -> Result<Vec<f32>, AggregateError> {
+            let refs: Vec<&[f32]> = self.updates.iter().map(Vec::as_slice).collect();
+            coordinate_median(&refs, &self.weights)
         }
     }
 
     #[test]
     fn a_sealed_median_round_reads_as_an_unsealed_one() {
-        // A median sink holding the round seals its aggregate and
-        // detection's medians in one pass. Forty clients put the cohort
-        // past the selection's sorted window; integer weights select,
-        // fractional ones walk, and a quorum of 64 skips every round, so
-        // nothing is sealed. Events, bytes, aggregates and the book must
-        // match a sink that never seals.
+        // A held median round seals its aggregate and detection's medians
+        // in one pass. Forty clients put the cohort past the selection's
+        // sorted window; integer weights select, fractional ones walk, and
+        // a quorum of 64 skips every round, so nothing is sealed. Events,
+        // bytes, aggregates and the book must match a round whose sink
+        // finishes the median apart from detection's medians.
         let (dim, population) = (24, 40);
         // analyze:allow(lossy-cast) -- toy values and weights in tests.
         let update_of = |round: usize, id: usize| -> Vec<f32> {
@@ -1249,12 +1359,14 @@ mod tests {
                             loss: 0.0,
                             divergence: 0.0,
                         });
-                    let buffered =
-                        BufferedRobustSink::new(Aggregator::CoordinateMedian, selected.len(), 3);
-                    let mut sink: Box<dyn UpdateSink> = if seal {
-                        Box::new(buffered)
+                    let mut unsealed = MedianAtFinish::default();
+                    let fold = if seal {
+                        Fold::Hold {
+                            capacity: selected.len(),
+                            seed: 3,
+                        }
                     } else {
-                        Box::new(Unsealed(buffered))
+                        Fold::Stream(&mut unsealed)
                     };
                     let out = scheduler
                         .run_round(
@@ -1262,7 +1374,7 @@ mod tests {
                             &selected,
                             selected.len(),
                             &vec![0.0; dim],
-                            sink.as_mut(),
+                            fold,
                             &mut transport,
                             &rec,
                         )
@@ -1368,17 +1480,17 @@ mod tests {
                 &mut recycling.inner
             };
             let rec = MemoryRecorder::new();
-            let mut sink = aggregator.sink(selected.len(), 3);
+            let mut weighted = StreamingWeightedSink::new();
+            let fold = if aggregator == Aggregator::WeightedAverage {
+                Fold::Stream(&mut weighted)
+            } else {
+                Fold::Hold {
+                    capacity: selected.len(),
+                    seed: 3,
+                }
+            };
             let out = scheduler
-                .run_round(
-                    0,
-                    &selected,
-                    4,
-                    &vec![0.0; dim],
-                    sink.as_mut(),
-                    transport,
-                    &rec,
-                )
+                .run_round(0, &selected, 4, &vec![0.0; dim], fold, transport, &rec)
                 .unwrap();
             assert_eq!((out.accepted, out.rejected), (8, 4));
             assert_eq!(out.skipped, min_quorum > 8);

@@ -22,11 +22,12 @@ use std::path::PathBuf;
 use calibre_telemetry::{metrics, Recorder};
 
 use crate::adversary::{AttackPlan, ReputationBook};
+use crate::aggregate::{Aggregator, StreamingWeightedSink, UpdateSink};
 use crate::chaos::{FaultPlan, WireFaultPlan, WireInjector};
 use crate::checkpoint::{CheckpointStore, ServerCheckpoint};
 use crate::proto::model_checksum;
 use crate::sampler::{Sampler, SamplerKind};
-use crate::scheduler::{RoundPolicy, RoundScheduler};
+use crate::scheduler::{Fold, RoundPolicy, RoundScheduler};
 use crate::transport::{
     ClientWork, InProcessTransport, Listener, NetPolicy, SocketTransport, StreamUpdate, Transport,
     TransportError, WelcomeInfo,
@@ -195,8 +196,8 @@ fn restore_or_init(
 /// cross-transport identity guarantee.
 ///
 /// Each round's aggregate, once applied to the model, is handed to the
-/// next round's sink ([`crate::aggregate::UpdateSink::adopt`]), so a
-/// weighted round accumulates in it instead of a fresh buffer.
+/// next round's weighted sink ([`crate::aggregate::UpdateSink::adopt`]),
+/// so a weighted round accumulates in it instead of a fresh buffer.
 ///
 /// # Errors
 ///
@@ -235,23 +236,22 @@ pub fn run_rounds(
     for round in start_round..cfg.rounds {
         let selected = scheduler.select(round, None);
         recorder.round_start(round, &selected);
-        // The policy's aggregator picks the sink: plain weighted averaging
-        // streams in O(model); robust defenses buffer (memory-bounded) and
-        // aggregate at finish. The reservoir seed mixes the round index so
-        // any capacity-forced sampling still replays identically.
-        let mut sink = cfg.policy.aggregator.sink(
-            selected.len().max(1),
-            cfg.seed ^ (round as u64).wrapping_mul(0xA24B_AED4_963E_E407),
-        );
-        sink.adopt(std::mem::take(&mut spent));
+        // Plain weighted averaging streams in O(model); a robust defense
+        // holds the round, sized to the cohort, and aggregates at the seal.
+        // The reservoir seed mixes the round index so any capacity-forced
+        // sampling still replays identically.
+        let mut weighted = StreamingWeightedSink::new();
+        weighted.adopt(std::mem::take(&mut spent));
+        let fold = if cfg.policy.aggregator == Aggregator::WeightedAverage {
+            Fold::Stream(&mut weighted)
+        } else {
+            Fold::Hold {
+                capacity: selected.len(),
+                seed: cfg.seed ^ (round as u64).wrapping_mul(0xA24B_AED4_963E_E407),
+            }
+        };
         let streamed = scheduler.run_round(
-            round,
-            &selected,
-            cfg.wave,
-            &model,
-            sink.as_mut(),
-            transport,
-            recorder,
+            round, &selected, cfg.wave, &model, fold, transport, recorder,
         )?;
         out.accepted_total += streamed.accepted;
         out.dropped_total += streamed.dropped;
@@ -366,7 +366,6 @@ pub fn sim_client_work(seed: u64, client: usize) -> impl FnMut(usize, &[f32]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::Aggregator;
     use calibre_telemetry::NullRecorder;
 
     #[test]

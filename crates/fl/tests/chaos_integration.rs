@@ -157,7 +157,7 @@ fn ten_thousand_client_streaming_round_accounts_for_every_client() {
     // bit-identically from the same seeds.
     use calibre_fl::aggregate::StreamingWeightedSink;
     use calibre_fl::sampler::{Sampler, SamplerKind};
-    use calibre_fl::scheduler::RoundScheduler;
+    use calibre_fl::scheduler::{Fold, RoundScheduler};
     use calibre_fl::transport::{InProcessTransport, StreamUpdate};
 
     let run = || {
@@ -196,7 +196,7 @@ fn ten_thousand_client_streaming_round_accounts_for_every_client() {
                     &selected,
                     64,
                     &[0.0; 3],
-                    &mut sink,
+                    Fold::Stream(&mut sink),
                     &mut transport,
                     &memory,
                 )

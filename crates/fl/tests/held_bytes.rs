@@ -15,7 +15,7 @@ use calibre_fl::proto::model_checksum;
 use calibre_fl::sampler::{Sampler, SamplerKind};
 use calibre_fl::serve::{run_in_process, sim_update, ServeConfig};
 use calibre_fl::transport::InProcessTransport;
-use calibre_fl::{RoundPolicy, RoundScheduler};
+use calibre_fl::{Fold, RoundPolicy, RoundScheduler};
 use calibre_telemetry::{metrics, NullRecorder};
 
 /// The seed-derived attack plan of `cohort_robust`.
@@ -96,14 +96,14 @@ fn reservoir_round(cohort: usize, dim: usize, capacity: usize, seed: u64) -> (us
     let mut transport = InProcessTransport::new(move |round, client, global: &[f32]| {
         sim_update(seed, round, client, global)
     });
-    let mut sink = Aggregator::TrimmedMean(0.1).sink(capacity, seed);
+    let fold = Fold::Hold { capacity, seed };
     let out = scheduler
         .run_round(
             0,
             &selected,
             capacity / 2,
             &global,
-            sink.as_mut(),
+            fold,
             &mut transport,
             &NullRecorder,
         )
@@ -118,16 +118,22 @@ fn held_bytes_and_checksums_are_pinned() {
     let small = (40, 64, 2);
     let median = Aggregator::CoordinateMedian;
     let weighted = Aggregator::WeightedAverage;
-    // (shape, aggregator, detect, quorum) → (peak bytes, checksum, skipped)
+    // (shape, aggregator, detect, quorum) → (peak bytes, checksum, skipped).
+    // A held round's peak counts the engine's 96-byte hold: each held
+    // buffer's capacity, its spine (24 B a slot) and weights (4 B a slot).
+    // Detection beside the weighted sink holds the round too, so at
+    // 40 × 64 its peak counts a spine and weights of 64 slots and the
+    // hold's struct over the updates' bytes: 64 × 24 + 64 × 4 + 96 =
+    // 1 888 B more than the bare copies the engine once kept.
     let cases = [
-        ((small, median, true, 1), (12_152, 0x90b4_23cd_c489_43cf, 0)),
+        ((small, median, true, 1), (12_128, 0x90b4_23cd_c489_43cf, 0)),
         (
             (small, median, false, 1),
-            (12_152, 0x90b4_23cd_c489_43cf, 0),
+            (12_128, 0x90b4_23cd_c489_43cf, 0),
         ),
         (
             (small, weighted, true, 1),
-            (10_552, 0x2901_e70b_5a1d_04bd, 0),
+            (12_440, 0x2901_e70b_5a1d_04bd, 0),
         ),
         (
             (small, weighted, false, 1),
@@ -135,11 +141,11 @@ fn held_bytes_and_checksums_are_pinned() {
         ),
         (
             (small, median, true, 64),
-            (12_152, 0x34a6_f514_0ccf_e244, 3),
+            (12_128, 0x34a6_f514_0ccf_e244, 3),
         ),
         (
             ((8, 32, 1), median, true, 1),
-            (1_368, 0x2be6_a7e0_6147_a890, 0),
+            (1_344, 0x2be6_a7e0_6147_a890, 0),
         ),
     ];
     for ((shape, aggregator, detect, quorum), want) in cases {
@@ -150,11 +156,12 @@ fn held_bytes_and_checksums_are_pinned() {
 
     // Past its capacity the reservoir samples: 100 clients through 16
     // slots, in waves of 8. The peak is 16 held updates of 128 B (2 048),
-    // their spine (16 × 24), their weights (16 × 4), the sink's 120-byte
-    // struct, and a wave of 8 replies the sink copied (1 024).
+    // their spine (16 × 24) and weights (16 × 4), the hold's struct (96),
+    // and a wave's 8 buffers the reservoir passed over or displaced and
+    // gave back (1 024).
     assert_eq!(
         reservoir_round(100, 32, 16, 5),
-        (3_640, 0xcb9e_2076_14b1_8b98),
+        (3_616, 0xcb9e_2076_14b1_8b98),
         "reservoir round: (peak, checksum)"
     );
 }

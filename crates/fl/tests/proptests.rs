@@ -1,11 +1,9 @@
 //! Property-based tests for aggregation, metrics and checkpoint invariants.
 
-use std::borrow::Cow;
-
 use calibre_fl::adversary::{anomaly_scores, AnomalyScore, ReputationBook};
 use calibre_fl::aggregate::{
     aggregate_robust, clip_norm, coordinate_median, divergence_weight, geometric_median, krum,
-    trimmed_mean, AggregateError, Aggregator, BufferedRobustSink, StreamingWeightedSink,
+    median_and_midpoints, trimmed_mean, AggregateError, Aggregator, StreamingWeightedSink,
     UpdateSink,
 };
 use calibre_fl::chaos::{FaultInjector, FaultPlan};
@@ -31,7 +29,7 @@ fn cohort_fold(updates: &[&[f32]], weights: &[f32]) -> Vec<f32> {
     let total: f32 = weights.iter().sum();
     let mut sink = StreamingWeightedSink::for_cohort(total, updates.len());
     for (slot, (u, &w)) in updates.iter().zip(weights.iter()).enumerate() {
-        sink.fold(slot, Cow::Borrowed(*u), w).unwrap();
+        sink.fold(slot, u, w).unwrap();
     }
     sink.finish().unwrap()
 }
@@ -357,14 +355,10 @@ proptest! {
         let want = sorting_reference::coordinate_median(&updates, &weights);
         prop_assert_eq!(bits(&median), bits(&want));
 
-        // A median sink holding the round seals the same aggregate and
-        // detection's reference medians in one pass; scored against them,
-        // the round reads as the sorting reference scores it.
-        let mut sink = BufferedRobustSink::new(Aggregator::CoordinateMedian, n, 0);
-        for (i, (u, &w)) in updates.iter().zip(&weights).enumerate() {
-            sink.fold(i, Cow::Borrowed(*u), w).unwrap();
-        }
-        let medians = sink.seal_medians().unwrap();
+        // A held median round seals the same aggregate and detection's
+        // reference medians in one pass; scored against them, the round
+        // reads as the sorting reference scores it.
+        let (sealed, medians) = median_and_midpoints(&updates, &weights).unwrap();
         prop_assert_eq!(bits(&medians), bits(&sorting_reference::column_medians(&updates)));
         let ids: Vec<usize> = (0..n).map(|i| 7 * i + 1).collect();
         let fused = sorting_reference::anomaly_scores_against(&ids, &updates, &medians);
@@ -373,8 +367,7 @@ proptest! {
             prop_assert_eq!(g.norm_z.to_bits(), w.norm_z.to_bits(), "fused norm z of {}", g.client);
             prop_assert_eq!(g.cosine_z.to_bits(), w.cosine_z.to_bits(), "fused cosine z of {}", g.client);
         }
-        prop_assert_eq!(sink.held().map(|held| held.len()), Some(n));
-        prop_assert_eq!(bits(&sink.finish().unwrap()), bits(&want));
+        prop_assert_eq!(bits(&sealed), bits(&want));
         for ratio in [0.0f32, 0.1, 0.3] {
             let want = sorting_reference::trimmed_mean(&updates, &weights, ratio);
             match (trimmed_mean(&updates, &weights, ratio), want) {
@@ -509,7 +502,7 @@ proptest! {
         let weights = &weights[..updates.len()];
         let mut canonical_sink = StreamingWeightedSink::new();
         for (slot, (u, &w)) in updates.iter().zip(weights.iter()).enumerate() {
-            canonical_sink.fold(slot, Cow::Borrowed(u), w).unwrap();
+            canonical_sink.fold(slot, u, w).unwrap();
         }
         let canonical = canonical_sink.finish().unwrap();
 
@@ -521,7 +514,7 @@ proptest! {
         }
         let mut shuffled_sink = StreamingWeightedSink::new();
         for (slot, &i) in order.iter().enumerate() {
-            shuffled_sink.fold(slot, Cow::Borrowed(&updates[i]), weights[i]).unwrap();
+            shuffled_sink.fold(slot, &updates[i], weights[i]).unwrap();
         }
         let shuffled = shuffled_sink.finish().unwrap();
         for (a, b) in canonical.iter().zip(shuffled.iter()) {
@@ -684,7 +677,7 @@ proptest! {
         use calibre_fl::chaos::ClientFault;
         use calibre_fl::sampler::{Sampler, SamplerKind};
         use calibre_fl::transport::{InProcessTransport, StreamUpdate};
-        use calibre_fl::{AttackPlan, RoundPolicy, RoundScheduler};
+        use calibre_fl::{AttackPlan, Fold, RoundPolicy, RoundScheduler};
         use calibre_telemetry::{Event, MemoryRecorder};
 
         const ROUNDS: usize = 3;
@@ -745,7 +738,7 @@ proptest! {
                             &selected,
                             wave,
                             &global,
-                            &mut sink,
+                            Fold::Stream(&mut sink),
                             &mut transport,
                             &recorder,
                         )
@@ -860,12 +853,7 @@ struct FoldLog {
 }
 
 impl UpdateSink for FoldLog {
-    fn fold(
-        &mut self,
-        client: usize,
-        update: Cow<'_, [f32]>,
-        weight: f32,
-    ) -> Result<(), AggregateError> {
+    fn fold(&mut self, client: usize, update: &[f32], weight: f32) -> Result<(), AggregateError> {
         self.folds.push((client, update.to_vec()));
         self.inner.fold(client, update, weight)
     }
