@@ -35,7 +35,7 @@
 //! a file.
 
 use calibre_bench::obs::ObsArgs;
-use calibre_bench::{exit_argument_error, parse_args_or_exit};
+use calibre_bench::{exit_bad_value, parse_args_or_exit};
 use calibre_fl::aggregate::{Aggregator, HierarchicalSink, StreamingWeightedSink, UpdateSink};
 use calibre_fl::sampler::{Sampler, SamplerKind};
 use calibre_fl::scheduler::{Fold, RoundPolicy, RoundScheduler};
@@ -225,10 +225,9 @@ fn main() {
         .aggregator
         .filter(|&a| sweep.groups > 0 && a != Aggregator::WeightedAverage)
     {
-        exit_argument_error(format!(
-            "--groups folds into a hierarchical weighted sink; --aggregator {} needs --groups 0",
-            agg.name()
-        ));
+        let why =
+            "--groups folds into a hierarchical weighted sink; robust aggregators need --groups 0";
+        exit_bad_value("aggregator", &agg.name(), why);
     }
     let obs = obs_args.clone().build();
     println!(

@@ -66,18 +66,16 @@ pub fn parse_args(args: &[String]) -> Result<Vec<(String, String)>, String> {
 /// [`parse_args`] for a binary's `main`: an argument error is printed on
 /// stderr and the process exits 2 instead of panicking.
 pub fn parse_args_or_exit(args: &[String]) -> Vec<(String, String)> {
-    parse_args(args).unwrap_or_else(|e| exit_argument_error(e))
+    parse_args(args).unwrap_or_else(|e| {
+        eprintln!("argument error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// Prints a bad flag value's error (a spec error names the keyword and
 /// its byte span) on stderr and exits 2, as [`parse_args_or_exit`] does.
 pub fn exit_bad_value(flag: &str, value: &str, err: impl std::fmt::Display) -> ! {
-    exit_argument_error(format!("bad --{flag} value {value:?}: {err}"))
-}
-
-/// Prints an argument error on stderr and exits 2.
-pub fn exit_argument_error(err: impl std::fmt::Display) -> ! {
-    eprintln!("argument error: {err}");
+    eprintln!("argument error: bad --{flag} value {value:?}: {err}");
     std::process::exit(2)
 }
 

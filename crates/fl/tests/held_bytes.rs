@@ -67,7 +67,7 @@ fn config(
 
 /// The run's peak held bytes, its final model's checksum and its skipped
 /// rounds.
-fn held(cfg: &ServeConfig) -> (usize, u64, usize) {
+fn peak_and_checksum(cfg: &ServeConfig) -> (usize, u64, usize) {
     metrics::global().reset();
     let out = run_in_process(cfg, &NullRecorder).expect("an in-process run cannot fail");
     let peak = metrics::global()
@@ -150,7 +150,7 @@ fn held_bytes_and_checksums_are_pinned() {
     ];
     for ((shape, aggregator, detect, quorum), want) in cases {
         let case = format!("{shape:?}, {aggregator:?}, detect {detect}, quorum {quorum}");
-        let got = held(&config(shape, aggregator, detect, quorum));
+        let got = peak_and_checksum(&config(shape, aggregator, detect, quorum));
         assert_eq!(got, want, "{case}: (peak, checksum, skipped)");
     }
 
