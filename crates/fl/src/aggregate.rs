@@ -2099,6 +2099,18 @@ mod tests {
     }
 
     #[test]
+    fn krum_sink_surfaces_cohort_too_small_for_skipped_rounds() {
+        let (hold, _) = hold_of(&[&[1.0]], 64, 1);
+        assert!(
+            matches!(
+                aggregate_robust(Aggregator::Krum { f: 1 }, &hold.updates(), hold.weights()),
+                Err(AggregateError::CohortTooSmall { needed: 4, got: 1 })
+            ),
+            "single-client cohort must take the typed skipped-round path"
+        );
+    }
+
+    #[test]
     fn hierarchical_sink_agrees_with_flat_average() {
         let mut sink = HierarchicalSink::new(8, 42);
         let updates: Vec<Vec<f32>> = (0..200)
