@@ -119,12 +119,14 @@ fn held_bytes_and_checksums_are_pinned() {
     let median = Aggregator::CoordinateMedian;
     let weighted = Aggregator::WeightedAverage;
     // (shape, aggregator, detect, quorum) → (peak bytes, checksum, skipped).
-    // A held round's peak counts the engine's 96-byte hold: each held
-    // buffer's capacity, its spine (24 B a slot) and weights (4 B a slot).
-    // Detection beside the weighted sink holds the round too, so at
-    // 40 × 64 its peak counts a spine and weights of 64 slots and the
-    // hold's struct over the updates' bytes: 64 × 24 + 64 × 4 + 96 =
-    // 1 888 B more than the bare copies the engine once kept.
+    // A held round's peak counts the engine's hold: each held buffer's
+    // capacity, its spine (24 B a slot), its weights (4 B a slot) and its
+    // 96-byte struct, 24 B less than the sink that held these rounds
+    // before, whose struct also carried its aggregator (12 152 → 12 128,
+    // 1 368 → 1 344). Detection beside the weighted sink holds the round
+    // too, so at 40 × 64 it counts a spine and weights of 64 slots and the
+    // struct over the updates' bytes: 64 × 24 + 64 × 4 + 96 = 1 888 B more
+    // than the bare copies detection kept before (10 552 → 12 440).
     let cases = [
         ((small, median, true, 1), (12_128, 0x90b4_23cd_c489_43cf, 0)),
         (
@@ -158,7 +160,8 @@ fn held_bytes_and_checksums_are_pinned() {
     // slots, in waves of 8. The peak is 16 held updates of 128 B (2 048),
     // their spine (16 × 24) and weights (16 × 4), the hold's struct (96),
     // and a wave's 8 buffers the reservoir passed over or displaced and
-    // gave back (1 024).
+    // gave back (1 024): 24 B below the sink's 3 640, for the same struct
+    // field.
     assert_eq!(
         reservoir_round(100, 32, 16, 5),
         (3_616, 0xcb9e_2076_14b1_8b98),
