@@ -2061,41 +2061,47 @@ mod tests {
         );
     }
 
+    /// `offered` updates through a hold of capacity 16 seal with
+    /// `aggregator` in bounded state, and replay bit-identically.
+    fn assert_reservoir_is_bounded_and_replay_identical(aggregator: Aggregator, offered: usize) {
+        let rows: Vec<Vec<f32>> = (0..offered)
+            // analyze:allow(lossy-cast) -- test data generation only.
+            .map(|i| vec![i as f32, -(i as f32)])
+            .collect();
+        let refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
+        let run = || {
+            let (hold, given_back) = hold_of(&refs, 16, 9);
+            assert_eq!(
+                given_back,
+                offered - 16,
+                "{aggregator:?}: one buffer back per update past capacity"
+            );
+            let aggregate = aggregate_robust(aggregator, &hold.updates(), hold.weights());
+            (aggregate.unwrap(), hold.state_bytes())
+        };
+        let (a, bytes_a) = run();
+        let (b, bytes_b) = run();
+        assert_eq!(
+            a, b,
+            "{aggregator:?}: same seed + keep order replays bit-identically"
+        );
+        assert_eq!(bytes_a, bytes_b);
+        let flat_bytes = offered * 2 * std::mem::size_of::<f32>();
+        assert!(
+            bytes_a < flat_bytes / 10,
+            "{aggregator:?}: the reservoir must stay far below the O(cohort) collection \
+             ({bytes_a} vs {flat_bytes})"
+        );
+    }
+
     #[test]
     fn reservoir_sink_is_bounded_and_replay_identical() {
-        for (aggregator, offered) in [
-            (Aggregator::CoordinateMedian, 5_000usize),
-            (Aggregator::GeometricMedian, 3_000),
-        ] {
-            let rows: Vec<Vec<f32>> = (0..offered)
-                // analyze:allow(lossy-cast) -- test data generation only.
-                .map(|i| vec![i as f32, -(i as f32)])
-                .collect();
-            let refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
-            let run = || {
-                let (hold, given_back) = hold_of(&refs, 16, 9);
-                assert_eq!(
-                    given_back,
-                    offered - 16,
-                    "{aggregator:?}: one buffer back per update past capacity"
-                );
-                let aggregate = aggregate_robust(aggregator, &hold.updates(), hold.weights());
-                (aggregate.unwrap(), hold.state_bytes())
-            };
-            let (a, bytes_a) = run();
-            let (b, bytes_b) = run();
-            assert_eq!(
-                a, b,
-                "{aggregator:?}: same seed + keep order replays bit-identically"
-            );
-            assert_eq!(bytes_a, bytes_b);
-            let flat_bytes = offered * 2 * std::mem::size_of::<f32>();
-            assert!(
-                bytes_a < flat_bytes / 10,
-                "{aggregator:?}: the reservoir must stay far below the O(cohort) collection \
-                 ({bytes_a} vs {flat_bytes})"
-            );
-        }
+        assert_reservoir_is_bounded_and_replay_identical(Aggregator::CoordinateMedian, 5_000);
+    }
+
+    #[test]
+    fn buffered_robust_sink_is_bounded_and_replay_identical() {
+        assert_reservoir_is_bounded_and_replay_identical(Aggregator::GeometricMedian, 3_000);
     }
 
     #[test]
